@@ -18,7 +18,7 @@
 //                 plain POSIX env
 //   WUW_WINDOW_BUDGET  per-window budget spec (exec/window_budget.h
 //                 grammar, e.g. "2000" or "work=2000;deadline_ms=50");
-//                 sequential executor runs auto-split into as many windows
+//                 executor runs auto-split into as many windows
 //                 as the budget demands (always completing); unset = one
 //                 window, zero cost.  FromEnv prints a notice when armed
 //                 so split timings are never mistaken for baselines.

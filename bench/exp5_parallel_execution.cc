@@ -13,7 +13,7 @@
 #include "bench_util.h"
 #include "core/min_work.h"
 #include "core/strategy_space.h"
-#include "exec/parallel_executor.h"
+#include "exec/executor.h"
 #include "parallel/parallel_strategy.h"
 #include "parallel/thread_pool.h"
 #include "tpcd/change_generator.h"
@@ -63,12 +63,12 @@ int main() {
     double best = 1e30;
     for (int rep = 0; rep < 3; ++rep) {
       Warehouse clone = pristine.Clone();
-      ParallelExecutorOptions exec_options;
+      ExecutorOptions exec_options;
       exec_options.workers = workers;
       exec_options.term_workers = term_workers;
       exec_options.pool = pool;
-      ParallelExecutor executor(&clone, exec_options);
-      ParallelExecutionReport report = executor.Execute(stages);
+      Executor executor(&clone, exec_options);
+      ExecutionReport report = executor.Execute(stages);
       best = std::min(best, report.total_seconds);
     }
     return best;

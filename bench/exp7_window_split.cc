@@ -76,11 +76,11 @@ int main() {
           WindowBudget next(WindowBudgetOptions{budget_work});
           ExecutorOptions resume_options;
           resume_options.budget = &next;
-          ResumeReport resumed =
+          ExecutionReport resumed =
               ResumeStrategy(clone.journal(), &clone, resume_options,
                              ResumeMode::kContinueInPlace);
-          seconds += resumed.execution.total_seconds;
-          run_carryover += resumed.execution.total_linear_work;
+          seconds += resumed.total_seconds;
+          run_carryover += resumed.total_linear_work;
           ++run_windows;
           first.window_result = resumed.window_result;
         }

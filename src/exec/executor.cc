@@ -1,7 +1,9 @@
 #include "exec/executor.h"
 
 #include <chrono>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "common/check.h"
 #include "core/correctness.h"
@@ -23,6 +25,42 @@ double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// One stage per expression: the staged form of a sequential strategy.
+ParallelStrategy Singletons(const Strategy& strategy) {
+  ParallelStrategy out;
+  out.stages.reserve(strategy.size());
+  for (const Expression& e : strategy.expressions()) out.stages.push_back({e});
+  return out;
+}
+
+// Replays one journaled step's durable effect onto `warehouse`.  No join
+// work runs: a Comp re-accumulates the logged raw rows, an Inst re-applies
+// the logged finalized delta.  Execution is deterministic, so the replayed
+// effects are bit-identical to the originals.
+void ReplayEntry(const JournalEntry& entry, Warehouse* warehouse) {
+  const Expression& e = entry.expression;
+  if (e.is_comp()) {
+    Rows raw = entry.comp_raw;  // COW tuples: cheap copy
+    warehouse->accumulator(e.view)->Accumulate(std::move(raw));
+    // Re-tally so the advisor sees the same window an uninterrupted run
+    // would have.
+    if (AuxViewRegistry* aux = warehouse->aux_views()) {
+      aux->TallyComp(*warehouse->vdag().definition(e.view), e.over);
+    }
+    return;
+  }
+  Table* table = warehouse->MutableExtent(e.view);
+  Install(entry.installed, table, /*stats=*/nullptr);
+  warehouse->NoteExtentChanged(e.view);
+  if (!warehouse->vdag().IsBaseView(e.view)) {
+    // The logged delta is the finalized δV the original run installed and
+    // later consumers read.  Pin it: finalizing lazily from the replayed
+    // raw rows would run against the post-install extent and duplicate the
+    // refresh (the window C3/C8 relied on is gone once Inst(V) lands).
+    warehouse->accumulator(e.view)->RestoreFinalized(entry.installed);
+  }
 }
 
 }  // namespace
@@ -61,6 +99,7 @@ std::string ExecutionReport::ToString() const {
 Executor::Executor(Warehouse* warehouse, ExecutorOptions options)
     : warehouse_(warehouse), options_(options) {
   WUW_CHECK(warehouse_ != nullptr, "Executor needs a warehouse");
+  WUW_CHECK(options_.workers >= 1, "need at least one worker");
 }
 
 ExpressionReport ExecuteExpression(Warehouse* warehouse, const Expression& e,
@@ -164,8 +203,9 @@ ExpressionReport ExecuteExpression(Warehouse* warehouse, const Expression& e,
   er.seconds = Now() - start;
   WUW_METRIC_ADD("exec.linear_work", obs::MetricClass::kWork, er.linear_work);
   // Absorb the expression's OperatorStats into the registry: this is the
-  // one choke point all three execution paths (sequential, stage-parallel,
-  // recovery) share, so engine.* totals always mean the same thing.
+  // one choke point every step goes through (sequential, staged, resumed,
+  // or driven step by step), so engine.* totals always mean the same
+  // thing.
   WUW_METRIC_ADD("engine.rows_scanned", obs::MetricClass::kEngine,
                  er.stats.rows_scanned);
   WUW_METRIC_ADD("engine.rows_produced", obs::MetricClass::kEngine,
@@ -217,31 +257,63 @@ CompEvalOptions MakeCompEvalOptions(Warehouse* warehouse,
 }
 
 ExecutionReport Executor::Execute(const Strategy& strategy) {
+  return Run(Singletons(strategy), /*staged=*/false, /*resumed=*/nullptr);
+}
+
+ExecutionReport Executor::Execute(const ParallelStrategy& strategy) {
+  return Run(strategy, /*staged=*/true, /*resumed=*/nullptr);
+}
+
+ExecutionReport Executor::Resume(const StrategyJournal& journal,
+                                 ResumeMode mode) {
+  WUW_CHECK(journal.begun(), "cannot resume: journal has no run recorded");
+  // Copy everything out of the source journal first: the caller may pass
+  // warehouse->journal() itself, which re-journaling overwrites.
+  Resumed resumed{journal.EntriesInStepOrder(),
+                  mode == ResumeMode::kReplayRestored};
+  return Run(Singletons(journal.strategy()), /*staged=*/false, &resumed);
+}
+
+ExecutionReport Executor::Run(ParallelStrategy plan, bool staged,
+                              const Resumed* resumed) {
   const Vdag& vdag = warehouse_->vdag();
-
-  std::set<std::string> empty_views;
-  Strategy simplified;
-  const Strategy* to_run = &strategy;
-  if (options_.simplify_empty_deltas) {
-    std::set<std::string> empty_bases;
-    for (const std::string& base : vdag.BaseViews()) {
-      if (warehouse_->base_delta(base).empty()) empty_bases.insert(base);
+  if (resumed == nullptr) {
+    // A resumed run's journal already holds the simplified strategy the
+    // original run validated.
+    std::set<std::string> empty_views;
+    if (options_.simplify_empty_deltas) {
+      std::set<std::string> empty_bases;
+      for (const std::string& base : vdag.BaseViews()) {
+        if (warehouse_->base_delta(base).empty()) empty_bases.insert(base);
+      }
+      empty_views = EmptyDeltaClosure(vdag, empty_bases);
+      // Simplification drops or narrows single expressions, so it commutes
+      // with staging.
+      ParallelStrategy simplified;
+      for (const std::vector<Expression>& stage : plan.stages) {
+        Strategy kept = SimplifyForEmptyDeltas(Strategy(stage), empty_views);
+        if (!kept.empty()) simplified.stages.push_back(kept.expressions());
+      }
+      plan = std::move(simplified);
     }
-    empty_views = EmptyDeltaClosure(vdag, empty_bases);
-    simplified = SimplifyForEmptyDeltas(strategy, empty_views);
-    to_run = &simplified;
-  }
-  if (options_.validate) {
-    CorrectnessResult r = CheckVdagStrategy(vdag, *to_run, empty_views);
-    WUW_CHECK(r.ok, ("refusing to execute incorrect strategy: " + r.violation)
-                        .c_str());
+    if (options_.validate) {
+      CorrectnessResult r =
+          CheckVdagStrategy(vdag, plan.Linearize(), empty_views);
+      WUW_CHECK(r.ok, ("refusing to execute incorrect strategy: " +
+                       r.violation).c_str());
+    }
   }
 
-  obs::TraceSpan strategy_span("exec", "strategy");
-  WUW_METRIC_ADD("exec.strategies", obs::MetricClass::kWork, 1);
+  obs::TraceSpan strategy_span(
+      "exec", resumed != nullptr ? "resume-strategy"
+              : staged           ? "parallel-strategy"
+                                 : "strategy");
+  if (resumed == nullptr) {
+    WUW_METRIC_ADD("exec.strategies", obs::MetricClass::kWork, 1);
+  }
   // WUW_READERS: concurrent snapshot probes ride along for the whole run
-  // (pauses and installs included), verifying readers only ever see the
-  // last committed state.  Unset = empty scope.
+  // (replay, pauses and installs included), verifying readers only ever
+  // see the last committed state.  Unset = empty scope.
   ReaderProbeScope reader_probes(warehouse_);
   ExecutionReport report;
   ThreadPool* pool =
@@ -255,112 +327,203 @@ ExecutionReport Executor::Execute(const Strategy& strategy) {
   const WindowBudgetOptions* env =
       options_.budget == nullptr ? EnvWindowBudget() : nullptr;
   WindowBudget env_budget(env != nullptr ? *env : WindowBudgetOptions{});
-  WindowBudget* budget = options_.budget;
-  bool auto_resume = false;
-  if (budget == nullptr && env != nullptr) {
-    budget = &env_budget;
-    auto_resume = true;
-  }
+  WindowBudget* budget = env != nullptr ? &env_budget : options_.budget;
+  const bool auto_resume = env != nullptr;
   const bool limited = budget != nullptr && budget->limited();
   if (budget != nullptr) budget->OpenWindow();
 
   CompEvalOptions comp_options = MakeCompEvalOptions(
       warehouse_, options_.subplan_cache, options_.skip_empty_delta_terms,
-      /*term_workers=*/1, pool, options_.plan_observer,
+      options_.term_workers, pool, options_.plan_observer,
       budget != nullptr ? budget->token() : nullptr);
+  // Plan observations must arrive in step order.
+  const int workers = options_.plan_observer != nullptr ? 1 : options_.workers;
 
+  const Strategy linear = plan.Linearize();
   StrategyJournal* journal = nullptr;
   if (options_.journal || limited) {
-    // Journal the simplified strategy: that is the exact expression
+    // Journal the simplified linearization: that is the exact expression
     // sequence a resume must finish.  A limiting budget forces journaling
     // on — the journal is the paused run's resumable handle.
     journal = &warehouse_->journal();
-    journal->Begin(*to_run, warehouse_->batch_epoch());
+    journal->Begin(linear, warehouse_->batch_epoch());
   }
 
-  const auto& exprs = to_run->expressions();
-  const int64_t total_steps = static_cast<int64_t>(exprs.size());
-  int64_t step = 0;
-  int64_t window_steps = 0;  // steps completed in the current window
-  int step_cancels = 0;      // consecutive abandons of the current step
-  bool paused = false;
-  while (step < total_steps) {
-    if (limited && budget->ShouldPause()) {
-      if (!auto_resume) {
-        paused = true;
-        break;
-      }
-      // Auto-resume: carry the run into a fresh window.  When the budget
-      // exhausted before this window completed a single step (a step
-      // bigger than the whole window), push on anyway — the window
-      // overruns rather than livelocks.
-      if (window_steps > 0) {
-        if (budget->work_exhausted()) {
-          WUW_METRIC_ADD("window.paused", obs::MetricClass::kEngine, 1);
-          WUW_METRIC_ADD("window.resumed", obs::MetricClass::kEngine, 1);
-        } else {
-          WUW_METRIC_ADD("window.deadline_paused", obs::MetricClass::kSched,
-                         1);
-          WUW_METRIC_ADD("window.deadline_resumed", obs::MetricClass::kSched,
-                         1);
+  // Steps already done.  A stage that tore mid-flight can leave a
+  // non-contiguous set (step 3 journaled, step 2 torn); in-stage
+  // expressions are mutually non-conflicting, so finishing an earlier
+  // sibling after a later one is order-irrelevant.
+  std::vector<char> completed(linear.size(), 0);
+  if (resumed != nullptr) {
+    for (const JournalEntry& entry : resumed->done) {
+      // A death mid-replay is recoverable like any other: replay mutated
+      // the restored state, so recovery restarts from the pre-window state.
+      WUW_FAULT_POINT("recovery.replay.step");
+      WUW_CHECK(entry.step >= 0 &&
+                    entry.step < static_cast<int64_t>(linear.size()),
+                "journal step out of strategy range");
+      WUW_CHECK(completed[entry.step] == 0, "duplicate journal step");
+      completed[entry.step] = 1;
+      if (resumed->replay) ReplayEntry(entry, warehouse_);
+      if (journal != nullptr) {
+        JournalEntry copy = entry;
+        if (entry.expression.is_inst()) {
+          // The restored warehouse's version counters need not match the
+          // dead run's (LoadWarehouse restarts them); re-log what is true.
+          copy.extent_version_after =
+              warehouse_->extent_version(entry.expression.view);
         }
-        obs::TraceSpan carry("exec", "window-carryover");
-        budget->OpenWindow();
-        ++report.windows;
-        window_steps = 0;
+        journal->Record(std::move(copy));
       }
     }
-    WUW_FAULT_POINT("executor.step.begin");
-    WUW_METRIC_ADD("exec.steps", obs::MetricClass::kWork, 1);
-    const Expression& e = exprs[static_cast<size_t>(step)];
-    std::pair<int64_t, int64_t> delta_stats{0, 0};
-    ExpressionReport er;
-    try {
-      // After two consecutive mid-step cancellations (a deadline shorter
-      // than the step itself), the retry runs with checks disabled so the
-      // run still terminates; only auto-resume mode ever retries.
-      CompEvalOptions forced;
-      const CompEvalOptions* opts = &comp_options;
-      if (step_cancels >= 2) {
-        forced = comp_options;
-        forced.cancel = nullptr;
-        opts = &forced;
+    report.steps_replayed = static_cast<int64_t>(resumed->done.size());
+    WUW_METRIC_ADD("resume.steps_replayed", obs::MetricClass::kWork,
+                   report.steps_replayed);
+  }
+
+  int64_t window_steps = 0;  // steps completed in the current window
+  int stage_cancels = 0;     // consecutive deadline tears of this stage
+  // Auto-resume: carry the run into a fresh window.
+  auto carry_over = [&](bool deadline) {
+    if (deadline) {
+      WUW_METRIC_ADD("window.deadline_paused", obs::MetricClass::kSched, 1);
+      WUW_METRIC_ADD("window.deadline_resumed", obs::MetricClass::kSched, 1);
+    } else {
+      WUW_METRIC_ADD("window.paused", obs::MetricClass::kEngine, 1);
+      WUW_METRIC_ADD("window.resumed", obs::MetricClass::kEngine, 1);
+    }
+    obs::TraceSpan carry("exec", "window-carryover");
+    budget->OpenWindow();
+    ++report.windows;
+    window_steps = 0;
+  };
+  bool paused = false;
+  int64_t step_base = 0;
+  for (const std::vector<Expression>& stage : plan.stages) {
+    const int64_t base = step_base;
+    step_base += static_cast<int64_t>(stage.size());
+    // Each pass runs the stage's missing steps; a pass repeats only when a
+    // deadline tore the stage and the run auto-resumes.
+    while (!paused) {
+      std::vector<int64_t> todo;
+      for (int64_t step = base; step < step_base; ++step) {
+        if (completed[step] == 0) todo.push_back(step);
       }
-      er = ExecuteExpression(
-          warehouse_, e, *opts,
-          options_.capture_delta_stats && e.is_inst() ? &delta_stats : nullptr,
-          journal, step);
-    } catch (const WindowCancelledError&) {
-      // The step was abandoned before its first mutation (every check site
-      // precedes Accumulate/Install), so the warehouse still holds exactly
-      // the journaled steps.
+      if (todo.empty()) break;
+      if (limited && budget->ShouldPause()) {
+        // A resumed window completes at least one missing step, so chained
+        // windows always terminate; an auto-split window that has not
+        // completed a step yet (one stage bigger than the whole window)
+        // overruns rather than livelocks.
+        if (!auto_resume && (resumed == nullptr || window_steps > 0)) {
+          paused = true;
+          break;
+        }
+        if (auto_resume && window_steps > 0) {
+          carry_over(/*deadline=*/!budget->work_exhausted());
+        }
+      }
+      std::optional<obs::TraceSpan> stage_span;
+      if (staged) {
+        WUW_FAULT_POINT("parallel.stage.begin");
+        stage_span.emplace("exec", [&] {
+          return "stage[" + std::to_string(stage.size()) + "]";
+        });
+        WUW_METRIC_ADD("exec.stages", obs::MetricClass::kWork, 1);
+      }
+      if (resumed == nullptr) {
+        WUW_METRIC_ADD("exec.steps", obs::MetricClass::kWork,
+                       static_cast<int64_t>(todo.size()));
+      }
+      const double stage_start = Now();
+      // WUW_MEM_MB: one evicting touch over the union of the stage's extent
+      // need-sets, on this thread before fan-out — workers run with
+      // paged_evict=false, so eviction decisions (and therefore
+      // paged.faults/paged.evictions) never depend on WUW_THREADS.
+      warehouse_->PagedTouchStage(stage);
+      // COW-detach the stage's install targets BEFORE fanning out: a detach
+      // swaps the catalog's shared_ptr slot, and a worker doing that would
+      // race with sibling workers' catalog reads (source scans, stats).
+      // MutableExtent is idempotent per publish, so the detach set and the
+      // kWork `warehouse.cow_detaches` count match detaching lazily.
+      for (const Expression& e : stage) {
+        if (e.is_inst()) warehouse_->MutableExtent(e.view);
+      }
+      // After two consecutive tears (a deadline shorter than the stage
+      // itself), the retry runs with checks disabled so the run still
+      // terminates; only auto-resume mode ever retries.
+      CompEvalOptions uncancellable;
+      const CompEvalOptions* opts = &comp_options;
+      if (stage_cancels >= 2) {
+        uncancellable = comp_options;
+        uncancellable.cancel = nullptr;
+        opts = &uncancellable;
+      }
+      std::vector<ExpressionReport> slots(todo.size());
+      std::vector<std::pair<int64_t, int64_t>> slot_deltas(todo.size());
+      bool torn = false;
+      // Expressions are claimed from the shared pool (a 1-expression stage
+      // runs inline).  Injected-fault plumbing: the first dying expression
+      // stops the unclaimed rest and the barrier rethrows — the whole run
+      // "dies" the way a one-process update window would.
+      try {
+        pool->ParallelTasks(todo.size(), workers, [&](size_t i) {
+          WUW_FAULT_POINT("executor.step.begin");
+          const Expression& e = stage[todo[i] - base];
+          slots[i] = ExecuteExpression(
+              warehouse_, e, *opts,
+              options_.capture_delta_stats && e.is_inst() ? &slot_deltas[i]
+                                                          : nullptr,
+              journal, todo[i], /*paged_evict=*/false);
+          completed[todo[i]] = 1;  // each worker writes only its own byte
+        });
+      } catch (const WindowCancelledError&) {
+        // A deadline fired mid-stage.  In-flight expressions drained at
+        // their next check site before mutating anything (every check site
+        // precedes Accumulate/Install), so the warehouse holds exactly the
+        // journaled steps.
+        torn = true;
+      }
+      const double stage_seconds = Now() - stage_start;
+      report.stage_seconds.push_back(stage_seconds);
+      report.total_seconds += stage_seconds;
+      // Stage barrier: fold each completed slot into the run, torn stages
+      // included.  Workers only ever wrote their own slot, so nothing races
+      // and no increment is dropped.
+      int64_t stage_work = 0;
+      for (size_t i = 0; i < todo.size(); ++i) {
+        if (completed[todo[i]] == 0) continue;
+        ExpressionReport& er = slots[i];
+        if (options_.capture_delta_stats && er.expression.is_inst()) {
+          report.delta_stats[er.expression.view] = slot_deltas[i];
+        }
+        stage_work += er.linear_work;
+        report.totals += er.stats;
+        report.per_expression.push_back(std::move(er));
+        ++window_steps;
+      }
+      report.total_linear_work += stage_work;
+      if (budget != nullptr) budget->ChargeWork(stage_work);
+      if (!torn) {
+        stage_cancels = 0;
+        break;
+      }
       WUW_METRIC_ADD("window.steps_abandoned", obs::MetricClass::kSched, 1);
       if (!auto_resume) {
         paused = true;
         break;
       }
-      ++step_cancels;
-      WUW_METRIC_ADD("window.deadline_paused", obs::MetricClass::kSched, 1);
-      WUW_METRIC_ADD("window.deadline_resumed", obs::MetricClass::kSched, 1);
-      budget->OpenWindow();
-      ++report.windows;
-      window_steps = 0;
-      continue;  // retry the same step in the fresh window
+      ++stage_cancels;
+      carry_over(/*deadline=*/true);
     }
-    step_cancels = 0;
-    if (options_.capture_delta_stats && e.is_inst()) {
-      report.delta_stats[e.view] = delta_stats;
-    }
-    report.total_seconds += er.seconds;
-    report.total_linear_work += er.linear_work;
-    report.totals += er.stats;
-    report.per_expression.push_back(std::move(er));
-    if (budget != nullptr) budget->ChargeWork(er.linear_work);
-    ++step;
-    ++window_steps;
+    if (paused) break;
   }
 
-  report.steps_completed = step;
+  report.steps_completed = static_cast<int64_t>(report.per_expression.size());
+  if (resumed != nullptr) {
+    WUW_METRIC_ADD("resume.steps_executed", obs::MetricClass::kWork,
+                   report.steps_completed);
+  }
   if (paused) {
     report.window_result = WindowResult::kPaused;
     if (budget->work_exhausted()) {

@@ -577,8 +577,12 @@ bool DeserializeJournal(const std::string& bytes, StrategyJournal* out,
     uint8_t type = payload.U8();
     if (type == kEntryRecord) {
       JournalEntry entry;
+      // An entry must describe the header strategy's expression at its
+      // step: replaying it onto another view would double-install that
+      // view once the real step re-executes live.
       if (!GetEntry(&payload, &entry) || entry.step < 0 ||
-          entry.step >= total_steps || out->IsStepComplete(entry.step)) {
+          entry.step >= total_steps || out->IsStepComplete(entry.step) ||
+          !(entry.expression == strategy[static_cast<size_t>(entry.step)])) {
         if (torn != nullptr) *torn = true;
         break;
       }

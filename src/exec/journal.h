@@ -48,8 +48,8 @@ struct JournalEntry {
 };
 
 /// Append-only, thread-safe journal of one strategy run.  Owned by the
-/// Warehouse being updated; executors write it when ExecutorOptions
-/// (or ParallelExecutorOptions) has `journal` set.
+/// Warehouse being updated; the executor writes it when
+/// ExecutorOptions::journal is set (or a limiting budget forces it on).
 class StrategyJournal {
  public:
   /// Starts a new run: records the strategy (post-simplification — the

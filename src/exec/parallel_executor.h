@@ -1,99 +1,17 @@
-// Stage-parallel strategy execution (Section 9, realized).
-//
-// A ParallelStrategy's stages contain mutually non-conflicting expressions
-// (see parallel/parallel_strategy.h): within a stage no expression reads
-// state another writes, so the stage's expressions genuinely run on
-// worker threads.  Stages are separated by barriers.
-//
-// Shared state accessed concurrently: table extents (read-only within a
-// stage for any reader, by construction), base deltas (read-only), and
-// delta accumulators (internally locked — two Comps of one view may
-// accumulate concurrently, and two parents may race to finalize a child's
-// delta).
+// Former names of the stage-parallel executor.  Staged runs go through
+// Executor::Execute(const ParallelStrategy&) (exec/executor.h), which
+// shares one loop with sequential and resumed runs; these aliases keep
+// code written against the old names compiling.
 #ifndef WUW_EXEC_PARALLEL_EXECUTOR_H_
 #define WUW_EXEC_PARALLEL_EXECUTOR_H_
 
-#include <vector>
-
 #include "exec/executor.h"
-#include "parallel/parallel_strategy.h"
 
 namespace wuw {
 
-class ThreadPool;
-
-/// Measurements for one stage-parallel run.
-struct ParallelExecutionReport {
-  double total_seconds = 0;  // wall time across all stage barriers
-  int64_t total_linear_work = 0;
-  /// Operator counters over the whole run.  Each expression's counters
-  /// accumulate in a thread-local slot while its stage runs and merge at
-  /// the stage barrier, so totals equal the sequential executor's for the
-  /// same strategy (no increments are lost to racing threads).
-  OperatorStats totals;
-  std::vector<double> stage_seconds;
-  std::vector<ExpressionReport> per_expression;  // stage order, then index
-  /// Snapshot of the attached SubplanCache at run end (zeros if none).
-  SubplanCacheStats subplan_cache;
-  /// kPaused iff a limiting budget exhausted at a stage barrier (or a
-  /// deadline tore a stage mid-flight).  Completed steps — including steps
-  /// other workers finished inside a torn stage — are journaled; the batch
-  /// stays pending and ResumeStrategy finishes the run.
-  WindowResult window_result = WindowResult::kCompleted;
-  /// Steps folded into per_expression (torn-stage completions are
-  /// journaled but not reported).
-  int64_t steps_completed = 0;
-};
-
-struct ParallelExecutorOptions {
-  int workers = 4;
-  /// Footnote 5 extension at term level (see ExecutorOptions).
-  bool skip_empty_delta_terms = false;
-  /// Intra-expression parallelism: worker threads per Comp for its
-  /// independent maintenance terms (see CompEvalOptions::term_workers).
-  /// Lets a lone dual-stage Comp(V, all-sources) — 2^n-1 terms — use the
-  /// pool even when the stage has few expressions.
-  int term_workers = 1;
-  /// Optional shared-subplan memo (not owned); see ExecutorOptions.  The
-  /// cache locks internally, so a stage's workers share it safely.
-  SubplanCache* subplan_cache = nullptr;
-  /// Shared thread pool for stage workers, term workers, AND the
-  /// morsel-parallel kernels — one pool for all three levels, so nesting
-  /// them cannot oversubscribe.  Null resolves to ThreadPool::Global()
-  /// (WUW_THREADS) at Execute time.  `workers` and `term_workers` cap how
-  /// many pool slots each level may claim; the pool size caps everything.
-  ThreadPool* pool = nullptr;
-  /// Record completed steps into the warehouse's StrategyJournal, indexed
-  /// by the strategy's linearization, so ResumeStrategy can finish an
-  /// interrupted staged run sequentially.  A worker that dies mid-stage
-  /// stops the stage; steps other workers completed stay journaled (they
-  /// are mutually non-conflicting, so replay order within the stage is
-  /// irrelevant).
-  bool journal = false;
-  /// Update-window budget (not owned; see exec/window_budget.h).  Work
-  /// budgets pause at stage barriers; a deadline additionally cancels
-  /// in-flight expressions at their next check site, abandoning the stage
-  /// (steps that already completed stay journaled).  A limiting budget
-  /// forces journaling on.  Unlike the sequential Executor, the
-  /// WUW_WINDOW_BUDGET env knob does NOT auto-split staged runs — pass an
-  /// explicit budget and resume via ResumeStrategy.
-  WindowBudget* budget = nullptr;
-};
-
-/// Runs staged strategies against one warehouse with a thread pool.
-class ParallelExecutor {
- public:
-  ParallelExecutor(Warehouse* warehouse, ParallelExecutorOptions options);
-
-  /// Executes all stages; consumes the pending batch.  The final state
-  /// equals what the sequential Executor produces for the strategy the
-  /// stages were derived from.
-  ParallelExecutionReport Execute(const ParallelStrategy& strategy);
-
- private:
-  Warehouse* warehouse_;
-  ParallelExecutorOptions options_;
-};
+using ParallelExecutor = Executor;
+using ParallelExecutorOptions = ExecutorOptions;
+using ParallelExecutionReport = ExecutionReport;
 
 }  // namespace wuw
 

@@ -17,43 +17,11 @@
 #ifndef WUW_EXEC_RECOVERY_H_
 #define WUW_EXEC_RECOVERY_H_
 
-#include <cstdint>
-
 #include "exec/executor.h"
 #include "exec/journal.h"
 #include "exec/warehouse.h"
 
 namespace wuw {
-
-/// How ResumeStrategy treats the journaled (completed) steps.
-enum class ResumeMode {
-  /// The warehouse was restored to the pre-window state (clone or
-  /// io/snapshot): replay each journaled step's logged effect, then
-  /// execute the rest.  The recovery-after-a-crash mode.
-  kReplayRestored,
-  /// The warehouse is the live one a budget-paused run left behind: every
-  /// journaled step's effect is already installed, so nothing replays —
-  /// completed steps are only marked off (and re-journaled) and the
-  /// missing steps execute.  The next-update-window mode: pausing never
-  /// tore state (checks precede mutations), so in-place continuation is
-  /// exact.
-  kContinueInPlace,
-};
-
-/// Measurements for one resumed run.
-struct ResumeReport {
-  /// Steps replayed from journal entries (no join work redone).  Under
-  /// kContinueInPlace this counts the steps marked already-done.
-  int64_t steps_replayed = 0;
-  /// Steps executed live to finish the strategy.
-  int64_t steps_executed = 0;
-  /// Report over the live-executed steps only.
-  ExecutionReport execution;
-  /// kPaused iff `options.budget` exhausted again before the strategy
-  /// finished — the run is still resumable (a limiting budget forces
-  /// re-journaling), so windows chain until one completes.
-  WindowResult window_result = WindowResult::kCompleted;
-};
 
 /// Finishes the interrupted run described by `journal` on `warehouse`.
 /// Under kReplayRestored the caller must have restored `warehouse` to the
@@ -61,17 +29,23 @@ struct ResumeReport {
 /// LoadWarehouse of a pre-window snapshot — the pending batch must be
 /// present either way); journaled steps replay from their logged effects.
 /// Under kContinueInPlace `warehouse` is the paused run's live state and
-/// journaled steps are simply skipped.  Missing steps execute
-/// sequentially and the batch is consumed like a normal run.
-/// `options.validate` is ignored (the original run already validated);
-/// `options.journal` re-journals into `warehouse`, so a resumed run that
-/// dies again is itself resumable.  `options.budget` bounds the resumed
-/// window exactly like Executor::Execute: on exhaustion the report says
-/// kPaused and the (re-)journal is the next window's handle.
-ResumeReport ResumeStrategy(const StrategyJournal& journal,
-                            Warehouse* warehouse,
-                            ExecutorOptions options = {},
-                            ResumeMode mode = ResumeMode::kReplayRestored);
+/// journaled steps are simply skipped.  Missing steps execute one per
+/// stage through the executor loop and the batch is consumed like a normal
+/// run; the report covers those live steps, and `steps_replayed` counts
+/// the journaled ones.  `options.validate` and
+/// `options.simplify_empty_deltas` are ignored (the original run already
+/// did both); `options.journal` re-journals into `warehouse`, so a resumed
+/// run that dies again is itself resumable.  `options.budget` bounds the
+/// resumed window exactly like Executor::Execute, except that every
+/// resumed window completes at least one missing step, so chained windows
+/// always terminate: on exhaustion the report says kPaused and the
+/// (re-)journal is the next window's handle.
+inline ExecutionReport ResumeStrategy(
+    const StrategyJournal& journal, Warehouse* warehouse,
+    ExecutorOptions options = {},
+    ResumeMode mode = ResumeMode::kReplayRestored) {
+  return Executor(warehouse, options).Resume(journal, mode);
+}
 
 }  // namespace wuw
 

@@ -127,15 +127,16 @@ class Warehouse {
 
   /// Executor touch point (no-op while paging is disarmed): faults the
   /// expression's extent need-set in — a Comp's definition sources, an
-  /// Inst's target — and, when `evict` (sequential executor steps, the
-  /// parallel coordinator via PagedTouchStage), advances the LRU clock and
+  /// Inst's target — and, when `evict` (callers driving steps one at a
+  /// time; the executor loop uses PagedTouchStage), advances the LRU clock and
   /// hibernates least-recently-touched extents until the resident set fits
   /// the budget.  Term workers call with evict=false, so eviction
   /// decisions never depend on WUW_THREADS.
   void PagedTouchExpression(const Expression& e, bool evict);
 
-  /// The parallel coordinator's touch point: one evicting touch over the
-  /// union of the stage's need-sets, before the stage's workers start.
+  /// The executor loop's touch point: one evicting touch over the union
+  /// of the stage's need-sets, on the coordinating thread before the
+  /// stage's workers start.
   void PagedTouchStage(const std::vector<Expression>& stage);
 
   /// Registers the incoming changes of a base view for the next update

@@ -31,10 +31,10 @@
 // == the uninterrupted run, bit-identical (window_budget_property_test).
 //
 // The `WUW_WINDOW_BUDGET` env knob (see ParseWindowBudgetSpec) arms a
-// budget on any bench or test binary: the sequential executor transparently
-// splits each strategy into budget-sized windows and carries the paused
-// run into the next one, so the whole tier-1 suite doubles as a
-// pause/resume exercise.
+// budget on any bench or test binary: every executor run (sequential,
+// staged or resumed) transparently splits into budget-sized windows at
+// stage barriers and carries the paused run into the next one, so the
+// whole tier-1 suite doubles as a pause/resume exercise.
 #ifndef WUW_EXEC_WINDOW_BUDGET_H_
 #define WUW_EXEC_WINDOW_BUDGET_H_
 

@@ -8,10 +8,10 @@
 // nothing here depends on the plan layer, so leaf modules can include it
 // freely.
 //
-// Measured rows are only meaningful when evaluation is sequential (the
-// parallel executor's stage workers would interleave observations):
-// ExplainStrategy runs on a cloned warehouse with a single-thread pool,
-// which is the only supported producer.
+// Measured rows are only meaningful when evaluation is sequential: an
+// attached observer runs each Comp's terms one at a time and each stage
+// one expression at a time, and ExplainStrategy runs on a cloned warehouse
+// with a single-thread pool.
 #ifndef WUW_OBS_PLAN_OBSERVATION_H_
 #define WUW_OBS_PLAN_OBSERVATION_H_
 

@@ -11,10 +11,11 @@
 //   ReadDriver        — runs RunReadSessions batches on a background
 //                       thread until Stop(), so tests race thousands of
 //                       readers against a live MaintenancePolicy.
-//   ReaderProbeScope  — the WUW_READERS tier-1 hook: both executors wrap
-//                       strategy runs in one, attaching EnvReaders() probe
-//                       threads that continuously verify snapshot
-//                       stability while the strategy installs deltas.
+//   ReaderProbeScope  — the WUW_READERS tier-1 hook: the executor loop
+//                       wraps every strategy run in one, attaching
+//                       EnvReaders() probe threads that continuously verify
+//                       snapshot stability while the strategy installs
+//                       deltas.
 //                       Unset knob = no threads, no work, no allocation.
 //
 // Every session body runs under obs::ServeScope, so reader-side work never
@@ -110,7 +111,7 @@ class ReadDriver {
   std::unique_ptr<Impl> impl_;
 };
 
-/// RAII probe attached by both executors around every strategy run: when
+/// RAII probe the executor loop attaches around every strategy run: when
 /// WUW_READERS=N is set (and the warehouse is armed), N plain threads loop
 /// {open snapshot, fingerprint twice, compare, check commit_seq monotone}
 /// until the run finishes; the destructor joins them and aborts on any

@@ -1,7 +1,7 @@
 // Shared work-stealing thread pool: the single source of threads for both
 // parallelism levels the executors expose.
 //
-// Stage-level parallelism (exec/parallel_executor.h), term-level
+// Stage-level parallelism (Executor's staged runs), term-level
 // parallelism (CompEvalOptions::term_workers), and the morsel-driven
 // operator kernels (algebra/) all schedule onto one pool instead of each
 // spawning their own threads, so nesting them cannot oversubscribe the

@@ -129,16 +129,16 @@ bool MaintenanceScheduler::ResumeWindow() {
   exec_options.simplify_empty_deltas = true;
   WindowBudget budget(options_.window_budget);
   if (budget.limited()) exec_options.budget = &budget;
-  ResumeReport resumed =
+  ExecutionReport resumed =
       ResumeStrategy(warehouse_->journal(), warehouse_, exec_options,
                      ResumeMode::kContinueInPlace);
 
   ++report_.windows_run;
-  report_.total_window_seconds += resumed.execution.total_seconds;
-  report_.total_linear_work += resumed.execution.total_linear_work;
-  report_.carryover_work += resumed.execution.total_linear_work;
+  report_.total_window_seconds += resumed.total_seconds;
+  report_.total_linear_work += resumed.total_linear_work;
+  report_.carryover_work += resumed.total_linear_work;
   WUW_METRIC_ADD("window.carryover_work", obs::MetricClass::kEngine,
-                 resumed.execution.total_linear_work);
+                 resumed.total_linear_work);
   if (resumed.window_result == WindowResult::kPaused) {
     ++report_.windows_paused;
     WUW_METRIC_ADD("policy.windows_paused", obs::MetricClass::kEngine, 1);

@@ -10,10 +10,10 @@
 // ANY budget (paged_differential_property_test proves it).
 //
 // Determinism model (mirrors the threading model, DESIGN.md):
-//   * Eviction decisions happen only at executor touch points — the
-//     sequential executor before each step, the parallel executor's
-//     coordinator before each stage — never from worker threads (workers
-//     touch with evict=false: fault-in only).  LRU state is therefore a
+//   * Eviction decisions happen only at executor touch points — one per
+//     stage, on the coordinating thread before fan-out (a sequential
+//     strategy's stages are single steps) — never from worker threads
+//     (workers touch with evict=false: fault-in only).  LRU state is a
 //     pure function of the strategy, so `paged.faults`/`paged.evictions`
 //     are identical at every WUW_THREADS value.
 //   * Snapshot interaction: a published (pinned) extent slot has

@@ -31,7 +31,6 @@
 #include "core/prune.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
-#include "exec/parallel_executor.h"
 #include "exec/recovery.h"
 #include "exec/window_budget.h"
 #include "fault/fault_injection.h"
@@ -387,9 +386,9 @@ TEST(AuxViewPropertyTest, KillAtEveryFaultSiteConverges) {
         ASSERT_TRUE(died) << "sequential run must hit the armed trigger";
 
         Warehouse restored = w.Clone();
-        ResumeReport report =
+        ExecutionReport report =
             ResumeStrategy(victim.journal(), &restored, ExecutorOptions{});
-        EXPECT_EQ(report.steps_replayed + report.steps_executed,
+        EXPECT_EQ(report.steps_replayed + report.steps_completed,
                   static_cast<int64_t>(s.size()));
         ASSERT_TRUE(restored.catalog().ContentsEqual(truth));
         // Bit-identical recovery includes the aux layer: same bound views,
@@ -583,10 +582,10 @@ TEST(AuxViewPropertyTest, StageParallelExecutionConverges) {
       Catalog truth = testutil::GroundTruthAfterChanges(w);
       Strategy s = MakeDualStageVdagStrategy(w.vdag());
       ParallelStrategy staged = ParallelizeStrategy(w.vdag(), s);
-      ParallelExecutorOptions options;
+      ExecutorOptions options;
       options.workers = 3;
       options.term_workers = 2;
-      ParallelExecutor(&w, options).Execute(staged);
+      Executor(&w, options).Execute(staged);
       ASSERT_TRUE(w.catalog().ContentsEqual(truth))
           << vc.name << " batch " << batch;
       ExpectAuxMatchesTruth(w, truth);

@@ -38,7 +38,6 @@
 #include "core/prune.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
-#include "exec/parallel_executor.h"
 #include "exec/recovery.h"
 #include "fault/fault_injection.h"
 #include "io/env.h"
@@ -149,12 +148,12 @@ std::string RunWindow(const CrashConfig& cfg, const std::string& dir,
   if (cfg.paged) spill.emplace(TinyPagedOptions(dir));
   if (cfg.parallel) {
     ParallelStrategy staged = ParallelizeStrategy(fx->vdag, fx->strategy);
-    ParallelExecutorOptions options;
+    ExecutorOptions options;
     options.workers = 3;
     options.term_workers = 2;
     options.journal = true;
     options.subplan_cache = cache;
-    ParallelExecutor(&fx->warehouse, options).Execute(staged);
+    Executor(&fx->warehouse, options).Execute(staged);
   } else {
     ExecutorOptions options;
     options.journal = true;
@@ -294,7 +293,7 @@ int RunVerify(const CrashConfig& cfg, const std::string& dir) {
     StrategyJournal journal;
     if (LoadJournal(dir + "/journal.wuw", &journal, &error) &&
         journal.begun()) {
-      ResumeReport report = ResumeStrategy(journal, &restored);
+      ExecutionReport report = ResumeStrategy(journal, &restored);
       if (report.window_result != WindowResult::kCompleted) {
         return Fail("verify", "resume did not complete");
       }

@@ -24,7 +24,6 @@
 #include "core/prune.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
-#include "exec/parallel_executor.h"
 #include "exec/recovery.h"
 #include "exec/window_budget.h"
 #include "fault/fault_injection.h"
@@ -131,9 +130,9 @@ void SweepSequential(const Workbench& wb, const Strategy& s, int64_t budget) {
       Warehouse restored = wb.warehouse.Clone();
       ExecutorOptions resume_options;
       resume_options.subplan_cache = cache.get();
-      ResumeReport report =
+      ExecutionReport report =
           ResumeStrategy(victim.journal(), &restored, resume_options);
-      EXPECT_EQ(report.steps_replayed + report.steps_executed,
+      EXPECT_EQ(report.steps_replayed + report.steps_completed,
                 static_cast<int64_t>(s.size()));
       ASSERT_TRUE(restored.catalog().ContentsEqual(wb.truth));
     }
@@ -146,12 +145,12 @@ void SweepSequential(const Workbench& wb, const Strategy& s, int64_t budget) {
 void SweepParallel(const Workbench& wb, const Strategy& s, int64_t budget) {
   ParallelStrategy staged = ParallelizeStrategy(wb.vdag, s);
   auto run = [&](Warehouse* target, SubplanCache* cache) {
-    ParallelExecutorOptions options;
+    ExecutorOptions options;
     options.workers = 3;
     options.term_workers = 2;
     options.journal = true;
     options.subplan_cache = cache;
-    ParallelExecutor executor(target, options);
+    Executor executor(target, options);
     executor.Execute(staged);
   };
 
@@ -191,9 +190,9 @@ void SweepParallel(const Workbench& wb, const Strategy& s, int64_t budget) {
       Warehouse restored = wb.warehouse.Clone();
       ExecutorOptions resume_options;
       resume_options.subplan_cache = cache.get();
-      ResumeReport report =
+      ExecutionReport report =
           ResumeStrategy(victim.journal(), &restored, resume_options);
-      EXPECT_EQ(report.steps_replayed + report.steps_executed,
+      EXPECT_EQ(report.steps_replayed + report.steps_completed,
                 static_cast<int64_t>(staged.num_expressions()));
       ASSERT_TRUE(restored.catalog().ContentsEqual(wb.truth));
     }
@@ -281,9 +280,9 @@ void SweepPausedResume(const Workbench& wb, const Strategy& s,
       Warehouse restored = wb.warehouse.Clone();
       ExecutorOptions resume_options;
       resume_options.subplan_cache = cache.get();
-      ResumeReport report =
+      ExecutionReport report =
           ResumeStrategy(victim.journal(), &restored, resume_options);
-      EXPECT_EQ(report.steps_replayed + report.steps_executed,
+      EXPECT_EQ(report.steps_replayed + report.steps_completed,
                 static_cast<int64_t>(s.size()));
       ASSERT_TRUE(restored.catalog().ContentsEqual(wb.truth));
     }

@@ -65,7 +65,7 @@ Bench MakeJournaledRun(uint64_t seed, int64_t steps = -1) {
 /// to the ground truth.
 void ExpectResumeConverges(const Bench& b, const StrategyJournal& journal) {
   Warehouse restored = b.pre.Clone();
-  ResumeReport r = ResumeStrategy(journal, &restored);
+  ExecutionReport r = ResumeStrategy(journal, &restored);
   ASSERT_EQ(r.window_result, WindowResult::kCompleted);
   ASSERT_TRUE(restored.catalog().ContentsEqual(b.truth));
 }
@@ -184,6 +184,50 @@ TEST(JournalDurabilityTest, SingleByteCorruptionAtEveryOffset) {
     EXPECT_TRUE(torn || out.complete());
     if (i % 97 == 0) ExpectResumeConverges(b, out);
   }
+}
+
+// A CRC-valid entry whose expression is not the header strategy's
+// expression at its step would replay onto the wrong view (and the real
+// step would then re-execute live, double-installing it).  It must read as
+// the torn tail instead.
+TEST(JournalDurabilityTest, EntryForAnotherExpressionIsTornTail) {
+  Bench b = MakeJournaledRun(53);
+  const StrategyJournal& journal = b.ran.journal();
+  const std::vector<JournalEntry> entries = journal.EntriesInStepOrder();
+  int64_t first_inst = -1;
+  int64_t last_inst = -1;
+  for (const JournalEntry& entry : entries) {
+    if (!entry.expression.is_inst()) continue;
+    if (first_inst < 0) first_inst = entry.step;
+    last_inst = entry.step;
+  }
+  ASSERT_GE(first_inst, 0);
+  ASSERT_NE(first_inst, last_inst);
+
+  // Step `first_inst` logged with the effect of a different Inst.
+  StrategyJournal forged;
+  forged.Begin(journal.strategy(), journal.batch_epoch());
+  for (const JournalEntry& entry : entries) {
+    if (entry.step != first_inst) {
+      forged.Record(entry);
+      continue;
+    }
+    JournalEntry wrong = entries[static_cast<size_t>(last_inst)];
+    wrong.step = first_inst;
+    forged.Record(std::move(wrong));
+  }
+  forged.MarkComplete();
+
+  StrategyJournal loaded;
+  std::string error;
+  bool torn = false;
+  ASSERT_TRUE(DeserializeJournal(SerializeJournal(forged), &loaded, &error,
+                                 &torn))
+      << error;
+  EXPECT_TRUE(torn);
+  EXPECT_FALSE(loaded.complete());
+  EXPECT_EQ(loaded.size(), first_inst);
+  ExpectResumeConverges(b, loaded);
 }
 
 TEST(JournalDurabilityTest, SaveLoadRoundTripAndAtomicity) {

@@ -10,7 +10,7 @@
 //   * kTime gauges are excluded from both masks by construction.
 //
 // VDAG shapes cover the canonical fixtures plus RandomVdag draws; both the
-// sequential Executor and the stage-parallel ParallelExecutor run under
+// sequential and the staged Executor entry points run under
 // MinWork and Prune strategies.  Honors WUW_SEED (testutil::PropertySeed);
 // failures print the effective seed so one command reproduces:
 //     WUW_SEED=<seed> ./obs_invariance_property_test
@@ -24,7 +24,6 @@
 #include "core/prune.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
-#include "exec/parallel_executor.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_strategy.h"
 #include "parallel/read_driver.h"
@@ -82,12 +81,12 @@ MetricsSnapshot RunAndSnapshot(const Warehouse& w, const Strategy& s,
   std::unique_ptr<SubplanCache> cache = MakeCache(budget);
   if (stage_parallel) {
     ParallelStrategy stages = ParallelizeStrategy(w.vdag(), s);
-    ParallelExecutorOptions options;
+    ExecutorOptions options;
     options.workers = pool_size;
     options.term_workers = pool_size;
     options.pool = &pool;
     options.subplan_cache = cache.get();
-    ParallelExecutor(&clone, options).Execute(stages);
+    Executor(&clone, options).Execute(stages);
   } else {
     ExecutorOptions options;
     options.pool = &pool;

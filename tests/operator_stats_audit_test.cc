@@ -11,7 +11,6 @@
 #include "core/min_work.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
-#include "exec/parallel_executor.h"
 #include "parallel/parallel_strategy.h"
 #include "parallel/thread_pool.h"
 #include "plan/subplan_cache.h"
@@ -192,11 +191,10 @@ TEST(OperatorStatsAuditTest, ParallelExecutorTotalsMatchPerExpressionSum) {
 
   SubplanCache cache(SubplanCacheOptions{/*byte_budget=*/-1});
   Warehouse clone = w.Clone();
-  ParallelExecutorOptions options;
+  ExecutorOptions options;
   options.workers = 4;
   options.subplan_cache = &cache;
-  ParallelExecutionReport report =
-      ParallelExecutor(&clone, options).Execute(stages);
+  ExecutionReport report = Executor(&clone, options).Execute(stages);
 
   ASSERT_TRUE(clone.catalog().ContentsEqual(truth));
   EXPECT_EQ(report.totals, SumPerExpression(report.per_expression));

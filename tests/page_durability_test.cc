@@ -328,7 +328,7 @@ TEST(PageDurabilityTest, TornImageFaultInIsAnErrorAndRecoveryConverges) {
 
   // The journaled run survives the torn image: recovery replays it onto
   // the resident pre-window clone and converges.
-  ResumeReport r = ResumeStrategy(w.journal(), &pre);
+  ExecutionReport r = ResumeStrategy(w.journal(), &pre);
   ASSERT_EQ(r.window_result, WindowResult::kCompleted);
   ASSERT_TRUE(pre.catalog().ContentsEqual(truth));
 }

@@ -32,7 +32,6 @@
 #include "core/prune.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
-#include "exec/parallel_executor.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_strategy.h"
 #include "parallel/thread_pool.h"
@@ -172,11 +171,11 @@ RunResult RunOne(const Scenario& sc, Flavor flavor, const Strategy& strategy,
   if (flavor == Flavor::kDualStageStaged) {
     ParallelStrategy staged =
         ParallelizeStrategy(clone.vdag(), strategy);
-    ParallelExecutorOptions options2;
+    ExecutorOptions options2;
     options2.workers = pool_size;
     options2.pool = &pool;
     options2.subplan_cache = cache;
-    out.totals = ParallelExecutor(&clone, options2).Execute(staged).totals;
+    out.totals = Executor(&clone, options2).Execute(staged).totals;
   } else {
     ExecutorOptions options2;
     options2.pool = &pool;

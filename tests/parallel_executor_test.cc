@@ -3,7 +3,7 @@
 #include "core/min_work.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
-#include "exec/parallel_executor.h"
+#include "obs/plan_observation.h"
 #include "parallel/flatten.h"
 #include "parallel/parallel_strategy.h"
 #include "plan/subplan_cache.h"
@@ -27,10 +27,10 @@ TEST_P(ParallelExecutorTest, DualStageStagesReachGroundTruth) {
 
   ParallelStrategy stages =
       ParallelizeStrategy(w.vdag(), MakeDualStageVdagStrategy(w.vdag()));
-  ParallelExecutorOptions options;
+  ExecutorOptions options;
   options.workers = GetParam();
-  ParallelExecutor executor(&w, options);
-  ParallelExecutionReport report = executor.Execute(stages);
+  Executor executor(&w, options);
+  ExecutionReport report = executor.Execute(stages);
 
   EXPECT_TRUE(w.catalog().ContentsEqual(truth));
   EXPECT_EQ(report.per_expression.size(), stages.num_expressions());
@@ -44,9 +44,9 @@ TEST_P(ParallelExecutorTest, MinWorkStagesReachGroundTruth) {
 
   Strategy sequential = MinWork(w.vdag(), w.EstimatedSizes()).strategy;
   ParallelStrategy stages = ParallelizeStrategy(w.vdag(), sequential);
-  ParallelExecutorOptions options;
+  ExecutorOptions options;
   options.workers = GetParam();
-  ParallelExecutor executor(&w, options);
+  Executor executor(&w, options);
   executor.Execute(stages);
   EXPECT_TRUE(w.catalog().ContentsEqual(truth));
 }
@@ -59,9 +59,9 @@ TEST_P(ParallelExecutorTest, FlattenedDualStageReachesGroundTruth) {
 
   ParallelStrategy stages =
       ParallelizeStrategy(flat, MakeDualStageVdagStrategy(flat));
-  ParallelExecutorOptions options;
+  ExecutorOptions options;
   options.workers = GetParam();
-  ParallelExecutor executor(&w, options);
+  Executor executor(&w, options);
   executor.Execute(stages);
   EXPECT_TRUE(w.catalog().ContentsEqual(truth));
 }
@@ -79,10 +79,10 @@ TEST(ParallelExecutorTest, MatchesSequentialExecutorWorkExactly) {
   ExecutionReport seq_report = sequential.Execute(strategy);
 
   ParallelStrategy stages = ParallelizeStrategy(par_w.vdag(), strategy);
-  ParallelExecutorOptions options;
+  ExecutorOptions options;
   options.workers = 4;
-  ParallelExecutor parallel(&par_w, options);
-  ParallelExecutionReport par_report = parallel.Execute(stages);
+  Executor parallel(&par_w, options);
+  ExecutionReport par_report = parallel.Execute(stages);
 
   EXPECT_TRUE(seq_w.catalog().ContentsEqual(par_w.catalog()));
   EXPECT_EQ(seq_report.total_linear_work, par_report.total_linear_work);
@@ -106,18 +106,18 @@ TEST(ParallelExecutorTest, SharedSubplanCacheStaysCorrectUnderThreads) {
         w.vdag(), MakeDualStageVdagStrategy(w.vdag()));
 
     SubplanCache cache;
-    ParallelExecutorOptions options;
+    ExecutorOptions options;
     options.workers = 8;
     options.term_workers = 2;
     options.subplan_cache = &cache;
-    ParallelExecutor executor(&w, options);
-    ParallelExecutionReport report = executor.Execute(stages);
+    Executor executor(&w, options);
+    ExecutionReport report = executor.Execute(stages);
 
-    ParallelExecutorOptions plain_options;
+    ExecutorOptions plain_options;
     plain_options.workers = 8;
     plain_options.term_workers = 2;
-    ParallelExecutor plain(&plain_w, plain_options);
-    ParallelExecutionReport plain_report = plain.Execute(stages);
+    Executor plain(&plain_w, plain_options);
+    ExecutionReport plain_report = plain.Execute(stages);
 
     ASSERT_TRUE(w.catalog().ContentsEqual(truth)) << "round " << round;
     ASSERT_EQ(report.total_linear_work, plain_report.total_linear_work)
@@ -135,12 +135,59 @@ TEST(ParallelExecutorTest, RepeatedRunsStayDeterministic) {
     Catalog truth = GroundTruthAfterChanges(w);
     ParallelStrategy stages = ParallelizeStrategy(
         w.vdag(), MakeDualStageVdagStrategy(w.vdag()));
-    ParallelExecutorOptions options;
+    ExecutorOptions options;
     options.workers = 8;
-    ParallelExecutor executor(&w, options);
+    Executor executor(&w, options);
     executor.Execute(stages);
     ASSERT_TRUE(w.catalog().ContentsEqual(truth)) << "round " << round;
   }
+}
+
+// Staged runs honour the same options as sequential ones: empty-delta
+// simplification, delta-stat capture, and plan observation.
+TEST(ParallelExecutorTest, StagedRunMatchesSequentialOptionForOption) {
+  Warehouse w = MakeLoadedWarehouse(testutil::MakeFig10Vdag(), 60, 37);
+  ApplyTripleChanges(&w, 0.2, 6, 41);
+  // Quiet one base view, so simplification has expressions to drop.
+  const std::string quiet = w.vdag().BaseViews().front();
+  w.SetBaseDelta(quiet, DeltaRelation(w.vdag().OutputSchema(quiet)));
+  Catalog truth = GroundTruthAfterChanges(w);
+  Strategy strategy = MakeDualStageVdagStrategy(w.vdag());
+
+  struct Outcome {
+    ExecutionReport report;
+    int64_t observations = 0;
+    Catalog state;
+  };
+  auto run = [&](bool staged) {
+    Warehouse clone = w.Clone();
+    Outcome out;
+    obs::PlanObserver observer;
+    observer.on_comp = [&](obs::CompPlanObservation) { ++out.observations; };
+    ExecutorOptions options;
+    options.workers = 4;
+    options.simplify_empty_deltas = true;
+    options.capture_delta_stats = true;
+    options.plan_observer = &observer;
+    Executor executor(&clone, options);
+    out.report =
+        staged ? executor.Execute(ParallelizeStrategy(clone.vdag(), strategy))
+               : executor.Execute(strategy);
+    out.state = std::move(clone.catalog());
+    return out;
+  };
+  Outcome sequential = run(false);
+  Outcome staged = run(true);
+
+  EXPECT_LT(sequential.report.per_expression.size(), strategy.size());
+  EXPECT_EQ(staged.report.per_expression.size(),
+            sequential.report.per_expression.size());
+  EXPECT_FALSE(sequential.report.delta_stats.empty());
+  EXPECT_EQ(staged.report.delta_stats, sequential.report.delta_stats);
+  EXPECT_GT(sequential.observations, 0);
+  EXPECT_EQ(staged.observations, sequential.observations);
+  EXPECT_TRUE(sequential.state.ContentsEqual(truth));
+  EXPECT_TRUE(staged.state.ContentsEqual(truth));
 }
 
 TEST(ParallelExecutorTest, TpcdStagedUpdateConverges) {
@@ -156,9 +203,9 @@ TEST(ParallelExecutorTest, TpcdStagedUpdateConverges) {
 
   ParallelStrategy stages = ParallelizeStrategy(
       w.vdag(), MakeDualStageVdagStrategy(w.vdag()));
-  ParallelExecutorOptions exec_options;
+  ExecutorOptions exec_options;
   exec_options.workers = 4;
-  ParallelExecutor parallel(&w, exec_options);
+  Executor parallel(&w, exec_options);
   parallel.Execute(stages);
   EXPECT_TRUE(w.catalog().ContentsEqual(seq_w.catalog()));
 }

@@ -13,7 +13,7 @@
 //     pool sizes {1, 2, 8} x cache budgets {none, 0, 256MB}, checked
 //     against the recompute ground truth AND against each other
 //     (identical merged totals and linear work across pool sizes);
-//   * staged lockstep: the same invariant through ParallelExecutor, where
+//   * staged lockstep: the same invariant through staged Executor runs, where
 //     stage workers, term workers, and morsel kernels share one pool.
 //
 // All suites honor WUW_SEED and print a one-command repro on failure.
@@ -29,7 +29,6 @@
 #include "core/min_work.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
-#include "exec/parallel_executor.h"
 #include "parallel/parallel_strategy.h"
 #include "parallel/thread_pool.h"
 #include "plan/subplan_cache.h"
@@ -256,12 +255,12 @@ TEST(ParallelExecutorLockstepTest, StagedRunsArePoolSizeIndependent) {
   for (ThreadPool* pool : {&Pool1(), &Pool8()}) {
     SCOPED_TRACE("pool=" + std::to_string(pool->parallelism()));
     Warehouse clone = w.Clone();
-    ParallelExecutorOptions options;
+    ExecutorOptions options;
     options.workers = 4;
     options.term_workers = 2;
     options.pool = pool;
-    ParallelExecutor executor(&clone, options);
-    ParallelExecutionReport report = executor.Execute(staged);
+    Executor executor(&clone, options);
+    ExecutionReport report = executor.Execute(staged);
     ASSERT_TRUE(clone.catalog().ContentsEqual(truth));
     if (!have_baseline) {
       have_baseline = true;

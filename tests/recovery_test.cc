@@ -131,9 +131,9 @@ TEST(RecoveryTest, CloneRestoreResumeConvergesFromEveryKillStep) {
     EXPECT_FALSE(victim.journal().complete());
 
     Warehouse restored = w.Clone();  // pre-window state
-    ResumeReport report = ResumeStrategy(victim.journal(), &restored);
+    ExecutionReport report = ResumeStrategy(victim.journal(), &restored);
     EXPECT_EQ(report.steps_replayed, k);
-    EXPECT_EQ(report.steps_replayed + report.steps_executed,
+    EXPECT_EQ(report.steps_replayed + report.steps_completed,
               static_cast<int64_t>(s.size()));
     ASSERT_TRUE(restored.catalog().ContentsEqual(truth))
         << "diverged after kill at step " << k;
@@ -161,7 +161,7 @@ TEST(RecoveryTest, DiskSnapshotRestoreResumeConverges) {
   Warehouse restored = testutil::MakeLoadedWarehouse(
       testutil::MakeStarVdag("X", 2), 1, 1);  // throwaway shell
   ASSERT_TRUE(LoadWarehouse(dir, &restored, &error)) << error;
-  ResumeReport report = ResumeStrategy(victim.journal(), &restored);
+  ExecutionReport report = ResumeStrategy(victim.journal(), &restored);
   EXPECT_EQ(report.steps_replayed, kill_step);
   ASSERT_TRUE(restored.catalog().ContentsEqual(truth));
 }
@@ -178,14 +178,14 @@ TEST(RecoveryTest, ResumedRunIsItselfResumable) {
   Warehouse victim = RunAndKillAt(w, s, 1);
 
   // Resume with re-journaling on, and kill the resumed run too: only
-  // live-executed steps reach recovery.step.begin, so hit=2 dies two live
+  // live-executed steps reach executor.step.begin, so hit=2 dies two live
   // steps into the resume (after the replayed step 0 and live step 1).
   Warehouse second = w.Clone();
   ExecutorOptions rejournal;
   rejournal.journal = true;
   {
     FaultPlan plan;
-    plan.triggers.push_back(Trigger{"recovery.step.begin", /*hit=*/2, 1.0});
+    plan.triggers.push_back(Trigger{"executor.step.begin", /*hit=*/2, 1.0});
     ScopedFaultPlan scoped(plan);
     bool died = false;
     try {
@@ -201,7 +201,7 @@ TEST(RecoveryTest, ResumedRunIsItselfResumable) {
 
   // Final recovery from the second journal completes the window.
   Warehouse third = w.Clone();
-  ResumeReport report = ResumeStrategy(second.journal(), &third);
+  ExecutionReport report = ResumeStrategy(second.journal(), &third);
   EXPECT_EQ(report.steps_replayed, 2);
   ASSERT_TRUE(third.catalog().ContentsEqual(truth));
 }
@@ -221,9 +221,9 @@ TEST(RecoveryTest, ResumingACompleteJournalJustReplays) {
   ASSERT_TRUE(victim.journal().complete());
 
   Warehouse restored = w.Clone();
-  ResumeReport report = ResumeStrategy(victim.journal(), &restored);
+  ExecutionReport report = ResumeStrategy(victim.journal(), &restored);
   EXPECT_EQ(report.steps_replayed, static_cast<int64_t>(s.size()));
-  EXPECT_EQ(report.steps_executed, 0);
+  EXPECT_EQ(report.steps_completed, 0);
   ASSERT_TRUE(restored.catalog().ContentsEqual(truth));
 }
 

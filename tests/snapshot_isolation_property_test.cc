@@ -32,7 +32,6 @@
 #include "core/prune.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
-#include "exec/parallel_executor.h"
 #include "exec/recovery.h"
 #include "exec/window_budget.h"
 #include "fault/fault_injection.h"
@@ -163,9 +162,9 @@ void SweepPauseBoundaries(const Workbench& wb, const Strategy& s,
     ExecutorOptions resume_options;
     resume_options.pool = &pool;
     resume_options.subplan_cache = cache.get();
-    ResumeReport resumed = ResumeStrategy(clone.journal(), &clone,
-                                          resume_options,
-                                          ResumeMode::kContinueInPlace);
+    ExecutionReport resumed = ResumeStrategy(clone.journal(), &clone,
+                                             resume_options,
+                                             ResumeMode::kContinueInPlace);
     ASSERT_EQ(resumed.window_result, WindowResult::kCompleted);
 
     ReadSnapshot after = clone.OpenSnapshot();
@@ -251,12 +250,12 @@ void SweepParallelKills(const Workbench& wb, const Strategy& s,
                         int64_t cache_budget) {
   ParallelStrategy staged = ParallelizeStrategy(wb.vdag, s);
   auto run = [&](Warehouse* target, SubplanCache* cache) {
-    ParallelExecutorOptions options;
+    ExecutorOptions options;
     options.workers = 3;
     options.term_workers = 2;
     options.journal = true;
     options.subplan_cache = cache;
-    ParallelExecutor(target, options).Execute(staged);
+    Executor(target, options).Execute(staged);
   };
 
   std::vector<std::pair<std::string, int64_t>> counts;

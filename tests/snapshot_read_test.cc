@@ -145,8 +145,8 @@ TEST(SnapshotReadTest, WindowCommitIsAtomicAtStrategyCompletion) {
   }
 
   ExecutorOptions resume_options;
-  ResumeReport resumed = ResumeStrategy(w.journal(), &w, resume_options,
-                                        ResumeMode::kContinueInPlace);
+  ExecutionReport resumed = ResumeStrategy(w.journal(), &w, resume_options,
+                                           ResumeMode::kContinueInPlace);
   ASSERT_EQ(resumed.window_result, WindowResult::kCompleted);
 
   // Completion commits: one new snapshot with the full window applied.

@@ -21,7 +21,6 @@
 
 #include "core/min_work.h"
 #include "exec/executor.h"
-#include "exec/parallel_executor.h"
 #include "exec/recovery.h"
 #include "exec/window_budget.h"
 #include "parallel/parallel_strategy.h"
@@ -148,12 +147,12 @@ TEST(WindowBudgetProperty, PauseAnywhereResumeEqualsUninterrupted) {
           ExecutorOptions resume_options;
           resume_options.pool = &pool;
           resume_options.subplan_cache = cache.get();
-          ResumeReport resumed =
+          ExecutionReport resumed =
               ResumeStrategy(clone.journal(), &clone, resume_options,
                              ResumeMode::kContinueInPlace);
           ASSERT_EQ(resumed.window_result, WindowResult::kCompleted);
           ASSERT_EQ(resumed.steps_replayed, static_cast<int64_t>(k));
-          ASSERT_EQ(resumed.steps_executed, static_cast<int64_t>(n - k));
+          ASSERT_EQ(resumed.steps_completed, static_cast<int64_t>(n - k));
           ASSERT_TRUE(clone.catalog().ContentsEqual(sc.truth));
         }
       }
@@ -194,13 +193,13 @@ TEST(WindowBudgetProperty, ZeroWorkWindowChainsTerminateAndConverge) {
           options.pool = &pool;
           options.subplan_cache = cache.get();
           options.budget = &budget;
-          ResumeReport r = ResumeStrategy(clone.journal(), &clone, options,
-                                          ResumeMode::kContinueInPlace);
+          ExecutionReport r = ResumeStrategy(clone.journal(), &clone, options,
+                                             ResumeMode::kContinueInPlace);
           ++windows;
           ASSERT_LE(windows, static_cast<int64_t>(n) + 1)
               << "zero-work window chain failed to make progress";
           if (r.window_result == WindowResult::kCompleted) break;
-          ASSERT_GE(r.steps_executed, 1);
+          ASSERT_GE(r.steps_completed, 1);
         }
         ASSERT_TRUE(clone.catalog().ContentsEqual(sc.truth));
       }
@@ -220,10 +219,9 @@ TEST(WindowBudgetProperty, StageBarrierPauseResumeEqualsUninterrupted) {
     std::vector<int64_t> stage_cum;
     {
       Warehouse clone = sc.warehouse.Clone();
-      ParallelExecutorOptions options;
+      ExecutorOptions options;
       options.workers = 2;
-      ParallelExecutionReport r =
-          ParallelExecutor(&clone, options).Execute(staged);
+      ExecutionReport r = Executor(&clone, options).Execute(staged);
       size_t i = 0;
       int64_t total = 0;
       for (const std::vector<Expression>& stage : staged.stages) {
@@ -248,19 +246,18 @@ TEST(WindowBudgetProperty, StageBarrierPauseResumeEqualsUninterrupted) {
         ThreadPool pool(pool_size);
 
         WindowBudget budget(WindowBudgetOptions{stage_cum[s]});
-        ParallelExecutorOptions options;
+        ExecutorOptions options;
         options.workers = pool_size;
         options.pool = &pool;
         options.budget = &budget;
-        ParallelExecutionReport report =
-            ParallelExecutor(&clone, options).Execute(staged);
+        ExecutionReport report = Executor(&clone, options).Execute(staged);
         ASSERT_EQ(report.window_result, WindowResult::kPaused);
         ASSERT_EQ(report.steps_completed,
                   static_cast<int64_t>(completed_steps));
 
         ExecutorOptions resume_options;
         resume_options.pool = &pool;
-        ResumeReport resumed =
+        ExecutionReport resumed =
             ResumeStrategy(clone.journal(), &clone, resume_options,
                            ResumeMode::kContinueInPlace);
         ASSERT_EQ(resumed.window_result, WindowResult::kCompleted);

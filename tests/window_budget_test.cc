@@ -1,11 +1,12 @@
 // Window-budget units and directed integration: CancelToken semantics and
 // its disarmed zero-cost contract, budget-spec parsing, exact step-boundary
-// pausing in the sequential executor, stage-barrier pausing in the parallel
-// executor, continue-in-place resume, the paused-visibility guarantee (a
-// paused warehouse equals a prefix-executed clone — never a half-installed
-// view), the unlimited-budget zero-cost guard, and the policy scheduler's
-// cross-window carryover with deferred batches.  The exhaustive
-// pause-at-every-budget sweeps live in window_budget_property_test.cc.
+// pausing in sequential runs, stage-barrier pausing and torn-stage
+// accounting in staged runs, continue-in-place resume, the
+// paused-visibility guarantee (a paused warehouse equals a prefix-executed
+// clone — never a half-installed view), the unlimited-budget zero-cost
+// guard, and the policy scheduler's cross-window carryover with deferred
+// batches.  The exhaustive pause-at-every-budget sweeps live in
+// window_budget_property_test.cc.
 #include "exec/window_budget.h"
 
 #include <gtest/gtest.h>
@@ -15,10 +16,11 @@
 #include <vector>
 
 #include "core/min_work.h"
+#include "core/strategy_space.h"
 #include "exec/executor.h"
-#include "exec/parallel_executor.h"
 #include "exec/recovery.h"
 #include "obs/metrics.h"
+#include "obs/plan_observation.h"
 #include "parallel/parallel_strategy.h"
 #include "policy/maintenance_policy.h"
 #include "test_util.h"
@@ -197,11 +199,11 @@ TEST(WindowBudgetExecutorTest, ContinueInPlaceResumeConverges) {
   ASSERT_EQ(report.window_result, WindowResult::kPaused);
 
   // Next window: unlimited, finishes in place.
-  ResumeReport resumed = ResumeStrategy(w.journal(), &w, ExecutorOptions{},
-                                        ResumeMode::kContinueInPlace);
+  ExecutionReport resumed = ResumeStrategy(w.journal(), &w, ExecutorOptions{},
+                                           ResumeMode::kContinueInPlace);
   EXPECT_EQ(resumed.window_result, WindowResult::kCompleted);
   EXPECT_EQ(resumed.steps_replayed, report.steps_completed);
-  EXPECT_EQ(resumed.steps_replayed + resumed.steps_executed,
+  EXPECT_EQ(resumed.steps_replayed + resumed.steps_completed,
             static_cast<int64_t>(b.strategy.size()));
   ASSERT_TRUE(w.catalog().ContentsEqual(b.truth));
 }
@@ -225,12 +227,12 @@ TEST(WindowBudgetExecutorTest, ChainedTinyWindowsAlwaysTerminate) {
     WindowBudget budget(tiny);
     ExecutorOptions options;
     options.budget = &budget;
-    ResumeReport r = ResumeStrategy(w.journal(), &w, options,
-                                    ResumeMode::kContinueInPlace);
+    ExecutionReport r = ResumeStrategy(w.journal(), &w, options,
+                                       ResumeMode::kContinueInPlace);
     ++windows;
     ASSERT_LE(windows, static_cast<int64_t>(b.strategy.size()) + 1);
     if (r.window_result == WindowResult::kCompleted) break;
-    EXPECT_GE(r.steps_executed, 1);
+    EXPECT_GE(r.steps_completed, 1);
   }
   ASSERT_TRUE(w.catalog().ContentsEqual(b.truth));
 }
@@ -279,8 +281,8 @@ TEST(WindowBudgetExecutorTest, ExpiredDeadlineAbandonsStepCleanly) {
   ASSERT_TRUE(w.catalog().ContentsEqual(b.warehouse.catalog()));
 
   // The abandoned run resumes like any paused one.
-  ResumeReport resumed = ResumeStrategy(w.journal(), &w, ExecutorOptions{},
-                                        ResumeMode::kContinueInPlace);
+  ExecutionReport resumed = ResumeStrategy(w.journal(), &w, ExecutorOptions{},
+                                           ResumeMode::kContinueInPlace);
   EXPECT_EQ(resumed.window_result, WindowResult::kCompleted);
   ASSERT_TRUE(w.catalog().ContentsEqual(b.truth));
 }
@@ -316,10 +318,9 @@ TEST(ParallelExecutorBudgetTest, PausesAtStageBarrierAndResumes) {
   int64_t stage0_work = 0;
   {
     Warehouse clone = b.warehouse.Clone();
-    ParallelExecutorOptions options;
+    ExecutorOptions options;
     options.workers = 3;
-    ParallelExecutionReport r =
-        ParallelExecutor(&clone, options).Execute(staged);
+    ExecutionReport r = Executor(&clone, options).Execute(staged);
     for (size_t i = 0; i < staged.stages[0].size(); ++i) {
       stage0_work += r.per_expression[i].linear_work;
     }
@@ -328,21 +329,87 @@ TEST(ParallelExecutorBudgetTest, PausesAtStageBarrierAndResumes) {
 
   Warehouse w = b.warehouse.Clone();
   WindowBudget budget(WindowBudgetOptions{stage0_work});
-  ParallelExecutorOptions options;
+  ExecutorOptions options;
   options.workers = 3;
   options.budget = &budget;
-  ParallelExecutionReport report =
-      ParallelExecutor(&w, options).Execute(staged);
+  ExecutionReport report = Executor(&w, options).Execute(staged);
   EXPECT_EQ(report.window_result, WindowResult::kPaused);
   EXPECT_EQ(report.steps_completed,
             static_cast<int64_t>(staged.stages[0].size()));
   EXPECT_TRUE(w.journal().begun());
   EXPECT_FALSE(w.journal().complete());
 
-  ResumeReport resumed = ResumeStrategy(w.journal(), &w, ExecutorOptions{},
-                                        ResumeMode::kContinueInPlace);
+  ExecutionReport resumed = ResumeStrategy(w.journal(), &w, ExecutorOptions{},
+                                           ResumeMode::kContinueInPlace);
   EXPECT_EQ(resumed.window_result, WindowResult::kCompleted);
   ASSERT_TRUE(w.catalog().ContentsEqual(b.truth));
+}
+
+// A deadline that tears a stage: the steps that finished before it fired
+// are journaled AND reported, so the report, the budget charge and the
+// journal agree.
+TEST(ParallelExecutorBudgetTest, TornStageReportsEveryJournaledStep) {
+  // Two derived views over overlapping bases: their dual-stage Comps do
+  // not conflict, so they share a stage.
+  Vdag vdag;
+  for (const char* base : {"A", "B", "C"}) {
+    vdag.AddBaseView(base, testutil::TripleSchema(base));
+  }
+  vdag.AddDerivedView(testutil::SpjTripleView("V4", {"A", "B"}));
+  vdag.AddDerivedView(testutil::SpjTripleView("V5", {"B", "C"}));
+  Warehouse w = testutil::MakeLoadedWarehouse(std::move(vdag), 50, 101);
+  testutil::ApplyTripleChanges(&w, 0.25, 10, 105);
+  Catalog truth = testutil::GroundTruthAfterChanges(w);
+  ParallelStrategy staged =
+      ParallelizeStrategy(w.vdag(), MakeDualStageVdagStrategy(w.vdag()));
+  // The first stage with two Comps: cancelling once its first Comp
+  // finishes tears it before the second.
+  int64_t stage_begin = 0;
+  int64_t stage_end = 0;
+  int64_t tear_step = 0;  // 1-based, as plan observations number steps
+  for (const std::vector<Expression>& stage : staged.stages) {
+    stage_begin = stage_end;
+    stage_end += static_cast<int64_t>(stage.size());
+    std::vector<int64_t> comps;
+    for (int64_t i = stage_begin; i < stage_end; ++i) {
+      if (stage[i - stage_begin].is_comp()) comps.push_back(i);
+    }
+    if (comps.size() >= 2) {
+      tear_step = comps[0] + 1;
+      break;
+    }
+  }
+  ASSERT_GT(tear_step, 0);
+
+  // Limiting (so the run journals and pauses) but never exhausted.
+  WindowBudget budget(WindowBudgetOptions{int64_t{1} << 40});
+  obs::PlanObserver observer;
+  observer.on_comp = [&](obs::CompPlanObservation o) {
+    if (o.step == tear_step) budget.token()->RequestCancel();
+  };
+  ExecutorOptions options;
+  options.budget = &budget;
+  options.plan_observer = &observer;  // one expression at a time per stage
+  ExecutionReport report = Executor(&w, options).Execute(staged);
+
+  EXPECT_EQ(report.window_result, WindowResult::kPaused);
+  EXPECT_GT(report.steps_completed, stage_begin);
+  EXPECT_LT(report.steps_completed, stage_end);
+  EXPECT_EQ(report.steps_completed, w.journal().size());
+  EXPECT_EQ(static_cast<int64_t>(report.per_expression.size()),
+            report.steps_completed);
+  int64_t work = 0;
+  for (const ExpressionReport& er : report.per_expression) {
+    work += er.linear_work;
+  }
+  EXPECT_EQ(report.total_linear_work, work);
+  EXPECT_EQ(budget.work_spent(), work);
+
+  ExecutionReport resumed = ResumeStrategy(w.journal(), &w, ExecutorOptions{},
+                                           ResumeMode::kContinueInPlace);
+  EXPECT_EQ(resumed.window_result, WindowResult::kCompleted);
+  EXPECT_EQ(resumed.steps_replayed, report.steps_completed);
+  ASSERT_TRUE(w.catalog().ContentsEqual(truth));
 }
 
 class ZeroCostGuardTest : public ::testing::Test {

@@ -3,7 +3,7 @@
 // first Executor::Execute anywhere in the process — a static initializer
 // here does that.  (window_budget_test.cc covers explicit budgets; this
 // binary covers the auto-split path, where the executor chains windows
-// itself and always completes.)
+// itself and always completes — for sequential and staged runs alike.)
 #include <cstdlib>
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "core/min_work.h"
 #include "exec/executor.h"
 #include "exec/window_budget.h"
+#include "parallel/parallel_strategy.h"
 #include "test_util.h"
 
 namespace wuw {
@@ -34,25 +35,38 @@ TEST(WindowEnvTest, EnvKnobIsParsedOnce) {
   EXPECT_EQ(EnvWindowBudget()->work_units, 1);
 }
 
-TEST(WindowEnvTest, AutoSplitCompletesInManyWindowsAndConverges) {
+// Sequential and staged runs split alike: the budget is charged at stage
+// barriers, and a sequential strategy runs one expression per stage.
+class WindowEnvSplitTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(WindowEnvSplitTest, AutoSplitCompletesInManyWindowsAndConverges) {
+  const bool staged = GetParam();
   Warehouse w = testutil::MakeLoadedWarehouse(testutil::MakeFig10Vdag(), 50,
                                               /*seed=*/41);
   testutil::ApplyTripleChanges(&w, 0.25, 10, 45);
   Catalog truth = testutil::GroundTruthAfterChanges(w);
   Strategy s = MinWork(w.vdag(), w.EstimatedSizes()).strategy;
+  ParallelStrategy stages = ParallelizeStrategy(w.vdag(), s);
 
-  ExecutionReport report = Executor(&w).Execute(s);
+  ExecutionReport report =
+      staged ? Executor(&w).Execute(stages) : Executor(&w).Execute(s);
 
-  // A 1-unit budget pauses after every step, so the run spans one window
-  // per step — but env mode always runs to completion.
+  // A 1-unit budget pauses after every stage, so the run spans one window
+  // per stage — but env mode always runs to completion.
   EXPECT_EQ(report.window_result, WindowResult::kCompleted);
   EXPECT_EQ(report.steps_completed, static_cast<int64_t>(s.size()));
-  EXPECT_GE(report.windows, static_cast<int64_t>(s.size()));
+  EXPECT_GE(report.windows, static_cast<int64_t>(
+                                staged ? stages.stages.size() : s.size()));
   // The limiting budget forced journaling; the run finished, so the
   // journal is complete.
   EXPECT_TRUE(w.journal().complete());
   ASSERT_TRUE(w.catalog().ContentsEqual(truth));
 }
+
+INSTANTIATE_TEST_SUITE_P(Entry, WindowEnvSplitTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Staged" : "Sequential";
+                         });
 
 TEST(WindowEnvTest, ExplicitBudgetOverridesEnv) {
   Warehouse w = testutil::MakeLoadedWarehouse(testutil::MakeFig3Vdag(), 40,

@@ -337,15 +337,15 @@ class Shell {
         WindowBudget budget(*env_budget);
         ExecutorOptions resume_options = options;
         resume_options.budget = &budget;
-        ResumeReport resumed = ResumeStrategy(
+        ExecutionReport resumed = ResumeStrategy(
             warehouse_->journal(), warehouse_.get(), resume_options,
             ResumeMode::kContinueInPlace);
         ++windows.windows_run;
-        windows.carryover_work += resumed.execution.total_linear_work;
-        report.total_seconds += resumed.execution.total_seconds;
-        report.total_linear_work += resumed.execution.total_linear_work;
-        report.totals += resumed.execution.totals;
-        report.steps_completed += resumed.execution.steps_completed;
+        windows.carryover_work += resumed.total_linear_work;
+        report.total_seconds += resumed.total_seconds;
+        report.total_linear_work += resumed.total_linear_work;
+        report.totals += resumed.totals;
+        report.steps_completed += resumed.steps_completed;
         ++report.windows;
         report.window_result = resumed.window_result;
       }
