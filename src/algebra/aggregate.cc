@@ -65,9 +65,9 @@ Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by
   // OperatorStats are bit-identical on every path.  Disarmed: one relaxed
   // atomic load.
   const paged::PagedOptions* spill_opts = paged::OperatorSpill();
-  const bool grace = spill_opts != nullptr &&
-                     spill::ApproxRowsBytes(input) >
-                         paged::ResolvedSpillBytes(*spill_opts);
+  const bool grace =
+      spill_opts != nullptr &&
+      spill::RowsExceedBytes(input, paged::ResolvedSpillBytes(*spill_opts));
 
   if (!grace && vec::Enabled()) {
     Rows vec_out;

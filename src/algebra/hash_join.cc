@@ -166,16 +166,161 @@ Rows ParallelHashJoin(const Rows& left, const Rows& right,
   return out;
 }
 
-/// WUW_MEM_MB grace join: both sides partition by the TOP hash bits into a
-/// page-backed spill (algebra/spill_util.h), then each partition builds and
-/// probes independently — operator memory is bounded by one partition plus
-/// the spill pool's budget instead of the whole build side.  Determinism
+/// One input row as the spill-route joins see it: global input-row index,
+/// full key hash, multiplicity, and the (borrowed) tuple.
+struct KeyedRow {
+  uint32_t idx;
+  size_t hash;
+  int64_t count;
+  const Tuple* tuple;
+};
+
+/// Flat chained hash table over one side's rows, built by head insertion
+/// over ascending row index — so a chain walk yields the rows of one hash
+/// in DESCENDING index order, like the sequential kernel's build chain.
+class ChainedTable {
+ public:
+  explicit ChainedTable(std::vector<KeyedRow> rows) : rows_(std::move(rows)) {
+    size_t nbuckets = 16;
+    while (nbuckets < rows_.size() * 2) nbuckets <<= 1;
+    mask_ = nbuckets - 1;
+    heads_.assign(nbuckets, -1);
+    chain_.resize(rows_.size());
+    for (size_t j = 0; j < rows_.size(); ++j) {
+      chain_[j] = heads_[rows_[j].hash & mask_];
+      heads_[rows_[j].hash & mask_] = static_cast<int32_t>(j);
+    }
+  }
+
+  /// Calls `fn(row)` for every row whose full hash equals `hash`.
+  template <typename Fn>
+  void ForEachHashMatch(size_t hash, Fn&& fn) const {
+    for (int32_t j = heads_[hash & mask_]; j >= 0; j = chain_[j]) {
+      const KeyedRow& row = rows_[static_cast<size_t>(j)];
+      if (row.hash == hash) fn(row);
+    }
+  }
+
+ private:
+  std::vector<KeyedRow> rows_;
+  std::vector<int32_t> heads_;
+  std::vector<int32_t> chain_;
+  size_t mask_ = 0;
+};
+
+/// Collects a spill-route join's matches tagged with their (probe, build)
+/// row indices, then emits them in the sequential kernel's order: probe
+/// rows ascending, and per probe row its build matches in descending
+/// build index (the sequential chain walk).  Each pair occurs at most
+/// once, so that order is total and independent of how matches arrived.
+class JoinMatches {
+ public:
+  JoinMatches(const std::vector<size_t>& left_idx,
+              const std::vector<size_t>& right_idx)
+      : left_idx_(left_idx), right_idx_(right_idx) {}
+
+  /// Key-compares a hash-equal (probe, build) pair; keeps it on a match.
+  void Offer(const KeyedRow& probe, const KeyedRow& build) {
+    ++key_cmps_;
+    if (!KeysEqual(*probe.tuple, left_idx_, *build.tuple, right_idx_)) return;
+    const int64_t count = probe.count * build.count;
+    if (count != 0) {
+      produced_.push_back(OutRow{probe.idx, build.idx,
+                                 Tuple::Concat(*probe.tuple, *build.tuple),
+                                 count});
+    }
+    rows_produced_ += std::llabs(count);
+  }
+
+  Rows Finish(const Rows& left, const Rows& right, OperatorStats* stats) {
+    if (stats != nullptr) stats->rows_produced += rows_produced_;
+    // Candidate sets are hash-equal pairs, identical to the sequential
+    // single-table chain.
+    WUW_METRIC_ADD("engine.row.value_cmps", obs::MetricClass::kEngine,
+                   key_cmps_);
+    std::sort(produced_.begin(), produced_.end(),
+              [](const OutRow& a, const OutRow& b) {
+                return a.probe_idx != b.probe_idx ? a.probe_idx < b.probe_idx
+                                                  : a.build_idx > b.build_idx;
+              });
+    Rows out(Schema::Concat(left.schema, right.schema));
+    out.rows.reserve(produced_.size());
+    for (OutRow& row : produced_) {
+      out.rows.emplace_back(std::move(row.tuple), row.count);
+    }
+    return out;
+  }
+
+ private:
+  struct OutRow {
+    uint32_t probe_idx;
+    uint32_t build_idx;
+    Tuple tuple;
+    int64_t count;
+  };
+
+  const std::vector<size_t>& left_idx_;
+  const std::vector<size_t>& right_idx_;
+  std::vector<OutRow> produced_;
+  int64_t key_cmps_ = 0;
+  int64_t rows_produced_ = 0;
+};
+
+/// Same per-row hashing totals as the resident row kernel.
+void ChargeKeyHashes(const Rows& left, const Rows& right, size_t key_arity) {
+  WUW_METRIC_ADD("engine.row.value_hashes", obs::MetricClass::kEngine,
+                 static_cast<int64_t>((left.rows.size() + right.rows.size()) *
+                                      key_arity));
+}
+
+/// WUW_MEM_MB probe-side join, for a build side over the spill threshold
+/// whose probe side is under it: the small probe side goes into the chained
+/// table and the build side streams past it in input order, so nothing
+/// spills and operator memory is bounded by the probe side plus the
+/// output.  JoinMatches restores the sequential order, and stats are
+/// charged per row exactly as the sequential kernel charges them.
+Rows ProbeSideHashJoin(const Rows& left, const Rows& right,
+                       const std::vector<size_t>& left_idx,
+                       const std::vector<size_t>& right_idx,
+                       OperatorStats* stats) {
+  ChargeKeyHashes(left, right, left_idx.size());
+  std::vector<KeyedRow> probe_rows;
+  probe_rows.reserve(left.rows.size());
+  for (size_t i = 0; i < left.rows.size(); ++i) {
+    const auto& [tuple, count] = left.rows[i];
+    if (stats != nullptr) {
+      stats->rows_scanned += std::llabs(count);
+      stats->hash_probes += 1;
+    }
+    probe_rows.push_back(KeyedRow{static_cast<uint32_t>(i),
+                                  KeyHash(tuple, left_idx), count, &tuple});
+  }
+  const ChainedTable table(std::move(probe_rows));
+  JoinMatches matches(left_idx, right_idx);
+  for (size_t i = 0; i < right.rows.size(); ++i) {
+    const auto& [tuple, count] = right.rows[i];
+    if (stats != nullptr) {
+      stats->rows_scanned += std::llabs(count);
+      stats->hash_build_rows += 1;
+    }
+    const KeyedRow build{static_cast<uint32_t>(i), KeyHash(tuple, right_idx),
+                         count, &tuple};
+    table.ForEachHashMatch(build.hash, [&](const KeyedRow& probe) {
+      matches.Offer(probe, build);
+    });
+  }
+  return matches.Finish(left, right, stats);
+}
+
+/// WUW_MEM_MB grace join, for when both sides exceed the spill threshold:
+/// both sides partition by the TOP hash bits into a page-backed spill
+/// (algebra/spill_util.h), then each partition builds and probes
+/// independently — operator memory is bounded by one partition plus the
+/// spill pool's budget instead of the whole build side.  Determinism
 /// argument: a probe row's matches all live in its own partition (equal
-/// keys share a full hash, hence a partition); within a partition probes
-/// run in ascending global order and each walks its chain in descending
-/// build order (head insertion over ascending spill order) — precisely the
-/// sequential kernel's nesting — so a stable sort of the output on
-/// probe-row index reproduces the sequential row order byte for byte.
+/// keys share a full hash, hence a partition), and JoinMatches orders the
+/// union of all partitions' matches exactly as the sequential kernel
+/// nests them.
 Rows GraceHashJoin(const Rows& left, const Rows& right,
                    const std::vector<size_t>& left_idx,
                    const std::vector<size_t>& right_idx, OperatorStats* stats,
@@ -186,11 +331,7 @@ Rows GraceHashJoin(const Rows& left, const Rows& right,
   const size_t shift = sizeof(size_t) * 8 - bits;
   auto part_of = [&](size_t h) { return bits == 0 ? size_t{0} : h >> shift; };
 
-  // Same per-row hashing totals as the resident row kernel.
-  WUW_METRIC_ADD(
-      "engine.row.value_hashes", obs::MetricClass::kEngine,
-      static_cast<int64_t>((left.rows.size() + right.rows.size()) *
-                           left_idx.size()));
+  ChargeKeyHashes(left, right, left_idx.size());
 
   // Build partitions occupy [0, nparts), probe partitions
   // [nparts, 2*nparts) of one shared spill file; stat totals are charged
@@ -217,60 +358,29 @@ Rows GraceHashJoin(const Rows& left, const Rows& right,
   }
   spilled.Finish();
 
-  struct OutRow {
-    uint32_t probe_idx;
-    Tuple tuple;
-    int64_t count;
+  auto keyed = [](const spill::SpillRecord& rec) {
+    return KeyedRow{rec.idx, rec.hash, rec.count, &rec.tuple};
   };
-  std::vector<OutRow> produced;
-  int64_t key_cmps = 0;
-  int64_t rows_produced = 0;
+  JoinMatches matches(left_idx, right_idx);
   for (size_t p = 0; p < nparts; ++p) {
     std::vector<spill::SpillRecord> build = spilled.ReadPartition(p);
     std::vector<spill::SpillRecord> probe =
         spilled.ReadPartition(nparts + p);
     if (probe.empty()) continue;
-    const size_t m = build.size();
-    size_t nbuckets = 16;
-    while (nbuckets < m * 2) nbuckets <<= 1;
-    const size_t mask = nbuckets - 1;
-    std::vector<int32_t> heads(nbuckets, -1);
-    std::vector<int32_t> chain(m);
-    for (size_t j = 0; j < m; ++j) {
-      chain[j] = heads[build[j].hash & mask];
-      heads[build[j].hash & mask] = static_cast<int32_t>(j);
+    std::vector<KeyedRow> build_rows;
+    build_rows.reserve(build.size());
+    for (const spill::SpillRecord& rec : build) {
+      build_rows.push_back(keyed(rec));
     }
-    for (const spill::SpillRecord& pr : probe) {
-      for (int32_t j = heads[pr.hash & mask]; j >= 0; j = chain[j]) {
-        const spill::SpillRecord& br = build[static_cast<size_t>(j)];
-        if (br.hash != pr.hash) continue;
-        ++key_cmps;
-        if (!KeysEqual(pr.tuple, left_idx, br.tuple, right_idx)) continue;
-        if (pr.count * br.count != 0) {
-          produced.push_back(OutRow{pr.idx,
-                                    Tuple::Concat(pr.tuple, br.tuple),
-                                    pr.count * br.count});
-        }
-        rows_produced += std::llabs(pr.count * br.count);
-      }
+    const ChainedTable table(std::move(build_rows));
+    for (const spill::SpillRecord& rec : probe) {
+      const KeyedRow probe_row = keyed(rec);
+      table.ForEachHashMatch(rec.hash, [&](const KeyedRow& build_row) {
+        matches.Offer(probe_row, build_row);
+      });
     }
   }
-  if (stats != nullptr) stats->rows_produced += rows_produced;
-  // Candidate sets are hash-equal pairs, identical to the sequential
-  // single-table chain.
-  WUW_METRIC_ADD("engine.row.value_cmps", obs::MetricClass::kEngine,
-                 key_cmps);
-
-  std::stable_sort(produced.begin(), produced.end(),
-                   [](const OutRow& a, const OutRow& b) {
-                     return a.probe_idx < b.probe_idx;
-                   });
-  Rows out(Schema::Concat(left.schema, right.schema));
-  out.rows.reserve(produced.size());
-  for (OutRow& row : produced) {
-    out.rows.emplace_back(std::move(row.tuple), row.count);
-  }
-  return out;
+  return matches.Finish(left, right, stats);
 }
 
 }  // namespace
@@ -295,17 +405,25 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
     right_idx.push_back(right.schema.MustIndexOf(c));
   }
 
-  // WUW_MEM_MB: an oversized build side takes the grace-partition spill
-  // path.  Checked before the vectorized attempt so a paged run bounds its
-  // operator memory wherever the build side is big; rows, row order, and
-  // OperatorStats are bit-identical on every path (the vec and parallel
-  // kernels already prove parity with the sequential layout this path
-  // mirrors partition by partition).  Disarmed: one relaxed atomic load.
+  // WUW_MEM_MB: an oversized build side never gets a resident hash table.
+  // If the probe side fits under the spill threshold it is hashed instead
+  // and the build side streams past it; only when both sides are oversized
+  // do they grace-partition through a spill.  Checked before the
+  // vectorized attempt so a paged run bounds its operator memory wherever
+  // the build side is big; rows, row order, and OperatorStats are
+  // bit-identical on every route (the vec and parallel kernels already
+  // prove parity with the sequential layout these routes reproduce).
+  // Disarmed: one relaxed atomic load.
   if (const paged::PagedOptions* spill_opts = paged::OperatorSpill();
-      spill_opts != nullptr && spill::ApproxRowsBytes(right) >
-                                   paged::ResolvedSpillBytes(*spill_opts)) {
-    return GraceHashJoin(left, right, left_idx, right_idx, stats,
-                         *spill_opts);
+      spill_opts != nullptr) {
+    const int64_t threshold = paged::ResolvedSpillBytes(*spill_opts);
+    if (spill::RowsExceedBytes(right, threshold)) {
+      if (!spill::RowsExceedBytes(left, threshold)) {
+        return ProbeSideHashJoin(left, right, left_idx, right_idx, stats);
+      }
+      return GraceHashJoin(left, right, left_idx, right_idx, stats,
+                           *spill_opts);
+    }
   }
 
   if (vec::Enabled()) {
@@ -317,10 +435,7 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
   }
   // KeyHash touches every key column of every build and probe row, on
   // either path below.
-  WUW_METRIC_ADD(
-      "engine.row.value_hashes", obs::MetricClass::kEngine,
-      static_cast<int64_t>((left.rows.size() + right.rows.size()) *
-                           left_idx.size()));
+  ChargeKeyHashes(left, right, left_idx.size());
 
   if (ShouldParallelize(pool, left.rows.size() + right.rows.size())) {
     return ParallelHashJoin(left, right, left_idx, right_idx, stats, pool,

@@ -31,7 +31,10 @@ struct JoinKeys {
 /// by key hash and the probe runs morsel-parallel with per-morsel output
 /// buffers merged in morsel order — output rows, row ORDER, and stats are
 /// byte-identical to the sequential path at every pool size.  A non-null
-/// `cancel` token is checked at morsel boundaries.
+/// `cancel` token is checked at morsel boundaries.  With operator spills
+/// armed (WUW_MEM_MB) an oversized build side is never hashed: the probe
+/// side is hashed instead when it fits, else both sides grace-spill — with
+/// the same byte-identical output.
 Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
               OperatorStats* stats, ThreadPool* pool = nullptr,
               const CancelToken* cancel = nullptr);

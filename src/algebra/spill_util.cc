@@ -33,13 +33,14 @@ std::string SpillFilePath(const paged::PagedOptions& options) {
 
 }  // namespace
 
-int64_t ApproxRowsBytes(const Rows& rows) {
+bool RowsExceedBytes(const Rows& rows, int64_t limit) {
   int64_t bytes = 0;
   for (const auto& [tuple, count] : rows.rows) {
     (void)count;
     bytes += paged::ApproxTupleBytes(tuple) + 8;
+    if (bytes > limit) return true;
   }
-  return bytes;
+  return false;
 }
 
 PartitionedSpill::PartitionedSpill(const paged::PagedOptions& options,

@@ -11,8 +11,9 @@
 // sets across partitions are disjoint), and the stored hash avoids
 // re-hashing on the read side.  Each operator owns a private temp page
 // file + BufferPool, so spill traffic is single-threaded and the
-// `paged.faults` / `paged.evictions` / `paged.spilled_partitions`
-// counters are deterministic at a fixed budget regardless of WUW_THREADS.
+// `paged.spill_faults` / `paged.spill_writebacks` /
+// `paged.spilled_partitions` counters are deterministic at a fixed budget
+// regardless of WUW_THREADS.
 #ifndef WUW_ALGEBRA_SPILL_UTIL_H_
 #define WUW_ALGEBRA_SPILL_UTIL_H_
 
@@ -28,10 +29,11 @@
 namespace wuw {
 namespace spill {
 
-/// Analytic serialized bytes of a row set (storage/page.h size model) —
-/// the deterministic quantity spill decisions compare against
-/// ResolvedSpillBytes.
-int64_t ApproxRowsBytes(const Rows& rows);
+/// True iff the analytic serialized bytes of a row set (storage/page.h
+/// size model) exceed `limit` — the deterministic test the kernels' spill
+/// gates apply against ResolvedSpillBytes.  Stops walking the rows as soon
+/// as the limit is crossed.
+bool RowsExceedBytes(const Rows& rows, int64_t limit);
 
 /// One spilled row.
 struct SpillRecord {

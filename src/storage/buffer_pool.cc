@@ -32,11 +32,11 @@ void BufferPool::EvictForAdmission() {
       if (!error.empty()) {
         throw std::runtime_error("buffer pool writeback failed: " + error);
       }
+      internal::g_spill_writebacks.fetch_add(1, std::memory_order_relaxed);
+      WUW_METRIC_ADD("paged.spill_writebacks", obs::MetricClass::kEngine, 1);
     }
     frames_.erase(victim);
     ++evictions_;
-    internal::g_evictions.fetch_add(1, std::memory_order_relaxed);
-    WUW_METRIC_ADD("paged.evictions", obs::MetricClass::kEngine, 1);
   }
 }
 
@@ -61,8 +61,8 @@ std::string* BufferPool::Pin(int64_t page_id) {
       throw std::runtime_error("buffer pool fault failed: " + error);
     }
     ++faults_;
-    internal::g_faults.fetch_add(1, std::memory_order_relaxed);
-    WUW_METRIC_ADD("paged.faults", obs::MetricClass::kEngine, 1);
+    internal::g_spill_faults.fetch_add(1, std::memory_order_relaxed);
+    WUW_METRIC_ADD("paged.spill_faults", obs::MetricClass::kEngine, 1);
     it = frames_.emplace(page_id, std::move(frame)).first;
   }
   it->second.pins += 1;

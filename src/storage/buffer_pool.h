@@ -5,9 +5,12 @@
 //
 // Consumers are single-threaded by construction: each grace-spill operator
 // (algebra/spill_util.h) owns a private pool over a private temp file, so
-// allocation, eviction, and the `paged.faults` / `paged.evictions`
-// counters are deterministic regardless of WUW_THREADS.  The pool is
-// therefore deliberately lock-free-by-exclusivity — no mutex.
+// allocation, eviction, and the `paged.spill_faults` /
+// `paged.spill_writebacks` counters are deterministic regardless of
+// WUW_THREADS.  The pool is therefore deliberately
+// lock-free-by-exclusivity — no mutex.  Its counters are kept apart from
+// the extent pager's `paged.faults` / `paged.evictions`, so spill traffic
+// never reads as extent paging.
 //
 // Budget discipline: a frame costs page_bytes() regardless of payload
 // fill; admission evicts the least-recently-used UNPINNED frame (dirty

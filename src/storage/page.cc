@@ -146,6 +146,8 @@ namespace internal {
 std::atomic<int64_t> g_faults{0};
 std::atomic<int64_t> g_evictions{0};
 std::atomic<int64_t> g_spilled_partitions{0};
+std::atomic<int64_t> g_spill_faults{0};
+std::atomic<int64_t> g_spill_writebacks{0};
 std::atomic<int64_t> g_read_retries{0};
 }  // namespace internal
 
@@ -155,6 +157,9 @@ PagedStatsSnapshot GlobalPagedStats() {
   out.evictions = internal::g_evictions.load(std::memory_order_relaxed);
   out.spilled_partitions =
       internal::g_spilled_partitions.load(std::memory_order_relaxed);
+  out.spill_faults = internal::g_spill_faults.load(std::memory_order_relaxed);
+  out.spill_writebacks =
+      internal::g_spill_writebacks.load(std::memory_order_relaxed);
   out.read_retries =
       internal::g_read_retries.load(std::memory_order_relaxed);
   return out;

@@ -129,12 +129,18 @@ int64_t ApproxTableBytes(const Table& table);
 // every armed-path event regardless of obs arming, so tests can assert
 // "this budget really spilled" without arming the metric registry; the
 // kEngine counters `paged.faults` / `paged.evictions` /
-// `paged.spilled_partitions` mirror them when metrics are armed.
+// `paged.spilled_partitions` / `paged.spill_faults` /
+// `paged.spill_writebacks` mirror them when metrics are armed.  Extent
+// paging (storage/paged_store.h) and operator spill pools
+// (storage/buffer_pool.h) count separately: a spill frame's traffic never
+// shows up as an extent fault or eviction.
 
 struct PagedStatsSnapshot {
-  int64_t faults = 0;              ///< extent fault-ins + pool disk reads
-  int64_t evictions = 0;           ///< extent hibernations + pool evictions
+  int64_t faults = 0;              ///< extent fault-ins
+  int64_t evictions = 0;           ///< extent hibernations
   int64_t spilled_partitions = 0;  ///< non-empty grace partitions
+  int64_t spill_faults = 0;        ///< spill-pool disk re-reads
+  int64_t spill_writebacks = 0;    ///< spill-pool dirty evictions written
   int64_t read_retries = 0;        ///< transient-EIO retries in ReadPage
 };
 
@@ -144,6 +150,8 @@ namespace internal {
 extern std::atomic<int64_t> g_faults;
 extern std::atomic<int64_t> g_evictions;
 extern std::atomic<int64_t> g_spilled_partitions;
+extern std::atomic<int64_t> g_spill_faults;
+extern std::atomic<int64_t> g_spill_writebacks;
 extern std::atomic<int64_t> g_read_retries;
 }  // namespace internal
 

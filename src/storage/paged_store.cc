@@ -194,15 +194,16 @@ void PagedStore::FaultInLocked(const std::string& name, Entry* entry,
     throw std::runtime_error("paged: extent image for " + name +
                              " has a torn tail");
   }
-  // Rebuild in image (= original dense) order: Add appends each distinct
-  // tuple, so the dense layout — and every downstream scan order — is
-  // reproduced exactly; then restore the precise mutation count so the
-  // publish audit and image-staleness checks stay coherent.
-  table->Clear();
-  for (const auto& [tuple, count] : img.rows) table->Add(tuple, count);
-  table->RestoreMutationCount(img.mutation_count);
-  WUW_CHECK(table->cardinality() == img.cardinality,
-            "paged fault-in cardinality mismatch");
+  // Restore in image (= original dense) order, so the dense layout — and
+  // every downstream scan order — is reproduced exactly, with the precise
+  // mutation count so the publish audit and image-staleness checks stay
+  // coherent.  A corrupt image leaves the table hibernated.
+  error = table->RestorePayload(std::move(img.rows), img.cardinality,
+                                img.mutation_count);
+  if (!error.empty()) {
+    throw std::runtime_error("paged: extent image for " + name +
+                             " is corrupt: " + error);
+  }
   entry->hibernated = false;
   faults_.fetch_add(1, std::memory_order_relaxed);
   internal::g_faults.fetch_add(1, std::memory_order_relaxed);

@@ -63,8 +63,11 @@ struct PagedOptions {
   size_t page_bytes = 64 << 10;
   /// Grace-spill fan-out (power of two in [1, 256]).
   size_t partitions = 8;
-  /// Build-side size (analytic bytes) above which the join/aggregation
-  /// kernels take their grace-partition spill path; 0 derives budget/4.
+  /// Input size (analytic bytes) above which the join/aggregation kernels
+  /// build no resident hash table over it: a join whose build side is
+  /// larger hashes its probe side instead when that fits, and
+  /// grace-partitions through a spill only when both sides are larger;
+  /// 0 derives budget/4.
   int64_t spill_bytes = 0;
   /// Byte budget of each operator's private BufferPool; 0 derives
   /// max(4 pages, budget/4).

@@ -238,6 +238,44 @@ void Table::ReleasePayload() {
   snapshot_stale_ = false;
 }
 
+std::string Table::RestorePayload(std::vector<std::pair<Tuple, int64_t>> rows,
+                                  int64_t cardinality,
+                                  int64_t mutation_count) {
+  if (rows.size() >= kIndexTombstone) return "too many rows for the index";
+  // The capacity n incremental inserts would have grown the index to.
+  std::vector<IndexSlot> slots;
+  if (!rows.empty()) {
+    size_t capacity = 16;
+    while (rows.size() * 10 > capacity * 7) capacity <<= 1;
+    slots.assign(capacity, IndexSlot{0, kIndexEmpty});
+  }
+  const size_t mask = slots.size() - 1;
+  int64_t total = 0;
+  for (size_t pos = 0; pos < rows.size(); ++pos) {
+    const auto& [tuple, count] = rows[pos];
+    if (count <= 0) return "non-positive multiplicity";
+    if (__builtin_add_overflow(total, count, &total)) {
+      return "multiplicity overflow";
+    }
+    const size_t hash = tuple.Hash();
+    size_t i = hash & mask;
+    for (; slots[i].pos != kIndexEmpty; i = (i + 1) & mask) {
+      if (slots[i].hash == hash && rows[slots[i].pos].first == tuple) {
+        return "duplicate tuple";
+      }
+    }
+    slots[i] = IndexSlot{hash, static_cast<uint32_t>(pos)};
+  }
+  if (total != cardinality) return "cardinality mismatch";
+  rows_ = std::move(rows);
+  slots_ = std::move(slots);
+  slots_used_ = rows_.size();
+  cardinality_ = total;
+  mutation_count_ = mutation_count;
+  snapshot_stale_ = true;
+  return "";
+}
+
 bool Table::ContentsEqual(const Table& other) const {
   if (cardinality_ != other.cardinality_) return false;
   if (rows_.size() != other.rows_.size()) return false;

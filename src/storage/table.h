@@ -109,11 +109,17 @@ class Table {
   /// mutated until the pager faults it back in.
   void ReleasePayload();
 
-  /// PAGED STORE ONLY: restores the exact pre-hibernation mutation count
-  /// after a fault-in rebuild (Clear + Add bumped it past the saved
-  /// value).  Contents are bit-identical to the hibernated state, so
-  /// continuity of the count is the truthful accounting.
-  void RestoreMutationCount(int64_t count) { mutation_count_ = count; }
+  /// PAGED STORE ONLY: the fault-in counterpart of ReleasePayload.  Moves
+  /// `rows` (the hibernated dense rows, in dense order) in as the payload
+  /// in one bulk step, sizing the index once for their count, and restores
+  /// the exact pre-hibernation `mutation_count` — contents are
+  /// bit-identical to the hibernated state, so continuity of the count is
+  /// the truthful accounting.  Returns "" on success; on a duplicate
+  /// tuple, a non-positive multiplicity, or a multiplicity total other
+  /// than `cardinality` (a corrupt image) returns a description and leaves
+  /// the table untouched.
+  std::string RestorePayload(std::vector<std::pair<Tuple, int64_t>> rows,
+                             int64_t cardinality, int64_t mutation_count);
 
   std::string ToString(size_t max_rows = 20) const;
 

@@ -12,9 +12,12 @@
 //   * the kWork metric snapshot equals the resident reference's
 //     (`paged.*` and the kernels' value-op counters are kEngine — engine-
 //     dependent by design, like WUW_COLUMNAR);
-//   * `paged.faults` / `paged.evictions` at a fixed budget are identical
-//     across every pool size and subplan-cache setting (eviction happens
-//     only at coordinator touch points — the threading-model discipline).
+//   * `paged.faults` / `paged.evictions` (extent paging only) at a fixed
+//     budget are identical across every pool size and subplan-cache
+//     setting (eviction happens only at coordinator touch points — the
+//     threading-model discipline); the operator-spill counters
+//     (`paged.spilled_partitions` / `paged.spill_faults` /
+//     `paged.spill_writebacks`) are identical across pool sizes.
 //
 // The TPC-D case is the acceptance gate: at the tiny budget the exp4
 // VDAG workload (Q3/Q5/Q10, paper delete fraction) must actually page
@@ -189,6 +192,9 @@ RunResult RunOne(const Scenario& sc, Flavor flavor, const Strategy& strategy,
   out.paged.evictions = after.evictions - before.evictions;
   out.paged.spilled_partitions =
       after.spilled_partitions - before.spilled_partitions;
+  out.paged.spill_faults = after.spill_faults - before.spill_faults;
+  out.paged.spill_writebacks =
+      after.spill_writebacks - before.spill_writebacks;
   out.converged = clone.catalog().ContentsEqual(sc.truth);
   return out;
 }
@@ -230,6 +236,8 @@ TEST(PagedDifferentialProperty, PagedRunsAreBitIdenticalToResident) {
         EXPECT_EQ(reference.paged.faults, 0);
         EXPECT_EQ(reference.paged.evictions, 0);
         EXPECT_EQ(reference.paged.spilled_partitions, 0);
+        EXPECT_EQ(reference.paged.spill_faults, 0);
+        EXPECT_EQ(reference.paged.spill_writebacks, 0);
       }
 
       for (Paged paged_setting : kPagedSettings) {
@@ -254,6 +262,8 @@ TEST(PagedDifferentialProperty, PagedRunsAreBitIdenticalToResident) {
             EXPECT_EQ(r.paged.evictions, baseline.evictions);
             EXPECT_EQ(r.paged.spilled_partitions,
                       baseline.spilled_partitions);
+            EXPECT_EQ(r.paged.spill_faults, baseline.spill_faults);
+            EXPECT_EQ(r.paged.spill_writebacks, baseline.spill_writebacks);
           }
         }
       }
@@ -263,8 +273,9 @@ TEST(PagedDifferentialProperty, PagedRunsAreBitIdenticalToResident) {
 
 // Subplan-cache settings must not perturb extent paging: faults and
 // evictions are executor-touch-point decisions, blind to whether a term's
-// subplans hit a cache.  (`paged.spilled_partitions` IS cache-dependent —
-// a cache hit skips the join that would have spilled — so it is exempt.)
+// subplans hit a cache.  (The operator-spill counters ARE cache-dependent
+// — a cache hit skips the join that would have spilled — and are kept out
+// of `paged.faults` / `paged.evictions`, so they are exempt.)
 TEST(PagedDifferentialProperty, PagingIsInvariantAcrossCacheSettings) {
   const uint64_t seed = testutil::PropertySeed(227);
   SCOPED_TRACE(testutil::SeedTrace(seed));
@@ -319,6 +330,8 @@ TEST(PagedDifferentialProperty, TpcdExp4WorkloadPagesAndSpills) {
     EXPECT_GT(r.paged.evictions, 0) << "tiny budget never paged an extent";
     EXPECT_GT(r.paged.spilled_partitions, 0)
         << "tiny budget never grace-spilled a build side";
+    EXPECT_GT(r.paged.spill_writebacks, 0)
+        << "two-frame spill pools never wrote a frame back";
   }
 }
 

@@ -1,3 +1,6 @@
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "storage/catalog.h"
@@ -151,6 +154,71 @@ TEST(TableTest, SortedRowsDeterministic) {
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].first.value(0).AsInt64(), 1);
   EXPECT_EQ(rows[2].first.value(0).AsInt64(), 5);
+}
+
+// The pager's bulk fault-in: a released table restored from its dense rows
+// has the identical dense layout, cardinality, mutation count and index
+// size as before, and keeps working as a table afterwards.
+TEST(TableTest, RestorePayloadRebuildsTheReleasedTable) {
+  Schema s({{"x", TypeId::kInt64}, {"y", TypeId::kString}});
+  Table t(s);
+  for (int64_t i = 0; i < 200; ++i) {
+    t.Add(Tuple({Value::Int64(i), Value::String("v" + std::to_string(i % 7))}),
+          1 + i % 3);
+  }
+  // Deletions swap-with-last, so the dense order is not insertion order.
+  for (int64_t i = 0; i < 200; i += 5) {
+    t.Add(Tuple({Value::Int64(i), Value::String("v" + std::to_string(i % 7))}),
+          -10);
+  }
+  const auto dense = t.dense_rows();
+  const int64_t cardinality = t.cardinality();
+  const int64_t mutations = t.mutation_count();
+  Table incremental(s);
+  for (const auto& [tuple, count] : dense) incremental.Add(tuple, count);
+
+  t.ReleasePayload();
+  EXPECT_EQ(t.distinct_size(), 0u);
+  EXPECT_EQ(t.RestorePayload(dense, cardinality, mutations), "");
+  EXPECT_EQ(t.dense_rows(), dense);
+  EXPECT_EQ(t.cardinality(), cardinality);
+  EXPECT_EQ(t.mutation_count(), mutations);
+  EXPECT_EQ(t.IndexBytes(), incremental.IndexBytes());
+  for (const auto& [tuple, count] : dense) EXPECT_EQ(t.Count(tuple), count);
+  EXPECT_TRUE(t.ContentsEqual(incremental));
+  // Point updates find restored rows; new rows still go in.
+  EXPECT_EQ(t.Add(dense.front().first, -dense.front().second), 0);
+  EXPECT_EQ(t.Add(Tuple({Value::Int64(-1), Value::String("new")}), 2), 2);
+  EXPECT_EQ(t.cardinality(), cardinality - dense.front().second + 2);
+
+  Table empty(s);
+  empty.ReleasePayload();
+  EXPECT_EQ(empty.RestorePayload({}, 0, 4), "");
+  EXPECT_EQ(empty.IndexBytes(), 0u);
+  EXPECT_EQ(empty.mutation_count(), 4);
+}
+
+// A corrupt image is rejected with an error and the table is left as it
+// was: duplicate tuples, non-positive multiplicities, or a multiplicity
+// total that overflows or disagrees with the recorded cardinality.
+TEST(TableTest, RestorePayloadRejectsCorruptRowsUntouched) {
+  Schema s({{"x", TypeId::kInt64}});
+  Table t(s);
+  t.Add(Tuple({Value::Int64(9)}), 4);
+  const auto before = t.dense_rows();
+  const int64_t mutations = t.mutation_count();
+  const Tuple a({Value::Int64(1)});
+  const Tuple b({Value::Int64(2)});
+
+  EXPECT_NE(t.RestorePayload({{a, 1}, {b, 2}, {a, 1}}, 4, 99), "");
+  EXPECT_NE(t.RestorePayload({{a, 1}, {b, 0}}, 1, 99), "");
+  EXPECT_NE(t.RestorePayload({{a, 1}, {b, -2}}, -1, 99), "");
+  EXPECT_NE(t.RestorePayload({{a, 1}, {b, 2}}, 4, 99), "");
+  EXPECT_NE(t.RestorePayload({{a, INT64_MAX}, {b, 1}}, 0, 99), "");
+  EXPECT_EQ(t.dense_rows(), before);
+  EXPECT_EQ(t.cardinality(), 4);
+  EXPECT_EQ(t.mutation_count(), mutations);
+  EXPECT_EQ(t.Count(Tuple({Value::Int64(9)})), 4);
 }
 
 TEST(CatalogTest, CreateAndLookup) {
