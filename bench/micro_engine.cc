@@ -41,7 +41,7 @@ void BM_HashJoinOrdersLineitem(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() *
-                          (orders.rows.size() + lineitem.rows.size()));
+                          (orders.size() + lineitem.size()));
 }
 BENCHMARK(BM_HashJoinOrdersLineitem);
 
@@ -55,7 +55,7 @@ void BM_AggregateLineitemByOrder(benchmark::State& state) {
     Rows out = AggregateSigned(lineitem, {"l_orderkey"}, aggs, nullptr);
     benchmark::DoNotOptimize(out);
   }
-  state.SetItemsProcessed(state.iterations() * lineitem.rows.size());
+  state.SetItemsProcessed(state.iterations() * lineitem.size());
 }
 BENCHMARK(BM_AggregateLineitemByOrder);
 

@@ -58,7 +58,7 @@ void BM_ParallelJoinBigProbe(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() *
-                          (orders.rows.size() + lineitem.rows.size()));
+                          (orders.size() + lineitem.size()));
 }
 BENCHMARK(BM_ParallelJoinBigProbe)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -76,7 +76,7 @@ void BM_ParallelJoinBigBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() *
-                          (orders.rows.size() + lineitem.rows.size()));
+                          (orders.size() + lineitem.size()));
 }
 BENCHMARK(BM_ParallelJoinBigBuild)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -92,7 +92,7 @@ void BM_ParallelAggregateManyGroups(benchmark::State& state) {
     Rows out = AggregateSigned(lineitem, {"l_orderkey"}, aggs, nullptr, pool);
     benchmark::DoNotOptimize(out);
   }
-  state.SetItemsProcessed(state.iterations() * lineitem.rows.size());
+  state.SetItemsProcessed(state.iterations() * lineitem.size());
 }
 BENCHMARK(BM_ParallelAggregateManyGroups)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -110,7 +110,7 @@ void BM_ParallelAggregateFewGroups(benchmark::State& state) {
         AggregateSigned(lineitem, {"l_returnflag"}, aggs, nullptr, pool);
     benchmark::DoNotOptimize(out);
   }
-  state.SetItemsProcessed(state.iterations() * lineitem.rows.size());
+  state.SetItemsProcessed(state.iterations() * lineitem.size());
 }
 BENCHMARK(BM_ParallelAggregateFewGroups)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -126,7 +126,7 @@ void BM_ParallelFilter(benchmark::State& state) {
     Rows out = Filter(lineitem, pred, nullptr, pool);
     benchmark::DoNotOptimize(out);
   }
-  state.SetItemsProcessed(state.iterations() * lineitem.rows.size());
+  state.SetItemsProcessed(state.iterations() * lineitem.size());
 }
 BENCHMARK(BM_ParallelFilter)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 

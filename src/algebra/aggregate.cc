@@ -141,7 +141,7 @@ Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by
     if (emit_stats != nullptr) emit_stats->rows_produced += 1;
   };
 
-  const size_t n = input.rows.size();
+  const size_t n = input.size();
   // KeyHash touches every key column of every row, and each SUM argument
   // evaluates its bound tree once per row, on either path below.
   size_t num_sums = 0;
@@ -169,7 +169,7 @@ Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by
     const size_t shift = sizeof(size_t) * 8 - bits;
     spill::PartitionedSpill spilled(*spill_opts, nparts);
     for (size_t i = 0; i < n; ++i) {
-      const auto& [tuple, mult] = input.rows[i];
+      const auto& [tuple, mult] = input.rows()[i];
       if (stats != nullptr) stats->rows_scanned += std::llabs(mult);
       size_t h = KeyHash(tuple, key_idx);
       spilled.Append(bits == 0 ? size_t{0} : h >> shift,
@@ -223,7 +223,7 @@ Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by
     Rows out((Schema(std::move(out_cols))));
     size_t total_groups = 0;
     for (const AggPartition& part : parts) total_groups += part.groups.size();
-    out.rows.reserve(total_groups);
+    out.mutable_rows().reserve(total_groups);
     using HeapItem = std::pair<uint32_t, uint32_t>;  // (first_row, partition)
     std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
     std::vector<size_t> cursor(nparts, 0);
@@ -251,7 +251,7 @@ Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by
     pool->ParallelFor(n, kMorselRows, [&](size_t begin, size_t end) {
       uint32_t* cnt = &counts[(begin / kMorselRows) * kAggPartitions];
       for (size_t i = begin; i < end; ++i) {
-        size_t h = KeyHash(input.rows[i].first, key_idx);
+        size_t h = KeyHash(input.rows()[i].first, key_idx);
         hashes[i] = h;
         ++cnt[h >> kAggPartitionShift];
       }
@@ -294,7 +294,7 @@ Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by
       std::vector<size_t> ghashes;
       int64_t key_cmps = 0;
       for (uint32_t i : ids) {
-        const auto& [tuple, mult] = input.rows[i];
+        const auto& [tuple, mult] = input.rows()[i];
         part.stats.rows_scanned += std::llabs(mult);
         size_t hash = hashes[i];
         Acc* acc = nullptr;
@@ -332,7 +332,7 @@ Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by
     Rows out((Schema(std::move(out_cols))));
     size_t total_groups = 0;
     for (const AggPartition& part : parts) total_groups += part.groups.size();
-    out.rows.reserve(total_groups);
+    out.mutable_rows().reserve(total_groups);
     OperatorStats merge_stats;
     using HeapItem = std::pair<uint32_t, uint32_t>;  // (first_row, partition)
     std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
@@ -367,7 +367,7 @@ Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by
   std::vector<size_t> hashes;
 
   int64_t key_cmps = 0;
-  for (const auto& [tuple, mult] : input.rows) {
+  for (const auto& [tuple, mult] : input.rows()) {
     if (stats != nullptr) stats->rows_scanned += std::llabs(mult);
     size_t hash = KeyHash(tuple, key_idx);
     Acc* acc = nullptr;
@@ -395,7 +395,7 @@ Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by
                  key_cmps);
 
   Rows out((Schema(std::move(out_cols))));
-  out.rows.reserve(groups.size());
+  out.mutable_rows().reserve(groups.size());
   for (const Acc& acc : groups) emit(&out, acc, stats);
   return out;
 }

@@ -29,7 +29,7 @@ Rows Filter(const Rows& input, const ScalarExpr::Ptr& predicate,
   }
   Rows out(input.schema);
   BoundExpr bound = BoundExpr::Bind(predicate, input.schema);
-  const size_t n = input.rows.size();
+  const size_t n = input.size();
   // One bound-tree evaluation per row, on either path below.
   WUW_METRIC_ADD("engine.row.expr_evals", obs::MetricClass::kEngine,
                  static_cast<int64_t>(n));
@@ -47,7 +47,7 @@ Rows Filter(const Rows& input, const ScalarExpr::Ptr& predicate,
       OperatorStats& ps = partial[m];
       buf.reserve(end - begin);
       for (size_t i = begin; i < end; ++i) {
-        const auto& [tuple, count] = input.rows[i];
+        const auto& [tuple, count] = input.rows()[i];
         ps.rows_scanned += std::llabs(count);
         if (bound.EvalBool(tuple)) {
           if (count != 0) buf.emplace_back(tuple, count);
@@ -58,9 +58,10 @@ Rows Filter(const Rows& input, const ScalarExpr::Ptr& predicate,
     pool->ParallelFor(n, kMorselRows, morsel, cancel);
     size_t total = 0;
     for (const auto& buf : buffers) total += buf.size();
-    out.rows.reserve(total);
+    RowVec& out_rows = out.mutable_rows();
+    out_rows.reserve(total);
     for (auto& buf : buffers) {
-      out.rows.insert(out.rows.end(), std::make_move_iterator(buf.begin()),
+      out_rows.insert(out_rows.end(), std::make_move_iterator(buf.begin()),
                       std::make_move_iterator(buf.end()));
     }
     if (stats != nullptr) {
@@ -69,8 +70,8 @@ Rows Filter(const Rows& input, const ScalarExpr::Ptr& predicate,
     return out;
   }
 
-  out.rows.reserve(n);
-  for (const auto& [tuple, count] : input.rows) {
+  out.mutable_rows().reserve(n);
+  for (const auto& [tuple, count] : input.rows()) {
     if (stats != nullptr) stats->rows_scanned += std::llabs(count);
     if (bound.EvalBool(tuple)) {
       out.Add(tuple, count);

@@ -50,7 +50,7 @@ Rows ParallelHashJoin(const Rows& left, const Rows& right,
                       const std::vector<size_t>& right_idx,
                       OperatorStats* stats, ThreadPool* pool,
                       const CancelToken* cancel) {
-  const size_t n = right.rows.size();
+  const size_t n = right.size();
   const size_t build_morsels = (n + kMorselRows - 1) / kMorselRows;
 
   // Pass 1: hash every build row, count per-(morsel, partition).
@@ -62,8 +62,8 @@ Rows ParallelHashJoin(const Rows& left, const Rows& right,
     uint32_t* cnt = &counts[m * kJoinPartitions];
     int64_t sc = 0;
     for (size_t i = begin; i < end; ++i) {
-      sc += std::llabs(right.rows[i].second);
-      size_t h = KeyHash(right.rows[i].first, right_idx);
+      sc += std::llabs(right.rows()[i].second);
+      size_t h = KeyHash(right.rows()[i].first, right_idx);
       hashes[i] = h;
       ++cnt[h >> kJoinPartitionShift];
     }
@@ -117,7 +117,7 @@ Rows ParallelHashJoin(const Rows& left, const Rows& right,
   }, cancel);
 
   // Morsel-parallel probe with per-morsel buffers.
-  const size_t ln = left.rows.size();
+  const size_t ln = left.size();
   const size_t probe_morsels = (ln + kMorselRows - 1) / kMorselRows;
   std::vector<std::vector<std::pair<Tuple, int64_t>>> buffers(probe_morsels);
   std::vector<OperatorStats> partial(probe_morsels);
@@ -128,7 +128,7 @@ Rows ParallelHashJoin(const Rows& left, const Rows& right,
     buf.reserve(end - begin);
     int64_t key_cmps = 0;
     for (size_t i = begin; i < end; ++i) {
-      const auto& [ltuple, lcount] = left.rows[i];
+      const auto& [ltuple, lcount] = left.rows()[i];
       ps.rows_scanned += std::llabs(lcount);
       ps.hash_probes += 1;
       size_t h = KeyHash(ltuple, left_idx);
@@ -138,7 +138,7 @@ Rows ParallelHashJoin(const Rows& left, const Rows& right,
         uint32_t r = part.ids[j];
         if (hashes[r] != h) continue;
         ++key_cmps;
-        const auto& [rtuple, rcount] = right.rows[r];
+        const auto& [rtuple, rcount] = right.rows()[r];
         if (!KeysEqual(ltuple, left_idx, rtuple, right_idx)) continue;
         if (lcount * rcount != 0) {
           buf.emplace_back(Tuple::Concat(ltuple, rtuple), lcount * rcount);
@@ -155,9 +155,10 @@ Rows ParallelHashJoin(const Rows& left, const Rows& right,
   Rows out(Schema::Concat(left.schema, right.schema));
   size_t total = 0;
   for (const auto& buf : buffers) total += buf.size();
-  out.rows.reserve(total);
+  RowVec& out_rows = out.mutable_rows();
+  out_rows.reserve(total);
   for (auto& buf : buffers) {
-    out.rows.insert(out.rows.end(), std::make_move_iterator(buf.begin()),
+    out_rows.insert(out_rows.end(), std::make_move_iterator(buf.begin()),
                     std::make_move_iterator(buf.end()));
   }
   if (stats != nullptr) {
@@ -244,9 +245,10 @@ class JoinMatches {
                                                   : a.build_idx > b.build_idx;
               });
     Rows out(Schema::Concat(left.schema, right.schema));
-    out.rows.reserve(produced_.size());
+    RowVec& out_rows = out.mutable_rows();
+    out_rows.reserve(produced_.size());
     for (OutRow& row : produced_) {
-      out.rows.emplace_back(std::move(row.tuple), row.count);
+      out_rows.emplace_back(std::move(row.tuple), row.count);
     }
     return out;
   }
@@ -269,7 +271,7 @@ class JoinMatches {
 /// Same per-row hashing totals as the resident row kernel.
 void ChargeKeyHashes(const Rows& left, const Rows& right, size_t key_arity) {
   WUW_METRIC_ADD("engine.row.value_hashes", obs::MetricClass::kEngine,
-                 static_cast<int64_t>((left.rows.size() + right.rows.size()) *
+                 static_cast<int64_t>((left.size() + right.size()) *
                                       key_arity));
 }
 
@@ -285,9 +287,10 @@ Rows ProbeSideHashJoin(const Rows& left, const Rows& right,
                        OperatorStats* stats) {
   ChargeKeyHashes(left, right, left_idx.size());
   std::vector<KeyedRow> probe_rows;
-  probe_rows.reserve(left.rows.size());
-  for (size_t i = 0; i < left.rows.size(); ++i) {
-    const auto& [tuple, count] = left.rows[i];
+  const RowVec& probe_side = left.rows();
+  probe_rows.reserve(probe_side.size());
+  for (size_t i = 0; i < probe_side.size(); ++i) {
+    const auto& [tuple, count] = probe_side[i];
     if (stats != nullptr) {
       stats->rows_scanned += std::llabs(count);
       stats->hash_probes += 1;
@@ -297,8 +300,9 @@ Rows ProbeSideHashJoin(const Rows& left, const Rows& right,
   }
   const ChainedTable table(std::move(probe_rows));
   JoinMatches matches(left_idx, right_idx);
-  for (size_t i = 0; i < right.rows.size(); ++i) {
-    const auto& [tuple, count] = right.rows[i];
+  const RowVec& build_side = right.rows();
+  for (size_t i = 0; i < build_side.size(); ++i) {
+    const auto& [tuple, count] = build_side[i];
     if (stats != nullptr) {
       stats->rows_scanned += std::llabs(count);
       stats->hash_build_rows += 1;
@@ -337,8 +341,9 @@ Rows GraceHashJoin(const Rows& left, const Rows& right,
   // [nparts, 2*nparts) of one shared spill file; stat totals are charged
   // during the spill passes exactly as the sequential kernel charges them.
   spill::PartitionedSpill spilled(options, nparts * 2);
-  for (size_t i = 0; i < right.rows.size(); ++i) {
-    const auto& [tuple, count] = right.rows[i];
+  const RowVec& build_side = right.rows();
+  for (size_t i = 0; i < build_side.size(); ++i) {
+    const auto& [tuple, count] = build_side[i];
     if (stats != nullptr) {
       stats->rows_scanned += std::llabs(count);
       stats->hash_build_rows += 1;
@@ -346,8 +351,9 @@ Rows GraceHashJoin(const Rows& left, const Rows& right,
     size_t h = KeyHash(tuple, right_idx);
     spilled.Append(part_of(h), static_cast<uint32_t>(i), h, count, tuple);
   }
-  for (size_t i = 0; i < left.rows.size(); ++i) {
-    const auto& [tuple, count] = left.rows[i];
+  const RowVec& probe_side = left.rows();
+  for (size_t i = 0; i < probe_side.size(); ++i) {
+    const auto& [tuple, count] = probe_side[i];
     if (stats != nullptr) {
       stats->rows_scanned += std::llabs(count);
       stats->hash_probes += 1;
@@ -437,7 +443,7 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
   // either path below.
   ChargeKeyHashes(left, right, left_idx.size());
 
-  if (ShouldParallelize(pool, left.rows.size() + right.rows.size())) {
+  if (ShouldParallelize(pool, left.size() + right.size())) {
     return ParallelHashJoin(left, right, left_idx, right_idx, stats, pool,
                             cancel);
   }
@@ -445,7 +451,7 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
   // Build side: right input.  Flat chained hash table (two arrays, no
   // per-key allocation); keys hash in place and collisions resolve by
   // column-wise comparison at probe time.
-  const size_t n = right.rows.size();
+  const size_t n = right.size();
   size_t nbuckets = 16;
   while (nbuckets < n * 2) nbuckets <<= 1;
   const size_t mask = nbuckets - 1;
@@ -453,7 +459,7 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
   std::vector<int32_t> chain(n);
   std::vector<size_t> hashes(n);
   for (size_t i = 0; i < n; ++i) {
-    const auto& [tuple, count] = right.rows[i];
+    const auto& [tuple, count] = right.rows()[i];
     if (stats != nullptr) {
       stats->rows_scanned += std::llabs(count);
       stats->hash_build_rows += 1;
@@ -465,9 +471,9 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
   }
 
   Rows out(Schema::Concat(left.schema, right.schema));
-  out.rows.reserve(left.rows.size());
+  out.mutable_rows().reserve(left.size());
   int64_t key_cmps = 0;
-  for (const auto& [ltuple, lcount] : left.rows) {
+  for (const auto& [ltuple, lcount] : left.rows()) {
     if (stats != nullptr) {
       stats->rows_scanned += std::llabs(lcount);
       stats->hash_probes += 1;
@@ -476,7 +482,7 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
     for (int32_t i = heads[h & mask]; i >= 0; i = chain[i]) {
       if (hashes[i] != h) continue;
       ++key_cmps;
-      const auto& [rtuple, rcount] = right.rows[i];
+      const auto& [rtuple, rcount] = right.rows()[i];
       if (!KeysEqual(ltuple, left_idx, rtuple, right_idx)) continue;
       out.Add(Tuple::Concat(ltuple, rtuple), lcount * rcount);
       if (stats != nullptr) {

@@ -34,7 +34,7 @@ Rows Project(const Rows& input, const std::vector<ProjectItem>& items,
     out_cols.push_back(Column{item.name, bound.back().result_type()});
   }
   Rows out((Schema(std::move(out_cols))));
-  const size_t n = input.rows.size();
+  const size_t n = input.size();
   // One bound-tree evaluation per (row, item), on either path below.
   WUW_METRIC_ADD("engine.row.expr_evals", obs::MetricClass::kEngine,
                  static_cast<int64_t>(n * items.size()));
@@ -46,16 +46,17 @@ Rows Project(const Rows& input, const std::vector<ProjectItem>& items,
     // operator pipelines; Add() upstream drops them.)
     const size_t nmorsels = (n + kMorselRows - 1) / kMorselRows;
     std::vector<OperatorStats> partial(nmorsels);
-    out.rows.resize(n);
+    RowVec& out_rows = out.mutable_rows();
+    out_rows.resize(n);
     auto morsel = [&](size_t begin, size_t end) {
       OperatorStats& ps = partial[begin / kMorselRows];
       for (size_t i = begin; i < end; ++i) {
-        const auto& [tuple, count] = input.rows[i];
+        const auto& [tuple, count] = input.rows()[i];
         ps.rows_scanned += std::llabs(count);
         std::vector<Value> values;
         values.reserve(bound.size());
         for (const BoundExpr& b : bound) values.push_back(b.Eval(tuple));
-        out.rows[i] = {Tuple(std::move(values)), count};
+        out_rows[i] = {Tuple(std::move(values)), count};
         ps.rows_produced += std::llabs(count);
       }
     };
@@ -66,8 +67,8 @@ Rows Project(const Rows& input, const std::vector<ProjectItem>& items,
     return out;
   }
 
-  out.rows.reserve(n);
-  for (const auto& [tuple, count] : input.rows) {
+  out.mutable_rows().reserve(n);
+  for (const auto& [tuple, count] : input.rows()) {
     if (stats != nullptr) stats->rows_scanned += std::llabs(count);
     std::vector<Value> values;
     values.reserve(bound.size());

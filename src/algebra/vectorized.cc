@@ -829,7 +829,6 @@ bool TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
   std::vector<uint32_t> sel;
   sel.reserve(ct->num_rows());
   int64_t scanned = 0, produced = 0;
-  int64_t out_signed = 0, out_abs = 0;
 
   bool supported = true;
   ForEachBatch(*ct, [&](const RowBatch& b) {
@@ -851,22 +850,16 @@ bool TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
       produced += std::llabs(c);
       if (c == 0) continue;  // Rows::Add drops zero counts; match it
       sel.push_back(id);
-      out_signed += c;
-      out_abs += std::llabs(c);
     }
   });
   if (!supported) return false;
 
-  *out = Rows(input.schema);
-  out->rows.reserve(sel.size());
   std::vector<int64_t> out_mult;
   out_mult.reserve(sel.size());
-  for (uint32_t id : sel) {
-    out->rows.push_back(input.rows[id]);
-    out_mult.push_back(mult[id]);
-  }
-  out->SetCachedCardinalities(out_signed, out_abs);
-  out->AttachColumnar(GatherTable(*ct, sel, std::move(out_mult)));
+  for (uint32_t id : sel) out_mult.push_back(mult[id]);
+  std::shared_ptr<const ColumnTable> gathered =
+      GatherTable(*ct, sel, std::move(out_mult));
+  *out = Rows::Select(input, std::move(sel), std::move(gathered));
   if (stats != nullptr) {
     stats->rows_scanned += scanned;
     stats->rows_produced += produced;
@@ -920,7 +913,8 @@ bool TryProject(const Rows& input, const std::vector<ProjectItem>& items,
   const size_t n = ct->num_rows();
   const std::vector<int64_t>& mult = ct->mult();
   *out = Rows(out_schema);
-  out->rows.reserve(n);
+  RowVec& out_rows = out->mutable_rows();
+  out_rows.reserve(n);
   int64_t scanned = 0;
 
   bool supported = true;
@@ -941,7 +935,7 @@ bool TryProject(const Rows& input, const std::vector<ProjectItem>& items,
       std::vector<Value> values;
       values.reserve(exprs.size());
       for (const VecVal& v : vals) values.push_back(ValueFromVec(v, k));
-      out->rows.emplace_back(Tuple(std::move(values)), mult[b.row(k)]);
+      out_rows.emplace_back(Tuple(std::move(values)), mult[b.row(k)]);
     }
     // Payload columns: append this batch's slices.
     for (size_t a = 0; a < exprs.size(); ++a) {
@@ -1066,13 +1060,11 @@ bool TryHashJoin(const Rows& left, const Rows& right,
   const int64_t arity = static_cast<int64_t>(left_idx.size());
 
   Schema out_schema = Schema::Concat(left.schema, right.schema);
-  *out = Rows(out_schema);
 
   // Build-side hashes, batch-at-a-time (pre-hashed key columns).
   std::vector<uint64_t> hashes(n);
   const bool parallel = ShouldParallelize(pool, ln + n);
 
-  int64_t out_signed = 0, out_abs = 0;
   std::vector<uint32_t> out_lids, out_rids;
   std::vector<int64_t> out_mult;
 
@@ -1146,7 +1138,6 @@ bool TryHashJoin(const Rows& left, const Rows& right,
     // Morsel-parallel probe; per-morsel buffers merge in morsel order.
     const size_t probe_morsels = (ln + kMorselRows - 1) / kMorselRows;
     struct ProbeBuf {
-      std::vector<std::pair<Tuple, int64_t>> rows;
       std::vector<uint32_t> lids, rids;
       std::vector<int64_t> mults;
       OperatorStats stats;
@@ -1171,8 +1162,6 @@ bool TryHashJoin(const Rows& left, const Rows& right,
           int64_t rc = rmult[r];
           int64_t prod = lc * rc;
           if (prod != 0) {
-            buf.rows.emplace_back(
-                Tuple::Concat(left.rows[i].first, right.rows[r].first), prod);
             buf.lids.push_back(static_cast<uint32_t>(i));
             buf.rids.push_back(r);
             buf.mults.push_back(prod);
@@ -1184,15 +1173,11 @@ bool TryHashJoin(const Rows& left, const Rows& right,
     cnt.key_mixes += static_cast<int64_t>(ln) * arity;
 
     size_t total = 0;
-    for (const ProbeBuf& buf : bufs) total += buf.rows.size();
-    out->rows.reserve(total);
+    for (const ProbeBuf& buf : bufs) total += buf.lids.size();
     out_lids.reserve(total);
     out_rids.reserve(total);
     out_mult.reserve(total);
     for (ProbeBuf& buf : bufs) {
-      out->rows.insert(out->rows.end(),
-                       std::make_move_iterator(buf.rows.begin()),
-                       std::make_move_iterator(buf.rows.end()));
       out_lids.insert(out_lids.end(), buf.lids.begin(), buf.lids.end());
       out_rids.insert(out_rids.end(), buf.rids.begin(), buf.rids.end());
       out_mult.insert(out_mult.end(), buf.mults.begin(), buf.mults.end());
@@ -1229,7 +1214,6 @@ bool TryHashJoin(const Rows& left, const Rows& right,
     }
 
     int64_t probe_scanned = 0, produced = 0;
-    out->rows.reserve(ln);
     ForEachBatch(*lct, [&](const RowBatch& b) {
       ++cnt.batches;
       probe_scanned += b.abs_card;
@@ -1244,8 +1228,6 @@ bool TryHashJoin(const Rows& left, const Rows& right,
           int64_t rc = rmult[j];
           int64_t prod = lc * rc;
           if (prod != 0) {
-            out->rows.emplace_back(
-                Tuple::Concat(left.rows[i].first, right.rows[j].first), prod);
             out_lids.push_back(static_cast<uint32_t>(i));
             out_rids.push_back(static_cast<uint32_t>(j));
             out_mult.push_back(prod);
@@ -1263,13 +1245,8 @@ bool TryHashJoin(const Rows& left, const Rows& right,
     }
   }
 
-  for (int64_t m : out_mult) {
-    out_signed += m;
-    out_abs += std::llabs(m);
-  }
-  out->SetCachedCardinalities(out_signed, out_abs);
-  out->AttachColumnar(GatherJoinTable(out_schema, *lct, out_lids, *rct,
-                                      out_rids, std::move(out_mult)));
+  *out = Rows::FromColumnar(GatherJoinTable(out_schema, *lct, out_lids, *rct,
+                                             out_rids, std::move(out_mult)));
   cnt.Flush();
   return true;
 }
@@ -1425,7 +1402,8 @@ bool TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
   cnt.key_mixes += static_cast<int64_t>(n) * arity;
 
   *out = Rows(Schema(std::move(out_cols)));
-  out->rows.reserve(first_row.size());
+  RowVec& out_rows = out->mutable_rows();
+  out_rows.reserve(first_row.size());
   int64_t produced = 0;
   for (size_t g = 0; g < first_row.size(); ++g) {
     bool all_zero = gcount[g] == 0;
@@ -1435,13 +1413,13 @@ bool TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
       }
     }
     if (all_zero) continue;
-    Tuple row = input.rows[first_row[g]].first.Project(key_idx);
+    Tuple row = input.rows()[first_row[g]].first.Project(key_idx);
     for (size_t a = 0; a < aggs.size(); ++a) {
       row.Append(sum_is_int[a] ? Value::Int64(gi[a][g])
                                : Value::Double(gd[a][g]));
     }
     row.Append(Value::Int64(gcount[g]));
-    out->rows.emplace_back(std::move(row), 1);
+    out_rows.emplace_back(std::move(row), 1);
     produced += 1;
   }
   out->SetCachedCardinalities(produced, produced);

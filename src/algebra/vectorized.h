@@ -8,6 +8,9 @@
 // The fallback decision depends only on (input contents, expression,
 // schema) — never on the pool or cache state — so the executed path, rows,
 // row ORDER, and OperatorStats are identical at every WUW_THREADS value.
+// TryFilter and TryHashJoin return columnar-only batches (Rows::Select /
+// Rows::FromColumnar): no output tuple is built unless a consumer calls
+// rows().  TryProject and TryAggregate build their rows eagerly.
 //
 // Bit-identity argument.  The vec kernels hash keys with an internal mixer
 // (per-code dictionary hashes for strings, the normalized double image for

@@ -22,7 +22,7 @@ void DeltaRelation::Add(const Tuple& tuple, int64_t count) {
 }
 
 void DeltaRelation::AddRows(const Rows& rows) {
-  for (const auto& [tuple, count] : rows.rows) Add(tuple, count);
+  for (const auto& [tuple, count] : rows.rows()) Add(tuple, count);
 }
 
 void DeltaRelation::Merge(const DeltaRelation& other) {
@@ -31,7 +31,7 @@ void DeltaRelation::Merge(const DeltaRelation& other) {
 
 Rows DeltaRelation::ToRows() const {
   Rows out(schema_);
-  out.rows.reserve(entries_.size());
+  out.mutable_rows().reserve(entries_.size());
   for (const auto& [tuple, count] : entries_) out.Add(tuple, count);
   return out;
 }

@@ -11,7 +11,7 @@ namespace wuw {
 DeltaRelation FinalizeSpjDelta(const Schema& output_schema, const Rows& raw,
                                OperatorStats* stats) {
   DeltaRelation delta(output_schema);
-  for (const auto& [tuple, count] : raw.rows) {
+  for (const auto& [tuple, count] : raw.rows()) {
     delta.Add(tuple, count);
     if (stats != nullptr) stats->rows_scanned += std::llabs(count);
   }
@@ -31,7 +31,7 @@ DeltaRelation FinalizeAggregateDelta(const ViewDefinition& def,
   // Per-group change summary.
   Rows summary =
       AggregateSigned(raw, def.GroupKeyNames(), RawAggSpecs(def), stats);
-  if (summary.rows.empty()) return delta;
+  if (summary.empty()) return delta;
 
   // Index the current extent by group key.  (A production system would keep
   // a key index on the summary table; a one-pass scan models the same
@@ -47,7 +47,7 @@ DeltaRelation FinalizeAggregateDelta(const ViewDefinition& def,
     if (stats != nullptr) stats->rows_scanned += 1;
   });
 
-  for (const auto& [srow, smult] : summary.rows) {
+  for (const auto& [srow, smult] : summary.rows()) {
     WUW_CHECK(smult == 1, "summary rows are +1 weighted");
     Tuple key = srow.Project(key_idx);
 

@@ -171,8 +171,8 @@ void PutSchema(std::string* out, const Schema& s) {
 
 void PutRows(std::string* out, const Rows& rows) {
   PutSchema(out, rows.schema);
-  PutU64(out, rows.rows.size());
-  for (const auto& [tuple, count] : rows.rows) {
+  PutU64(out, rows.size());
+  for (const auto& [tuple, count] : rows.rows()) {
     PutTuple(out, tuple);
     PutI64(out, count);
   }
@@ -330,12 +330,13 @@ bool GetRows(ByteReader* r, Rows* out) {
   uint64_t n = r->U64();
   if (!r->Need(n)) return false;  // every row is at least one byte
   *out = Rows(std::move(schema));
-  out->rows.reserve(n);
+  RowVec& rows = out->mutable_rows();
+  rows.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     Tuple t;
     if (!GetTuple(r, &t)) return false;
     int64_t count = r->I64();
-    out->rows.emplace_back(std::move(t), count);
+    rows.emplace_back(std::move(t), count);
   }
   return r->ok;
 }

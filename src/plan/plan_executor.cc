@@ -8,29 +8,6 @@
 
 namespace wuw {
 
-namespace {
-
-/// Morsel-parallel table snapshot: morsels copy disjoint windows of the
-/// dense row storage straight into the pre-sized output, so the result is
-/// identical to Rows::FromTable (same order, COW tuple copies only bump
-/// refcounts).
-Rows ScanTable(const Table& table, ThreadPool* pool,
-               const CancelToken* cancel) {
-  const auto& dense = table.dense_rows();
-  if (!ShouldParallelize(pool, dense.size())) return Rows::FromTable(table);
-  Rows out(table.schema());
-  out.rows.resize(dense.size());
-  pool->ParallelFor(
-      dense.size(), kMorselRows,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) out.rows[i] = dense[i];
-      },
-      cancel);
-  return out;
-}
-
-}  // namespace
-
 PlanExecutor::PlanExecutor(const PlanDag& dag, SubplanCache* cache,
                            ThreadPool* pool, const CancelToken* cancel)
     : dag_(dag), cache_(cache), pool_(pool), cancel_(cancel),
@@ -96,8 +73,7 @@ std::shared_ptr<const Rows> PlanExecutor::Eval(PlanNodeId id,
     WUW_METRIC_ADD("plan.nodes_executed", obs::MetricClass::kEngine, 1);
     switch (n.kind) {
       case PlanNodeKind::kScanTable:
-        result =
-            std::make_shared<const Rows>(ScanTable(*n.table, pool_, cancel_));
+        result = std::make_shared<const Rows>(Rows::FromTable(*n.table));
         break;
       case PlanNodeKind::kScanDelta:
         result = std::make_shared<const Rows>(n.delta->ToRows());
@@ -112,10 +88,13 @@ std::shared_ptr<const Rows> PlanExecutor::Eval(PlanNodeId id,
         inputs.reserve(n.children.size());
         // Independent children (a join's two sides) may evaluate
         // concurrently — but never during PrepareShared, whose memo writes
-        // are the one piece of executor state that is not thread-safe.
-        // Stats fold per child in child order; every counter is a
-        // commutative sum, so totals equal the sequential traversal's.
-        if (!memoize_shared && n.children.size() > 1 &&
+        // are the one piece of executor state that is not thread-safe, and
+        // never with a subplan cache attached: concurrent children would
+        // interleave its inserts and evictions (and so its fault-site hit
+        // counts) differently from run to run.  Stats fold per child in
+        // child order; every counter is a commutative sum, so totals equal
+        // the sequential traversal's.
+        if (!memoize_shared && cache_ == nullptr && n.children.size() > 1 &&
             pool_ != nullptr && pool_->parallelism() > 1) {
           std::vector<OperatorStats> child_stats(n.children.size());
           pool_->ParallelTasks(
@@ -160,7 +139,7 @@ std::shared_ptr<const Rows> PlanExecutor::Eval(PlanNodeId id,
 
   if (runtime_ != nullptr) {
     PlanNodeRuntime& rt = (*runtime_)[id];
-    rt.rows = static_cast<int64_t>(result->rows.size());
+    rt.rows = static_cast<int64_t>(result->size());
     rt.from_cache = from_cache;
   }
   if (memoize_shared && n.num_uses >= 2 && n.cacheable) memo_[id] = result;

@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "fault/fault_injection.h"
 #include "obs/metrics.h"
+#include "storage/column_table.h"
 
 namespace wuw {
 
@@ -15,7 +16,25 @@ int64_t ApproxRowsBytes(const Rows& rows) {
   // bytes, which is the safe direction for a budget.
   constexpr int64_t kPerRowOverhead = 48;
   int64_t bytes = 0;
-  for (const auto& [tuple, mult] : rows.rows) {
+  if (!rows.rows_materialized()) {
+    // Columnar-only batch: the same charge read off the columns, so
+    // admission never builds rows.  Every tuple has one Value per column.
+    std::shared_ptr<const ColumnTable> ct = rows.Columnar();
+    const int64_t n = static_cast<int64_t>(ct->num_rows());
+    bytes = n * (kPerRowOverhead + static_cast<int64_t>(ct->num_columns() *
+                                                        sizeof(Value)));
+    for (size_t c = 0; c < ct->num_columns(); ++c) {
+      const ColumnVec& col = ct->column(c);
+      if (col.type != TypeId::kString) continue;
+      for (uint32_t code : col.codes) {
+        if (code != kNullStringCode) {
+          bytes += static_cast<int64_t>(col.dict->At(code).size());
+        }
+      }
+    }
+    return bytes;
+  }
+  for (const auto& [tuple, mult] : rows.rows()) {
     (void)mult;
     bytes += kPerRowOverhead;
     for (const Value& v : tuple.values()) {

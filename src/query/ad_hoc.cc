@@ -77,10 +77,9 @@ QueryResult RunParsedQuery(
   double start = Now();
   Table table = RecomputeView(*parsed.definition, source, nullptr);
   result.seconds = Now() - start;
-  result.rows = Rows::FromTable(table);
+  result.rows.schema = table.schema();
   // Deterministic output order.
-  std::sort(result.rows.rows.begin(), result.rows.rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  result.rows.rows = table.SortedRows();
   return result;
 }
 

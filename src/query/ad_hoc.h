@@ -11,15 +11,24 @@
 
 #include <string>
 
-#include "algebra/rows.h"
 #include "exec/warehouse.h"
 #include "storage/read_snapshot.h"
+#include "storage/schema.h"
+#include "storage/tuple.h"
 
 namespace wuw {
 
+/// A query answer: fully materialized rows sorted by tuple.  A plain table
+/// rather than an operator batch (Rows), because nothing consumes it
+/// downstream.
+struct ResultRows {
+  Schema schema;
+  RowVec rows;  // multiplicities >= 1
+};
+
 /// Result of an ad-hoc query.
 struct QueryResult {
-  Rows rows;           // materialized result (multiplicities >= 1)
+  ResultRows rows;     // materialized, sorted result
   std::string error;   // non-empty on failure
   double seconds = 0;  // evaluation wall time
 

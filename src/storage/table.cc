@@ -35,8 +35,8 @@ Table::Table(const Table& other)
   // The source may be a published extent whose concurrent readers are
   // filling its columnar cache (ColumnarSnapshot writes snapshot_ /
   // snapshot_stale_ under snapshot_mu_) — a copy-on-write detach copies
-  // exactly such a table.  The row data itself is immutable then; only the
-  // cache handle needs the lock.
+  // exactly such a table.  The row and index blocks are immutable then and
+  // shared here; only the cache handle needs the lock.
   std::lock_guard<std::mutex> lock(other.snapshot_mu_);
   snapshot_ = other.snapshot_;
   snapshot_stale_ = other.snapshot_stale_;
@@ -56,6 +56,29 @@ Table::Table(Table&& other) noexcept
   other.mutation_count_ = 0;
   other.snapshot_ = std::make_shared<SnapshotCache>();
   other.snapshot_stale_ = false;
+}
+
+const RowVec& Table::dense_rows() const {
+  static const RowVec kNoRows;
+  return rows_ != nullptr ? *rows_ : kNoRows;
+}
+
+RowVec& Table::MutableRows() {
+  if (rows_ == nullptr) {
+    rows_ = std::make_shared<RowVec>();
+  } else if (rows_.use_count() != 1) {
+    rows_ = std::make_shared<RowVec>(*rows_);
+  }
+  return *rows_;
+}
+
+std::vector<Table::IndexSlot>& Table::MutableSlots() {
+  if (slots_ == nullptr) {
+    slots_ = std::make_shared<std::vector<IndexSlot>>();
+  } else if (slots_.use_count() != 1) {
+    slots_ = std::make_shared<std::vector<IndexSlot>>(*slots_);
+  }
+  return *slots_;
 }
 
 Table& Table::operator=(const Table& other) {
@@ -93,28 +116,31 @@ Table& Table::operator=(Table&& other) noexcept {
 }
 
 size_t Table::FindPosition(const Tuple& tuple, size_t hash) const {
-  if (slots_.empty()) return SIZE_MAX;
-  const size_t mask = slots_.size() - 1;
+  if (slots_ == nullptr || slots_->empty()) return SIZE_MAX;
+  const std::vector<IndexSlot>& slots = *slots_;
+  const RowVec& rows = *rows_;
+  const size_t mask = slots.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    const IndexSlot& slot = slots_[i];
+    const IndexSlot& slot = slots[i];
     if (slot.pos == kIndexEmpty) return SIZE_MAX;
     if (slot.pos != kIndexTombstone && slot.hash == hash &&
-        rows_[slot.pos].first == tuple) {
+        rows[slot.pos].first == tuple) {
       return slot.pos;
     }
   }
 }
 
 void Table::IndexRehash(size_t new_capacity) {
-  std::vector<IndexSlot> old = std::move(slots_);
-  slots_.assign(new_capacity, IndexSlot{0, kIndexEmpty});
+  std::vector<IndexSlot>& slots = MutableSlots();
+  std::vector<IndexSlot> old = std::move(slots);
+  slots.assign(new_capacity, IndexSlot{0, kIndexEmpty});
   slots_used_ = 0;
   const size_t mask = new_capacity - 1;
   for (const IndexSlot& slot : old) {
     if (slot.pos == kIndexEmpty || slot.pos == kIndexTombstone) continue;
     size_t i = slot.hash & mask;
-    while (slots_[i].pos != kIndexEmpty) i = (i + 1) & mask;
-    slots_[i] = slot;
+    while (slots[i].pos != kIndexEmpty) i = (i + 1) & mask;
+    slots[i] = slot;
     ++slots_used_;
   }
 }
@@ -122,24 +148,26 @@ void Table::IndexRehash(size_t new_capacity) {
 void Table::IndexInsert(size_t hash, uint32_t pos) {
   // Grow at 70% occupancy (live + tombstones) so probes stay short;
   // rehashing also purges tombstones.
-  if (slots_.empty()) {
-    slots_.assign(16, IndexSlot{0, kIndexEmpty});
-  } else if ((slots_used_ + 1) * 10 > slots_.size() * 7) {
-    IndexRehash(slots_.size() * 2);
+  std::vector<IndexSlot>& slots = MutableSlots();
+  if (slots.empty()) {
+    slots.assign(16, IndexSlot{0, kIndexEmpty});
+  } else if ((slots_used_ + 1) * 10 > slots.size() * 7) {
+    IndexRehash(slots.size() * 2);
   }
-  const size_t mask = slots_.size() - 1;
+  const size_t mask = slots.size() - 1;
   size_t i = hash & mask;
-  while (slots_[i].pos != kIndexEmpty && slots_[i].pos != kIndexTombstone) {
+  while (slots[i].pos != kIndexEmpty && slots[i].pos != kIndexTombstone) {
     i = (i + 1) & mask;
   }
-  if (slots_[i].pos == kIndexEmpty) ++slots_used_;
-  slots_[i] = IndexSlot{hash, pos};
+  if (slots[i].pos == kIndexEmpty) ++slots_used_;
+  slots[i] = IndexSlot{hash, pos};
 }
 
 void Table::IndexErase(size_t hash, uint32_t pos) {
-  const size_t mask = slots_.size() - 1;
+  std::vector<IndexSlot>& slots = MutableSlots();
+  const size_t mask = slots.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    IndexSlot& slot = slots_[i];
+    IndexSlot& slot = slots[i];
     WUW_CHECK(slot.pos != kIndexEmpty, "erasing an unindexed row");
     if (slot.pos == pos && slot.hash == hash) {
       slot.pos = kIndexTombstone;
@@ -149,9 +177,10 @@ void Table::IndexErase(size_t hash, uint32_t pos) {
 }
 
 void Table::IndexRepoint(size_t hash, uint32_t old_pos, uint32_t new_pos) {
-  const size_t mask = slots_.size() - 1;
+  std::vector<IndexSlot>& slots = MutableSlots();
+  const size_t mask = slots.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    IndexSlot& slot = slots_[i];
+    IndexSlot& slot = slots[i];
     WUW_CHECK(slot.pos != kIndexEmpty, "repointing an unindexed row");
     if (slot.pos == old_pos && slot.hash == hash) {
       slot.pos = new_pos;
@@ -169,56 +198,70 @@ int64_t Table::Add(const Tuple& tuple, int64_t count) {
 
   if (pos == SIZE_MAX) {
     if (count <= 0) return 0;  // clamp: deleting an absent tuple is a no-op
-    WUW_CHECK(rows_.size() < kIndexTombstone, "table too large for row index");
-    IndexInsert(hash, static_cast<uint32_t>(rows_.size()));
-    rows_.emplace_back(tuple, count);
+    RowVec& rows = MutableRows();
+    WUW_CHECK(rows.size() < kIndexTombstone, "table too large for row index");
+    IndexInsert(hash, static_cast<uint32_t>(rows.size()));
+    rows.emplace_back(tuple, count);
     cardinality_ += count;
     return count;
   }
 
-  int64_t next = rows_[pos].second + count;
+  RowVec& rows = MutableRows();
+  int64_t next = rows[pos].second + count;
   if (next > 0) {
-    cardinality_ += next - rows_[pos].second;
-    rows_[pos].second = next;
+    cardinality_ += next - rows[pos].second;
+    rows[pos].second = next;
     return next;
   }
 
   // Remove the row: swap-with-last keeps rows_ dense.
-  cardinality_ -= rows_[pos].second;
-  size_t last = rows_.size() - 1;
+  cardinality_ -= rows[pos].second;
+  size_t last = rows.size() - 1;
   // Drop the erased tuple's slot first: if the moved row shares (hash,
   // last) aliasing never arises because positions are unique.
   IndexErase(hash, static_cast<uint32_t>(pos));
   if (pos != last) {
-    size_t moved_hash = rows_[last].first.Hash();
-    rows_[pos] = std::move(rows_[last]);
+    size_t moved_hash = rows[last].first.Hash();
+    rows[pos] = std::move(rows[last]);
     IndexRepoint(moved_hash, static_cast<uint32_t>(last),
                  static_cast<uint32_t>(pos));
   }
-  rows_.pop_back();
+  rows.pop_back();
   return 0;
 }
 
 int64_t Table::Count(const Tuple& tuple) const {
   size_t pos = FindPosition(tuple, tuple.Hash());
-  return pos == SIZE_MAX ? 0 : rows_[pos].second;
+  return pos == SIZE_MAX ? 0 : (*rows_)[pos].second;
 }
 
 void Table::ForEach(
     const std::function<void(const Tuple&, int64_t)>& fn) const {
-  for (const auto& [tuple, count] : rows_) fn(tuple, count);
+  for (const auto& [tuple, count] : dense_rows()) fn(tuple, count);
 }
 
 std::vector<std::pair<Tuple, int64_t>> Table::SortedRows() const {
-  std::vector<std::pair<Tuple, int64_t>> out = rows_;
+  std::vector<std::pair<Tuple, int64_t>> out = dense_rows();
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 
 void Table::Clear() {
-  rows_.clear();
-  slots_.clear();
+  // A shared block is dropped rather than cleared; the fresh index keeps
+  // the capacity the detached copy would have had (IndexBytes).
+  if (rows_ != nullptr && rows_.use_count() != 1) {
+    rows_.reset();
+  } else if (rows_ != nullptr) {
+    rows_->clear();
+  }
+  if (slots_ != nullptr && slots_.use_count() != 1) {
+    auto fresh = std::make_shared<std::vector<IndexSlot>>();
+    fresh->reserve(slots_->size());
+    slots_ = std::move(fresh);
+  } else if (slots_ != nullptr) {
+    slots_->clear();
+  }
   slots_used_ = 0;
   cardinality_ = 0;
   snapshot_stale_ = true;
@@ -226,10 +269,8 @@ void Table::Clear() {
 }
 
 void Table::ReleasePayload() {
-  rows_.clear();
-  rows_.shrink_to_fit();
-  slots_.clear();
-  slots_.shrink_to_fit();
+  rows_.reset();
+  slots_.reset();
   slots_used_ = 0;
   // Detach the columnar cache so a copy sharing it keeps its (still
   // valid) snapshot while this object drops the reference.
@@ -267,9 +308,9 @@ std::string Table::RestorePayload(std::vector<std::pair<Tuple, int64_t>> rows,
     slots[i] = IndexSlot{hash, static_cast<uint32_t>(pos)};
   }
   if (total != cardinality) return "cardinality mismatch";
-  rows_ = std::move(rows);
-  slots_ = std::move(slots);
-  slots_used_ = rows_.size();
+  slots_used_ = rows.size();
+  rows_ = std::make_shared<RowVec>(std::move(rows));
+  slots_ = std::make_shared<std::vector<IndexSlot>>(std::move(slots));
   cardinality_ = total;
   mutation_count_ = mutation_count;
   snapshot_stale_ = true;
@@ -278,8 +319,8 @@ std::string Table::RestorePayload(std::vector<std::pair<Tuple, int64_t>> rows,
 
 bool Table::ContentsEqual(const Table& other) const {
   if (cardinality_ != other.cardinality_) return false;
-  if (rows_.size() != other.rows_.size()) return false;
-  for (const auto& [tuple, count] : rows_) {
+  if (distinct_size() != other.distinct_size()) return false;
+  for (const auto& [tuple, count] : dense_rows()) {
     if (other.Count(tuple) != count) return false;
   }
   return true;
@@ -303,20 +344,20 @@ std::shared_ptr<const ColumnTable> Table::ColumnarSnapshot() const {
   std::lock_guard<std::mutex> lock(snapshot_->mu);
   if (!snapshot_->built) {
     if (obs::InServeScope()) return nullptr;
-    snapshot_->table = ColumnTable::FromRows(schema_, rows_);
+    snapshot_->table = ColumnTable::FromRows(schema_, dense_rows());
     snapshot_->built = true;
   }
   return snapshot_->table;
 }
 
 size_t Table::IndexBytes() const {
-  return slots_.capacity() * sizeof(IndexSlot);
+  return slots_ != nullptr ? slots_->capacity() * sizeof(IndexSlot) : 0;
 }
 
 std::string Table::ToString(size_t max_rows) const {
   std::string out = schema_.ToString() + " {\n";
   size_t shown = 0;
-  for (const auto& [tuple, count] : rows_) {
+  for (const auto& [tuple, count] : dense_rows()) {
     if (shown++ >= max_rows) {
       out += "  ...\n";
       break;

@@ -11,7 +11,10 @@
 // exactly the live rows, like a compacted heap file) with a hash index of
 // tuple-hash -> position for O(1) point updates.  Deleting rows genuinely
 // makes later scans cheaper — the physical effect the paper's view
-// orderings exploit ("install shrinking views early").
+// orderings exploit ("install shrinking views early").  Both live in shared
+// copy-on-write blocks: a Table copy (the warehouse's copy-on-write
+// detach) and a scan (Rows::FromTable, via SharedRows) share them in O(1),
+// and a mutation copies a block only while someone else still holds it.
 //
 // The index is a flat open-addressing table (linear probing, tombstoned
 // deletes): one inline {hash, position} slot per live row, no per-hash heap
@@ -54,7 +57,7 @@ class Table {
   int64_t cardinality() const { return cardinality_; }
 
   /// Number of distinct tuples.
-  size_t distinct_size() const { return rows_.size(); }
+  size_t distinct_size() const { return dense_rows().size(); }
 
   bool empty() const { return cardinality_ == 0; }
 
@@ -71,11 +74,14 @@ class Table {
   void ForEach(
       const std::function<void(const Tuple&, int64_t)>& fn) const;
 
-  /// The dense live-row storage, in the same order ForEach visits it —
-  /// lets parallel scans claim index ranges without per-row callbacks.
-  const std::vector<std::pair<Tuple, int64_t>>& dense_rows() const {
-    return rows_;
-  }
+  /// The dense live-row storage, in the same order ForEach visits it.
+  /// Valid until the next mutation of this table.
+  const RowVec& dense_rows() const;
+
+  /// The dense row block itself, shared in O(1): the holder sees the rows
+  /// as of this call, because the table copies the block before its next
+  /// write while the handle lives.  May be null for an empty table.
+  std::shared_ptr<const RowVec> SharedRows() const { return rows_; }
 
   /// Stable snapshot of contents sorted by tuple — used by tests to compare
   /// database states across strategies.
@@ -136,6 +142,10 @@ class Table {
     uint32_t pos;
   };
 
+  /// Writable blocks: allocated on first use, copied while shared.
+  RowVec& MutableRows();
+  std::vector<IndexSlot>& MutableSlots();
+
   /// Position of `tuple` in rows_, or SIZE_MAX.
   size_t FindPosition(const Tuple& tuple, size_t hash) const;
 
@@ -151,10 +161,10 @@ class Table {
   struct SnapshotCache;
 
   Schema schema_;
-  /// Dense live rows: (tuple, multiplicity > 0).
-  std::vector<std::pair<Tuple, int64_t>> rows_;
-  /// Flat open-addressing index over rows_; empty vector until first Add.
-  std::vector<IndexSlot> slots_;
+  /// Dense live rows: (tuple, multiplicity > 0); may be null when empty.
+  std::shared_ptr<RowVec> rows_;
+  /// Flat open-addressing index over rows_; null or empty until first Add.
+  std::shared_ptr<std::vector<IndexSlot>> slots_;
   /// Live + tombstoned slots (the probe-length load factor).
   size_t slots_used_ = 0;
   int64_t cardinality_ = 0;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/value.h"
@@ -66,6 +67,9 @@ class Tuple {
 
   std::shared_ptr<std::vector<Value>> values_;
 };
+
+/// A signed multiset image: (tuple, multiplicity) pairs.
+using RowVec = std::vector<std::pair<Tuple, int64_t>>;
 
 /// Hash functor for unordered containers keyed by Tuple.
 struct TupleHash {

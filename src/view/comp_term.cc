@@ -190,7 +190,7 @@ CompEvalResult EvalComp(const ViewDefinition& def,
   if (stats != nullptr) *stats += prepare_stats;
   for (size_t slot = 0; slot < masks.size(); ++slot) {
     TermResult& term = term_results[slot];
-    for (auto& [tuple, count] : term.raw.rows) {
+    for (auto& [tuple, count] : term.raw.mutable_rows()) {
       result.raw_delta.Add(std::move(tuple), count);
     }
     result.linear_operand_work += term_work[slot];

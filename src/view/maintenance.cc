@@ -16,9 +16,12 @@ void DeltaAccumulator::Accumulate(Rows raw) {
   std::lock_guard<std::mutex> lock(mutex_);
   WUW_CHECK(!finalized_,
             "Comp after delta finalization: the strategy violates C4/C8");
-  raw_.rows.insert(raw_.rows.end(),
-                   std::make_move_iterator(raw.rows.begin()),
-                   std::make_move_iterator(raw.rows.end()));
+  // mutable_rows() unshares raw's block first, so moving tuples out of it
+  // can never disturb another holder.
+  RowVec& moved = raw.mutable_rows();
+  RowVec& into = raw_.mutable_rows();
+  into.insert(into.end(), std::make_move_iterator(moved.begin()),
+              std::make_move_iterator(moved.end()));
 }
 
 const DeltaRelation& DeltaAccumulator::Finalize(const Table& current,

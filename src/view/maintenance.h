@@ -50,7 +50,7 @@ class DeltaAccumulator {
   bool finalized() const { return finalized_; }
 
   /// Number of raw rows gathered so far (diagnostics).
-  int64_t raw_size() const { return static_cast<int64_t>(raw_.rows.size()); }
+  int64_t raw_size() const { return static_cast<int64_t>(raw_.size()); }
 
   /// Clears all state for the next update batch.
   void Reset();

@@ -33,9 +33,9 @@ Table RecomputeView(const ViewDefinition& def, const TableSource& source,
   if (def.is_aggregate()) {
     Rows aggregated =
         AggregateSigned(raw, def.GroupKeyNames(), RawAggSpecs(def), stats);
-    for (const auto& [tuple, count] : aggregated.rows) out.Add(tuple, count);
+    for (const auto& [tuple, count] : aggregated.rows()) out.Add(tuple, count);
   } else {
-    for (const auto& [tuple, count] : raw.rows) out.Add(tuple, count);
+    for (const auto& [tuple, count] : raw.rows()) out.Add(tuple, count);
   }
   return out;
 }

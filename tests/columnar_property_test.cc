@@ -71,7 +71,7 @@ Rows RandomMixedRows(const std::string& p, size_t n, int64_t key_range,
                    {p + "_d", TypeId::kDouble},
                    {p + "_s", TypeId::kString},
                    {p + "_t", TypeId::kDate}}));
-  out.rows.reserve(n);
+  out.mutable_rows().reserve(n);
   for (size_t i = 0; i < n; ++i) {
     int64_t k = rng->Range(1, key_range);
     int64_t mult = rng->Range(1, 3) * (rng->Below(4) == 0 ? -1 : 1);
@@ -96,10 +96,10 @@ Rows RandomMixedRows(const std::string& p, size_t n, int64_t key_range,
 /// Byte-identical comparison: same tuples in the same ORDER with the same
 /// multiplicities (ContentsEqual is order-blind; the kernels promise more).
 void ExpectRowsIdentical(const Rows& expect, const Rows& got) {
-  ASSERT_EQ(expect.rows.size(), got.rows.size());
-  for (size_t i = 0; i < expect.rows.size(); ++i) {
-    ASSERT_EQ(expect.rows[i].second, got.rows[i].second) << "row " << i;
-    ASSERT_TRUE(expect.rows[i].first == got.rows[i].first) << "row " << i;
+  ASSERT_EQ(expect.rows().size(), got.rows().size());
+  for (size_t i = 0; i < expect.rows().size(); ++i) {
+    ASSERT_EQ(expect.rows()[i].second, got.rows()[i].second) << "row " << i;
+    ASSERT_TRUE(expect.rows()[i].first == got.rows()[i].first) << "row " << i;
   }
 }
 
@@ -111,23 +111,23 @@ TEST_P(RoundTripTest, FromRowsRoundTripsCellsCardsAndStats) {
   tpcd::Rng rng(seed);
   Rows rows = RandomMixedRows("t", 3000, 500, &rng);
 
-  auto ct = ColumnTable::FromRows(rows.schema, rows.rows);
+  auto ct = ColumnTable::FromRows(rows.schema, rows.rows());
   ASSERT_NE(ct, nullptr);
-  ASSERT_EQ(ct->num_rows(), rows.rows.size());
+  ASSERT_EQ(ct->num_rows(), rows.rows().size());
   int64_t signed_sum = 0, abs_sum = 0;
-  for (size_t i = 0; i < rows.rows.size(); ++i) {
+  for (size_t i = 0; i < rows.rows().size(); ++i) {
     // Exact cell round-trip: same value AND same TypeId (operator== treats
     // Int64(3) == Double(3.0); tuples compare cell-wise the same way, so
     // check types explicitly).
     Tuple back = ct->TupleAt(i);
-    ASSERT_TRUE(back == rows.rows[i].first) << "row " << i;
+    ASSERT_TRUE(back == rows.rows()[i].first) << "row " << i;
     for (size_t c = 0; c < rows.schema.num_columns(); ++c) {
-      ASSERT_EQ(back.value(c).type(), rows.rows[i].first.value(c).type())
+      ASSERT_EQ(back.value(c).type(), rows.rows()[i].first.value(c).type())
           << "row " << i << " col " << c;
     }
-    ASSERT_EQ(ct->mult()[i], rows.rows[i].second) << "row " << i;
-    signed_sum += rows.rows[i].second;
-    abs_sum += std::llabs(rows.rows[i].second);
+    ASSERT_EQ(ct->mult()[i], rows.rows()[i].second) << "row " << i;
+    signed_sum += rows.rows()[i].second;
+    abs_sum += std::llabs(rows.rows()[i].second);
   }
   EXPECT_EQ(ct->SignedCardBetween(0, ct->num_rows()), signed_sum);
   EXPECT_EQ(ct->AbsCardBetween(0, ct->num_rows()), abs_sum);
@@ -148,7 +148,7 @@ TEST_P(RoundTripTest, FromRowsRoundTripsCellsCardsAndStats) {
   for (size_t c = 0; c < rows.schema.num_columns(); ++c) {
     bool has = false;
     Value lo, hi;
-    for (const auto& [tuple, m] : rows.rows) {
+    for (const auto& [tuple, m] : rows.rows()) {
       const Value& v = tuple.value(c);
       if (v.is_null()) continue;
       if (!has || v < lo) lo = v;
@@ -167,7 +167,7 @@ TEST_P(RoundTripTest, FromRowsRoundTripsCellsCardsAndStats) {
   auto cached = rows.Columnar();
   ASSERT_NE(cached, nullptr);
   EXPECT_EQ(cached.get(), rows.Columnar().get());
-  EXPECT_EQ(cached->num_rows(), rows.rows.size());
+  EXPECT_EQ(cached->num_rows(), rows.rows().size());
   EXPECT_EQ(rows.SignedCardinality(), signed_sum);
   EXPECT_EQ(rows.AbsCardinality(), abs_sum);
 }
@@ -177,7 +177,7 @@ TEST_P(RoundTripTest, DictionaryCodesAreDenseAndConsistent) {
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
   Rows rows = RandomMixedRows("t", 2000, 400, &rng);
-  auto ct = ColumnTable::FromRows(rows.schema, rows.rows);
+  auto ct = ColumnTable::FromRows(rows.schema, rows.rows());
   ASSERT_NE(ct, nullptr);
 
   const size_t sc = rows.schema.num_columns() - 2;  // the _s column
@@ -187,8 +187,8 @@ TEST_P(RoundTripTest, DictionaryCodesAreDenseAndConsistent) {
   // Equal strings <-> equal codes; every code decodes to its source string;
   // Find inverts Intern; codes are dense in first-occurrence order.
   std::vector<std::string> first_seen;
-  for (size_t i = 0; i < rows.rows.size(); ++i) {
-    const Value& v = rows.rows[i].first.value(sc);
+  for (size_t i = 0; i < rows.rows().size(); ++i) {
+    const Value& v = rows.rows()[i].first.value(sc);
     uint32_t code = col.codes[i];
     if (v.is_null()) {
       ASSERT_EQ(code, kNullStringCode) << "row " << i;
@@ -261,7 +261,7 @@ TEST_P(RoundTripTest, BatchesCoverRowsAndCarryRunningCards) {
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
   Rows rows = RandomMixedRows("t", 2500, 300, &rng);
-  auto ct = ColumnTable::FromRows(rows.schema, rows.rows);
+  auto ct = ColumnTable::FromRows(rows.schema, rows.rows());
   ASSERT_NE(ct, nullptr);
 
   for (size_t batch_rows : {size_t{1}, size_t{3}, kBatchRows}) {
@@ -313,9 +313,9 @@ TEST_P(RoundTripTest, TypeViolatingRowsStayRowMajor) {
   for (int i = 0; i < 100; ++i) {
     rows.Add(Tuple({Value::Int64(i), Value::Int64(rng.Range(0, 9))}), 1);
   }
-  size_t bad = rng.Below(rows.rows.size());
-  rows.rows[bad].first = Tuple({Value::Int64(7), Value::Double(3.5)});
-  EXPECT_EQ(ColumnTable::FromRows(rows.schema, rows.rows), nullptr);
+  size_t bad = rng.Below(rows.rows().size());
+  rows.mutable_rows()[bad].first = Tuple({Value::Int64(7), Value::Double(3.5)});
+  EXPECT_EQ(ColumnTable::FromRows(rows.schema, rows.rows()), nullptr);
   EXPECT_EQ(rows.Columnar(), nullptr);
   // ...and the kernels silently stay on the row path for such inputs.
   VecGuard vec_on(1);
@@ -324,7 +324,7 @@ TEST_P(RoundTripTest, TypeViolatingRowsStayRowMajor) {
       ScalarExpr::Compare(CompareOp::kLt, ScalarExpr::Column("k"),
                           ScalarExpr::Literal(Value::Int64(50)));
   Rows filtered = Filter(rows, pred, &stats, nullptr);
-  EXPECT_EQ(stats.rows_scanned, static_cast<int64_t>(rows.rows.size()));
+  EXPECT_EQ(stats.rows_scanned, static_cast<int64_t>(rows.rows().size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundTripTest,

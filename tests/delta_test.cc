@@ -117,7 +117,7 @@ TEST_F(AggregateFinalizeTest, UpdatesExistingGroup) {
   EXPECT_EQ(d.plus_count(), 1);
   EXPECT_EQ(d.minus_count(), 1);
   EXPECT_EQ(
-      d.ToRows().rows.size(), 2u);
+      d.ToRows().rows().size(), 2u);
 }
 
 TEST_F(AggregateFinalizeTest, DeletesDyingGroup) {

@@ -24,7 +24,7 @@ TEST(JoinPipelineTest, TwoWayEquiJoin) {
   Rows b = TripleRows("B", {{2, 200, 1}, {3, 300, 2}, {4, 400, 3}});
   OperatorStats stats;
   Rows joined = EvalJoinPipeline(*def, {a, b}, &stats);
-  EXPECT_EQ(joined.rows.size(), 2u);
+  EXPECT_EQ(joined.rows().size(), 2u);
   EXPECT_EQ(joined.schema.num_columns(), 6u);
   EXPECT_EQ(stats.rows_scanned, 6);
 }
@@ -35,7 +35,7 @@ TEST(JoinPipelineTest, ThreeWayChainsLeftDeep) {
   Rows b = TripleRows("B", {{1, 2, 0}, {2, 2, 0}});
   Rows c = TripleRows("C", {{1, 3, 0}});
   Rows joined = EvalJoinPipeline(*def, {a, b, c}, nullptr);
-  EXPECT_EQ(joined.rows.size(), 1u);  // only key 1 survives all three
+  EXPECT_EQ(joined.rows().size(), 1u);  // only key 1 survives all three
 }
 
 TEST(JoinPipelineTest, SignedMultiplicitiesFlowThrough) {
@@ -45,8 +45,8 @@ TEST(JoinPipelineTest, SignedMultiplicitiesFlowThrough) {
   Rows b(TripleSchema("B"));
   b.Add(Tuple({Value::Int64(1), Value::Int64(7), Value::Int64(0)}), 3);
   Rows joined = EvalJoinPipeline(*def, {a, b}, nullptr);
-  ASSERT_EQ(joined.rows.size(), 1u);
-  EXPECT_EQ(joined.rows[0].second, -6);
+  ASSERT_EQ(joined.rows().size(), 1u);
+  EXPECT_EQ(joined.rows()[0].second, -6);
 }
 
 TEST(JoinPipelineTest, SingleSourceFilterPushdownCountsScans) {
@@ -58,7 +58,7 @@ TEST(JoinPipelineTest, SingleSourceFilterPushdownCountsScans) {
   Rows b = TripleRows("B", {{1, 1, 0}, {2, 2, 0}, {3, 3, 0}});
   OperatorStats stats;
   Rows joined = EvalJoinPipeline(*def, {a, b}, &stats);
-  EXPECT_EQ(joined.rows.size(), 2u);  // key 1 filtered out before the join
+  EXPECT_EQ(joined.rows().size(), 2u);  // key 1 filtered out before the join
 }
 
 TEST(JoinPipelineTest, MultiSourcePredicateAppliedAfterJoin) {
@@ -78,7 +78,7 @@ TEST(JoinPipelineTest, MultiSourcePredicateAppliedAfterJoin) {
   Rows a = TripleRows("A", {{1, 10, 0}, {2, 50, 0}});
   Rows b = TripleRows("B", {{1, 20, 0}, {2, 20, 0}});
   Rows joined = EvalJoinPipeline(*def, {a, b}, nullptr);
-  EXPECT_EQ(joined.rows.size(), 1u);  // only key 1 has A_v < B_v
+  EXPECT_EQ(joined.rows().size(), 1u);  // only key 1 has A_v < B_v
 }
 
 TEST(JoinPipelineTest, DisconnectedSourceIsCrossProduct) {
@@ -91,7 +91,7 @@ TEST(JoinPipelineTest, DisconnectedSourceIsCrossProduct) {
   Rows a = TripleRows("A", {{1, 0, 0}, {2, 0, 0}});
   Rows b = TripleRows("B", {{7, 0, 0}, {8, 0, 0}, {9, 0, 0}});
   Rows joined = EvalJoinPipeline(*def, {a, b}, nullptr);
-  EXPECT_EQ(joined.rows.size(), 6u);
+  EXPECT_EQ(joined.rows().size(), 6u);
 }
 
 TEST(JoinPipelineTest, MultipleEdgesToSameSourceBecomeCompositeKey) {
@@ -106,7 +106,7 @@ TEST(JoinPipelineTest, MultipleEdgesToSameSourceBecomeCompositeKey) {
   Rows a = TripleRows("A", {{1, 0, 0}, {2, 0, 1}});
   Rows b = TripleRows("B", {{1, 9, 0}, {2, 9, 2}});  // g mismatch on key 2
   Rows joined = EvalJoinPipeline(*def, {a, b}, nullptr);
-  EXPECT_EQ(joined.rows.size(), 1u);
+  EXPECT_EQ(joined.rows().size(), 1u);
 }
 
 TEST(JoinPipelineTest, RawProjectionForAggregateViews) {
@@ -118,8 +118,8 @@ TEST(JoinPipelineTest, RawProjectionForAggregateViews) {
   // Raw schema: group keys (V_k, V_g) + __arg0 for the SUM.
   EXPECT_EQ(raw.schema.num_columns(), 3u);
   EXPECT_EQ(raw.schema.column(2).name, "__arg0");
-  ASSERT_EQ(raw.rows.size(), 1u);
-  EXPECT_EQ(raw.rows[0].first.value(2).AsInt64(), 15);  // A_v + B_v
+  ASSERT_EQ(raw.rows().size(), 1u);
+  EXPECT_EQ(raw.rows()[0].first.value(2).AsInt64(), 15);  // A_v + B_v
 }
 
 TEST(JoinPipelineTest, RawSchemaMatchesProjectToRaw) {

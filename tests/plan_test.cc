@@ -29,7 +29,7 @@ Rows MakeRowsBatch(const std::string& name, int64_t rows, uint64_t seed) {
 
 Table ToTable(const Rows& rows) {
   Table out(rows.schema);
-  for (const auto& [tuple, count] : rows.rows) out.Add(tuple, count);
+  for (const auto& [tuple, count] : rows.rows()) out.Add(tuple, count);
   return out;
 }
 

@@ -59,7 +59,7 @@ std::string RouteName(Route r) {
 /// Analytic bytes the spill gate compares (storage/page.h size model).
 int64_t AnalyticBytes(const Rows& rows) {
   int64_t bytes = 0;
-  for (const auto& [tuple, count] : rows.rows) {
+  for (const auto& [tuple, count] : rows.rows()) {
     bytes += paged::ApproxTupleBytes(tuple) + 8;
   }
   return bytes;
@@ -80,7 +80,7 @@ Rows MakeSide(const std::string& p, size_t n, std::mt19937_64* rng) {
     Value s = pick(0, 5) == 0 ? Value::Null()
                               : Value::String("s" + std::to_string(pick(0, 2)));
     Tuple t({k, s, Value::Int64(pick(0, 3))});
-    out.rows.emplace_back(std::move(t), pick(-2, 3));
+    out.mutable_rows().emplace_back(std::move(t), pick(-2, 3));
   }
   return out;
 }
@@ -159,11 +159,11 @@ void CheckAllRoutes(const Rows& left, const Rows& right, const JoinKeys& keys) {
     SCOPED_TRACE("route " + RouteName(route));
     const JoinRun run = RunJoin(left, right, keys, route);
     ASSERT_EQ(run.out.schema.ToString(), reference.out.schema.ToString());
-    ASSERT_EQ(run.out.rows.size(), reference.out.rows.size());
-    for (size_t i = 0; i < run.out.rows.size(); ++i) {
-      ASSERT_EQ(run.out.rows[i].first, reference.out.rows[i].first)
+    ASSERT_EQ(run.out.rows().size(), reference.out.rows().size());
+    for (size_t i = 0; i < run.out.rows().size(); ++i) {
+      ASSERT_EQ(run.out.rows()[i].first, reference.out.rows()[i].first)
           << "row " << i;
-      ASSERT_EQ(run.out.rows[i].second, reference.out.rows[i].second)
+      ASSERT_EQ(run.out.rows()[i].second, reference.out.rows()[i].second)
           << "row " << i;
     }
     EXPECT_EQ(run.stats, reference.stats);
@@ -217,25 +217,27 @@ TEST_F(RowKernelsOnly, ProbeSideRouteOrdersLikeTheSequentialNesting) {
   Schema ls({{"lk", TypeId::kInt64}, {"lv", TypeId::kInt64}});
   Schema rs({{"rk", TypeId::kInt64}, {"rv", TypeId::kInt64}});
   Rows left(ls);
-  left.rows.emplace_back(Tuple({Value::Int64(2), Value::Int64(0)}), 1);
-  left.rows.emplace_back(Tuple({Value::Int64(1), Value::Int64(1)}), -1);
-  left.rows.emplace_back(Tuple({Value::Int64(2), Value::Int64(2)}), 2);
+  RowVec& lrows = left.mutable_rows();
+  lrows.emplace_back(Tuple({Value::Int64(2), Value::Int64(0)}), 1);
+  lrows.emplace_back(Tuple({Value::Int64(1), Value::Int64(1)}), -1);
+  lrows.emplace_back(Tuple({Value::Int64(2), Value::Int64(2)}), 2);
   Rows right(rs);
   for (int64_t i = 0; i < 12; ++i) {
-    right.rows.emplace_back(Tuple({Value::Int64(i % 3), Value::Int64(i)}),
-                            i % 4 == 3 ? 0 : (i % 2 == 0 ? 1 : -1));
+    right.mutable_rows().emplace_back(
+        Tuple({Value::Int64(i % 3), Value::Int64(i)}),
+        i % 4 == 3 ? 0 : (i % 2 == 0 ? 1 : -1));
   }
   const JoinKeys keys{{"lk"}, {"rk"}};
   const JoinRun reference = RunJoin(left, right, keys, Route::kUnarmed);
   const JoinRun probe_side = RunJoin(left, right, keys, Route::kProbeSide);
-  ASSERT_FALSE(reference.out.rows.empty());
+  ASSERT_FALSE(reference.out.rows().empty());
   // Probe row 0 (key 2) first; its newest build match (rv 11) has
   // multiplicity 0, so rv 8 leads.
-  EXPECT_EQ(reference.out.rows[0].first.value(3), Value::Int64(8))
+  EXPECT_EQ(reference.out.rows()[0].first.value(3), Value::Int64(8))
       << "unexpected sequential nesting";
-  ASSERT_EQ(probe_side.out.rows.size(), reference.out.rows.size());
-  for (size_t i = 0; i < reference.out.rows.size(); ++i) {
-    EXPECT_EQ(probe_side.out.rows[i], reference.out.rows[i]) << "row " << i;
+  ASSERT_EQ(probe_side.out.rows().size(), reference.out.rows().size());
+  for (size_t i = 0; i < reference.out.rows().size(); ++i) {
+    EXPECT_EQ(probe_side.out.rows()[i], reference.out.rows()[i]) << "row " << i;
   }
   EXPECT_EQ(probe_side.stats, reference.stats);
   EXPECT_EQ(probe_side.paged.spilled_partitions, 0);
