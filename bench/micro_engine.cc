@@ -3,9 +3,14 @@
 // data.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <memory>
+#include <optional>
+
 #include "algebra/aggregate.h"
 #include "algebra/hash_join.h"
 #include "delta/install.h"
+#include "storage/column_table.h"
 #include "tpcd/change_generator.h"
 #include "tpcd/tpcd_schema.h"
 #include "tpcd/tpcd_views.h"
@@ -74,6 +79,51 @@ void BM_InstallDelta(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * delta.AbsCardinality());
 }
 BENCHMARK(BM_InstallDelta);
+
+// Maintain vs rebuild, per layer: installs a 5% churn delta (3% deletes,
+// 2% inserts) into a LINEITEM-shaped table, then takes ColumnarSnapshot().
+// Arg 1: the table alone holds its built image, so Install keeps it
+// current in place and the snapshot only finishes the prefix sums.  Arg 0:
+// the image was dropped, as when a published snapshot or a live scan held
+// it at install time, so the snapshot rebuilds it from every row.
+// install_ms and snapshot_ms split the time between the two.
+void BM_InstallThenSnapshot(benchmark::State& state) {
+  const Warehouse& w = SharedWarehouse();
+  const Table& lineitem = *w.catalog().MustGetTable(tpcd::kLineitem);
+  DeltaRelation delta = tpcd::MakeDeletionDelta(lineitem, 0.03, 17);
+  delta.Merge(tpcd::MakeInsertionDelta(
+      tpcd::kLineitem, lineitem.cardinality() / 50, lineitem.cardinality(),
+      Options()));
+  const Tuple& first = lineitem.dense_rows().front().first;
+  const bool maintained = state.range(0) == 1;
+  double install_s = 0, snapshot_s = 0;
+  // Outside the loop so the previous iteration's table dies untimed.
+  std::optional<Table> table;
+  for (auto _ : state) {
+    state.PauseTiming();
+    // The Add/undo pair copies the shared row and index blocks and drops
+    // the shared image, all untimed; Arg 1 then builds a private image.
+    table.emplace(lineitem);
+    table->Add(first, 1);
+    table->Add(first, -1);
+    if (maintained) benchmark::DoNotOptimize(table->ColumnarSnapshot());
+    state.ResumeTiming();
+    auto t0 = std::chrono::steady_clock::now();
+    Install(delta, &*table, nullptr);
+    auto t1 = std::chrono::steady_clock::now();
+    std::shared_ptr<const ColumnTable> image = table->ColumnarSnapshot();
+    auto t2 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(image);
+    install_s += std::chrono::duration<double>(t1 - t0).count();
+    snapshot_s += std::chrono::duration<double>(t2 - t1).count();
+  }
+  const double n = static_cast<double>(state.iterations());
+  state.counters["install_ms"] = 1e3 * install_s / n;
+  state.counters["snapshot_ms"] = 1e3 * snapshot_s / n;
+  state.SetLabel(maintained ? "maintained" : "rebuilt");
+  state.SetItemsProcessed(state.iterations() * delta.AbsCardinality());
+}
+BENCHMARK(BM_InstallThenSnapshot)->Arg(0)->Arg(1);
 
 void BM_CompOneWayQ3(benchmark::State& state) {
   const Warehouse& w = SharedWarehouse();

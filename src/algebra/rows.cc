@@ -64,12 +64,13 @@ Rows::Rows(Schema s)
 
 Rows::~Rows() = default;
 
+// A copy shares the source's current slot: a stale flag is resolved into
+// one fresh slot first, so the copies convert once between them.
 Rows::Rows(const Rows& other)
     : schema(other.schema),
       rows_(other.rows_),
       pending_(other.pending_),
-      columnar_(other.columnar_),
-      columnar_stale_(other.columnar_stale_),
+      columnar_(other.FreshSlot()),
       signed_card_(other.signed_card_.load(std::memory_order_relaxed)),
       abs_card_(other.abs_card_.load(std::memory_order_relaxed)) {}
 
@@ -92,8 +93,8 @@ Rows& Rows::operator=(const Rows& other) {
   schema = other.schema;
   rows_ = other.rows_;
   pending_ = other.pending_;
-  columnar_ = other.columnar_;
-  columnar_stale_ = other.columnar_stale_;
+  columnar_ = other.FreshSlot();
+  columnar_stale_ = false;
   signed_card_.store(other.signed_card_.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
   abs_card_.store(other.abs_card_.load(std::memory_order_relaxed),

@@ -174,7 +174,8 @@ struct Rows {
   mutable std::mutex columnar_mu_;
   mutable std::shared_ptr<ColumnarSlot> columnar_;
   /// Set when rows changed after the slot was (possibly) filled; Columnar()
-  /// rebuilds into a fresh slot so copies sharing the old one stay valid.
+  /// and copying (FreshSlot) move to a fresh slot, shared by the copies,
+  /// so copies sharing the old one stay valid.
   /// Written without columnar_mu_ only from mutable_rows(), which is legal
   /// only while the batch is still uniquely owned (mutation during
   /// concurrent reads would already race on the rows themselves).

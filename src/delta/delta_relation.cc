@@ -4,6 +4,7 @@ namespace wuw {
 
 void DeltaRelation::Add(const Tuple& tuple, int64_t count) {
   if (count == 0) return;
+  memo_.rows.reset();
   auto it = entries_.find(tuple);
   int64_t before = (it == entries_.end()) ? 0 : it->second;
   int64_t after = before + count;
@@ -30,10 +31,13 @@ void DeltaRelation::Merge(const DeltaRelation& other) {
 }
 
 Rows DeltaRelation::ToRows() const {
-  Rows out(schema_);
-  out.mutable_rows().reserve(entries_.size());
-  for (const auto& [tuple, count] : entries_) out.Add(tuple, count);
-  return out;
+  std::lock_guard<std::mutex> lock(memo_.mu);
+  if (!memo_.rows.has_value()) {
+    Rows& out = memo_.rows.emplace(schema_);
+    out.mutable_rows().reserve(entries_.size());
+    for (const auto& [tuple, count] : entries_) out.Add(tuple, count);
+  }
+  return *memo_.rows;
 }
 
 void DeltaRelation::ForEach(

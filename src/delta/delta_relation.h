@@ -8,6 +8,8 @@
 #define WUW_DELTA_DELTA_RELATION_H_
 
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -50,7 +52,10 @@ class DeltaRelation {
   bool empty() const { return entries_.empty(); }
   size_t distinct_size() const { return entries_.size(); }
 
-  /// Materializes as signed Rows for pipeline processing.
+  /// Materializes as signed Rows for pipeline processing.  The batch is
+  /// built once and memoized until the next Add/AddRows/Merge; every call
+  /// returns an O(1) copy sharing its row block and columnar mirror, so
+  /// all scans of this delta convert it once.  Thread-safe.
   Rows ToRows() const;
 
   void ForEach(const std::function<void(const Tuple&, int64_t)>& fn) const;
@@ -62,6 +67,29 @@ class DeltaRelation {
   std::unordered_map<Tuple, int64_t, TupleHash> entries_;
   int64_t plus_count_ = 0;
   int64_t minus_count_ = 0;
+
+  /// The ToRows() memo.  Term and stage workers call ToRows() concurrently,
+  /// hence the mutex.  A copy or assignment target starts empty (it builds
+  /// its own on first use) and a moved-from delta loses its memo, so a
+  /// memo always matches its object's entries.
+  struct RowsMemo {
+    RowsMemo() = default;
+    RowsMemo(const RowsMemo&) {}
+    RowsMemo(RowsMemo&& other) noexcept { other.rows.reset(); }
+    RowsMemo& operator=(const RowsMemo&) {
+      rows.reset();
+      return *this;
+    }
+    RowsMemo& operator=(RowsMemo&& other) noexcept {
+      rows.reset();
+      other.rows.reset();
+      return *this;
+    }
+
+    std::mutex mu;
+    std::optional<Rows> rows;
+  };
+  mutable RowsMemo memo_;
 };
 
 }  // namespace wuw

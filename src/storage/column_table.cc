@@ -86,30 +86,31 @@ ColumnTable::ColumnTable(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
-std::shared_ptr<const ColumnTable> ColumnTable::FromRows(
+std::shared_ptr<ColumnTable> ColumnTable::FromRows(
     const Schema& schema,
-    const std::vector<std::pair<Tuple, int64_t>>& rows) {
+    const std::vector<std::pair<Tuple, int64_t>>& rows, size_t spare_rows) {
   if (rows.size() >= kNullStringCode) return nullptr;
   auto out = std::make_shared<ColumnTable>(schema);
   const size_t ncols = schema.num_columns();
   const size_t n = rows.size();
+  const size_t capacity = n + spare_rows;
   std::vector<std::shared_ptr<StringDict>> dicts(ncols);
   for (size_t c = 0; c < ncols; ++c) {
     ColumnVec& col = out->columns_[c];
     switch (col.type) {
       case TypeId::kString:
         dicts[c] = std::make_shared<StringDict>();
-        col.codes.reserve(n);
+        col.codes.reserve(capacity);
         break;
       case TypeId::kDouble:
-        col.dbls.reserve(n);
+        col.dbls.reserve(capacity);
         break;
       default:
-        col.ints.reserve(n);
+        col.ints.reserve(capacity);
         break;
     }
   }
-  out->mult_.reserve(n);
+  out->mult_.reserve(capacity);
 
   for (const auto& [tuple, m] : rows) {
     if (tuple.size() != ncols) return nullptr;
@@ -161,14 +162,19 @@ std::shared_ptr<const ColumnTable> ColumnTable::FromRows(
   return out;
 }
 
-void ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
-  WUW_CHECK(tuple.size() == columns_.size(), "arity mismatch in AppendRow");
+bool ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
+  if (tuple.size() != columns_.size() || mult_.size() + 1 >= kNullStringCode) {
+    return false;
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const Value& v = tuple.value(c);
+    if (!v.is_null() && v.type() != columns_[c].type) return false;
+  }
   const size_t row = mult_.size();
   for (size_t c = 0; c < columns_.size(); ++c) {
     ColumnVec& col = columns_[c];
     const Value& v = tuple.value(c);
     const bool null = v.is_null();
-    WUW_CHECK(null || v.type() == col.type, "cell type mismatch in AppendRow");
     switch (col.type) {
       case TypeId::kInt64:
       case TypeId::kDate:
@@ -180,11 +186,22 @@ void ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
         col.dbls.push_back(null ? 0.0 : v.AsDouble());
         break;
       case TypeId::kString: {
-        if (col.dict == nullptr) col.dict = std::make_shared<StringDict>();
-        // The dict is shared read-only once a table is finished; appends
-        // only ever happen while the table is still privately owned.
-        auto* dict = const_cast<StringDict*>(col.dict.get());
-        col.codes.push_back(null ? kNullStringCode : dict->Intern(v.AsString()));
+        uint32_t code = kNullStringCode;
+        if (!null && col.dict != nullptr) code = col.dict->Find(v.AsString());
+        if (!null && code == kNullStringCode) {
+          // Outputs gathered from this table share its dict and must never
+          // see it grow, so a shared dict is copied before the first new
+          // string.  Every dict is allocated mutable.
+          if (col.dict == nullptr) {
+            col.dict = std::make_shared<StringDict>();
+          } else if (col.dict.use_count() != 1) {
+            col.dict = std::make_shared<StringDict>(*col.dict);
+          }
+          code = const_cast<StringDict*>(col.dict.get())->Intern(v.AsString());
+          WUW_METRIC_ADD("engine.vec.value_hashes", obs::MetricClass::kEngine,
+                         1);
+        }
+        col.codes.push_back(code);
         break;
       }
     }
@@ -196,6 +213,42 @@ void ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
     }
   }
   mult_.push_back(m);
+  return true;
+}
+
+void ColumnTable::RemoveRow(size_t i) {
+  const size_t last = mult_.size() - 1;
+  for (ColumnVec& col : columns_) {
+    switch (col.type) {
+      case TypeId::kString:
+        col.codes[i] = col.codes[last];
+        col.codes.pop_back();
+        break;
+      case TypeId::kDouble:
+        col.dbls[i] = col.dbls[last];
+        col.dbls.pop_back();
+        break;
+      default:
+        col.ints[i] = col.ints[last];
+        col.ints.pop_back();
+        break;
+    }
+    if (!col.nulls.empty()) {
+      col.nulls[i] = col.nulls[last];
+      col.nulls.pop_back();
+    }
+  }
+  mult_[i] = mult_[last];
+  mult_.pop_back();
+}
+
+bool ColumnTable::DictsOverBound() const {
+  for (const ColumnVec& col : columns_) {
+    if (col.dict != nullptr && col.dict->size() > 2 * num_rows() + 64) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void ColumnTable::Finish() {

@@ -15,6 +15,16 @@
 // whose cells violate their declared column type (legal for the row
 // engine, which never checks) refuse to convert (FromRows returns null)
 // and simply stay on the row-at-a-time path.
+//
+// A table's image is built once by FromRows and then kept current through
+// installs: AppendRow, SetMult and RemoveRow mirror Table::Add's three
+// edits (insert, multiplicity change, swap-with-last delete), so the
+// maintained image equals a fresh FromRows of the table's dense rows cell
+// for cell.  Only the encoding may differ: dictionaries keep strings whose
+// last row was deleted (DictsOverBound() tells the owner when to drop the
+// image for a rebuild) and a null mask can outlive its last NULL.  Table
+// edits an image only while it owns it alone (storage/table.h); every
+// image anyone else can see is finished and never changes.
 #ifndef WUW_STORAGE_COLUMN_TABLE_H_
 #define WUW_STORAGE_COLUMN_TABLE_H_
 
@@ -37,8 +47,9 @@ inline constexpr uint32_t kNullStringCode = UINT32_MAX;
 /// distinct string gets a dense code in first-occurrence order and a
 /// precomputed hash, so per-row work on a string column is one array
 /// lookup regardless of string length.  Interning happens single-threaded
-/// at conversion time; after that the dict is read-only and safe to share
-/// across kernel workers via shared_ptr.
+/// at conversion time or in ColumnTable::AppendRow; a dict that anyone
+/// else holds is read-only (AppendRow copies it before interning), so it
+/// is safe to share across kernel workers via shared_ptr.
 class StringDict {
  public:
   /// Code of `s`, interning it on first sight.
@@ -106,10 +117,12 @@ class ColumnTable {
 
   /// Exact columnar image of (schema, rows); null if any cell's type
   /// disagrees with its declared column (the row engine tolerates such
-  /// rows, the typed arrays cannot represent them losslessly).
-  static std::shared_ptr<const ColumnTable> FromRows(
+  /// rows, the typed arrays cannot represent them losslessly).  The
+  /// arrays reserve room for `spare_rows` later AppendRow calls.
+  static std::shared_ptr<ColumnTable> FromRows(
       const Schema& schema,
-      const std::vector<std::pair<Tuple, int64_t>>& rows);
+      const std::vector<std::pair<Tuple, int64_t>>& rows,
+      size_t spare_rows = 0);
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return mult_.size(); }
@@ -119,9 +132,25 @@ class ColumnTable {
   const std::vector<int64_t>& mult() const { return mult_; }
   std::vector<int64_t>* mutable_mult() { return &mult_; }
 
-  /// Appends one row-major row; aborts on a type-violating cell (builders
-  /// that cannot prove their cells use FromRows, which bails instead).
-  void AppendRow(const Tuple& tuple, int64_t m);
+  /// Appends one row-major row.  Returns false and leaves the table
+  /// untouched when the arity or a non-null cell's type disagrees with the
+  /// schema, or when the table would reach kNullStringCode rows (the cases
+  /// FromRows returns null for).  A shared string dictionary is copied
+  /// before its first new string.  Prefix sums are stale until Finish().
+  bool AppendRow(const Tuple& tuple, int64_t m);
+
+  /// Sets row `i`'s multiplicity.  Prefix sums are stale until Finish().
+  void SetMult(size_t i, int64_t m) { mult_[i] = m; }
+
+  /// Removes row `i` by moving the last row into its place (Table::Add's
+  /// swap-with-last delete).  Prefix sums are stale until Finish().
+  void RemoveRow(size_t i);
+
+  /// True when some string dictionary holds more than 2 x num_rows() + 64
+  /// strings, i.e. deletes left it mostly dead entries.  A rebuild from
+  /// the rows (FromRows) interns only live strings; the threshold makes
+  /// that rebuild amortized O(1) per edit.
+  bool DictsOverBound() const;
 
   /// Recomputes the abs/signed prefix sums after any bulk mutation of
   /// mult_.  Every constructor of a finished table must call this once.

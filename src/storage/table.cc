@@ -14,8 +14,10 @@ namespace wuw {
 /// detaches to a fresh cache).
 struct Table::SnapshotCache {
   std::mutex mu;
-  std::shared_ptr<const ColumnTable> table;
+  std::shared_ptr<ColumnTable> table;
   bool built = false;  // distinguishes "not built" from "built, failed"
+  /// Set by in-place edits: the prefix sums need Finish() before hand-out.
+  bool unfinished = false;
 };
 
 Table::Table() : snapshot_(std::make_shared<SnapshotCache>()) {}
@@ -189,11 +191,20 @@ void Table::IndexRepoint(size_t hash, uint32_t old_pos, uint32_t new_pos) {
   }
 }
 
+ColumnTable* Table::EditableImage() {
+  if (!snapshot_stale_ && snapshot_.use_count() == 1 &&
+      snapshot_->table != nullptr && snapshot_->table.use_count() == 1) {
+    snapshot_->unfinished = true;
+    return snapshot_->table.get();
+  }
+  snapshot_stale_ = true;
+  return nullptr;
+}
+
 int64_t Table::Add(const Tuple& tuple, int64_t count) {
   if (count == 0) return Count(tuple);
   size_t hash = tuple.Hash();
   size_t pos = FindPosition(tuple, hash);
-  snapshot_stale_ = true;
   ++mutation_count_;
 
   if (pos == SIZE_MAX) {
@@ -203,6 +214,14 @@ int64_t Table::Add(const Tuple& tuple, int64_t count) {
     IndexInsert(hash, static_cast<uint32_t>(rows.size()));
     rows.emplace_back(tuple, count);
     cardinality_ += count;
+    // An image that cannot hold the row (a type-violating cell) or whose
+    // dictionaries are mostly dead entries is dropped: the next snapshot
+    // rebuilds it from the rows, and keeps failing while such a row stays.
+    ColumnTable* image = EditableImage();
+    if (image != nullptr &&
+        (!image->AppendRow(tuple, count) || image->DictsOverBound())) {
+      snapshot_stale_ = true;
+    }
     return count;
   }
 
@@ -211,6 +230,7 @@ int64_t Table::Add(const Tuple& tuple, int64_t count) {
   if (next > 0) {
     cardinality_ += next - rows[pos].second;
     rows[pos].second = next;
+    if (ColumnTable* image = EditableImage()) image->SetMult(pos, next);
     return next;
   }
 
@@ -227,6 +247,10 @@ int64_t Table::Add(const Tuple& tuple, int64_t count) {
                  static_cast<uint32_t>(pos));
   }
   rows.pop_back();
+  if (ColumnTable* image = EditableImage()) {
+    image->RemoveRow(pos);
+    if (image->DictsOverBound()) snapshot_stale_ = true;
+  }
   return 0;
 }
 
@@ -344,8 +368,18 @@ std::shared_ptr<const ColumnTable> Table::ColumnarSnapshot() const {
   std::lock_guard<std::mutex> lock(snapshot_->mu);
   if (!snapshot_->built) {
     if (obs::InServeScope()) return nullptr;
-    snapshot_->table = ColumnTable::FromRows(schema_, dense_rows());
+    // Headroom for the appends Add makes: a batch inserts a few percent of
+    // a table, and growing a full array would reallocate every column at
+    // the first insert, each freed old array raising peak memory.
+    snapshot_->table = ColumnTable::FromRows(
+        schema_, dense_rows(), dense_rows().size() / 8 + 16);
     snapshot_->built = true;
+  } else if (snapshot_->unfinished) {
+    // In-place edits (Add) left the prefix sums stale; nobody else holds
+    // the image yet, so finishing it here is invisible.  Fires no counter,
+    // so a reader may do it too.
+    snapshot_->table->Finish();
+    snapshot_->unfinished = false;
   }
   return snapshot_->table;
 }

@@ -93,9 +93,12 @@ class Table {
   bool ContentsEqual(const Table& other) const;
 
   /// Columnar mirror of dense_rows(), built lazily on first request
-  /// (thread-safe) and cached until the next mutation; shared with copies.
-  /// Null when any cell violates its declared column type — consumers then
-  /// stay on the row-at-a-time path (see storage/column_table.h).
+  /// (thread-safe) and shared with copies.  Add keeps it current in place
+  /// while this table alone holds it — no Table copy shares the cache and
+  /// no Rows holds the image; otherwise a mutation drops it and the next
+  /// call rebuilds.  Null when any cell violates its declared column type —
+  /// consumers then stay on the row-at-a-time path (see
+  /// storage/column_table.h).
   std::shared_ptr<const ColumnTable> ColumnarSnapshot() const;
 
   /// Heap bytes held by the hash index (the micro_engine memory line).
@@ -158,6 +161,12 @@ class Table {
   /// Rebuilds slots_ at `new_capacity` (a power of two) from live slots.
   void IndexRehash(size_t new_capacity);
 
+  /// The columnar image, for an in-place edit, if this table alone holds
+  /// it; otherwise marks it stale and returns null.  Reads only state the
+  /// mutating thread owns (published copies share the cache, scans hold
+  /// the image), so the choice never depends on reader timing.
+  ColumnTable* EditableImage();
+
   struct SnapshotCache;
 
   Schema schema_;
@@ -172,8 +181,8 @@ class Table {
   int64_t mutation_count_ = 0;
   /// Lazily-built columnar snapshot; see ColumnarSnapshot().
   mutable std::shared_ptr<SnapshotCache> snapshot_;
-  /// Set by mutations; the next ColumnarSnapshot() starts a fresh cache so
-  /// copies sharing the old one keep theirs.
+  /// Set by mutations that drop the image; the next ColumnarSnapshot()
+  /// starts a fresh cache so copies sharing the old one keep theirs.
   bool snapshot_stale_ = false;
   /// Guards snapshot_ / snapshot_stale_ so concurrent readers of an
   /// immutable (published) table can all call ColumnarSnapshot().  Never

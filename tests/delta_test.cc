@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "delta/delta_relation.h"
 #include "delta/install.h"
 #include "delta/summary_delta.h"
+#include "obs/metrics.h"
+#include "storage/column_table.h"
 #include "test_util.h"
 #include "view/join_pipeline.h"
 #include "view/recompute.h"
@@ -52,6 +59,101 @@ TEST(DeltaRelationTest, ToRowsRoundTrip) {
   Rows r = d.ToRows();
   EXPECT_EQ(r.AbsCardinality(), 3);
   EXPECT_EQ(r.SignedCardinality(), 1);
+}
+
+/// A 200-entry delta with plus and minus rows.
+DeltaRelation MixedDelta() {
+  DeltaRelation d(KV());
+  for (int64_t k = 0; k < 200; ++k) d.Add(Row(k, k * 3), k % 3 == 0 ? -1 : 2);
+  return d;
+}
+
+/// Counts engine.vec.conversions while alive.
+class ConversionCount {
+ public:
+  ConversionCount()
+      : counter_(obs::GetCounter("engine.vec.conversions",
+                                 obs::MetricClass::kEngine)) {
+    obs::ArmMetrics();
+    start_ = counter_->value();
+  }
+  ~ConversionCount() { obs::DisarmMetrics(); }
+  int64_t value() const { return counter_->value() - start_; }
+
+ private:
+  obs::Counter* counter_;
+  int64_t start_ = 0;
+};
+
+// Every ToRows() of an unchanged delta shares one batch, so its columnar
+// mirror is built once for all scans.
+TEST(DeltaRelationTest, ToRowsCopiesConvertOnce) {
+  const DeltaRelation d = MixedDelta();
+  ConversionCount conversions;
+  Rows a = d.ToRows();
+  Rows b = d.ToRows();
+  EXPECT_EQ(&a.rows(), &b.rows());
+  std::shared_ptr<const ColumnTable> ca = a.Columnar();
+  ASSERT_NE(ca, nullptr);
+  EXPECT_EQ(b.Columnar(), ca);
+  EXPECT_EQ(d.ToRows().Columnar(), ca);
+  EXPECT_EQ(conversions.value(), 1);
+}
+
+TEST(DeltaRelationTest, ConcurrentToRowsConvertOnce) {
+  for (int round = 0; round < 10; ++round) {
+    const DeltaRelation d = MixedDelta();
+    ConversionCount conversions;
+    std::vector<std::shared_ptr<const ColumnTable>> seen(8);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < seen.size(); ++t) {
+      threads.emplace_back([&, t] { seen[t] = d.ToRows().Columnar(); });
+    }
+    for (std::thread& th : threads) th.join();
+    ASSERT_NE(seen[0], nullptr);
+    for (const auto& image : seen) ASSERT_EQ(image, seen[0]);
+    ASSERT_EQ(conversions.value(), 1) << "round " << round;
+  }
+}
+
+// The memo never outlives a change: Add and Merge after ToRows(), and
+// copies, moves and assignments, all read their own current contents.
+TEST(DeltaRelationTest, ToRowsFollowsMutationsCopiesAndMoves) {
+  auto sorted = [](const Rows& r) {
+    std::vector<std::pair<Tuple, int64_t>> out = r.rows();
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  DeltaRelation d(KV());
+  d.Add(Row(1, 10), 2);
+  EXPECT_EQ(d.ToRows().AbsCardinality(), 2);
+  d.Add(Row(2, 20), -1);
+  Rows after_add = d.ToRows();
+  EXPECT_EQ(after_add.AbsCardinality(), 3);
+  EXPECT_EQ(after_add.Columnar()->num_rows(), 2u);
+
+  DeltaRelation other(KV());
+  other.Add(Row(1, 10), -2);
+  other.Add(Row(3, 30), 5);
+  d.Merge(other);
+  const std::vector<std::pair<Tuple, int64_t>> merged = {
+      {Row(2, 20), -1}, {Row(3, 30), 5}};
+  EXPECT_EQ(sorted(d.ToRows()), merged);
+  EXPECT_EQ(d.ToRows().Columnar()->num_rows(), 2u);
+
+  DeltaRelation copy = d;
+  copy.Add(Row(4, 40), 1);
+  EXPECT_EQ(sorted(d.ToRows()), merged);
+  EXPECT_EQ(copy.ToRows().size(), 3u);
+  DeltaRelation assigned(KV());
+  assigned.ToRows();
+  assigned = copy;
+  EXPECT_EQ(sorted(assigned.ToRows()), sorted(copy.ToRows()));
+  DeltaRelation moved = std::move(copy);
+  EXPECT_EQ(moved.ToRows().size(), 3u);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.ToRows().size(), 3u);
+  EXPECT_EQ(moved.ToRows().size(), moved.distinct_size());
 }
 
 TEST(InstallTest, AppliesPlusAndMinus) {

@@ -9,6 +9,7 @@
 //    first rows() calls on one batch share a single build.
 //  * A table scan (Rows::FromTable) and a Table copy share the table's
 //    block, and a later mutation of the table leaves both unchanged.
+//  * Copies of an Add()-built batch convert to columns once between them.
 //  * The size-only consumers (ApproxRowsBytes, RowsExceedBytes) give the
 //    same answers from the columns as from the rows, without building rows.
 //
@@ -27,6 +28,7 @@
 #include "algebra/rows.h"
 #include "algebra/spill_util.h"
 #include "algebra/vectorized.h"
+#include "obs/metrics.h"
 #include "plan/subplan_cache.h"
 #include "storage/column_table.h"
 #include "storage/page.h"
@@ -291,6 +293,28 @@ TEST(RowsSharingTest, TableMutationLeavesScansAndCopiesUnchanged) {
   EXPECT_TRUE(copy.empty());
   ExpectSameRows(before, scan2.rows());
   ExpectSameRows(before, scan.rows());
+}
+
+// Copies of a batch built through Add() (its columnar flag is stale)
+// share one fresh slot: whichever copy asks first converts, once for all.
+TEST(RowsSharingTest, CopiesOfAnAddBuiltBatchConvertOnce) {
+  tpcd::Rng rng(31);
+  const Rows mixed = MixedRows("m", 100, &rng);
+  Rows built(mixed.schema);
+  for (const auto& [tuple, count] : mixed.rows()) built.Add(tuple, count);
+  obs::ArmMetrics();
+  obs::Counter* conversions =
+      obs::GetCounter("engine.vec.conversions", obs::MetricClass::kEngine);
+  const int64_t before = conversions->value();
+  Rows a = built;
+  Rows b;
+  b = built;
+  std::shared_ptr<const ColumnTable> ca = a.Columnar();
+  ASSERT_NE(ca, nullptr);
+  EXPECT_EQ(b.Columnar(), ca);
+  EXPECT_EQ(built.Columnar(), ca);
+  EXPECT_EQ(conversions->value() - before, 1);
+  obs::DisarmMetrics();
 }
 
 TEST(RowsEstimatorTest, ColumnarAndBuiltFormsAgreeWithoutBuilding) {

@@ -1,9 +1,13 @@
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "algebra/rows.h"
+#include "obs/metrics.h"
 #include "storage/catalog.h"
+#include "storage/column_table.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/tuple.h"
@@ -219,6 +223,125 @@ TEST(TableTest, RestorePayloadRejectsCorruptRowsUntouched) {
   EXPECT_EQ(t.cardinality(), 4);
   EXPECT_EQ(t.mutation_count(), mutations);
   EXPECT_EQ(t.Count(Tuple({Value::Int64(9)})), 4);
+}
+
+// Every byte an image's readers can see: cells, null masks, dictionary
+// strings, multiplicities and prefix sums.
+std::string ImageBytes(const ColumnTable& image) {
+  std::string out;
+  auto put = [&](const void* p, size_t n) {
+    out.append(static_cast<const char*>(p), n);
+  };
+  for (size_t c = 0; c < image.num_columns(); ++c) {
+    const ColumnVec& col = image.column(c);
+    put(col.ints.data(), col.ints.size() * sizeof(int64_t));
+    put(col.dbls.data(), col.dbls.size() * sizeof(double));
+    put(col.codes.data(), col.codes.size() * sizeof(uint32_t));
+    put(col.nulls.data(), col.nulls.size());
+    if (col.dict != nullptr) {
+      for (size_t i = 0; i < col.dict->size(); ++i) out += col.dict->At(i) + '\0';
+    }
+  }
+  put(image.mult().data(), image.mult().size() * sizeof(int64_t));
+  for (size_t end = 0; end <= image.num_rows(); ++end) {
+    const int64_t abs = image.AbsCardBetween(0, end);
+    const int64_t sgn = image.SignedCardBetween(0, end);
+    put(&abs, sizeof(abs));
+    put(&sgn, sizeof(sgn));
+  }
+  return out;
+}
+
+Schema ImageSchema() {
+  return Schema({{"k", TypeId::kInt64}, {"s", TypeId::kString}});
+}
+
+Tuple ImageRow(int64_t k, const std::string& s) {
+  return Tuple({Value::Int64(k), Value::String(s)});
+}
+
+/// Mutates `t` with an insert of a new string, a bump and a delete.
+void Churn(Table* t) {
+  t->Add(ImageRow(100, "brand new"), 1);
+  t->Add(ImageRow(3, "v3"), 4);
+  t->Add(ImageRow(5, "v5"), -100);
+}
+
+// The drop path: while a Table copy shares the image (a published
+// snapshot) or a scan holds it, mutations leave it byte-identical and the
+// mutated table gets a fresh image of its new rows.
+TEST(TableImageTest, CopiesAndScansKeepTheirImagesThroughMutations) {
+  for (const bool via_scan : {false, true}) {
+    SCOPED_TRACE(via_scan ? "scan" : "copy");
+    Table table(ImageSchema());
+    for (int64_t i = 0; i < 40; ++i) {
+      table.Add(ImageRow(i, "v" + std::to_string(i)), 1 + i % 3);
+    }
+    std::shared_ptr<const ColumnTable> before = table.ColumnarSnapshot();
+    const std::string bytes = ImageBytes(*before);
+    Table copy(ImageSchema());
+    Rows scan;
+    if (via_scan) {
+      scan = Rows::FromTable(table);
+    } else {
+      copy = table;
+    }
+    before.reset();  // only the copy or the scan holds the image now
+
+    Churn(&table);
+    std::shared_ptr<const ColumnTable> held =
+        via_scan ? scan.Columnar() : copy.ColumnarSnapshot();
+    EXPECT_EQ(ImageBytes(*held), bytes);
+    std::shared_ptr<const ColumnTable> after = table.ColumnarSnapshot();
+    EXPECT_NE(after, held);
+    EXPECT_EQ(ImageBytes(*after),
+              ImageBytes(*ColumnTable::FromRows(table.schema(),
+                                                table.dense_rows())));
+  }
+}
+
+// A type-violating row drops the image (no abort); the snapshot stays null
+// while the row is present and returns, equal to a rebuild, once it goes.
+TEST(TableImageTest, TypeViolatingRowDropsTheImageUntilDeleted) {
+  Table table(ImageSchema());
+  for (int64_t i = 0; i < 10; ++i) table.Add(ImageRow(i, "v"), 1);
+  ASSERT_NE(table.ColumnarSnapshot(), nullptr);
+  const Tuple bad({Value::Int64(77), Value::Int64(78)});
+  table.Add(bad, 2);
+  EXPECT_EQ(table.ColumnarSnapshot(), nullptr);
+  table.Add(ImageRow(11, "w"), 1);
+  EXPECT_EQ(table.ColumnarSnapshot(), nullptr);
+  table.Add(bad, -2);
+  std::shared_ptr<const ColumnTable> image = table.ColumnarSnapshot();
+  ASSERT_NE(image, nullptr);
+  EXPECT_EQ(image->num_rows(), 11u);
+  EXPECT_EQ(ImageBytes(*image),
+            ImageBytes(*ColumnTable::FromRows(table.schema(),
+                                              table.dense_rows())));
+}
+
+// Deleting the last row holding a string leaves a dead dictionary entry;
+// the image is dropped and rebuilt before dead entries exceed the bound,
+// so 10k insert/delete cycles of unique strings cost ~10k/64 rebuilds.
+TEST(TableImageTest, DictionaryStaysUnderItsBound) {
+  obs::ArmMetrics();
+  obs::Counter* conversions =
+      obs::GetCounter("engine.vec.conversions", obs::MetricClass::kEngine);
+  Table table(ImageSchema());
+  for (int64_t i = 0; i < 8; ++i) table.Add(ImageRow(i, "base"), 1);
+  const int64_t start = conversions->value();
+  for (int64_t i = 0; i < 10000; ++i) {
+    const Tuple row = ImageRow(-i, "unique " + std::to_string(i));
+    for (const int64_t count : {1, -1}) {
+      table.Add(row, count);
+      std::shared_ptr<const ColumnTable> image = table.ColumnarSnapshot();
+      ASSERT_NE(image, nullptr);
+      ASSERT_LE(image->column(1).dict->size(), 2 * image->num_rows() + 64)
+          << "cycle " << i;
+    }
+  }
+  EXPECT_LE(conversions->value() - start, 10000 / 64 + 1);
+  obs::DisarmMetrics();
 }
 
 TEST(CatalogTest, CreateAndLookup) {

@@ -1,17 +1,22 @@
 // Randomized differential test of the dense-vector Table against a simple
 // reference multiset (std::map<Tuple,int64>).  The swap-erase + hash-index
 // bookkeeping in Table::Add is the most delicate code in storage/; this
-// hammers it with mixed insert/delete/over-delete traffic.
+// hammers it with mixed insert/delete/over-delete traffic.  A second fuzz
+// checks the columnar image Table::Add keeps current in place against a
+// fresh ColumnTable::FromRows of the table's rows after every step.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/min_work.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
+#include "obs/metrics.h"
 #include "plan/subplan_cache.h"
+#include "storage/column_table.h"
 #include "storage/table.h"
 #include "test_util.h"
 #include "tpcd/tpcd_generator.h"
@@ -128,6 +133,135 @@ TEST(TableFuzzTest, ClearResetsEverything) {
   table.Add(t, 2);
   EXPECT_EQ(table.Count(t), 2);
 }
+
+Schema ImageSchema() {
+  return Schema({{"k", TypeId::kInt64},
+                 {"d", TypeId::kDouble},
+                 {"t", TypeId::kDate},
+                 {"s", TypeId::kString}});
+}
+
+/// A tuple drawn from small value pools, so strings repeat and inserts hit
+/// existing rows; every column is NULL one time in eight.
+Tuple ImageTuple(tpcd::Rng* rng) {
+  auto null = [&] { return rng->Below(8) == 0; };
+  return Tuple(
+      {null() ? Value::Null() : Value::Int64(rng->Range(-20, 40)),
+       null() ? Value::Null() : Value::Double(0.25 * rng->Range(-8, 8)),
+       null() ? Value::Null() : Value::Date(19960101 + rng->Range(0, 3)),
+       null() ? Value::Null()
+              : Value::String("s" + std::to_string(rng->Range(0, 9)))});
+}
+
+int64_t Conversions() {
+  return obs::GetCounter("engine.vec.conversions", obs::MetricClass::kEngine)
+      ->value();
+}
+
+/// `image` equals a fresh conversion of `table`'s dense rows, row by row:
+/// every cell with its exact TypeId, every multiplicity, and the abs and
+/// signed cardinality of every prefix.
+void ExpectImageMatchesRows(const Table& table, const ColumnTable& image) {
+  const RowVec& rows = table.dense_rows();
+  std::shared_ptr<const ColumnTable> want =
+      ColumnTable::FromRows(table.schema(), rows);
+  ASSERT_NE(want, nullptr);
+  ASSERT_EQ(image.num_rows(), rows.size());
+  ASSERT_EQ(image.num_columns(), want->num_columns());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Tuple got = image.TupleAt(i);
+    const Tuple expect = want->TupleAt(i);
+    for (size_t c = 0; c < expect.size(); ++c) {
+      ASSERT_EQ(got.value(c).type(), expect.value(c).type())
+          << "row " << i << " column " << c;
+      ASSERT_EQ(got.value(c), expect.value(c)) << "row " << i << " column " << c;
+    }
+    ASSERT_EQ(got, rows[i].first) << "row " << i;
+    ASSERT_EQ(image.mult()[i], want->mult()[i]) << "row " << i;
+    ASSERT_EQ(image.mult()[i], rows[i].second) << "row " << i;
+  }
+  for (size_t end = 0; end <= rows.size(); ++end) {
+    ASSERT_EQ(image.AbsCardBetween(0, end), want->AbsCardBetween(0, end))
+        << "prefix " << end;
+    ASSERT_EQ(image.SignedCardBetween(0, end), want->SignedCardBetween(0, end))
+        << "prefix " << end;
+  }
+}
+
+class TableImageFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Random Add traffic against the maintained image: inserts, multiplicity
+// bumps up and down, deletes at every position (the last row included),
+// over-deletes, clamped deletes of absent tuples, and Clear.  The image is
+// built once and after each Clear; every other step edits it in place.
+TEST_P(TableImageFuzzTest, MaintainedImageEqualsRebuild) {
+  const uint64_t seed = GetParam() + testutil::PropertySeed(0);
+  SCOPED_TRACE(testutil::SeedTrace(seed));
+  tpcd::Rng rng(seed);
+  obs::ArmMetrics();
+  Table table(ImageSchema());
+  int64_t clears = 0;
+  int64_t builds = 0;
+
+  for (int step = 0; step < 3000; ++step) {
+    const RowVec& rows = table.dense_rows();
+    const size_t pos = rows.empty() ? 0 : rng.Below(rows.size());
+    switch (rows.empty() ? 0 : rng.Below(16)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+        table.Add(ImageTuple(&rng), rng.Range(1, 3));  // insert or bump
+        break;
+      case 4:
+      case 5:
+        table.Add(Tuple(rows[pos].first), rng.Range(1, 4));  // bump up
+        break;
+      case 6:
+      case 7:
+        if (rows[pos].second > 1) {  // bump down, row stays
+          table.Add(Tuple(rows[pos].first), -rng.Range(1, rows[pos].second - 1));
+        }
+        break;
+      case 8:
+      case 9:
+      case 10:
+        table.Add(Tuple(rows[pos].first), -rows[pos].second);  // exact delete
+        break;
+      case 11:
+        table.Add(Tuple(rows.back().first), -rows.back().second);  // last row
+        break;
+      case 12:
+        table.Add(Tuple(rows[pos].first), -rows[pos].second - rng.Range(1, 5));
+        break;
+      case 13:
+      case 14: {
+        Tuple t = ImageTuple(&rng);  // clamped delete: changes nothing
+        if (table.Count(t) == 0) table.Add(t, -rng.Range(1, 3));
+        break;
+      }
+      default:
+        if (rng.Below(20) == 0) {
+          table.Clear();
+          ++clears;
+        }
+        break;
+    }
+    const int64_t before = Conversions();
+    std::shared_ptr<const ColumnTable> image = table.ColumnarSnapshot();
+    builds += Conversions() - before;
+    ASSERT_NE(image, nullptr) << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(ExpectImageMatchesRows(table, *image))
+        << "step " << step;
+  }
+  // One build up front and one after each Clear: every other edit,
+  // clamped deletes included, kept the image instead of dropping it.
+  EXPECT_EQ(builds, 1 + clears);
+  obs::DisarmMetrics();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TableImageFuzzTest,
+                         ::testing::Values(1, 2, 3, 17, 99, 12345));
 
 // Differential fuzz one level up the stack: the same fuzzed change batches
 // run through the executor eagerly (no cache) and with subplan caches at
