@@ -40,12 +40,12 @@ struct AggSpec {
 /// all zero.  Over all-positive input this is ordinary GROUP BY; over a
 /// signed delta it is the *summary delta* of Mumick-Quass-Mumick 1997.
 ///
-/// With a pool (and a large enough input) rows partition by group-key hash
-/// into thread-local partial aggregation maps; each group is accumulated
-/// by one worker in input order (double SUMs stay bit-identical) and the
-/// partitions merge in global first-occurrence order, so output rows, row
-/// ORDER, and stats match the sequential path at every pool size.  A
-/// non-null `cancel` token is checked at morsel boundaries.
+/// Runs the vectorized kernel (algebra/vectorized.h): groups emit in
+/// first-occurrence order and accumulate in input order, so double SUMs
+/// are bit-identical across strategies.  With operator spills armed
+/// (WUW_MEM_MB) an oversized input grace-partitions through a spill with
+/// the same byte-identical output.  The scan is sequential: `pool` and
+/// `cancel` keep the signature uniform with HashJoin.
 Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by,
                      const std::vector<AggSpec>& aggs, OperatorStats* stats,
                      ThreadPool* pool = nullptr,

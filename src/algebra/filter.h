@@ -12,10 +12,10 @@ class CancelToken;
 class ThreadPool;
 
 /// Returns the rows of `input` satisfying `predicate` (multiplicities kept
-/// verbatim).  A null predicate passes everything through.  With a pool
-/// (and a large enough input) the scan runs morsel-parallel; output and
-/// stats match the sequential scan exactly.  A non-null `cancel` token is
-/// checked at morsel boundaries (see exec/window_budget.h).
+/// verbatim, input order kept) through the vectorized kernel
+/// (algebra/vectorized.h).  A null predicate passes everything through.
+/// The scan is sequential: `pool` and `cancel` keep the signature uniform
+/// with HashJoin, the one operator that uses them.
 Rows Filter(const Rows& input, const ScalarExpr::Ptr& predicate,
             OperatorStats* stats, ThreadPool* pool = nullptr,
             const CancelToken* cancel = nullptr);

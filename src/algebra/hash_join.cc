@@ -1,7 +1,6 @@
 #include "algebra/hash_join.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 
 #include "algebra/key_util.h"
@@ -9,163 +8,11 @@
 #include "algebra/vectorized.h"
 #include "common/check.h"
 #include "obs/metrics.h"
-#include "parallel/thread_pool.h"
 #include "storage/paged_store.h"
 
 namespace wuw {
 
 namespace {
-
-/// Radix partitions for the parallel build: keys partition by the TOP hash
-/// bits (bucket chains inside a partition use the bottom bits, so the two
-/// never alias).  Equal keys hash equally and therefore land in the same
-/// partition, which is what makes per-partition builds race-free without
-/// any shared-state writes.
-constexpr size_t kJoinPartitionBits = 6;
-constexpr size_t kJoinPartitions = size_t{1} << kJoinPartitionBits;
-constexpr size_t kJoinPartitionShift =
-    sizeof(size_t) * 8 - kJoinPartitionBits;
-
-/// One partition's flat chained hash table.  `ids[j]` maps the local slot j
-/// back to the global build-row index; chains link local slots.
-struct JoinPartition {
-  std::vector<uint32_t> ids;
-  std::vector<int32_t> heads;
-  std::vector<int32_t> chain;
-  size_t mask = 0;
-};
-
-/// Morsel-parallel join.  Determinism argument, step by step:
-///  - partition row-id lists are written morsel-block by morsel-block in
-///    morsel order, so each partition's ids ascend in global row order;
-///  - each partition's chain is built over ascending ids, so a probe walks
-///    matching rows in DESCENDING global index — exactly the order the
-///    sequential single-table chain yields for the same key (rows of one
-///    key share one full hash, hence one partition and one bucket in both
-///    layouts, and both probes skip non-matching hashes);
-///  - probe morsels buffer output locally and merge in morsel order, which
-///    reproduces the sequential probe's row order byte for byte.
-Rows ParallelHashJoin(const Rows& left, const Rows& right,
-                      const std::vector<size_t>& left_idx,
-                      const std::vector<size_t>& right_idx,
-                      OperatorStats* stats, ThreadPool* pool,
-                      const CancelToken* cancel) {
-  const size_t n = right.size();
-  const size_t build_morsels = (n + kMorselRows - 1) / kMorselRows;
-
-  // Pass 1: hash every build row, count per-(morsel, partition).
-  std::vector<size_t> hashes(n);
-  std::vector<uint32_t> counts(build_morsels * kJoinPartitions, 0);
-  std::vector<int64_t> scanned(build_morsels, 0);
-  pool->ParallelFor(n, kMorselRows, [&](size_t begin, size_t end) {
-    size_t m = begin / kMorselRows;
-    uint32_t* cnt = &counts[m * kJoinPartitions];
-    int64_t sc = 0;
-    for (size_t i = begin; i < end; ++i) {
-      sc += std::llabs(right.rows()[i].second);
-      size_t h = KeyHash(right.rows()[i].first, right_idx);
-      hashes[i] = h;
-      ++cnt[h >> kJoinPartitionShift];
-    }
-    scanned[m] = sc;
-  }, cancel);
-  if (stats != nullptr) {
-    for (int64_t sc : scanned) stats->rows_scanned += sc;
-    stats->hash_build_rows += static_cast<int64_t>(n);
-  }
-
-  // Exclusive prefix over morsels, per partition: each morsel's scatter
-  // window into its partition.  Concatenating windows in morsel order keeps
-  // every partition's ids ascending in global row order.
-  std::vector<JoinPartition> parts(kJoinPartitions);
-  std::vector<uint32_t> offsets(build_morsels * kJoinPartitions);
-  for (size_t p = 0; p < kJoinPartitions; ++p) {
-    uint32_t run = 0;
-    for (size_t m = 0; m < build_morsels; ++m) {
-      offsets[m * kJoinPartitions + p] = run;
-      run += counts[m * kJoinPartitions + p];
-    }
-    parts[p].ids.resize(run);
-  }
-  pool->ParallelFor(n, kMorselRows, [&](size_t begin, size_t end) {
-    size_t m = begin / kMorselRows;
-    std::array<uint32_t, kJoinPartitions> cursor;
-    for (size_t p = 0; p < kJoinPartitions; ++p) {
-      cursor[p] = offsets[m * kJoinPartitions + p];
-    }
-    for (size_t i = begin; i < end; ++i) {
-      size_t p = hashes[i] >> kJoinPartitionShift;
-      parts[p].ids[cursor[p]++] = static_cast<uint32_t>(i);
-    }
-  }, cancel);
-
-  // Per-partition build: no writes escape the partition.
-  pool->ParallelTasks(kJoinPartitions, /*max_workers=*/0, [&](size_t p) {
-    JoinPartition& part = parts[p];
-    const size_t m = part.ids.size();
-    if (m == 0) return;
-    size_t nbuckets = 16;
-    while (nbuckets < m * 2) nbuckets <<= 1;
-    part.mask = nbuckets - 1;
-    part.heads.assign(nbuckets, -1);
-    part.chain.resize(m);
-    for (size_t j = 0; j < m; ++j) {
-      size_t h = hashes[part.ids[j]];
-      part.chain[j] = part.heads[h & part.mask];
-      part.heads[h & part.mask] = static_cast<int32_t>(j);
-    }
-  }, cancel);
-
-  // Morsel-parallel probe with per-morsel buffers.
-  const size_t ln = left.size();
-  const size_t probe_morsels = (ln + kMorselRows - 1) / kMorselRows;
-  std::vector<std::vector<std::pair<Tuple, int64_t>>> buffers(probe_morsels);
-  std::vector<OperatorStats> partial(probe_morsels);
-  pool->ParallelFor(ln, kMorselRows, [&](size_t begin, size_t end) {
-    size_t m = begin / kMorselRows;
-    std::vector<std::pair<Tuple, int64_t>>& buf = buffers[m];
-    OperatorStats& ps = partial[m];
-    buf.reserve(end - begin);
-    int64_t key_cmps = 0;
-    for (size_t i = begin; i < end; ++i) {
-      const auto& [ltuple, lcount] = left.rows()[i];
-      ps.rows_scanned += std::llabs(lcount);
-      ps.hash_probes += 1;
-      size_t h = KeyHash(ltuple, left_idx);
-      const JoinPartition& part = parts[h >> kJoinPartitionShift];
-      if (part.heads.empty()) continue;
-      for (int32_t j = part.heads[h & part.mask]; j >= 0; j = part.chain[j]) {
-        uint32_t r = part.ids[j];
-        if (hashes[r] != h) continue;
-        ++key_cmps;
-        const auto& [rtuple, rcount] = right.rows()[r];
-        if (!KeysEqual(ltuple, left_idx, rtuple, right_idx)) continue;
-        if (lcount * rcount != 0) {
-          buf.emplace_back(Tuple::Concat(ltuple, rtuple), lcount * rcount);
-        }
-        ps.rows_produced += std::llabs(lcount * rcount);
-      }
-    }
-    // Candidate sets are hash-equal pairs, identical in the sequential
-    // layout, so this total is pool-invariant.
-    WUW_METRIC_ADD("engine.row.value_cmps", obs::MetricClass::kEngine,
-                   key_cmps);
-  }, cancel);
-
-  Rows out(Schema::Concat(left.schema, right.schema));
-  size_t total = 0;
-  for (const auto& buf : buffers) total += buf.size();
-  RowVec& out_rows = out.mutable_rows();
-  out_rows.reserve(total);
-  for (auto& buf : buffers) {
-    out_rows.insert(out_rows.end(), std::make_move_iterator(buf.begin()),
-                    std::make_move_iterator(buf.end()));
-  }
-  if (stats != nullptr) {
-    for (const OperatorStats& ps : partial) *stats += ps;
-  }
-  return out;
-}
 
 /// One input row as the spill-route joins see it: global input-row index,
 /// full key hash, multiplicity, and the (borrowed) tuple.
@@ -178,7 +25,7 @@ struct KeyedRow {
 
 /// Flat chained hash table over one side's rows, built by head insertion
 /// over ascending row index — so a chain walk yields the rows of one hash
-/// in DESCENDING index order, like the sequential kernel's build chain.
+/// in DESCENDING index order.
 class ChainedTable {
  public:
   explicit ChainedTable(std::vector<KeyedRow> rows) : rows_(std::move(rows)) {
@@ -210,9 +57,9 @@ class ChainedTable {
 };
 
 /// Collects a spill-route join's matches tagged with their (probe, build)
-/// row indices, then emits them in the sequential kernel's order: probe
-/// rows ascending, and per probe row its build matches in descending
-/// build index (the sequential chain walk).  Each pair occurs at most
+/// row indices, then emits them in the vectorized kernel's order
+/// (algebra/vectorized.h): probe rows ascending, and per probe row its
+/// build matches in descending build index.  Each pair occurs at most
 /// once, so that order is total and independent of how matches arrived.
 class JoinMatches {
  public:
@@ -235,8 +82,7 @@ class JoinMatches {
 
   Rows Finish(const Rows& left, const Rows& right, OperatorStats* stats) {
     if (stats != nullptr) stats->rows_produced += rows_produced_;
-    // Candidate sets are hash-equal pairs, identical to the sequential
-    // single-table chain.
+    // Candidate sets are the KeyHash-equal pairs on both spill routes.
     WUW_METRIC_ADD("engine.row.value_cmps", obs::MetricClass::kEngine,
                    key_cmps_);
     std::sort(produced_.begin(), produced_.end(),
@@ -268,7 +114,7 @@ class JoinMatches {
   int64_t rows_produced_ = 0;
 };
 
-/// Same per-row hashing totals as the resident row kernel.
+/// One KeyHash per key column of every build and probe row.
 void ChargeKeyHashes(const Rows& left, const Rows& right, size_t key_arity) {
   WUW_METRIC_ADD("engine.row.value_hashes", obs::MetricClass::kEngine,
                  static_cast<int64_t>((left.size() + right.size()) *
@@ -279,8 +125,8 @@ void ChargeKeyHashes(const Rows& left, const Rows& right, size_t key_arity) {
 /// whose probe side is under it: the small probe side goes into the chained
 /// table and the build side streams past it in input order, so nothing
 /// spills and operator memory is bounded by the probe side plus the
-/// output.  JoinMatches restores the sequential order, and stats are
-/// charged per row exactly as the sequential kernel charges them.
+/// output.  JoinMatches restores the vectorized kernel's order, and stats
+/// are charged per row exactly as that kernel charges them.
 Rows ProbeSideHashJoin(const Rows& left, const Rows& right,
                        const std::vector<size_t>& left_idx,
                        const std::vector<size_t>& right_idx,
@@ -323,7 +169,7 @@ Rows ProbeSideHashJoin(const Rows& left, const Rows& right,
 /// spill pool's budget instead of the whole build side.  Determinism
 /// argument: a probe row's matches all live in its own partition (equal
 /// keys share a full hash, hence a partition), and JoinMatches orders the
-/// union of all partitions' matches exactly as the sequential kernel
+/// union of all partitions' matches exactly as the vectorized kernel
 /// nests them.
 Rows GraceHashJoin(const Rows& left, const Rows& right,
                    const std::vector<size_t>& left_idx,
@@ -339,7 +185,7 @@ Rows GraceHashJoin(const Rows& left, const Rows& right,
 
   // Build partitions occupy [0, nparts), probe partitions
   // [nparts, 2*nparts) of one shared spill file; stat totals are charged
-  // during the spill passes exactly as the sequential kernel charges them.
+  // during the spill passes exactly as the vectorized kernel charges them.
   spill::PartitionedSpill spilled(options, nparts * 2);
   const RowVec& build_side = right.rows();
   for (size_t i = 0; i < build_side.size(); ++i) {
@@ -414,12 +260,9 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
   // WUW_MEM_MB: an oversized build side never gets a resident hash table.
   // If the probe side fits under the spill threshold it is hashed instead
   // and the build side streams past it; only when both sides are oversized
-  // do they grace-partition through a spill.  Checked before the
-  // vectorized attempt so a paged run bounds its operator memory wherever
-  // the build side is big; rows, row order, and OperatorStats are
-  // bit-identical on every route (the vec and parallel kernels already
-  // prove parity with the sequential layout these routes reproduce).
-  // Disarmed: one relaxed atomic load.
+  // do they grace-partition through a spill.  Rows, row order, and
+  // OperatorStats are bit-identical to the vectorized kernel on every
+  // route.  Disarmed: one relaxed atomic load.
   if (const paged::PagedOptions* spill_opts = paged::OperatorSpill();
       spill_opts != nullptr) {
     const int64_t threshold = paged::ResolvedSpillBytes(*spill_opts);
@@ -431,68 +274,8 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
                            *spill_opts);
     }
   }
-
-  if (vec::Enabled()) {
-    Rows vec_out;
-    if (vec::TryHashJoin(left, right, left_idx, right_idx, stats, pool,
-                         cancel, &vec_out)) {
-      return vec_out;
-    }
-  }
-  // KeyHash touches every key column of every build and probe row, on
-  // either path below.
-  ChargeKeyHashes(left, right, left_idx.size());
-
-  if (ShouldParallelize(pool, left.size() + right.size())) {
-    return ParallelHashJoin(left, right, left_idx, right_idx, stats, pool,
-                            cancel);
-  }
-
-  // Build side: right input.  Flat chained hash table (two arrays, no
-  // per-key allocation); keys hash in place and collisions resolve by
-  // column-wise comparison at probe time.
-  const size_t n = right.size();
-  size_t nbuckets = 16;
-  while (nbuckets < n * 2) nbuckets <<= 1;
-  const size_t mask = nbuckets - 1;
-  std::vector<int32_t> heads(nbuckets, -1);
-  std::vector<int32_t> chain(n);
-  std::vector<size_t> hashes(n);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& [tuple, count] = right.rows()[i];
-    if (stats != nullptr) {
-      stats->rows_scanned += std::llabs(count);
-      stats->hash_build_rows += 1;
-    }
-    size_t h = KeyHash(tuple, right_idx);
-    hashes[i] = h;
-    chain[i] = heads[h & mask];
-    heads[h & mask] = static_cast<int32_t>(i);
-  }
-
-  Rows out(Schema::Concat(left.schema, right.schema));
-  out.mutable_rows().reserve(left.size());
-  int64_t key_cmps = 0;
-  for (const auto& [ltuple, lcount] : left.rows()) {
-    if (stats != nullptr) {
-      stats->rows_scanned += std::llabs(lcount);
-      stats->hash_probes += 1;
-    }
-    size_t h = KeyHash(ltuple, left_idx);
-    for (int32_t i = heads[h & mask]; i >= 0; i = chain[i]) {
-      if (hashes[i] != h) continue;
-      ++key_cmps;
-      const auto& [rtuple, rcount] = right.rows()[i];
-      if (!KeysEqual(ltuple, left_idx, rtuple, right_idx)) continue;
-      out.Add(Tuple::Concat(ltuple, rtuple), lcount * rcount);
-      if (stats != nullptr) {
-        stats->rows_produced += std::llabs(lcount * rcount);
-      }
-    }
-  }
-  WUW_METRIC_ADD("engine.row.value_cmps", obs::MetricClass::kEngine,
-                 key_cmps);
-  return out;
+  return vec::TryHashJoin(left, right, left_idx, right_idx, stats, pool,
+                          cancel);
 }
 
 }  // namespace wuw

@@ -23,14 +23,15 @@ struct JoinKeys {
   std::vector<std::string> right_columns;
 };
 
-/// Hash join (build on `right`, probe with `left`).  Output schema is the
-/// concatenation left ++ right; callers guarantee column-name uniqueness
-/// (view binding qualifies ambiguous names before joining).
+/// Hash join (build on `right`, probe with `left`) through the vectorized
+/// kernel (algebra/vectorized.h).  Output schema is the concatenation
+/// left ++ right; callers guarantee column-name uniqueness (view binding
+/// qualifies ambiguous names before joining).
 ///
 /// With a pool (and a large enough input) the build is radix-partitioned
 /// by key hash and the probe runs morsel-parallel with per-morsel output
 /// buffers merged in morsel order — output rows, row ORDER, and stats are
-/// byte-identical to the sequential path at every pool size.  A non-null
+/// byte-identical to the sequential kernel at every pool size.  A non-null
 /// `cancel` token is checked at morsel boundaries.  With operator spills
 /// armed (WUW_MEM_MB) an oversized build side is never hashed: the probe
 /// side is hashed instead when it fits, else both sides grace-spill — with

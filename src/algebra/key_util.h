@@ -2,8 +2,9 @@
 //
 // Joins and group-bys key on a few columns of every input row; projecting
 // those columns into fresh key tuples would allocate per row.  These
-// helpers hash and compare key columns in place instead, so the hot loops
-// of HashJoin / AggregateSigned touch only existing memory.
+// helpers hash and compare key columns in place instead, so the row-based
+// WUW_MEM_MB spill routes of HashJoin / AggregateSigned touch only existing
+// memory.
 #ifndef WUW_ALGEBRA_KEY_UTIL_H_
 #define WUW_ALGEBRA_KEY_UTIL_H_
 

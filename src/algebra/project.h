@@ -20,11 +20,11 @@ struct ProjectItem {
   std::string name;
 };
 
-/// Evaluates `items` over every row of `input`.  Duplicates are NOT
-/// collapsed (multiset projection); multiplicities are kept verbatim.
-/// With a pool (and a large enough input) rows evaluate morsel-parallel
-/// into a pre-sized output; output and stats match the sequential path.
-/// A non-null `cancel` token is checked at morsel boundaries.
+/// Evaluates `items` over every row of `input` through the vectorized
+/// kernel (algebra/vectorized.h): one output row per input row, in input
+/// order.  Duplicates are NOT collapsed (multiset projection);
+/// multiplicities are kept verbatim.  The scan is sequential: `pool` and
+/// `cancel` keep the signature uniform with HashJoin.
 Rows Project(const Rows& input, const std::vector<ProjectItem>& items,
              OperatorStats* stats, ThreadPool* pool = nullptr,
              const CancelToken* cancel = nullptr);

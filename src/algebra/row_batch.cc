@@ -7,28 +7,6 @@
 
 namespace wuw {
 
-namespace {
-
-size_t EnvBatchRows() {
-  const char* env = std::getenv("WUW_BATCH_ROWS");
-  if (env != nullptr) {
-    long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return kBatchRows;
-}
-
-size_t g_batch_rows_override = 0;
-
-}  // namespace
-
-size_t BatchRows() {
-  static const size_t env_rows = EnvBatchRows();
-  return g_batch_rows_override != 0 ? g_batch_rows_override : env_rows;
-}
-
-void TestOnlySetBatchRows(size_t rows) { g_batch_rows_override = rows; }
-
 RowBatch RowBatch::Of(const ColumnTable& table, size_t begin, size_t end) {
   RowBatch b;
   b.source = &table;

@@ -8,10 +8,9 @@
 // window-budget work charging never re-scans multiplicities (debug builds
 // assert the cached values against the O(n) recompute).
 //
-// Batch capacity is WUW_BATCH_ROWS (default kBatchRows).  The size only
-// chunks kernel loops — no per-row semantics cross a batch boundary — so
-// every output is bit-identical at any batch size, and WUW_BATCH_ROWS=1
-// degenerates to row-at-a-time execution for differential testing.
+// Batch capacity is kBatchRows.  The size only chunks kernel loops — no
+// per-row semantics cross a batch boundary — so tests cover batch
+// boundaries through input sizes around multiples of kBatchRows.
 #ifndef WUW_ALGEBRA_ROW_BATCH_H_
 #define WUW_ALGEBRA_ROW_BATCH_H_
 
@@ -22,18 +21,10 @@
 
 namespace wuw {
 
-/// Default rows per batch: big enough to amortize per-batch dispatch,
-/// small enough that a batch's working set (a few live columns) stays
+/// Rows per batch: big enough to amortize per-batch dispatch, small
+/// enough that a batch's working set (a few live columns) stays
 /// cache-resident.
 inline constexpr size_t kBatchRows = 1024;
-
-/// Effective batch size: WUW_BATCH_ROWS when set to a positive integer,
-/// else kBatchRows.  Read once per process.
-size_t BatchRows();
-
-/// Test hook: overrides BatchRows() for the current process (0 restores
-/// the environment-derived value).
-void TestOnlySetBatchRows(size_t rows);
 
 /// A view of rows [begin, end) of a ColumnTable, optionally narrowed by a
 /// selection vector of absolute row ids (ascending).  Cells are read
@@ -68,14 +59,13 @@ struct RowBatch {
   void CheckCards() const;
 };
 
-/// Splits [0, table.num_rows()) into BatchRows()-sized batches and calls
+/// Splits [0, table.num_rows()) into kBatchRows-sized batches and calls
 /// fn on each, in order.
 template <typename Fn>
 void ForEachBatch(const ColumnTable& table, Fn&& fn) {
   const size_t n = table.num_rows();
-  const size_t step = BatchRows();
-  for (size_t b = 0; b < n; b += step) {
-    fn(RowBatch::Of(table, b, b + step < n ? b + step : n));
+  for (size_t b = 0; b < n; b += kBatchRows) {
+    fn(RowBatch::Of(table, b, b + kBatchRows < n ? b + kBatchRows : n));
   }
 }
 

@@ -113,7 +113,7 @@ struct Rows {
 
   /// The columnar mirror of this batch, built on first request (thread-safe
   /// for concurrent readers) and shared with copies.  Null when any cell
-  /// violates its declared column type — such batches stay row-at-a-time.
+  /// violates its declared column type; the kernels reject such a batch.
   std::shared_ptr<const ColumnTable> Columnar() const;
 
   /// Attaches a pre-built mirror (vectorized kernels attach the columnar

@@ -20,16 +20,6 @@ namespace vec {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Gate.
-
-int g_enabled_override = -1;
-
-bool EnvEnabled() {
-  const char* env = std::getenv("WUW_COLUMNAR");
-  return env == nullptr || std::string(env) != "0";
-}
-
-// ---------------------------------------------------------------------------
 // Cell hashing / equality.  The hash is engine-internal (see vectorized.h);
 // the only requirement is consistency with Value equality: equal cells must
 // hash equally.  Numerics therefore hash through their normalized double
@@ -198,34 +188,26 @@ struct VecExpr {
   TypeId type = TypeId::kNull;
 };
 
-std::unique_ptr<VecExpr> CompileNode(const ScalarExpr& e, const Schema& schema,
-                                     bool* ok) {
+std::unique_ptr<VecExpr> CompileNode(const ScalarExpr& e,
+                                     const Schema& schema) {
   auto n = std::make_unique<VecExpr>();
   n->kind = e.kind();
   switch (e.kind()) {
-    case ExprKind::kColumn: {
-      int idx = schema.IndexOf(e.column_name());
-      if (idx < 0) {
-        *ok = false;  // row path aborts on the same input; let it
-        return nullptr;
-      }
-      n->col = static_cast<size_t>(idx);
+    case ExprKind::kColumn:
+      n->col = schema.MustIndexOf(e.column_name());
       n->type = schema.column(n->col).type;
       return n;
-    }
     case ExprKind::kLiteral:
       n->literal = e.literal();
       n->type = n->literal.type();
       return n;
     case ExprKind::kArith: {
       n->aop = e.arith_op();
-      n->lhs = CompileNode(*e.lhs(), schema, ok);
-      n->rhs = CompileNode(*e.rhs(), schema, ok);
-      if (!*ok) return nullptr;
-      if (!IsNumericType(n->lhs->type) || !IsNumericType(n->rhs->type)) {
-        *ok = false;  // row path aborts ("arithmetic requires numeric...")
-        return nullptr;
-      }
+      n->lhs = CompileNode(*e.lhs(), schema);
+      n->rhs = CompileNode(*e.rhs(), schema);
+      WUW_CHECK(IsNumericType(n->lhs->type) && IsNumericType(n->rhs->type),
+                "arithmetic requires numeric operands (ValidateDefinition "
+                "rejects such expressions)");
       n->type = (n->lhs->type == TypeId::kInt64 &&
                  n->rhs->type == TypeId::kInt64 && n->aop != ArithOp::kDiv)
                     ? TypeId::kInt64
@@ -234,28 +216,25 @@ std::unique_ptr<VecExpr> CompileNode(const ScalarExpr& e, const Schema& schema,
     }
     case ExprKind::kCompare: {
       n->cop = e.compare_op();
-      n->lhs = CompileNode(*e.lhs(), schema, ok);
-      n->rhs = CompileNode(*e.rhs(), schema, ok);
-      if (!*ok) return nullptr;
+      n->lhs = CompileNode(*e.lhs(), schema);
+      n->rhs = CompileNode(*e.rhs(), schema);
       n->type = TypeId::kInt64;
       return n;
     }
     case ExprKind::kLogical: {
       n->lop = e.logical_op();
-      n->lhs = CompileNode(*e.lhs(), schema, ok);
-      n->rhs = CompileNode(*e.rhs(), schema, ok);
-      if (!*ok) return nullptr;
+      n->lhs = CompileNode(*e.lhs(), schema);
+      n->rhs = CompileNode(*e.rhs(), schema);
       n->type = TypeId::kInt64;
       return n;
     }
     case ExprKind::kNot: {
-      n->lhs = CompileNode(*e.lhs(), schema, ok);
-      if (!*ok) return nullptr;
+      n->lhs = CompileNode(*e.lhs(), schema);
       n->type = TypeId::kInt64;
       return n;
     }
   }
-  *ok = false;
+  WUW_CHECK(false, "unreachable expression kind");
   return nullptr;
 }
 
@@ -312,7 +291,7 @@ struct VecVal {
   }
 };
 
-/// Materializes visible cell k with its exact row-path Value.
+/// Materializes visible cell k as the Value BoundExpr::Eval would return.
 Value ValueFromVec(const VecVal& v, size_t k) {
   if (v.is_const) return v.cval;
   if (v.IsNullAt(k)) return Value::Null();
@@ -402,16 +381,14 @@ Value FoldArith(ArithOp op, TypeId type, const Value& l, const Value& r) {
   return Value::Null();
 }
 
-bool EvalNodeVec(const VecExpr& n, const ColumnTable& ct, const RowBatch& b,
-                 VecCounters* cnt, VecVal* out);
-
-/// Boolean image of `v` over `m` visible rows (row-path ToBool semantics).
-bool ToBoolVec(const VecVal& v, size_t m, VecCounters* cnt,
+/// Boolean image of `v` over `m` visible rows (BoundExpr::EvalBool
+/// semantics).
+void ToBoolVec(const VecVal& v, size_t m, VecCounters* cnt,
                std::vector<uint8_t>* out) {
   out->assign(m, 0);
   if (v.is_const) {
     if (ToBoolValue(v.cval)) out->assign(m, 1);
-    return true;
+    return;
   }
   switch (v.type) {
     case TypeId::kInt64:
@@ -422,12 +399,12 @@ bool ToBoolVec(const VecVal& v, size_t m, VecCounters* cnt,
                         ? 1
                         : 0;
       }
-      return true;
+      return;
     case TypeId::kDouble:
       for (size_t k = 0; k < m; ++k) {
         (*out)[k] = (!v.IsNullAt(k) && v.dbls[k] != 0.0) ? 1 : 0;
       }
-      return true;
+      return;
     case TypeId::kString: {
       // One evaluation per distinct code, then a table lookup per row.
       std::vector<uint8_t> pass(v.dict->size());
@@ -439,27 +416,26 @@ bool ToBoolVec(const VecVal& v, size_t m, VecCounters* cnt,
         uint32_t code = v.codes[k];
         (*out)[k] = code == kNullStringCode ? 0 : pass[code];
       }
-      return true;
+      return;
     }
     case TypeId::kNull:
-      return true;  // all false
+      return;  // all false
   }
-  return false;
 }
 
-bool EvalCompareVec(const VecExpr& n, const VecVal& l, const VecVal& r,
+void EvalCompareVec(const VecExpr& n, const VecVal& l, const VecVal& r,
                     size_t m, VecCounters* cnt, VecVal* out) {
   out->type = TypeId::kInt64;
   out->ints.assign(m, 0);
   // A null operand compares to Int64(0) — a constant-null side zeroes the
   // whole result.
   if ((l.is_const && l.cval.is_null()) || (r.is_const && r.cval.is_null())) {
-    return true;
+    return;
   }
   if (l.is_const && r.is_const) {
     int res = CmpValues(n.cop, l.cval, r.cval) ? 1 : 0;
     out->ints.assign(m, res);
-    return true;
+    return;
   }
   const bool lnum = IsNumericType(l.type), rnum = IsNumericType(r.type);
   if (lnum && rnum) {
@@ -471,7 +447,7 @@ bool EvalCompareVec(const VecExpr& n, const VecVal& l, const VecVal& r,
       double c = r.is_const ? rci : r.ImageAt(k);
       out->ints[k] = CmpDoubles(n.cop, a, c) ? 1 : 0;
     }
-    return true;
+    return;
   }
   if (l.type == TypeId::kString && r.type == TypeId::kString) {
     if (r.is_const || l.is_const) {
@@ -493,7 +469,7 @@ bool EvalCompareVec(const VecExpr& n, const VecVal& l, const VecVal& r,
         if (code == kNullStringCode) continue;
         out->ints[k] = table[code];
       }
-      return true;
+      return;
     }
     if (l.dict == r.dict) {
       if (n.cop == CompareOp::kEq || n.cop == CompareOp::kNe) {
@@ -502,7 +478,7 @@ bool EvalCompareVec(const VecExpr& n, const VecVal& l, const VecVal& r,
           if (l.IsNullAt(k) || r.IsNullAt(k)) continue;
           out->ints[k] = ((l.codes[k] == r.codes[k]) == want_eq) ? 1 : 0;
         }
-        return true;
+        return;
       }
     }
     // Cross-dictionary (or ordered same-dict) column/column compare: per-row
@@ -535,7 +511,7 @@ bool EvalCompareVec(const VecExpr& n, const VecVal& l, const VecVal& r,
       out->ints[k] = res ? 1 : 0;
       ++cnt->value_cmps;
     }
-    return true;
+    return;
   }
   // Mixed rank (string vs numeric): the outcome is rank-determined and
   // identical for every pair of non-null cells.
@@ -567,11 +543,10 @@ bool EvalCompareVec(const VecExpr& n, const VecVal& l, const VecVal& r,
       if (l.IsNullAt(k) || r.IsNullAt(k)) continue;
       out->ints[k] = res ? 1 : 0;
     }
-    return true;
   }
 }
 
-bool EvalNodeVec(const VecExpr& n, const ColumnTable& ct, const RowBatch& b,
+void EvalNodeVec(const VecExpr& n, const ColumnTable& ct, const RowBatch& b,
                  VecCounters* cnt, VecVal* out) {
   const size_t m = b.size();
   out->type = n.type;
@@ -579,13 +554,13 @@ bool EvalNodeVec(const VecExpr& n, const ColumnTable& ct, const RowBatch& b,
     case ExprKind::kLiteral:
       out->is_const = true;
       out->cval = n.literal;
-      return true;
+      return;
     case ExprKind::kColumn: {
       const ColumnVec& c = ct.column(n.col);
       if (c.type == TypeId::kNull) {
         out->is_const = true;
         out->cval = Value::Null();
-        return true;
+        return;
       }
       switch (c.type) {
         case TypeId::kInt64:
@@ -609,18 +584,16 @@ bool EvalNodeVec(const VecExpr& n, const ColumnTable& ct, const RowBatch& b,
         out->nulls.resize(m);
         for (size_t k = 0; k < m; ++k) out->nulls[k] = c.nulls[b.row(k)];
       }
-      return true;
+      return;
     }
     case ExprKind::kArith: {
       VecVal l, r;
-      if (!EvalNodeVec(*n.lhs, ct, b, cnt, &l) ||
-          !EvalNodeVec(*n.rhs, ct, b, cnt, &r)) {
-        return false;
-      }
+      EvalNodeVec(*n.lhs, ct, b, cnt, &l);
+      EvalNodeVec(*n.rhs, ct, b, cnt, &r);
       if (l.is_const && r.is_const) {
         out->is_const = true;
         out->cval = FoldArith(n.aop, n.type, l.cval, r.cval);
-        return true;
+        return;
       }
       const bool nullable = (l.is_const && l.cval.is_null()) ||
                             (r.is_const && r.cval.is_null()) ||
@@ -693,46 +666,40 @@ bool EvalNodeVec(const VecExpr& n, const ColumnTable& ct, const RowBatch& b,
           }
         }
       }
-      return true;
+      return;
     }
     case ExprKind::kCompare: {
       VecVal l, r;
-      if (!EvalNodeVec(*n.lhs, ct, b, cnt, &l) ||
-          !EvalNodeVec(*n.rhs, ct, b, cnt, &r)) {
-        return false;
-      }
-      return EvalCompareVec(n, l, r, m, cnt, out);
+      EvalNodeVec(*n.lhs, ct, b, cnt, &l);
+      EvalNodeVec(*n.rhs, ct, b, cnt, &r);
+      EvalCompareVec(n, l, r, m, cnt, out);
+      return;
     }
     case ExprKind::kLogical: {
       VecVal l, r;
       std::vector<uint8_t> lb, rb;
-      if (!EvalNodeVec(*n.lhs, ct, b, cnt, &l) ||
-          !ToBoolVec(l, m, cnt, &lb) ||
-          !EvalNodeVec(*n.rhs, ct, b, cnt, &r) ||
-          !ToBoolVec(r, m, cnt, &rb)) {
-        return false;
-      }
+      EvalNodeVec(*n.lhs, ct, b, cnt, &l);
+      ToBoolVec(l, m, cnt, &lb);
+      EvalNodeVec(*n.rhs, ct, b, cnt, &r);
+      ToBoolVec(r, m, cnt, &rb);
       out->ints.resize(m);
       if (n.lop == LogicalOp::kAnd) {
         for (size_t k = 0; k < m; ++k) out->ints[k] = (lb[k] & rb[k]) ? 1 : 0;
       } else {
         for (size_t k = 0; k < m; ++k) out->ints[k] = (lb[k] | rb[k]) ? 1 : 0;
       }
-      return true;
+      return;
     }
     case ExprKind::kNot: {
       VecVal l;
       std::vector<uint8_t> lb;
-      if (!EvalNodeVec(*n.lhs, ct, b, cnt, &l) ||
-          !ToBoolVec(l, m, cnt, &lb)) {
-        return false;
-      }
+      EvalNodeVec(*n.lhs, ct, b, cnt, &l);
+      ToBoolVec(l, m, cnt, &lb);
       out->ints.resize(m);
       for (size_t k = 0; k < m; ++k) out->ints[k] = lb[k] ? 0 : 1;
-      return true;
+      return;
     }
   }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -797,32 +764,24 @@ std::shared_ptr<const ColumnTable> GatherJoinTable(
   return out;
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Gate.
-
-bool Enabled() {
-  if (g_enabled_override >= 0) return g_enabled_override != 0;
-  static const bool env_enabled = EnvEnabled();
-  return env_enabled;
+/// The columnar image every kernel input must have.
+std::shared_ptr<const ColumnTable> MustColumnar(const Rows& input) {
+  std::shared_ptr<const ColumnTable> ct = input.Columnar();
+  WUW_CHECK(ct != nullptr,
+            "operator input is untyped: a cell violates its declared column "
+            "type");
+  return ct;
 }
 
-void TestOnlySetEnabled(int mode) { g_enabled_override = mode; }
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Filter.
 
-bool TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
-               OperatorStats* stats, ThreadPool* pool,
-               const CancelToken* cancel, Rows* out) {
-  (void)pool;
-  (void)cancel;
-  std::shared_ptr<const ColumnTable> ct = input.Columnar();
-  if (ct == nullptr) return false;
-  bool ok = true;
-  std::unique_ptr<VecExpr> expr = CompileNode(*predicate, input.schema, &ok);
-  if (!ok) return false;
+Rows TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
+               OperatorStats* stats) {
+  std::shared_ptr<const ColumnTable> ct = MustColumnar(input);
+  std::unique_ptr<VecExpr> expr = CompileNode(*predicate, input.schema);
 
   VecCounters cnt;
   const std::vector<int64_t>& mult = ct->mult();
@@ -830,67 +789,49 @@ bool TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
   sel.reserve(ct->num_rows());
   int64_t scanned = 0, produced = 0;
 
-  bool supported = true;
   ForEachBatch(*ct, [&](const RowBatch& b) {
-    if (!supported) return;
     ++cnt.batches;
     cnt.rows += static_cast<int64_t>(b.size());
     scanned += b.abs_card;
     VecVal v;
     std::vector<uint8_t> pass;
-    if (!EvalNodeVec(*expr, *ct, b, &cnt, &v) ||
-        !ToBoolVec(v, b.size(), &cnt, &pass)) {
-      supported = false;
-      return;
-    }
+    EvalNodeVec(*expr, *ct, b, &cnt, &v);
+    ToBoolVec(v, b.size(), &cnt, &pass);
     for (size_t k = 0; k < b.size(); ++k) {
       if (!pass[k]) continue;
       uint32_t id = static_cast<uint32_t>(b.row(k));
       int64_t c = mult[id];
       produced += std::llabs(c);
-      if (c == 0) continue;  // Rows::Add drops zero counts; match it
+      if (c == 0) continue;  // a zero multiplicity is no row
       sel.push_back(id);
     }
   });
-  if (!supported) return false;
 
   std::vector<int64_t> out_mult;
   out_mult.reserve(sel.size());
   for (uint32_t id : sel) out_mult.push_back(mult[id]);
   std::shared_ptr<const ColumnTable> gathered =
       GatherTable(*ct, sel, std::move(out_mult));
-  *out = Rows::Select(input, std::move(sel), std::move(gathered));
+  Rows out = Rows::Select(input, std::move(sel), std::move(gathered));
   if (stats != nullptr) {
     stats->rows_scanned += scanned;
     stats->rows_produced += produced;
   }
   cnt.Flush();
-  return true;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
 // Project.
 
-bool TryProject(const Rows& input, const std::vector<ProjectItem>& items,
-                OperatorStats* stats, ThreadPool* pool,
-                const CancelToken* cancel, Rows* out) {
-  (void)pool;
-  (void)cancel;
-  std::shared_ptr<const ColumnTable> ct = input.Columnar();
-  if (ct == nullptr) return false;
-  // Zero-multiplicity rows never occur in operator pipelines (Add drops
-  // them), and the sequential/parallel row paths disagree on them — stay
-  // on the row path for such degenerate inputs.
-  for (int64_t m : ct->mult()) {
-    if (m == 0) return false;
-  }
-  bool ok = true;
+Rows TryProject(const Rows& input, const std::vector<ProjectItem>& items,
+                OperatorStats* stats) {
+  std::shared_ptr<const ColumnTable> ct = MustColumnar(input);
   std::vector<std::unique_ptr<VecExpr>> exprs;
   std::vector<Column> out_cols;
   exprs.reserve(items.size());
   for (const ProjectItem& item : items) {
-    exprs.push_back(CompileNode(*item.expr, input.schema, &ok));
-    if (!ok) return false;
+    exprs.push_back(CompileNode(*item.expr, input.schema));
     out_cols.push_back(Column{item.name, exprs.back()->type});
   }
 
@@ -912,24 +853,19 @@ bool TryProject(const Rows& input, const std::vector<ProjectItem>& items,
 
   const size_t n = ct->num_rows();
   const std::vector<int64_t>& mult = ct->mult();
-  *out = Rows(out_schema);
-  RowVec& out_rows = out->mutable_rows();
+  Rows out(out_schema);
+  RowVec& out_rows = out.mutable_rows();
   out_rows.reserve(n);
   int64_t scanned = 0;
 
-  bool supported = true;
   ForEachBatch(*ct, [&](const RowBatch& b) {
-    if (!supported) return;
     ++cnt.batches;
     cnt.rows += static_cast<int64_t>(b.size());
     scanned += b.abs_card;
     const size_t m = b.size();
     std::vector<VecVal> vals(exprs.size());
     for (size_t a = 0; a < exprs.size(); ++a) {
-      if (!EvalNodeVec(*exprs[a], *ct, b, &cnt, &vals[a])) {
-        supported = false;
-        return;
-      }
+      EvalNodeVec(*exprs[a], *ct, b, &cnt, &vals[a]);
     }
     for (size_t k = 0; k < m; ++k) {
       std::vector<Value> values;
@@ -994,7 +930,6 @@ bool TryProject(const Rows& input, const std::vector<ProjectItem>& items,
       }
     }
   });
-  if (!supported) return false;
 
   for (size_t a = 0; a < exprs.size(); ++a) {
     // A string column that saw no batches (empty input) still needs a
@@ -1006,15 +941,15 @@ bool TryProject(const Rows& input, const std::vector<ProjectItem>& items,
   }
   *payload->mutable_mult() = mult;  // one output row per input row
   payload->Finish();
-  out->SetCachedCardinalities(ct->SignedCardBetween(0, n),
-                              ct->AbsCardBetween(0, n));
-  out->AttachColumnar(std::move(payload));
+  out.SetCachedCardinalities(ct->SignedCardBetween(0, n),
+                             ct->AbsCardBetween(0, n));
+  out.AttachColumnar(std::move(payload));
   if (stats != nullptr) {
     stats->rows_scanned += scanned;
     stats->rows_produced += scanned;
   }
   cnt.Flush();
-  return true;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1022,9 +957,11 @@ bool TryProject(const Rows& input, const std::vector<ProjectItem>& items,
 
 namespace {
 
-/// Radix partitions for the parallel build — same layout as the row-path
-/// ParallelHashJoin (top hash bits pick the partition, bottom bits the
-/// bucket), so the determinism argument carries over verbatim.
+/// Radix partitions for the parallel build: keys partition by the TOP hash
+/// bits (bucket chains inside a partition use the bottom bits, so the two
+/// never alias).  Equal keys hash equally and therefore land in the same
+/// partition, which is what makes per-partition builds race-free without
+/// any shared-state writes.
 constexpr size_t kVecJoinPartitionBits = 6;
 constexpr size_t kVecJoinPartitions = size_t{1} << kVecJoinPartitionBits;
 constexpr size_t kVecJoinPartitionShift = 64 - kVecJoinPartitionBits;
@@ -1038,13 +975,12 @@ struct VecJoinPartition {
 
 }  // namespace
 
-bool TryHashJoin(const Rows& left, const Rows& right,
+Rows TryHashJoin(const Rows& left, const Rows& right,
                  const std::vector<size_t>& left_idx,
                  const std::vector<size_t>& right_idx, OperatorStats* stats,
-                 ThreadPool* pool, const CancelToken* cancel, Rows* out) {
-  std::shared_ptr<const ColumnTable> lct = left.Columnar();
-  std::shared_ptr<const ColumnTable> rct = right.Columnar();
-  if (lct == nullptr || rct == nullptr) return false;
+                 ThreadPool* pool, const CancelToken* cancel) {
+  std::shared_ptr<const ColumnTable> lct = MustColumnar(left);
+  std::shared_ptr<const ColumnTable> rct = MustColumnar(right);
 
   VecCounters cnt;
   KeyEq eq = MakeKeyEq(*lct, left_idx, *rct, right_idx);
@@ -1069,13 +1005,19 @@ bool TryHashJoin(const Rows& left, const Rows& right,
   std::vector<int64_t> out_mult;
 
   if (parallel) {
+    // Determinism argument, step by step:
+    //  - partition row-id lists are written morsel-block by morsel-block in
+    //    morsel order, so each partition's ids ascend in global row order;
+    //  - each partition's chain is built over ascending ids, so a probe
+    //    walks matching rows in DESCENDING global index — exactly the
+    //    order the sequential single-table chain yields for the same key;
+    //  - probe morsels buffer output locally and merge in morsel order.
     // Counter parity with the sequential branch below: kEngine counters
     // must not depend on the pool size, so report the same row/batch
     // totals the batch loops would have.
-    const size_t step = BatchRows();
     cnt.rows += static_cast<int64_t>(n + ln);
-    cnt.batches += static_cast<int64_t>((n + step - 1) / step) +
-                   static_cast<int64_t>((ln + step - 1) / step);
+    cnt.batches += static_cast<int64_t>((n + kBatchRows - 1) / kBatchRows) +
+                   static_cast<int64_t>((ln + kBatchRows - 1) / kBatchRows);
     const size_t build_morsels = (n + kMorselRows - 1) / kMorselRows;
     std::vector<uint32_t> counts(build_morsels * kVecJoinPartitions, 0);
     std::vector<int64_t> scanned(build_morsels, 0);
@@ -1187,8 +1129,7 @@ bool TryHashJoin(const Rows& left, const Rows& right,
   } else {
     // Sequential: one flat chained table over the full build side.  The
     // chain inserts rows in ascending order with head = most recent, so a
-    // probe visits equal-key rows in DESCENDING build index — exactly the
-    // row path's order.
+    // probe visits equal-key rows in DESCENDING build index.
     size_t nbuckets = 16;
     while (nbuckets < n * 2) nbuckets <<= 1;
     const uint64_t mask = nbuckets - 1;
@@ -1245,43 +1186,34 @@ bool TryHashJoin(const Rows& left, const Rows& right,
     }
   }
 
-  *out = Rows::FromColumnar(GatherJoinTable(out_schema, *lct, out_lids, *rct,
-                                             out_rids, std::move(out_mult)));
+  Rows out = Rows::FromColumnar(GatherJoinTable(
+      out_schema, *lct, out_lids, *rct, out_rids, std::move(out_mult)));
   cnt.Flush();
-  return true;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
 // Aggregate.
 
-bool TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
-                  const std::vector<AggSpec>& aggs, OperatorStats* stats,
-                  ThreadPool* pool, const CancelToken* cancel, Rows* out) {
-  (void)pool;
-  (void)cancel;
-  std::shared_ptr<const ColumnTable> ct = input.Columnar();
-  if (ct == nullptr) return false;
+Rows TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
+                  const std::vector<AggSpec>& aggs, OperatorStats* stats) {
+  std::shared_ptr<const ColumnTable> ct = MustColumnar(input);
 
   std::vector<size_t> key_idx;
   std::vector<Column> out_cols;
   for (const std::string& name : group_by) {
-    int i = input.schema.IndexOf(name);
-    if (i < 0) return false;  // row path aborts on the same input
-    key_idx.push_back(static_cast<size_t>(i));
-    out_cols.push_back(input.schema.column(i));
+    key_idx.push_back(input.schema.MustIndexOf(name));
+    out_cols.push_back(input.schema.column(key_idx.back()));
   }
 
-  bool ok = true;
   std::vector<std::unique_ptr<VecExpr>> args(aggs.size());
   std::vector<bool> sum_is_int;
   for (size_t a = 0; a < aggs.size(); ++a) {
     if (aggs[a].fn == AggFn::kSum) {
-      if (aggs[a].arg == nullptr) return false;  // row path aborts
-      args[a] = CompileNode(*aggs[a].arg, input.schema, &ok);
-      if (!ok) return false;
-      // SUM over a string-typed argument aborts in the row path
-      // (NumericValue); fall back so the behavior stays identical.
-      if (args[a]->type == TypeId::kString) return false;
+      WUW_CHECK(aggs[a].arg != nullptr, "SUM requires an argument expression");
+      args[a] = CompileNode(*aggs[a].arg, input.schema);
+      WUW_CHECK(args[a]->type != TypeId::kString,
+                "SUM over a string argument (ValidateDefinition rejects it)");
       bool is_int = args[a]->type == TypeId::kInt64;
       sum_is_int.push_back(is_int);
       out_cols.push_back(
@@ -1307,18 +1239,13 @@ bool TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
   std::vector<std::vector<int64_t>> arg_ints(aggs.size());
   std::vector<std::vector<double>> arg_dbls(aggs.size());
   std::vector<std::vector<uint8_t>> arg_nulls(aggs.size());
-  bool supported = true;
   ForEachBatch(*ct, [&](const RowBatch& b) {
-    if (!supported) return;
     ++cnt.batches;
     cnt.rows += static_cast<int64_t>(b.size());
     for (size_t a = 0; a < aggs.size(); ++a) {
       if (aggs[a].fn != AggFn::kSum) continue;
       VecVal v;
-      if (!EvalNodeVec(*args[a], *ct, b, &cnt, &v)) {
-        supported = false;
-        return;
-      }
+      EvalNodeVec(*args[a], *ct, b, &cnt, &v);
       const size_t m = b.size();
       std::vector<uint8_t>& nu = arg_nulls[a];
       if (sum_is_int[a]) {
@@ -1332,8 +1259,8 @@ bool TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
         }
       } else {
         std::vector<double>& xs = arg_dbls[a];
-        // Mirror the row path: SUM of a non-int argument accumulates
-        // NumericValue(); a null contributes nothing.
+        // SUM of a non-int argument accumulates its double image; a null
+        // contributes nothing.
         const double cimg = v.is_const && !v.cval.is_null()
                                 ? v.cval.NumericValue()
                                 : 0.0;
@@ -1345,10 +1272,9 @@ bool TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
       }
     }
   });
-  if (!supported) return false;
 
-  // Flat chained group table, mirroring the sequential row path: groups
-  // are created in first-occurrence order and accumulated in input order.
+  // Flat chained group table: groups are created in first-occurrence order
+  // and accumulated in input order.
   size_t nbuckets = 16;
   while (nbuckets < n + 16) nbuckets <<= 1;
   const uint64_t mask = nbuckets - 1;
@@ -1401,8 +1327,8 @@ bool TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
   }
   cnt.key_mixes += static_cast<int64_t>(n) * arity;
 
-  *out = Rows(Schema(std::move(out_cols)));
-  RowVec& out_rows = out->mutable_rows();
+  Rows out((Schema(std::move(out_cols))));
+  RowVec& out_rows = out.mutable_rows();
   out_rows.reserve(first_row.size());
   int64_t produced = 0;
   for (size_t g = 0; g < first_row.size(); ++g) {
@@ -1422,13 +1348,13 @@ bool TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
     out_rows.emplace_back(std::move(row), 1);
     produced += 1;
   }
-  out->SetCachedCardinalities(produced, produced);
+  out.SetCachedCardinalities(produced, produced);
   if (stats != nullptr) {
     stats->rows_scanned += scanned;
     stats->rows_produced += produced;
   }
   cnt.Flush();
-  return true;
+  return out;
 }
 
 }  // namespace vec

@@ -1,30 +1,40 @@
-// Vectorized (batch-at-a-time) kernels over the columnar core.
+// Vectorized (batch-at-a-time) kernels over the columnar core: the one
+// in-memory implementation of Filter / Project / HashJoin /
+// AggregateSigned.  The operator entry points call them directly (the
+// join and the aggregate first route inputs over the WUW_MEM_MB spill
+// threshold to their spill routes).
 //
-// Each Try* entry point mirrors one row kernel (Filter / Project /
-// HashJoin / AggregateSigned).  When the inputs convert to ColumnTable form
-// (Rows::Columnar()) and the expression/key shapes compile to typed column
-// loops, the vectorized kernel runs and returns true; otherwise it returns
-// false without touching *out and the caller falls back to the row path.
-// The fallback decision depends only on (input contents, expression,
-// schema) — never on the pool or cache state — so the executed path, rows,
-// row ORDER, and OperatorStats are identical at every WUW_THREADS value.
-// TryFilter and TryHashJoin return columnar-only batches (Rows::Select /
-// Rows::FromColumnar): no output tuple is built unless a consumer calls
-// rows().  TryProject and TryAggregate build their rows eagerly.
+// Every input must convert to ColumnTable form (Rows::Columnar()); a batch
+// whose cells violate their declared column types is an invariant
+// violation and aborts.  Expressions are typed by the binder's rules
+// (expr/evaluator.h), which ValidateDefinition applies to user input
+// before anything runs, so ill-typed arithmetic or a SUM over strings
+// reaches a kernel only through a bug, and aborts there too.  TryFilter and TryHashJoin return columnar-only batches
+// (Rows::Select / Rows::FromColumnar): no output tuple is built unless a
+// consumer calls rows().  TryProject and TryAggregate build their rows
+// eagerly.
 //
-// Bit-identity argument.  The vec kernels hash keys with an internal mixer
+// Output order, which the join and aggregate spill routes reproduce:
+// filter and project keep input order (project emits one row per input
+// row; filter drops zero multiplicities, as the join drops zero
+// products); the join emits probe (left) rows ascending and, per probe
+// row, its build matches in descending build index; the aggregate emits
+// groups in first-occurrence order.  OperatorStats: rows_scanned sums |multiplicity| over every
+// input row; rows_produced sums |multiplicity| over passing rows (filter,
+// project), |probe x build| over key-equal pairs (join), or counts emitted
+// groups (aggregate); the join adds one hash_probes per probe row and one
+// hash_build_rows per build row.  None of this depends on the pool: the
+// join's radix-partitioned parallel build and morsel probe reproduce the
+// sequential layout exactly, so rows, order and stats are identical at
+// every WUW_THREADS value.
+//
+// Bit-identity argument.  The kernels hash keys with an internal mixer
 // (per-code dictionary hashes for strings, the normalized double image for
-// numerics — matching Value equality exactly), which is deliberately NOT
-// Value::Hash.  That is sound because no kernel's output order depends on
-// the hash function: filter/project preserve input order; join output
-// order is (probe row asc, build row desc among equal keys), and equal
-// keys share a full hash under ANY consistent hash, hence one bucket in
-// both layouts; aggregate emits in first-occurrence order.  Double SUMs
-// accumulate per group in input order, exactly like the row path.
-//
-// WUW_COLUMNAR=0 disables every Try* (used for before/after benching);
-// WUW_BATCH_ROWS sizes the internal batches (algebra/row_batch.h) and
-// cannot change any output, only loop chunking.
+// numerics — matching Value equality exactly), deliberately NOT
+// Value::Hash.  No output order depends on the hash function: equal keys
+// share a full hash under ANY consistent hash, hence one bucket, and the
+// chains walk rows in index order.  Double SUMs accumulate per group in
+// input order.  Batches (algebra/row_batch.h) only chunk loops.
 #ifndef WUW_ALGEBRA_VECTORIZED_H_
 #define WUW_ALGEBRA_VECTORIZED_H_
 
@@ -45,36 +55,25 @@ class ThreadPool;
 
 namespace vec {
 
-/// Columnar execution gate: true unless WUW_COLUMNAR=0.
-bool Enabled();
-
-/// Test hook: -1 restores the environment-derived gate, 0 forces the row
-/// path, 1 forces the gate open (kernels still fall back per call when a
-/// shape does not compile).
-void TestOnlySetEnabled(int mode);
-
 /// Vectorized selection.  `predicate` must be non-null.
-bool TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
-               OperatorStats* stats, ThreadPool* pool,
-               const CancelToken* cancel, Rows* out);
+Rows TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
+               OperatorStats* stats);
 
 /// Vectorized generalized projection.
-bool TryProject(const Rows& input, const std::vector<ProjectItem>& items,
-                OperatorStats* stats, ThreadPool* pool,
-                const CancelToken* cancel, Rows* out);
+Rows TryProject(const Rows& input, const std::vector<ProjectItem>& items,
+                OperatorStats* stats);
 
-/// Vectorized hash join over pre-hashed key columns; keeps the
+/// Vectorized hash join over pre-hashed key columns; runs the
 /// radix-partitioned parallel build when the pool and input sizes warrant
 /// it.  `left_idx` / `right_idx` are resolved key column positions.
-bool TryHashJoin(const Rows& left, const Rows& right,
+Rows TryHashJoin(const Rows& left, const Rows& right,
                  const std::vector<size_t>& left_idx,
                  const std::vector<size_t>& right_idx, OperatorStats* stats,
-                 ThreadPool* pool, const CancelToken* cancel, Rows* out);
+                 ThreadPool* pool, const CancelToken* cancel);
 
 /// Vectorized signed aggregation with flat accumulators.
-bool TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
-                  const std::vector<AggSpec>& aggs, OperatorStats* stats,
-                  ThreadPool* pool, const CancelToken* cancel, Rows* out);
+Rows TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
+                  const std::vector<AggSpec>& aggs, OperatorStats* stats);
 
 }  // namespace vec
 }  // namespace wuw

@@ -1,6 +1,7 @@
 #include "expr/evaluator.h"
 
 #include "common/check.h"
+#include "expr/printer.h"
 
 namespace wuw {
 
@@ -25,21 +26,26 @@ bool IsNumeric(TypeId t) {
   return t == TypeId::kInt64 || t == TypeId::kDouble || t == TypeId::kDate;
 }
 
-std::shared_ptr<const BoundExpr::Node> BindNode(const ScalarExpr& e,
-                                                const Schema& schema);
-
 std::shared_ptr<BoundExpr::Node> MakeNode(ExprKind k) {
   auto n = std::make_shared<BoundExpr::Node>();
   n->kind = k;
   return n;
 }
 
+/// The one typing pass: resolves columns and types every node.  On the
+/// first problem sets *error and returns null.
 std::shared_ptr<const BoundExpr::Node> BindNode(const ScalarExpr& e,
-                                                const Schema& schema) {
+                                                const Schema& schema,
+                                                std::string* error) {
   switch (e.kind()) {
     case ExprKind::kColumn: {
       auto n = MakeNode(ExprKind::kColumn);
-      n->column_index = schema.MustIndexOf(e.column_name());
+      int idx = schema.IndexOf(e.column_name());
+      if (idx < 0) {
+        *error = "unknown column '" + e.column_name() + "'";
+        return nullptr;
+      }
+      n->column_index = static_cast<size_t>(idx);
       n->type = schema.column(n->column_index).type;
       return n;
     }
@@ -52,10 +58,14 @@ std::shared_ptr<const BoundExpr::Node> BindNode(const ScalarExpr& e,
     case ExprKind::kArith: {
       auto n = MakeNode(ExprKind::kArith);
       n->arith_op = e.arith_op();
-      n->lhs = BindNode(*e.lhs(), schema);
-      n->rhs = BindNode(*e.rhs(), schema);
-      WUW_CHECK(IsNumeric(n->lhs->type) && IsNumeric(n->rhs->type),
-                "arithmetic requires numeric operands");
+      n->lhs = BindNode(*e.lhs(), schema, error);
+      if (n->lhs == nullptr) return nullptr;
+      n->rhs = BindNode(*e.rhs(), schema, error);
+      if (n->rhs == nullptr) return nullptr;
+      if (!IsNumeric(n->lhs->type) || !IsNumeric(n->rhs->type)) {
+        *error = "arithmetic requires numeric operands: " + ExprToSql(e);
+        return nullptr;
+      }
       // int64 op int64 stays int64 except division; anything else → double.
       n->type = (n->lhs->type == TypeId::kInt64 &&
                  n->rhs->type == TypeId::kInt64 &&
@@ -67,27 +77,32 @@ std::shared_ptr<const BoundExpr::Node> BindNode(const ScalarExpr& e,
     case ExprKind::kCompare: {
       auto n = MakeNode(ExprKind::kCompare);
       n->compare_op = e.compare_op();
-      n->lhs = BindNode(*e.lhs(), schema);
-      n->rhs = BindNode(*e.rhs(), schema);
+      n->lhs = BindNode(*e.lhs(), schema, error);
+      if (n->lhs == nullptr) return nullptr;
+      n->rhs = BindNode(*e.rhs(), schema, error);
+      if (n->rhs == nullptr) return nullptr;
       n->type = TypeId::kInt64;
       return n;
     }
     case ExprKind::kLogical: {
       auto n = MakeNode(ExprKind::kLogical);
       n->logical_op = e.logical_op();
-      n->lhs = BindNode(*e.lhs(), schema);
-      n->rhs = BindNode(*e.rhs(), schema);
+      n->lhs = BindNode(*e.lhs(), schema, error);
+      if (n->lhs == nullptr) return nullptr;
+      n->rhs = BindNode(*e.rhs(), schema, error);
+      if (n->rhs == nullptr) return nullptr;
       n->type = TypeId::kInt64;
       return n;
     }
     case ExprKind::kNot: {
       auto n = MakeNode(ExprKind::kNot);
-      n->lhs = BindNode(*e.lhs(), schema);
+      n->lhs = BindNode(*e.lhs(), schema, error);
+      if (n->lhs == nullptr) return nullptr;
       n->type = TypeId::kInt64;
       return n;
     }
   }
-  WUW_CHECK(false, "unreachable expression kind");
+  *error = "unreachable expression kind";
   return nullptr;
 }
 
@@ -178,10 +193,20 @@ Value EvalNode(const BoundExpr::Node& n, const Tuple& tuple) {
 
 BoundExpr BoundExpr::Bind(const ScalarExpr::Ptr& expr, const Schema& schema) {
   WUW_CHECK(expr != nullptr, "cannot bind a null expression");
+  std::string error;
   BoundExpr out;
-  out.root_ = BindNode(*expr, schema);
+  out.root_ = BindNode(*expr, schema, &error);
+  WUW_CHECK(out.root_ != nullptr, error.c_str());
   out.result_type_ = out.root_->type;
   return out;
+}
+
+std::string BoundExpr::TypeCheck(const ScalarExpr& expr, const Schema& schema,
+                                 TypeId* type) {
+  std::string error;
+  std::shared_ptr<const Node> root = BindNode(expr, schema, &error);
+  if (root != nullptr) *type = root->type;
+  return error;
 }
 
 Value BoundExpr::Eval(const Tuple& tuple) const {

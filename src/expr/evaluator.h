@@ -6,6 +6,7 @@
 #define WUW_EXPR_EVALUATOR_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "expr/scalar_expr.h"
@@ -25,6 +26,13 @@ class BoundExpr {
   /// Binds `expr` to `schema`; aborts if a referenced column is absent or a
   /// subexpression is not type-compatible.
   static BoundExpr Bind(const ScalarExpr::Ptr& expr, const Schema& schema);
+
+  /// Bind's type check without the abort, for user-supplied expressions:
+  /// returns an empty string and sets *type to the result type Bind would
+  /// give, or describes the first unknown column or non-numeric
+  /// arithmetic operand.
+  static std::string TypeCheck(const ScalarExpr& expr, const Schema& schema,
+                               TypeId* type);
 
   /// Result type of the bound expression.
   TypeId result_type() const { return result_type_; }

@@ -4,6 +4,7 @@
 
 #include "parser/sql_parser.h"
 #include "parser/tokenizer.h"
+#include "view/validate.h"
 
 namespace wuw {
 
@@ -183,14 +184,18 @@ ParsedWarehouse ParseWarehouseScript(const std::string& sql) {
           return out;
         }
       }
-      ParsedView parsed = ParseViewDefinition(
-          name, body, [&](const std::string& src) -> const Schema& {
-            return out.vdag.OutputSchema(src);
-          });
+      auto resolver = [&](const std::string& src) -> const Schema& {
+        return out.vdag.OutputSchema(src);
+      };
+      ParsedView parsed = ParseViewDefinition(name, body, resolver);
       if (!parsed.ok()) {
         out.error = "in view " + name + ": " + parsed.error;
         return out;
       }
+      // Type-check before a later view resolves this one's output schema
+      // (binding an ill-typed expression aborts).
+      out.error = ValidateDefinition(*parsed.definition, resolver);
+      if (!out.error.empty()) return out;
       out.vdag.AddDerivedView(parsed.definition);
     } else {
       out.error = "unsupported statement: CREATE " + tokens[1].raw;

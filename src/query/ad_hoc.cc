@@ -5,6 +5,7 @@
 
 #include "parser/sql_parser.h"
 #include "view/recompute.h"
+#include "view/validate.h"
 
 namespace wuw {
 
@@ -74,6 +75,9 @@ QueryResult RunParsedQuery(
     result.error = parsed.error;
     return result;
   }
+  // Type errors come back as strings; the kernels would abort on them.
+  result.error = ValidateDefinition(*parsed.definition, schema_of);
+  if (!result.ok()) return result;
   double start = Now();
   Table table = RecomputeView(*parsed.definition, source, nullptr);
   result.seconds = Now() - start;

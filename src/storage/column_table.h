@@ -12,9 +12,9 @@
 // engine-internal mirror of either, and conversions are exact — every cell
 // round-trips with its original TypeId, so SortedRows / ContentsEqual /
 // golden output comparisons cannot tell the representations apart.  Rows
-// whose cells violate their declared column type (legal for the row
-// engine, which never checks) refuse to convert (FromRows returns null)
-// and simply stay on the row-at-a-time path.
+// whose cells violate their declared column type refuse to convert
+// (FromRows returns null); nothing the engine builds does that, and the
+// kernels reject such a batch.
 //
 // A table's image is built once by FromRows and then kept current through
 // installs: AppendRow, SetMult and RemoveRow mirror Table::Add's three

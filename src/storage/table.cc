@@ -359,7 +359,8 @@ std::shared_ptr<const ColumnTable> Table::ColumnarSnapshot() const {
   // maintenance path, so they must not populate the cache: the build fires
   // deterministic kEngine counters, and a reader warming the cache would
   // steal the conversion the maintenance run counts in a readers-off run.
-  // Returning nullptr is always legal — callers fall back to the row path.
+  // Returning nullptr is always legal — the scan's Rows then converts a
+  // private copy on first Columnar() call.
   if (snapshot_stale_) {
     if (obs::InServeScope()) return nullptr;
     snapshot_ = std::make_shared<SnapshotCache>();

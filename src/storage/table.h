@@ -96,9 +96,9 @@ class Table {
   /// (thread-safe) and shared with copies.  Add keeps it current in place
   /// while this table alone holds it — no Table copy shares the cache and
   /// no Rows holds the image; otherwise a mutation drops it and the next
-  /// call rebuilds.  Null when any cell violates its declared column type —
-  /// consumers then stay on the row-at-a-time path (see
-  /// storage/column_table.h).
+  /// call rebuilds.  Null when any cell violates its declared column type
+  /// (see storage/column_table.h), or inside a reader's serve scope before
+  /// the image is built.
   std::shared_ptr<const ColumnTable> ColumnarSnapshot() const;
 
   /// Heap bytes held by the hash index (the micro_engine memory line).

@@ -2,20 +2,21 @@
 
 #include <set>
 
+#include "expr/evaluator.h"
+#include "expr/printer.h"
+
 namespace wuw {
 
 namespace {
 
-std::string CheckColumns(const std::string& where,
-                         const ScalarExpr::Ptr& expr, const Schema& combined,
-                         const std::string& view) {
+/// Types `expr` against the combined input schema with the binder's rules
+/// (every column resolvable, arithmetic operands numeric).
+std::string CheckExpr(const std::string& where, const ScalarExpr::Ptr& expr,
+                      const Schema& combined, const std::string& view,
+                      TypeId* type) {
   if (expr == nullptr) return "view " + view + ": null expression in " + where;
-  for (const std::string& col : expr->ReferencedColumns()) {
-    if (!combined.HasColumn(col)) {
-      return "view " + view + ": unknown column '" + col + "' in " + where;
-    }
-  }
-  return "";
+  std::string err = BoundExpr::TypeCheck(*expr, combined, type);
+  return err.empty() ? "" : "view " + view + ": " + err + " in " + where;
 }
 
 }  // namespace
@@ -63,8 +64,9 @@ std::string ValidateDefinition(
              jc.right_column + " does not span two sources";
     }
   }
+  TypeId type = TypeId::kNull;
   for (const ScalarExpr::Ptr& f : def.filters()) {
-    std::string err = CheckColumns("WHERE", f, combined, view);
+    std::string err = CheckExpr("WHERE", f, combined, view, &type);
     if (!err.empty()) return err;
   }
   if (def.projections().empty()) {
@@ -72,7 +74,7 @@ std::string ValidateDefinition(
   }
   std::set<std::string> output_names;
   for (const ProjectItem& item : def.projections()) {
-    std::string err = CheckColumns("SELECT", item.expr, combined, view);
+    std::string err = CheckExpr("SELECT", item.expr, combined, view, &type);
     if (!err.empty()) return err;
     if (!output_names.insert(item.name).second) {
       return "view " + view + ": duplicate output column '" + item.name +
@@ -81,8 +83,12 @@ std::string ValidateDefinition(
   }
   for (const AggSpec& agg : def.aggregates()) {
     if (agg.fn == AggFn::kSum) {
-      std::string err = CheckColumns("SUM", agg.arg, combined, view);
+      std::string err = CheckExpr("SUM", agg.arg, combined, view, &type);
       if (!err.empty()) return err;
+      if (type == TypeId::kString) {
+        return "view " + view + ": SUM argument " + ExprToSql(agg.arg) +
+               " is not numeric";
+      }
     }
     if (!output_names.insert(agg.name).second) {
       return "view " + view + ": duplicate output column '" + agg.name + "'";

@@ -14,8 +14,10 @@
 namespace wuw {
 
 /// Checks one definition against its sources' schemas: column-name
-/// uniqueness across sources, every referenced column resolvable, join
-/// conditions spanning two distinct sources, and aggregate shape.
+/// uniqueness across sources, every expression typed by the binder's rules
+/// (columns resolvable, arithmetic operands numeric), join conditions
+/// spanning two distinct sources, and aggregate shape (SUM arguments not
+/// strings).
 /// Returns an empty string when valid, else a description of the first
 /// problem.
 std::string ValidateDefinition(const ViewDefinition& def,

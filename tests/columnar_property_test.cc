@@ -9,13 +9,15 @@
 //    min/max Stats match a row-order recompute, dictionary codes are dense
 //    and consistent, negative multiplicities and clamped deletes survive,
 //    and every batch's running signed/abs cardinality equals the O(n)
-//    recompute at every WUW_BATCH_ROWS value (including the degenerate 1);
+//    recompute, on inputs sized around batch boundaries (kBatchRows - 1,
+//    kBatchRows, kBatchRows + 1, 3 * kBatchRows + 7);
 //
-//  * differential: each vectorized kernel, at batch sizes {1, 3, default}
-//    and pool sizes {sequential, 8}, produces byte-identical rows, row
-//    ORDER, and OperatorStats to the row-at-a-time path it mirrors —
-//    including null semantics, string dictionaries (same-dict and
-//    cross-dict join keys), dates, and signed multiplicities.
+//  * differential: each operator, at pool sizes {sequential, 8} and on
+//    inputs at those batch boundaries and of 6k-24k rows, produces
+//    byte-identical rows, row ORDER, and OperatorStats to the naive
+//    reference kernels (tests/reference/) — including null semantics,
+//    string dictionaries (same-dict and cross-dict join keys), dates, and
+//    signed multiplicities.
 //
 // All suites honor WUW_SEED and print a one-command repro on failure.
 #include <gtest/gtest.h>
@@ -31,8 +33,8 @@
 #include "algebra/project.h"
 #include "algebra/row_batch.h"
 #include "algebra/rows.h"
-#include "algebra/vectorized.h"
 #include "parallel/thread_pool.h"
+#include "reference/reference_kernels.h"
 #include "storage/column_table.h"
 #include "storage/table.h"
 #include "test_util.h"
@@ -45,17 +47,9 @@ ThreadPool& Pool8() {
   return *p;
 }
 
-/// Scoped override of the columnar gate (restores the env-derived value).
-struct VecGuard {
-  explicit VecGuard(int mode) { vec::TestOnlySetEnabled(mode); }
-  ~VecGuard() { vec::TestOnlySetEnabled(-1); }
-};
-
-/// Scoped override of the batch size (restores the env-derived value).
-struct BatchGuard {
-  explicit BatchGuard(size_t rows) { TestOnlySetBatchRows(rows); }
-  ~BatchGuard() { TestOnlySetBatchRows(0); }
-};
+/// Input sizes around batch boundaries (a batch holds kBatchRows rows).
+const size_t kBoundarySizes[] = {kBatchRows - 1, kBatchRows, kBatchRows + 1,
+                                 3 * kBatchRows + 7};
 
 /// Random signed multiset over every cell type the engine stores:
 /// (<p>_k INT, <p>_v INT nullable, <p>_d DOUBLE nullable, <p>_s STRING
@@ -93,13 +87,21 @@ Rows RandomMixedRows(const std::string& p, size_t n, int64_t key_range,
   return out;
 }
 
-/// Byte-identical comparison: same tuples in the same ORDER with the same
-/// multiplicities (ContentsEqual is order-blind; the kernels promise more).
+/// Byte-identical comparison: same schema, same tuples with the same cell
+/// types in the same ORDER, same multiplicities (ContentsEqual is
+/// order-blind and Value equality type-blind; the kernels promise more).
 void ExpectRowsIdentical(const Rows& expect, const Rows& got) {
+  ASSERT_EQ(expect.schema.ToString(), got.schema.ToString());
   ASSERT_EQ(expect.rows().size(), got.rows().size());
   for (size_t i = 0; i < expect.rows().size(); ++i) {
     ASSERT_EQ(expect.rows()[i].second, got.rows()[i].second) << "row " << i;
-    ASSERT_TRUE(expect.rows()[i].first == got.rows()[i].first) << "row " << i;
+    const Tuple& a = expect.rows()[i].first;
+    const Tuple& b = got.rows()[i].first;
+    ASSERT_TRUE(a == b) << "row " << i;
+    for (size_t c = 0; c < a.size(); ++c) {
+      ASSERT_EQ(a.value(c).type(), b.value(c).type())
+          << "row " << i << " col " << c;
+    }
   }
 }
 
@@ -260,17 +262,20 @@ TEST_P(RoundTripTest, BatchesCoverRowsAndCarryRunningCards) {
   const uint64_t seed = GetParam() + testutil::PropertySeed(0);
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
-  Rows rows = RandomMixedRows("t", 2500, 300, &rng);
-  auto ct = ColumnTable::FromRows(rows.schema, rows.rows());
-  ASSERT_NE(ct, nullptr);
-
-  for (size_t batch_rows : {size_t{1}, size_t{3}, kBatchRows}) {
-    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
-    BatchGuard guard(batch_rows);
-    ASSERT_EQ(BatchRows(), batch_rows);
+  std::vector<size_t> sizes(std::begin(kBoundarySizes),
+                            std::end(kBoundarySizes));
+  sizes.push_back(2500);
+  for (size_t n : sizes) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    Rows rows = RandomMixedRows("t", n, 300, &rng);
+    auto ct = ColumnTable::FromRows(rows.schema, rows.rows());
+    ASSERT_NE(ct, nullptr);
     size_t next = 0;
+    size_t batches = 0;
     ForEachBatch(*ct, [&](const RowBatch& batch) {
-      ASSERT_LE(batch.size(), batch_rows);
+      ++batches;
+      // Every batch but the last is full.
+      ASSERT_EQ(batch.size(), std::min(kBatchRows, n - next));
       int64_t s = 0, a = 0;
       for (size_t k = 0; k < batch.size(); ++k) {
         ASSERT_EQ(batch.row(k), next) << "batches must cover rows in order";
@@ -300,15 +305,17 @@ TEST_P(RoundTripTest, BatchesCoverRowsAndCarryRunningCards) {
       narrowed.CheckCards();
     });
     EXPECT_EQ(next, ct->num_rows());
+    EXPECT_EQ(batches, (n + kBatchRows - 1) / kBatchRows);
   }
 }
 
-TEST_P(RoundTripTest, TypeViolatingRowsStayRowMajor) {
+TEST_P(RoundTripTest, TypeViolatingRowsAbortTheKernels) {
   const uint64_t seed = GetParam() + testutil::PropertySeed(0);
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
-  // The row engine never checks declared types; a double smuggled into an
-  // INT column is legal there but cannot round-trip through typed arrays.
+  // A double smuggled into an INT column cannot round-trip through typed
+  // arrays; nothing the engine builds does this, so the kernels treat such
+  // an untyped batch as an invariant violation.
   Rows rows(Schema({{"k", TypeId::kInt64}, {"v", TypeId::kInt64}}));
   for (int i = 0; i < 100; ++i) {
     rows.Add(Tuple({Value::Int64(i), Value::Int64(rng.Range(0, 9))}), 1);
@@ -317,58 +324,53 @@ TEST_P(RoundTripTest, TypeViolatingRowsStayRowMajor) {
   rows.mutable_rows()[bad].first = Tuple({Value::Int64(7), Value::Double(3.5)});
   EXPECT_EQ(ColumnTable::FromRows(rows.schema, rows.rows()), nullptr);
   EXPECT_EQ(rows.Columnar(), nullptr);
-  // ...and the kernels silently stay on the row path for such inputs.
-  VecGuard vec_on(1);
-  OperatorStats stats;
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ScalarExpr::Ptr pred =
       ScalarExpr::Compare(CompareOp::kLt, ScalarExpr::Column("k"),
                           ScalarExpr::Literal(Value::Int64(50)));
-  Rows filtered = Filter(rows, pred, &stats, nullptr);
-  EXPECT_EQ(stats.rows_scanned, static_cast<int64_t>(rows.rows().size()));
+  EXPECT_DEATH(Filter(rows, pred, nullptr), "operator input is untyped");
+  EXPECT_DEATH(Project(rows, {{ScalarExpr::Column("v"), "v"}}, nullptr),
+               "operator input is untyped");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundTripTest,
                          ::testing::Values(11, 22, 33));
 
-// Differential harness: the row path (gate forced closed) is the oracle;
-// the vectorized path must match it byte for byte — rows, row order, and
-// OperatorStats — at every batch size and pool size.
+// Differential harness: the naive reference kernels (tests/reference/)
+// are the oracle; the operators must match them byte for byte — rows, row
+// order, and OperatorStats — at every pool size.
 class KernelDifferentialTest : public ::testing::TestWithParam<uint64_t> {
  protected:
-  template <typename Run>
-  void ExpectVecMatchesRowPath(const Run& run) {
-    OperatorStats row_stats;
-    Rows row_out;
-    {
-      VecGuard vec_off(0);
-      row_out = run(&row_stats, nullptr);
-    }
-    VecGuard vec_on(1);
-    for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{0}}) {
-      SCOPED_TRACE("batch_rows=" +
-                   (batch_rows == 0 ? std::string("default")
-                                    : std::to_string(batch_rows)));
-      BatchGuard guard(batch_rows);
-      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &Pool8()}) {
-        SCOPED_TRACE(pool == nullptr
-                         ? std::string("pool=none")
-                         : "pool=" + std::to_string(pool->parallelism()));
-        OperatorStats vec_stats;
-        Rows vec_out = run(&vec_stats, pool);
-        ExpectRowsIdentical(row_out, vec_out);
-        EXPECT_EQ(row_stats, vec_stats);
-      }
+  template <typename Reference, typename Run>
+  void ExpectMatchesReference(const Reference& reference, const Run& run) {
+    OperatorStats ref_stats;
+    const Rows expect = reference(&ref_stats);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &Pool8()}) {
+      SCOPED_TRACE(pool == nullptr
+                       ? std::string("pool=none")
+                       : "pool=" + std::to_string(pool->parallelism()));
+      OperatorStats stats;
+      Rows got = run(&stats, pool);
+      ExpectRowsIdentical(expect, got);
+      EXPECT_EQ(ref_stats, stats);
     }
   }
 };
 
-TEST_P(KernelDifferentialTest, FilterMatchesRowPath) {
+/// Input sizes for a differential: the batch boundaries plus `large`.
+std::vector<size_t> DifferentialSizes(size_t large) {
+  std::vector<size_t> sizes(std::begin(kBoundarySizes),
+                            std::end(kBoundarySizes));
+  sizes.push_back(large);
+  return sizes;
+}
+
+TEST_P(KernelDifferentialTest, FilterMatchesReference) {
   const uint64_t seed = GetParam() + testutil::PropertySeed(0);
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
-  Rows input = RandomMixedRows("t", 20000, 4000, &rng);
   // Numeric, string-equality, string-order, date, and null-feeding
-  // predicates all have defined row-path semantics to mirror.
+  // predicates all have defined per-tuple semantics to mirror.
   std::vector<std::pair<const char*, ScalarExpr::Ptr>> predicates;
   predicates.emplace_back(
       "int_lt", ScalarExpr::Compare(CompareOp::kLt, ScalarExpr::Column("t_v"),
@@ -390,20 +392,26 @@ TEST_P(KernelDifferentialTest, FilterMatchesRowPath) {
                                       ScalarExpr::Literal(Value::Int64(0))),
                   ScalarExpr::Compare(CompareOp::kNe, ScalarExpr::Column("t_s"),
                                       ScalarExpr::Literal(Value::String("s3")))));
-  for (auto& [name, pred] : predicates) {
-    SCOPED_TRACE(name);
-    ExpectVecMatchesRowPath(
-        [&, &pred = pred](OperatorStats* stats, ThreadPool* pool) {
-          return Filter(input, pred, stats, pool, nullptr);
-        });
+  for (size_t n : DifferentialSizes(20000)) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    Rows input = RandomMixedRows("t", n, 4000, &rng);
+    for (auto& [name, pred] : predicates) {
+      SCOPED_TRACE(name);
+      ExpectMatchesReference(
+          [&, &pred = pred](OperatorStats* stats) {
+            return reference::Filter(input, pred, stats);
+          },
+          [&, &pred = pred](OperatorStats* stats, ThreadPool* pool) {
+            return Filter(input, pred, stats, pool, nullptr);
+          });
+    }
   }
 }
 
-TEST_P(KernelDifferentialTest, ProjectMatchesRowPath) {
+TEST_P(KernelDifferentialTest, ProjectMatchesReference) {
   const uint64_t seed = GetParam() + testutil::PropertySeed(0);
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
-  Rows input = RandomMixedRows("t", 20000, 4000, &rng);
   // Column passthrough of every type, int-exact arithmetic, kDiv (double
   // result, div-by-zero -> NULL), nullable operands, and literals.
   std::vector<ProjectItem> items = {
@@ -420,42 +428,59 @@ TEST_P(KernelDifferentialTest, ProjectMatchesRowPath) {
                          ScalarExpr::Column("t_v")),
        "kv"},
       {ScalarExpr::Literal(Value::String("tag")), "tag"}};
-  ExpectVecMatchesRowPath([&](OperatorStats* stats, ThreadPool* pool) {
-    return Project(input, items, stats, pool, nullptr);
-  });
-}
-
-TEST_P(KernelDifferentialTest, HashJoinMatchesRowPath) {
-  const uint64_t seed = GetParam() + testutil::PropertySeed(0);
-  SCOPED_TRACE(testutil::SeedTrace(seed));
-  tpcd::Rng rng(seed);
-  // Sized past kMinParallelRows combined (so the radix build engages with
-  // a pool), with key domains wide enough that fan-out stays bounded.
-  Rows left = RandomMixedRows("l", 9000, 2000, &rng, /*str_domain=*/1500,
-                              /*null_every=*/64);
-  Rows right = RandomMixedRows("r", 6000, 2000, &rng, /*str_domain=*/1500,
-                               /*null_every=*/64);
-  // Int keys, cross-dictionary string keys (left and right interned
-  // independently, and both sides carry NULL keys: null == null matches in
-  // the row path), and a composite (int, date) key.
-  std::vector<std::pair<const char*, JoinKeys>> key_sets = {
-      {"int", {{"l_k"}, {"r_k"}}},
-      {"string", {{"l_s"}, {"r_s"}}},
-      {"int_date", {{"l_k", "l_t"}, {"r_k", "r_t"}}}};
-  for (auto& [name, keys] : key_sets) {
-    SCOPED_TRACE(name);
-    ExpectVecMatchesRowPath(
-        [&, &keys = keys](OperatorStats* stats, ThreadPool* pool) {
-          return HashJoin(left, right, keys, stats, pool, nullptr);
+  for (size_t n : DifferentialSizes(20000)) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    Rows input = RandomMixedRows("t", n, 4000, &rng);
+    ExpectMatchesReference(
+        [&](OperatorStats* stats) {
+          return reference::Project(input, items, stats);
+        },
+        [&](OperatorStats* stats, ThreadPool* pool) {
+          return Project(input, items, stats, pool, nullptr);
         });
   }
 }
 
-TEST_P(KernelDifferentialTest, AggregateMatchesRowPath) {
+TEST_P(KernelDifferentialTest, HashJoinMatchesReference) {
   const uint64_t seed = GetParam() + testutil::PropertySeed(0);
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
-  Rows input = RandomMixedRows("t", 24000, 5000, &rng);
+  // Int keys, cross-dictionary string keys (left and right interned
+  // independently, and both sides carry NULL keys: null == null matches),
+  // and a composite (int, date) key.
+  std::vector<std::pair<const char*, JoinKeys>> key_sets = {
+      {"int", {{"l_k"}, {"r_k"}}},
+      {"string", {{"l_s"}, {"r_s"}}},
+      {"int_date", {{"l_k", "l_t"}, {"r_k", "r_t"}}}};
+  // The last pair is sized past kMinParallelRows combined (so the radix
+  // build engages with a pool), with key domains wide enough that fan-out
+  // stays bounded.
+  std::vector<std::pair<size_t, size_t>> sizes;
+  for (size_t n : kBoundarySizes) sizes.emplace_back(n, n);
+  sizes.emplace_back(9000, 6000);
+  for (const auto& [ln, rn] : sizes) {
+    SCOPED_TRACE("rows=" + std::to_string(ln) + "x" + std::to_string(rn));
+    Rows left = RandomMixedRows("l", ln, 2000, &rng, /*str_domain=*/1500,
+                                /*null_every=*/64);
+    Rows right = RandomMixedRows("r", rn, 2000, &rng, /*str_domain=*/1500,
+                                 /*null_every=*/64);
+    for (auto& [name, keys] : key_sets) {
+      SCOPED_TRACE(name);
+      ExpectMatchesReference(
+          [&, &keys = keys](OperatorStats* stats) {
+            return reference::Join(left, right, keys, stats);
+          },
+          [&, &keys = keys](OperatorStats* stats, ThreadPool* pool) {
+            return HashJoin(left, right, keys, stats, pool, nullptr);
+          });
+    }
+  }
+}
+
+TEST_P(KernelDifferentialTest, AggregateMatchesReference) {
+  const uint64_t seed = GetParam() + testutil::PropertySeed(0);
+  SCOPED_TRACE(testutil::SeedTrace(seed));
+  tpcd::Rng rng(seed);
   std::vector<AggSpec> aggs = {
       {AggFn::kSum, ScalarExpr::Column("t_v"), "sv"},   // nullable int SUM
       {AggFn::kSum, ScalarExpr::Column("t_d"), "sd"},   // double SUM: bits
@@ -466,12 +491,20 @@ TEST_P(KernelDifferentialTest, AggregateMatchesRowPath) {
       {"string", {"t_s"}},
       {"int_mod", {"t_v"}},
       {"int_date", {"t_k", "t_t"}}};
-  for (auto& [name, group_by] : group_bys) {
-    SCOPED_TRACE(name);
-    ExpectVecMatchesRowPath(
-        [&, &group_by = group_by](OperatorStats* stats, ThreadPool* pool) {
-          return AggregateSigned(input, group_by, aggs, stats, pool, nullptr);
-        });
+  for (size_t n : DifferentialSizes(24000)) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    Rows input = RandomMixedRows("t", n, 5000, &rng);
+    for (auto& [name, group_by] : group_bys) {
+      SCOPED_TRACE(name);
+      ExpectMatchesReference(
+          [&, &group_by = group_by](OperatorStats* stats) {
+            return reference::Aggregate(input, group_by, aggs, stats);
+          },
+          [&, &group_by = group_by](OperatorStats* stats, ThreadPool* pool) {
+            return AggregateSigned(input, group_by, aggs, stats, pool,
+                                   nullptr);
+          });
+    }
   }
 }
 

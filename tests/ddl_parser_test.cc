@@ -102,6 +102,23 @@ TEST(DdlParserTest, ErrorDuplicateName) {
   EXPECT_NE(parsed.error.find("duplicate"), std::string::npos);
 }
 
+TEST(DdlParserTest, ErrorIllTypedView) {
+  // Rejected when parsed, before a later view resolves its output schema.
+  ParsedWarehouse arith = ParseWarehouseScript(R"sql(
+    CREATE TABLE t (a INT, s TEXT);
+    CREATE VIEW v AS SELECT a, s * 2 AS x FROM t;
+    CREATE VIEW w AS SELECT a, x FROM v;
+  )sql");
+  EXPECT_FALSE(arith.ok());
+  EXPECT_NE(arith.error.find("numeric"), std::string::npos) << arith.error;
+  ParsedWarehouse sum = ParseWarehouseScript(R"sql(
+    CREATE TABLE t (a INT, s TEXT);
+    CREATE VIEW v AS SELECT a, SUM(s) AS total FROM t GROUP BY a;
+  )sql");
+  EXPECT_FALSE(sum.ok());
+  EXPECT_NE(sum.error.find("not numeric"), std::string::npos) << sum.error;
+}
+
 TEST(DdlParserTest, ErrorUnknownType) {
   ParsedWarehouse parsed =
       ParseWarehouseScript("CREATE TABLE t (a BLOB);");

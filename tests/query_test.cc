@@ -90,6 +90,14 @@ TEST_F(QueryTest, ErrorsAreReportedNotFatal) {
   EXPECT_FALSE(
       ExecuteQuery(*warehouse_, "SELECT SUM(o_orderkey) AS s FROM ORDERS")
           .ok());  // aggregate without GROUP BY
+  // Ill-typed expressions: arithmetic on a string, SUM over a string.
+  QueryResult arith = ExecuteQuery(
+      *warehouse_, "SELECT n_nationkey FROM NATION WHERE n_name * 2 > 1");
+  EXPECT_NE(arith.error.find("numeric"), std::string::npos) << arith.error;
+  QueryResult sum = ExecuteQuery(
+      *warehouse_,
+      "SELECT n_regionkey, SUM(n_name) AS s FROM NATION GROUP BY n_regionkey");
+  EXPECT_NE(sum.error.find("not numeric"), std::string::npos) << sum.error;
 }
 
 TEST_F(QueryTest, ToTextRendersTable) {

@@ -2,9 +2,10 @@
 // lazily built columnar mirror, and batches whose rows are built on demand.
 //
 //  * Columnar-only Filter and HashJoin outputs build rows byte-identical,
-//    in the same order, to the row kernels' — NULLs, doubles, strings,
-//    negative and zero multiplicities, and empty sides included — and
-//    stay columnar-only (rows_materialized() false) until rows() is called.
+//    in the same order, to the reference kernels' (tests/reference/) —
+//    NULLs, doubles, strings, negative and zero multiplicities, and empty
+//    sides included — and stay columnar-only (rows_materialized() false)
+//    until rows() is called.
 //  * Copies and moves of an unbuilt batch build the same rows; concurrent
 //    first rows() calls on one batch share a single build.
 //  * A table scan (Rows::FromTable) and a Table copy share the table's
@@ -30,6 +31,7 @@
 #include "algebra/vectorized.h"
 #include "obs/metrics.h"
 #include "plan/subplan_cache.h"
+#include "reference/reference_kernels.h"
 #include "storage/column_table.h"
 #include "storage/page.h"
 #include "storage/table.h"
@@ -37,12 +39,6 @@
 
 namespace wuw {
 namespace {
-
-/// Scoped override of the columnar gate (restores the env-derived value).
-struct VecGuard {
-  explicit VecGuard(int mode) { vec::TestOnlySetEnabled(mode); }
-  ~VecGuard() { vec::TestOnlySetEnabled(-1); }
-};
 
 /// `n` rows over (<p>k INT nullable, <p>d DOUBLE nullable, <p>s STRING
 /// nullable): keys repeat, and multiplicities span [-2, 2], zero included
@@ -98,45 +94,39 @@ const std::vector<size_t> kKeyIdx{0, 2};
 /// route oversized joins to the spill paths first when WUW_MEM_MB is armed.
 Rows VecFilter(const Rows& input, const ScalarExpr::Ptr& pred,
                OperatorStats* stats) {
-  Rows out;
-  EXPECT_TRUE(vec::TryFilter(input, pred, stats, nullptr, nullptr, &out));
-  return out;
+  return vec::TryFilter(input, pred, stats);
 }
 
 Rows VecJoin(const Rows& left, const Rows& right, OperatorStats* stats) {
-  Rows out;
-  EXPECT_TRUE(vec::TryHashJoin(left, right, kKeyIdx, kKeyIdx, stats, nullptr,
-                               nullptr, &out));
-  return out;
+  return vec::TryHashJoin(left, right, kKeyIdx, kKeyIdx, stats, nullptr,
+                          nullptr);
 }
 
-/// Columnar-only filter / join outputs and the row kernels' outputs.
+/// Columnar-only filter / join outputs and the reference kernels' outputs.
 struct KernelOutputs {
   Rows vec;
-  Rows row;
+  Rows ref;
   OperatorStats vec_stats;
-  OperatorStats row_stats;
+  OperatorStats ref_stats;
 };
 
 KernelOutputs RunFilter(const Rows& input) {
   KernelOutputs out;
   out.vec = VecFilter(input, Predicate(), &out.vec_stats);
-  VecGuard off(0);
-  out.row = Filter(input, Predicate(), &out.row_stats);
+  out.ref = reference::Filter(input, Predicate(), &out.ref_stats);
   return out;
 }
 
 KernelOutputs RunJoin(const Rows& left, const Rows& right) {
   KernelOutputs out;
   out.vec = VecJoin(left, right, &out.vec_stats);
-  VecGuard off(0);
-  out.row = HashJoin(left, right, kKeys, &out.row_stats);
+  out.ref = reference::Join(left, right, kKeys, &out.ref_stats);
   return out;
 }
 
 class RowsTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(RowsTest, ColumnarOnlyOutputsBuildTheRowKernelsRows) {
+TEST_P(RowsTest, ColumnarOnlyOutputsBuildTheReferenceRows) {
   const uint64_t seed = GetParam() + testutil::PropertySeed(0);
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
@@ -149,37 +139,37 @@ TEST_P(RowsTest, ColumnarOnlyOutputsBuildTheRowKernelsRows) {
 
       KernelOutputs f = RunFilter(left);
       EXPECT_FALSE(f.vec.rows_materialized());
-      EXPECT_EQ(f.vec.size(), f.row.size());
-      EXPECT_EQ(f.vec.SignedCardinality(), f.row.SignedCardinality());
-      EXPECT_EQ(f.vec.AbsCardinality(), f.row.AbsCardinality());
+      EXPECT_EQ(f.vec.size(), f.ref.size());
+      EXPECT_EQ(f.vec.SignedCardinality(), f.ref.SignedCardinality());
+      EXPECT_EQ(f.vec.AbsCardinality(), f.ref.AbsCardinality());
       EXPECT_FALSE(f.vec.rows_materialized());
-      ExpectSameRows(f.row.rows(), f.vec.rows());
+      ExpectSameRows(f.ref.rows(), f.vec.rows());
       EXPECT_TRUE(f.vec.rows_materialized());
-      EXPECT_EQ(f.vec_stats, f.row_stats);
+      EXPECT_EQ(f.vec_stats, f.ref_stats);
 
       KernelOutputs j = RunJoin(left, right);
       EXPECT_FALSE(j.vec.rows_materialized());
-      EXPECT_EQ(j.vec.size(), j.row.size());
-      EXPECT_EQ(j.vec.SignedCardinality(), j.row.SignedCardinality());
-      EXPECT_EQ(j.vec.AbsCardinality(), j.row.AbsCardinality());
+      EXPECT_EQ(j.vec.size(), j.ref.size());
+      EXPECT_EQ(j.vec.SignedCardinality(), j.ref.SignedCardinality());
+      EXPECT_EQ(j.vec.AbsCardinality(), j.ref.AbsCardinality());
       EXPECT_FALSE(j.vec.rows_materialized());
-      ExpectSameRows(j.row.rows(), j.vec.rows());
+      ExpectSameRows(j.ref.rows(), j.vec.rows());
       EXPECT_TRUE(j.vec.rows_materialized());
-      EXPECT_EQ(j.vec_stats, j.row_stats);
+      EXPECT_EQ(j.vec_stats, j.ref_stats);
 
       // A filter over a columnar-only input (rows never built) rebuilds
       // from the columns; over a built one it shares the input's tuples.
       KernelOutputs jf = RunJoin(left, right);
       Rows unbuilt_in = jf.vec;
-      Rows built_in = jf.row;
+      Rows built_in = jf.ref;
       ScalarExpr::Ptr pred = ScalarExpr::Compare(
           CompareOp::kGe, ScalarExpr::Column("rd"),
           ScalarExpr::Literal(Value::Double(-5.0)));
       Rows a = VecFilter(unbuilt_in, pred, nullptr);
       Rows b = VecFilter(built_in, pred, nullptr);
       EXPECT_FALSE(unbuilt_in.rows_materialized());
-      VecGuard off(0);
-      Rows expect = Filter(built_in, pred, nullptr);
+      OperatorStats expect_stats;
+      Rows expect = reference::Filter(built_in, pred, &expect_stats);
       ExpectSameRows(expect.rows(), a.rows());
       ExpectSameRows(expect.rows(), b.rows());
       EXPECT_FALSE(unbuilt_in.rows_materialized());
@@ -208,8 +198,8 @@ RowVec ReferenceJoin(uint64_t seed) {
   tpcd::Rng rng(seed);
   Rows left = MixedRows("l", 200, &rng);
   Rows right = MixedRows("r", 150, &rng);
-  VecGuard off(0);
-  return HashJoin(left, right, kKeys, nullptr).rows();
+  OperatorStats stats;
+  return reference::Join(left, right, kKeys, &stats).rows();
 }
 
 TEST(RowsLazyTest, CopiesAndMovesOfAnUnbuiltBatch) {

@@ -59,6 +59,42 @@ TEST(ValidateTest, DetectsUnknownProjectionColumn) {
             std::string::npos);
 }
 
+TEST(ValidateTest, DetectsNonNumericArithmeticAndSum) {
+  auto resolver = [](const std::string& name) -> const Schema& {
+    static Schema s({{"s_store", TypeId::kInt64}, {"s_city", TypeId::kString}});
+    (void)name;
+    return s;
+  };
+  auto twice_city = [] {
+    return ScalarExpr::Arith(ArithOp::kMul, ScalarExpr::Column("s_city"),
+                             ScalarExpr::Literal(Value::Int64(2)));
+  };
+  auto where = ViewDefinitionBuilder("V")
+                   .From("stores")
+                   .Where(ScalarExpr::Compare(
+                       CompareOp::kGt, twice_city(),
+                       ScalarExpr::Literal(Value::Int64(1))))
+                   .SelectColumn("s_store", "s_store")
+                   .Build();
+  std::string err = ValidateDefinition(*where, resolver);
+  EXPECT_NE(err.find("numeric"), std::string::npos) << err;
+  EXPECT_NE(err.find("WHERE"), std::string::npos) << err;
+  auto select = ViewDefinitionBuilder("V")
+                    .From("stores")
+                    .Select(twice_city(), "x")
+                    .Build();
+  err = ValidateDefinition(*select, resolver);
+  EXPECT_NE(err.find("SELECT"), std::string::npos) << err;
+  auto sum = ViewDefinitionBuilder("V")
+                 .From("stores")
+                 .SelectColumn("s_store", "s_store")
+                 .Sum(ScalarExpr::Column("s_city"), "total")
+                 .Build();
+  err = ValidateDefinition(*sum, resolver);
+  EXPECT_NE(err.find("SUM argument s_city is not numeric"), std::string::npos)
+      << err;
+}
+
 TEST(ValidateTest, DetectsUnknownJoinColumn) {
   auto def = ViewDefinitionBuilder("V")
                  .From("A")

@@ -41,7 +41,6 @@
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
 #include "graph/dot.h"
-#include "view/validate.h"
 #include "exec/executor.h"
 #include "exec/recovery.h"
 #include "exec/window_budget.h"
@@ -142,11 +141,6 @@ class Shell {
     ParsedWarehouse parsed = ParseWarehouseScript(buffer.str());
     if (!parsed.ok()) {
       std::printf("DDL error: %s\n", parsed.error.c_str());
-      return;
-    }
-    std::string invalid = ValidateVdag(parsed.vdag);
-    if (!invalid.empty()) {
-      std::printf("DDL error: %s\n", invalid.c_str());
       return;
     }
     warehouse_ = std::make_unique<Warehouse>(std::move(parsed.vdag));
