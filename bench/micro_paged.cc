@@ -115,10 +115,13 @@ void BM_SaveLoadTableImage(benchmark::State& state) {
   for (auto _ : state) {
     std::string error = paged::SaveTableImage(*t, path, 64 << 10);
     paged::TableImage img;
-    bool torn = false;
-    paged::LoadTableImage(path, &img, &error, &torn);
-    benchmark::DoNotOptimize(img.rows.data());
-    rows += static_cast<int64_t>(img.rows.size());
+    if (error.empty()) error = paged::LoadTableImage(path, &img);
+    if (!error.empty()) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(img.columns.get());
+    rows += static_cast<int64_t>(img.columns->num_rows());
   }
   std::remove(path.c_str());
   state.SetItemsProcessed(rows);

@@ -1,7 +1,8 @@
-// Micro-benchmarks for the morsel-parallel join and aggregate kernels at
-// thread counts {1, 2, 4, 8} and the build/probe shapes of exp1 (Q3:
-// LINEITEM probes into an ORDERS build) and exp2 (Q5: a big probe into a
-// small dimension build, and the reverse delta shape).
+// Micro-benchmarks for the morsel-parallel join kernel at thread counts
+// {1, 2, 4, 8} and the build/probe shapes of exp1 (Q3: LINEITEM probes
+// into an ORDERS build) and exp2 (Q5: a big probe into a small dimension
+// build, and the reverse delta shape).  The join is the one kernel with a
+// parallel path; filter, project and aggregate run sequentially.
 //
 // Thread count is the benchmark argument; each count gets its own
 // dedicated pool so the gbench JSON separates them cleanly.  On hosts with
@@ -11,8 +12,6 @@
 
 #include <map>
 
-#include "algebra/aggregate.h"
-#include "algebra/filter.h"
 #include "algebra/hash_join.h"
 #include "parallel/thread_pool.h"
 #include "tpcd/tpcd_schema.h"
@@ -79,56 +78,6 @@ void BM_ParallelJoinBigBuild(benchmark::State& state) {
                           (orders.size() + lineitem.size()));
 }
 BENCHMARK(BM_ParallelJoinBigBuild)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-/// Many small groups (group by order key): merge cost is visible.
-void BM_ParallelAggregateManyGroups(benchmark::State& state) {
-  const Warehouse& w = SharedWarehouse();
-  Rows lineitem = Rows::FromTable(*w.catalog().MustGetTable(tpcd::kLineitem));
-  std::vector<AggSpec> aggs = {
-      {AggFn::kSum, ScalarExpr::Column("l_extendedprice"), "s"},
-      {AggFn::kCount, nullptr, "c"}};
-  ThreadPool* pool = PoolFor(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    Rows out = AggregateSigned(lineitem, {"l_orderkey"}, aggs, nullptr, pool);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * lineitem.size());
-}
-BENCHMARK(BM_ParallelAggregateManyGroups)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-/// Few fat groups (group by return flag): per-partition accumulation
-/// dominates, merge is trivial.
-void BM_ParallelAggregateFewGroups(benchmark::State& state) {
-  const Warehouse& w = SharedWarehouse();
-  Rows lineitem = Rows::FromTable(*w.catalog().MustGetTable(tpcd::kLineitem));
-  std::vector<AggSpec> aggs = {
-      {AggFn::kSum, ScalarExpr::Column("l_extendedprice"), "s"},
-      {AggFn::kCount, nullptr, "c"}};
-  ThreadPool* pool = PoolFor(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    Rows out =
-        AggregateSigned(lineitem, {"l_returnflag"}, aggs, nullptr, pool);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * lineitem.size());
-}
-BENCHMARK(BM_ParallelAggregateFewGroups)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-/// The generic morsel path on a selective scan.
-void BM_ParallelFilter(benchmark::State& state) {
-  const Warehouse& w = SharedWarehouse();
-  Rows lineitem = Rows::FromTable(*w.catalog().MustGetTable(tpcd::kLineitem));
-  ScalarExpr::Ptr pred = ScalarExpr::Compare(
-      CompareOp::kLt, ScalarExpr::Column("l_discount"),
-      ScalarExpr::Literal(Value::Int64(300)));
-  ThreadPool* pool = PoolFor(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    Rows out = Filter(lineitem, pred, nullptr, pool);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * lineitem.size());
-}
-BENCHMARK(BM_ParallelFilter)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 }  // namespace wuw

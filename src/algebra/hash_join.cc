@@ -14,8 +14,8 @@ namespace wuw {
 
 namespace {
 
-/// One input row as the spill-route joins see it: global input-row index,
-/// full key hash, multiplicity, and the (borrowed) tuple.
+/// One input row as the grace join sees it: global input-row index, full
+/// key hash, multiplicity, and the (borrowed) tuple.
 struct KeyedRow {
   uint32_t idx;
   size_t hash;
@@ -56,8 +56,8 @@ class ChainedTable {
   size_t mask_ = 0;
 };
 
-/// Collects a spill-route join's matches tagged with their (probe, build)
-/// row indices, then emits them in the vectorized kernel's order
+/// Collects the grace join's matches tagged with their (probe, build) row
+/// indices, then emits them in the vectorized kernel's order
 /// (algebra/vectorized.h): probe rows ascending, and per probe row its
 /// build matches in descending build index.  Each pair occurs at most
 /// once, so that order is total and independent of how matches arrived.
@@ -82,7 +82,7 @@ class JoinMatches {
 
   Rows Finish(const Rows& left, const Rows& right, OperatorStats* stats) {
     if (stats != nullptr) stats->rows_produced += rows_produced_;
-    // Candidate sets are the KeyHash-equal pairs on both spill routes.
+    // Candidates are the KeyHash-equal pairs.
     WUW_METRIC_ADD("engine.row.value_cmps", obs::MetricClass::kEngine,
                    key_cmps_);
     std::sort(produced_.begin(), produced_.end(),
@@ -114,54 +114,6 @@ class JoinMatches {
   int64_t rows_produced_ = 0;
 };
 
-/// One KeyHash per key column of every build and probe row.
-void ChargeKeyHashes(const Rows& left, const Rows& right, size_t key_arity) {
-  WUW_METRIC_ADD("engine.row.value_hashes", obs::MetricClass::kEngine,
-                 static_cast<int64_t>((left.size() + right.size()) *
-                                      key_arity));
-}
-
-/// WUW_MEM_MB probe-side join, for a build side over the spill threshold
-/// whose probe side is under it: the small probe side goes into the chained
-/// table and the build side streams past it in input order, so nothing
-/// spills and operator memory is bounded by the probe side plus the
-/// output.  JoinMatches restores the vectorized kernel's order, and stats
-/// are charged per row exactly as that kernel charges them.
-Rows ProbeSideHashJoin(const Rows& left, const Rows& right,
-                       const std::vector<size_t>& left_idx,
-                       const std::vector<size_t>& right_idx,
-                       OperatorStats* stats) {
-  ChargeKeyHashes(left, right, left_idx.size());
-  std::vector<KeyedRow> probe_rows;
-  const RowVec& probe_side = left.rows();
-  probe_rows.reserve(probe_side.size());
-  for (size_t i = 0; i < probe_side.size(); ++i) {
-    const auto& [tuple, count] = probe_side[i];
-    if (stats != nullptr) {
-      stats->rows_scanned += std::llabs(count);
-      stats->hash_probes += 1;
-    }
-    probe_rows.push_back(KeyedRow{static_cast<uint32_t>(i),
-                                  KeyHash(tuple, left_idx), count, &tuple});
-  }
-  const ChainedTable table(std::move(probe_rows));
-  JoinMatches matches(left_idx, right_idx);
-  const RowVec& build_side = right.rows();
-  for (size_t i = 0; i < build_side.size(); ++i) {
-    const auto& [tuple, count] = build_side[i];
-    if (stats != nullptr) {
-      stats->rows_scanned += std::llabs(count);
-      stats->hash_build_rows += 1;
-    }
-    const KeyedRow build{static_cast<uint32_t>(i), KeyHash(tuple, right_idx),
-                         count, &tuple};
-    table.ForEachHashMatch(build.hash, [&](const KeyedRow& probe) {
-      matches.Offer(probe, build);
-    });
-  }
-  return matches.Finish(left, right, stats);
-}
-
 /// WUW_MEM_MB grace join, for when both sides exceed the spill threshold:
 /// both sides partition by the TOP hash bits into a page-backed spill
 /// (algebra/spill_util.h), then each partition builds and probes
@@ -181,7 +133,10 @@ Rows GraceHashJoin(const Rows& left, const Rows& right,
   const size_t shift = sizeof(size_t) * 8 - bits;
   auto part_of = [&](size_t h) { return bits == 0 ? size_t{0} : h >> shift; };
 
-  ChargeKeyHashes(left, right, left_idx.size());
+  // One KeyHash per key column of every build and probe row.
+  WUW_METRIC_ADD("engine.row.value_hashes", obs::MetricClass::kEngine,
+                 static_cast<int64_t>((left.size() + right.size()) *
+                                      left_idx.size()));
 
   // Build partitions occupy [0, nparts), probe partitions
   // [nparts, 2*nparts) of one shared spill file; stat totals are charged
@@ -258,24 +213,26 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
   }
 
   // WUW_MEM_MB: an oversized build side never gets a resident hash table.
-  // If the probe side fits under the spill threshold it is hashed instead
-  // and the build side streams past it; only when both sides are oversized
-  // do they grace-partition through a spill.  Rows, row order, and
-  // OperatorStats are bit-identical to the vectorized kernel on every
-  // route.  Disarmed: one relaxed atomic load.
+  // If the probe side fits under the spill threshold the vectorized kernel
+  // hashes it instead and streams the build side past it; only when both
+  // sides are oversized do they grace-partition through a spill.  Rows,
+  // row order, and OperatorStats are bit-identical to the resident kernel
+  // on every route.  Disarmed: one relaxed atomic load.
+  vec::HashedSide hashed = vec::HashedSide::kRight;
   if (const paged::PagedOptions* spill_opts = paged::OperatorSpill();
       spill_opts != nullptr) {
     const int64_t threshold = paged::ResolvedSpillBytes(*spill_opts);
     if (spill::RowsExceedBytes(right, threshold)) {
-      if (!spill::RowsExceedBytes(left, threshold)) {
-        return ProbeSideHashJoin(left, right, left_idx, right_idx, stats);
+      if (spill::RowsExceedBytes(left, threshold)) {
+        return GraceHashJoin(left, right, left_idx, right_idx, stats,
+                             *spill_opts);
       }
-      return GraceHashJoin(left, right, left_idx, right_idx, stats,
-                           *spill_opts);
+      hashed = vec::HashedSide::kLeft;
+      WUW_METRIC_ADD("paged.probe_side_joins", obs::MetricClass::kEngine, 1);
     }
   }
   return vec::TryHashJoin(left, right, left_idx, right_idx, stats, pool,
-                          cancel);
+                          cancel, hashed);
 }
 
 }  // namespace wuw

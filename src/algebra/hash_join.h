@@ -33,9 +33,9 @@ struct JoinKeys {
 /// buffers merged in morsel order — output rows, row ORDER, and stats are
 /// byte-identical to the sequential kernel at every pool size.  A non-null
 /// `cancel` token is checked at morsel boundaries.  With operator spills
-/// armed (WUW_MEM_MB) an oversized build side is never hashed: the probe
-/// side is hashed instead when it fits, else both sides grace-spill — with
-/// the same byte-identical output.
+/// armed (WUW_MEM_MB) an oversized build side is never hashed: the kernel
+/// hashes the probe side instead when it fits (vec::HashedSide::kLeft),
+/// else both sides grace-spill — with the same byte-identical output.
 Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
               OperatorStats* stats, ThreadPool* pool = nullptr,
               const CancelToken* cancel = nullptr);

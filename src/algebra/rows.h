@@ -98,7 +98,8 @@ struct Rows {
 
   /// Snapshot of a table as +1-weighted rows (multiplicities preserved).
   /// Shares the table's row block in O(1) and carries its cardinality and
-  /// columnar snapshot along.
+  /// columnar snapshot along; a faulted-in table that has not built its
+  /// rows yields a columnar-only batch over its image (FromColumnar).
   static Rows FromTable(const Table& table);
 
   /// Columnar-only batch whose content is exactly `table` (non-null).

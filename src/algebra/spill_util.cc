@@ -37,28 +37,18 @@ std::string SpillFilePath(const paged::PagedOptions& options) {
 bool RowsExceedBytes(const Rows& rows, int64_t limit) {
   int64_t bytes = 0;
   if (!rows.rows_materialized()) {
-    // Columnar-only batch: the same per-row model read off the columns
-    // (paged::ApproxValueBytes of each cell), so no rows get built.
+    // Columnar-only batch: the same per-row model read off the columns,
+    // so no rows get built.
     std::shared_ptr<const ColumnTable> ct = rows.Columnar();
     for (size_t i = 0; i < ct->num_rows(); ++i) {
-      bytes += 4 + 8;
-      for (size_t c = 0; c < ct->num_columns(); ++c) {
-        const ColumnVec& col = ct->column(c);
-        if (col.type == TypeId::kNull || col.IsNull(i)) {
-          bytes += 1;
-        } else if (col.type == TypeId::kString) {
-          bytes += 5 + static_cast<int64_t>(col.dict->At(col.codes[i]).size());
-        } else {
-          bytes += 9;
-        }
-      }
+      bytes += paged::ApproxRowBytes(*ct, i);
       if (bytes > limit) return true;
     }
     return false;
   }
   for (const auto& [tuple, count] : rows.rows()) {
     (void)count;
-    bytes += paged::ApproxTupleBytes(tuple) + 8;
+    bytes += paged::ApproxRowBytes(tuple);
     if (bytes > limit) return true;
   }
   return false;

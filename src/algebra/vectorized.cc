@@ -20,53 +20,6 @@ namespace vec {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Cell hashing / equality.  The hash is engine-internal (see vectorized.h);
-// the only requirement is consistency with Value equality: equal cells must
-// hash equally.  Numerics therefore hash through their normalized double
-// image (Value compares numerics by image), strings through content-based
-// per-code dictionary hashes, nulls through one constant (null == null).
-
-inline uint64_t MixBits(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-constexpr uint64_t kNullCellHash = 0x9e3779b97f4a7c15ULL;
-
-inline uint64_t HashDouble(double d) {
-  if (d == 0.0) d = 0.0;  // normalize -0.0 (mirrors Value::Hash)
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return MixBits(bits);
-}
-
-inline double NumericImageAt(const ColumnVec& c, size_t i) {
-  return c.type == TypeId::kDouble ? c.dbls[i]
-                                   : static_cast<double>(c.ints[i]);
-}
-
-inline uint64_t CellHashAt(const ColumnVec& c, size_t i) {
-  if (c.type == TypeId::kString) {
-    uint32_t code = c.codes[i];
-    return code == kNullStringCode ? kNullCellHash : c.dict->HashOf(code);
-  }
-  if (c.type == TypeId::kNull || c.IsNull(i)) return kNullCellHash;
-  return HashDouble(NumericImageAt(c, i));
-}
-
-/// Same combining scheme as KeyHash (algebra/key_util.h) so the hash
-/// distributes comparably; the seed/sequence is irrelevant to correctness.
-inline uint64_t CombineKeyHash(uint64_t h, uint64_t cell) {
-  return h ^ (cell + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-}
-
-constexpr uint64_t kKeyHashSeed = 0x345678;
-
-// ---------------------------------------------------------------------------
 // Key equality plan between two (possibly identical) column tables.
 
 bool IsNumericType(TypeId t) {
@@ -85,12 +38,6 @@ struct KeyColEq {
   /// kStrCrossDict: b-code -> a-code (kNullStringCode = no such string).
   std::vector<uint32_t> trans;
 };
-
-inline bool CellIsNull(const ColumnVec& c, size_t i) {
-  if (c.type == TypeId::kString) return c.codes[i] == kNullStringCode;
-  if (c.type == TypeId::kNull) return true;
-  return c.IsNull(i);
-}
 
 struct KeyEq {
   std::vector<KeyColEq> cols;
@@ -973,12 +920,126 @@ struct VecJoinPartition {
   uint64_t mask = 0;
 };
 
+/// The sequential join loop: one flat chained table over `build`'s key
+/// columns, then `probe` streamed past it batch by batch.  Rows chain in
+/// ascending order with head = most recent, so a probe row meets
+/// hash-equal build rows in DESCENDING build index.  Calls
+/// emit(probe_row, build_row, prod) for every key-equal pair whose
+/// product is non-zero, in stream order.  `kProbeIsLeft` orients the key
+/// comparison and the stats: hash_probes counts the left side and
+/// hash_build_rows the right whichever side is hashed, because either
+/// orientation examines the same hash-equal pairs.
+template <bool kProbeIsLeft, typename Emit>
+void ChainedHashJoin(const ColumnTable& build,
+                     const std::vector<const ColumnVec*>& bcols,
+                     const ColumnTable& probe,
+                     const std::vector<const ColumnVec*>& pcols,
+                     const KeyEq& eq, OperatorStats* stats, VecCounters* cnt,
+                     Emit emit) {
+  const size_t bn = build.num_rows();
+  const size_t pn = probe.num_rows();
+  const std::vector<int64_t>& bmult = build.mult();
+  const std::vector<int64_t>& pmult = probe.mult();
+  const int64_t arity = static_cast<int64_t>(bcols.size());
+  std::vector<uint64_t> hashes(bn);
+  size_t nbuckets = 16;
+  while (nbuckets < bn * 2) nbuckets <<= 1;
+  const uint64_t mask = nbuckets - 1;
+  std::vector<int32_t> heads(nbuckets, -1);
+  std::vector<int32_t> chain(bn);
+  int64_t scanned = 0;
+  ForEachBatch(build, [&](const RowBatch& b) {
+    ++cnt->batches;
+    scanned += b.abs_card;
+    for (size_t k = 0; k < b.size(); ++k) {
+      size_t i = b.row(k);
+      uint64_t h = RowKeyHash(bcols, i);
+      hashes[i] = h;
+      chain[i] = heads[h & mask];
+      heads[h & mask] = static_cast<int32_t>(i);
+    }
+  });
+  cnt->rows += static_cast<int64_t>(bn);
+  cnt->key_mixes += static_cast<int64_t>(bn) * arity;
+
+  int64_t probe_scanned = 0, produced = 0;
+  ForEachBatch(probe, [&](const RowBatch& b) {
+    ++cnt->batches;
+    probe_scanned += b.abs_card;
+    for (size_t k = 0; k < b.size(); ++k) {
+      size_t i = b.row(k);
+      uint64_t h = RowKeyHash(pcols, i);
+      int64_t pc = pmult[i];
+      for (int32_t j = heads[h & mask]; j >= 0; j = chain[j]) {
+        if (hashes[j] != h) continue;
+        ++cnt->key_cmps;
+        const size_t bj = static_cast<size_t>(j);
+        if (!(kProbeIsLeft ? eq.Eq(i, bj) : eq.Eq(bj, i))) continue;
+        int64_t prod = pc * bmult[bj];
+        if (prod != 0) emit(i, bj, prod);
+        produced += std::llabs(prod);
+      }
+    }
+  });
+  cnt->rows += static_cast<int64_t>(pn);
+  cnt->key_mixes += static_cast<int64_t>(pn) * arity;
+  if (stats != nullptr) {
+    stats->rows_scanned += scanned + probe_scanned;
+    stats->hash_probes += static_cast<int64_t>(kProbeIsLeft ? pn : bn);
+    stats->hash_build_rows += static_cast<int64_t>(kProbeIsLeft ? bn : pn);
+    stats->rows_produced += produced;
+  }
+}
+
+/// HashedSide::kLeft: ChainedHashJoin over the left side with the right
+/// side streamed past it in ascending order.  Only the match order
+/// differs from the resident branches; a counting sort by left row
+/// restores the kernel's.  Fills the output's left and right row ids and
+/// multiplicities.
+void ProbeSideJoin(const ColumnTable& lct, const ColumnTable& rct,
+                   const std::vector<const ColumnVec*>& lcols,
+                   const std::vector<const ColumnVec*>& rcols,
+                   const KeyEq& eq, OperatorStats* stats, VecCounters* cnt,
+                   std::vector<uint32_t>* out_lids,
+                   std::vector<uint32_t>* out_rids,
+                   std::vector<int64_t>* out_mult) {
+  const size_t ln = lct.num_rows();
+  // Matches in stream order (right index ascending), counted per left
+  // row.
+  std::vector<uint32_t> lids, rids;
+  std::vector<int64_t> mults;
+  std::vector<uint32_t> per_left(ln + 1, 0);
+  ChainedHashJoin</*kProbeIsLeft=*/false>(
+      lct, lcols, rct, rcols, eq, stats, cnt,
+      [&](size_t j, size_t i, int64_t prod) {
+        lids.push_back(static_cast<uint32_t>(i));
+        rids.push_back(static_cast<uint32_t>(j));
+        mults.push_back(prod);
+        ++per_left[i + 1];
+      });
+
+  // Walking the stream backwards places each left row's matches in
+  // descending right index, the kernel's order.
+  for (size_t i = 0; i < ln; ++i) per_left[i + 1] += per_left[i];
+  const size_t total = lids.size();
+  out_lids->resize(total);
+  out_rids->resize(total);
+  out_mult->resize(total);
+  for (size_t k = total; k-- > 0;) {
+    const uint32_t pos = per_left[lids[k]]++;
+    (*out_lids)[pos] = lids[k];
+    (*out_rids)[pos] = rids[k];
+    (*out_mult)[pos] = mults[k];
+  }
+}
+
 }  // namespace
 
 Rows TryHashJoin(const Rows& left, const Rows& right,
                  const std::vector<size_t>& left_idx,
                  const std::vector<size_t>& right_idx, OperatorStats* stats,
-                 ThreadPool* pool, const CancelToken* cancel) {
+                 ThreadPool* pool, const CancelToken* cancel,
+                 HashedSide hashed) {
   std::shared_ptr<const ColumnTable> lct = MustColumnar(left);
   std::shared_ptr<const ColumnTable> rct = MustColumnar(right);
 
@@ -997,14 +1058,15 @@ Rows TryHashJoin(const Rows& left, const Rows& right,
 
   Schema out_schema = Schema::Concat(left.schema, right.schema);
 
-  // Build-side hashes, batch-at-a-time (pre-hashed key columns).
-  std::vector<uint64_t> hashes(n);
-  const bool parallel = ShouldParallelize(pool, ln + n);
-
   std::vector<uint32_t> out_lids, out_rids;
   std::vector<int64_t> out_mult;
 
-  if (parallel) {
+  if (hashed == HashedSide::kLeft) {
+    ProbeSideJoin(*lct, *rct, lcols, rcols, eq, stats, &cnt, &out_lids,
+                  &out_rids, &out_mult);
+  } else if (ShouldParallelize(pool, ln + n)) {
+    // Build-side hashes, morsel-at-a-time (pre-hashed key columns).
+    std::vector<uint64_t> hashes(n);
     // Determinism argument, step by step:
     //  - partition row-id lists are written morsel-block by morsel-block in
     //    morsel order, so each partition's ids ascend in global row order;
@@ -1012,9 +1074,9 @@ Rows TryHashJoin(const Rows& left, const Rows& right,
     //    walks matching rows in DESCENDING global index — exactly the
     //    order the sequential single-table chain yields for the same key;
     //  - probe morsels buffer output locally and merge in morsel order.
-    // Counter parity with the sequential branch below: kEngine counters
-    // must not depend on the pool size, so report the same row/batch
-    // totals the batch loops would have.
+    // Counter parity with ChainedHashJoin: kEngine counters must not
+    // depend on the pool size, so report the same row/batch totals its
+    // batch loops would have.
     cnt.rows += static_cast<int64_t>(n + ln);
     cnt.batches += static_cast<int64_t>((n + kBatchRows - 1) / kBatchRows) +
                    static_cast<int64_t>((ln + kBatchRows - 1) / kBatchRows);
@@ -1127,63 +1189,13 @@ Rows TryHashJoin(const Rows& left, const Rows& right,
       if (stats != nullptr) *stats += buf.stats;
     }
   } else {
-    // Sequential: one flat chained table over the full build side.  The
-    // chain inserts rows in ascending order with head = most recent, so a
-    // probe visits equal-key rows in DESCENDING build index.
-    size_t nbuckets = 16;
-    while (nbuckets < n * 2) nbuckets <<= 1;
-    const uint64_t mask = nbuckets - 1;
-    std::vector<int32_t> heads(nbuckets, -1);
-    std::vector<int32_t> chain(n);
-    int64_t scanned = 0;
-    ForEachBatch(*rct, [&](const RowBatch& b) {
-      ++cnt.batches;
-      scanned += b.abs_card;
-      for (size_t k = 0; k < b.size(); ++k) {
-        size_t i = b.row(k);
-        uint64_t h = RowKeyHash(rcols, i);
-        hashes[i] = h;
-        chain[i] = heads[h & mask];
-        heads[h & mask] = static_cast<int32_t>(i);
-      }
-    });
-    cnt.rows += static_cast<int64_t>(n);
-    cnt.key_mixes += static_cast<int64_t>(n) * arity;
-    if (stats != nullptr) {
-      stats->rows_scanned += scanned;
-      stats->hash_build_rows += static_cast<int64_t>(n);
-    }
-
-    int64_t probe_scanned = 0, produced = 0;
-    ForEachBatch(*lct, [&](const RowBatch& b) {
-      ++cnt.batches;
-      probe_scanned += b.abs_card;
-      for (size_t k = 0; k < b.size(); ++k) {
-        size_t i = b.row(k);
-        uint64_t h = RowKeyHash(lcols, i);
-        int64_t lc = lmult[i];
-        for (int32_t j = heads[h & mask]; j >= 0; j = chain[j]) {
-          if (hashes[j] != h) continue;
-          ++cnt.key_cmps;
-          if (!eq.Eq(i, static_cast<size_t>(j))) continue;
-          int64_t rc = rmult[j];
-          int64_t prod = lc * rc;
-          if (prod != 0) {
-            out_lids.push_back(static_cast<uint32_t>(i));
-            out_rids.push_back(static_cast<uint32_t>(j));
-            out_mult.push_back(prod);
-          }
-          produced += std::llabs(prod);
-        }
-      }
-    });
-    cnt.rows += static_cast<int64_t>(ln);
-    cnt.key_mixes += static_cast<int64_t>(ln) * arity;
-    if (stats != nullptr) {
-      stats->rows_scanned += probe_scanned;
-      stats->hash_probes += static_cast<int64_t>(ln);
-      stats->rows_produced += produced;
-    }
+    ChainedHashJoin</*kProbeIsLeft=*/true>(
+        *rct, rcols, *lct, lcols, eq, stats, &cnt,
+        [&](size_t i, size_t j, int64_t prod) {
+          out_lids.push_back(static_cast<uint32_t>(i));
+          out_rids.push_back(static_cast<uint32_t>(j));
+          out_mult.push_back(prod);
+        });
   }
 
   Rows out = Rows::FromColumnar(GatherJoinTable(

@@ -2,7 +2,8 @@
 // in-memory implementation of Filter / Project / HashJoin /
 // AggregateSigned.  The operator entry points call them directly (the
 // join and the aggregate first route inputs over the WUW_MEM_MB spill
-// threshold to their spill routes).
+// threshold to their grace routes; the join's probe-side route is
+// TryHashJoin's HashedSide::kLeft mode).
 //
 // Every input must convert to ColumnTable form (Rows::Columnar()); a batch
 // whose cells violate their declared column types is an invariant
@@ -14,7 +15,7 @@
 // consumer calls rows().  TryProject and TryAggregate build their rows
 // eagerly.
 //
-// Output order, which the join and aggregate spill routes reproduce:
+// Output order, which the join and aggregate grace routes reproduce:
 // filter and project keep input order (project emits one row per input
 // row; filter drops zero multiplicities, as the join drops zero
 // products); the join emits probe (left) rows ascending and, per probe
@@ -63,13 +64,24 @@ Rows TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
 Rows TryProject(const Rows& input, const std::vector<ProjectItem>& items,
                 OperatorStats* stats);
 
+/// The side a hash join builds its table over.
+enum class HashedSide {
+  /// The build (right) side; the left side probes it.
+  kRight,
+  /// The probe (left) side, with the right side streamed past it: the
+  /// WUW_MEM_MB route for a build side too large to hash.  Sequential.
+  kLeft,
+};
+
 /// Vectorized hash join over pre-hashed key columns; runs the
 /// radix-partitioned parallel build when the pool and input sizes warrant
-/// it.  `left_idx` / `right_idx` are resolved key column positions.
+/// it.  `left_idx` / `right_idx` are resolved key column positions.  Rows,
+/// order, stats and kEngine counters are the same for either `hashed`.
 Rows TryHashJoin(const Rows& left, const Rows& right,
                  const std::vector<size_t>& left_idx,
                  const std::vector<size_t>& right_idx, OperatorStats* stats,
-                 ThreadPool* pool, const CancelToken* cancel);
+                 ThreadPool* pool, const CancelToken* cancel,
+                 HashedSide hashed = HashedSide::kRight);
 
 /// Vectorized signed aggregation with flat accumulators.
 Rows TryAggregate(const Rows& input, const std::vector<std::string>& group_by,

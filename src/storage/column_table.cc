@@ -9,23 +9,6 @@
 
 namespace wuw {
 
-namespace {
-
-/// Engine-internal 64-bit mixer (splitmix64 finalizer).  Used only for
-/// bucket placement inside the vectorized kernels; deliberately unrelated
-/// to Value::Hash — kernel output order never depends on the hash function
-/// (equal keys share a bucket under any hash; see vectorized.h).
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-}  // namespace
-
 uint32_t StringDict::Intern(const std::string& s) {
   auto it = lookup_.find(s);
   if (it != lookup_.end()) return it->second;
@@ -266,6 +249,51 @@ Tuple ColumnTable::TupleAt(size_t i) const {
   values.reserve(columns_.size());
   for (const ColumnVec& col : columns_) values.push_back(col.ValueAt(i));
   return Tuple(std::move(values));
+}
+
+namespace {
+
+/// Cell i equals cell j under Value's equality; strings compare by code
+/// (a dictionary holds each string once).
+bool CellsEqual(const ColumnVec& col, size_t i, size_t j) {
+  const bool in = CellIsNull(col, i), jn = CellIsNull(col, j);
+  if (in || jn) return in == jn;
+  if (col.type == TypeId::kString) return col.codes[i] == col.codes[j];
+  return NumericImageAt(col, i) == NumericImageAt(col, j);
+}
+
+}  // namespace
+
+bool ColumnTable::HasEqualRows() const {
+  const size_t n = num_rows();
+  // The kernels' key hash over every column, a column at a time.
+  std::vector<uint64_t> hashes(n, kKeyHashSeed);
+  for (const ColumnVec& col : columns_) {
+    for (size_t i = 0; i < n; ++i) {
+      hashes[i] = CombineKeyHash(hashes[i], CellHashAt(col, i));
+    }
+  }
+  size_t nslots = 16;
+  while (nslots < n * 2) nslots <<= 1;
+  const size_t mask = nslots - 1;
+  std::vector<uint32_t> slots(nslots, kNullStringCode);
+  for (size_t i = 0; i < n; ++i) {
+    size_t s = hashes[i] & mask;
+    for (; slots[s] != kNullStringCode; s = (s + 1) & mask) {
+      const size_t j = slots[s];
+      if (hashes[j] != hashes[i]) continue;
+      bool equal = true;
+      for (const ColumnVec& col : columns_) {
+        if (!CellsEqual(col, i, j)) {
+          equal = false;
+          break;
+        }
+      }
+      if (equal) return true;
+    }
+    slots[s] = static_cast<uint32_t>(i);
+  }
+  return false;
 }
 
 ColumnMinMax ColumnTable::Stats(size_t c) const {

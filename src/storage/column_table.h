@@ -24,11 +24,14 @@
 // last row was deleted (DictsOverBound() tells the owner when to drop the
 // image for a rebuild) and a null mask can outlive its last NULL.  Table
 // edits an image only while it owns it alone (storage/table.h); every
-// image anyone else can see is finished and never changes.
+// image anyone else can see is finished and never changes.  An image is
+// also what the extent pager writes and reads back (storage/page.h): a
+// faulted-in table holds only its image until someone asks for rows.
 #ifndef WUW_STORAGE_COLUMN_TABLE_H_
 #define WUW_STORAGE_COLUMN_TABLE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -97,6 +100,61 @@ struct ColumnVec {
   /// Materializes cell `i` with its exact original TypeId.
   Value ValueAt(size_t i) const;
 };
+
+// ---------------------------------------------------------------------------
+// Cell hashing and equality, shared by the vectorized kernels
+// (algebra/vectorized.cc) and ColumnTable::HasEqualRows.  The hash is
+// engine-internal (see algebra/vectorized.h); the only requirement is
+// consistency with Value equality: equal cells must hash equally.
+// Numerics therefore hash through their normalized double image (Value
+// compares numerics by image), strings through content-based per-code
+// dictionary hashes, NULLs through one constant (NULL == NULL).
+
+/// The splitmix64 finalizer.
+inline uint64_t Mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+inline constexpr uint64_t kNullCellHash = 0x9e3779b97f4a7c15ULL;
+
+inline bool CellIsNull(const ColumnVec& c, size_t i) {
+  if (c.type == TypeId::kString) return c.codes[i] == kNullStringCode;
+  if (c.type == TypeId::kNull) return true;
+  return c.IsNull(i);
+}
+
+/// Cell i of a numeric column as Value compares it.
+inline double NumericImageAt(const ColumnVec& c, size_t i) {
+  return c.type == TypeId::kDouble ? c.dbls[i]
+                                   : static_cast<double>(c.ints[i]);
+}
+
+inline uint64_t CellHashAt(const ColumnVec& c, size_t i) {
+  if (c.type == TypeId::kString) {
+    uint32_t code = c.codes[i];
+    return code == kNullStringCode ? kNullCellHash : c.dict->HashOf(code);
+  }
+  if (c.type == TypeId::kNull || c.IsNull(i)) return kNullCellHash;
+  double d = NumericImageAt(c, i);
+  if (d == 0.0) d = 0.0;  // normalize -0.0 (mirrors Value::Hash)
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return Mix64(bits);
+}
+
+/// Folds a cell hash into a row's key hash: the combining scheme of
+/// KeyHash (algebra/key_util.h), so the hash distributes comparably; the
+/// seed and sequence are irrelevant to correctness.
+inline uint64_t CombineKeyHash(uint64_t h, uint64_t cell) {
+  return h ^ (cell + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+inline constexpr uint64_t kKeyHashSeed = 0x345678;
 
 /// Per-column min/max over non-null cells (the stats the round-trip
 /// property suite checks against a row-order recompute).
@@ -167,6 +225,13 @@ class ColumnTable {
 
   /// Materializes row `i` (exact cell types).
   Tuple TupleAt(size_t i) const;
+
+  /// True when two rows are equal as tuples (Tuple::operator==: NULL
+  /// equals NULL, numerics compare by their double image).  A table image
+  /// holds distinct rows; the extent pager checks a restored one with this.
+  /// Rows must stay below kNullStringCode (FromRows and AppendRow keep them
+  /// there).
+  bool HasEqualRows() const;
 
   /// Min/max of column `c` over non-null cells.
   ColumnMinMax Stats(size_t c) const;

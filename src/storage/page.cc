@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 
 #include "common/check.h"
 #include "common/crc32.h"
@@ -110,31 +111,47 @@ bool GetTuple(ByteReader* r, Tuple* out) {
 // ---------------------------------------------------------------------------
 // Analytic size model.
 
-int64_t ApproxValueBytes(const Value& v) {
-  switch (v.type()) {
-    case TypeId::kNull:
-      return 1;
-    case TypeId::kInt64:
-    case TypeId::kDate:
-    case TypeId::kDouble:
-      return 9;
-    case TypeId::kString:
-      return 5 + static_cast<int64_t>(v.AsString().size());
+namespace {
+/// A row's fixed bytes: PutTuple's u32 arity plus the i64 multiplicity.
+constexpr int64_t kRowOverheadBytes = 4 + 8;
+}  // namespace
+
+int64_t ApproxRowBytes(const Tuple& t) {
+  int64_t bytes = kRowOverheadBytes;
+  for (const Value& v : t.values()) {
+    bytes += ApproxCellBytes(
+        v.type(), v.type() == TypeId::kString ? v.AsString().size() : 0);
   }
-  return 1;
+  return bytes;
 }
 
-int64_t ApproxTupleBytes(const Tuple& t) {
-  int64_t bytes = 4;
-  for (const Value& v : t.values()) bytes += ApproxValueBytes(v);
+int64_t ApproxRowBytes(const ColumnTable& image, size_t i) {
+  int64_t bytes = kRowOverheadBytes;
+  for (size_t c = 0; c < image.num_columns(); ++c) {
+    const ColumnVec& col = image.column(c);
+    if (col.type == TypeId::kNull || col.IsNull(i)) {
+      bytes += ApproxCellBytes(TypeId::kNull, 0);
+    } else {
+      bytes += ApproxCellBytes(
+          col.type,
+          col.type == TypeId::kString ? col.dict->At(col.codes[i]).size() : 0);
+    }
+  }
   return bytes;
 }
 
 int64_t ApproxTableBytes(const Table& table) {
   int64_t bytes = 0;
+  if (!table.rows_materialized()) {
+    std::shared_ptr<const ColumnTable> image = table.ColumnarSnapshot();
+    for (size_t i = 0; i < image->num_rows(); ++i) {
+      bytes += ApproxRowBytes(*image, i);
+    }
+    return bytes;
+  }
   for (const auto& [tuple, count] : table.dense_rows()) {
     (void)count;
-    bytes += ApproxTupleBytes(tuple) + 8;
+    bytes += ApproxRowBytes(tuple);
   }
   return bytes;
 }
@@ -149,6 +166,8 @@ std::atomic<int64_t> g_spilled_partitions{0};
 std::atomic<int64_t> g_spill_faults{0};
 std::atomic<int64_t> g_spill_writebacks{0};
 std::atomic<int64_t> g_read_retries{0};
+std::atomic<int64_t> g_row_builds{0};
+std::atomic<int64_t> g_index_builds{0};
 }  // namespace internal
 
 PagedStatsSnapshot GlobalPagedStats() {
@@ -162,6 +181,8 @@ PagedStatsSnapshot GlobalPagedStats() {
       internal::g_spill_writebacks.load(std::memory_order_relaxed);
   out.read_retries =
       internal::g_read_retries.load(std::memory_order_relaxed);
+  out.row_builds = internal::g_row_builds.load(std::memory_order_relaxed);
+  out.index_builds = internal::g_index_builds.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -318,7 +339,7 @@ std::string PageFile::Sync() { return file_->Sync(); }
 // Table images.
 
 namespace {
-constexpr uint32_t kImageFormatVersion = 1;
+constexpr uint32_t kImageFormatVersion = 2;
 
 void PutSchema(std::string* out, const Schema& s) {
   PutU32(out, static_cast<uint32_t>(s.num_columns()));
@@ -332,10 +353,13 @@ bool GetSchema(ByteReader* r, Schema* out) {
   uint32_t n = r->U32();
   if (!r->Need(n)) return false;
   std::vector<Column> columns(n);
+  std::set<std::string> names;
   for (uint32_t i = 0; i < n; ++i) {
     columns[i].name = r->Str();
     uint8_t tag = r->U8();
-    if (tag > static_cast<uint8_t>(TypeId::kDate)) {
+    // Schema aborts on a repeated name, so the decoder rejects it first.
+    if (tag > static_cast<uint8_t>(TypeId::kDate) ||
+        !names.insert(columns[i].name).second) {
       r->ok = false;
       return false;
     }
@@ -345,25 +369,171 @@ bool GetSchema(ByteReader* r, Schema* out) {
   *out = Schema(std::move(columns));
   return true;
 }
-}  // namespace
 
-std::string SerializeTableImage(const Table& table) {
+void PutColumn(std::string* out, const ColumnVec& col, size_t n) {
+  PutU8(out, col.nulls.empty() ? 0 : 1);
+  if (!col.nulls.empty()) {
+    out->append(reinterpret_cast<const char*>(col.nulls.data()), n);
+  }
+  switch (col.type) {
+    case TypeId::kString: {
+      const size_t dict_size = col.dict != nullptr ? col.dict->size() : 0;
+      PutU32(out, static_cast<uint32_t>(dict_size));
+      for (size_t code = 0; code < dict_size; ++code) {
+        PutString(out, col.dict->At(static_cast<uint32_t>(code)));
+      }
+      for (size_t i = 0; i < n; ++i) PutU32(out, col.codes[i]);
+      break;
+    }
+    case TypeId::kDouble:
+      for (size_t i = 0; i < n; ++i) {
+        uint64_t bits;
+        std::memcpy(&bits, &col.dbls[i], sizeof(bits));
+        PutU64(out, bits);
+      }
+      break;
+    default:
+      for (size_t i = 0; i < n; ++i) PutI64(out, col.ints[i]);
+      break;
+  }
+}
+
+/// Decodes one column of `n` rows into `col` (type preset), reserving
+/// `capacity` cells.  Accepts only the shapes ColumnTable::FromRows and
+/// AppendRow produce: no null mask on a string column (NULL is a code
+/// there), a mask of all ones on a non-empty kNull column, and a zero
+/// payload under every NULL of a numeric column.  Returns false on any
+/// other shape, an overrun, a null-mask byte other than 0/1, a duplicate
+/// dictionary string or an out-of-range code.
+bool GetColumn(ByteReader* r, size_t n, size_t capacity, ColumnVec* col) {
+  const uint8_t has_nulls = r->U8();
+  if (has_nulls > 1 || (has_nulls == 1 && col->type == TypeId::kString) ||
+      (has_nulls == 0 && col->type == TypeId::kNull && n > 0)) {
+    return false;
+  }
+  if (has_nulls == 1) {
+    if (!r->Need(n)) return false;
+    col->nulls.reserve(capacity);
+    col->nulls.assign(r->data + r->pos, r->data + r->pos + n);
+    r->pos += n;
+    const uint8_t lowest = col->type == TypeId::kNull ? 1 : 0;
+    for (uint8_t b : col->nulls) {
+      if (b > 1 || b < lowest) return false;
+    }
+  }
+  switch (col->type) {
+    case TypeId::kString: {
+      const uint32_t dict_size = r->U32();
+      if (!r->Need(dict_size)) return false;  // >= 4 bytes per string
+      auto dict = std::make_shared<StringDict>();
+      for (uint32_t code = 0; code < dict_size; ++code) {
+        std::string s = r->Str();
+        if (!r->ok || dict->Intern(s) != code) return false;
+      }
+      WUW_METRIC_ADD("engine.vec.value_hashes", obs::MetricClass::kEngine,
+                     dict_size);
+      if (!r->Need(n * 4)) return false;
+      col->codes.reserve(capacity);
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t code = r->U32();
+        if (code >= dict_size && code != kNullStringCode) return false;
+        col->codes.push_back(code);
+      }
+      col->dict = std::move(dict);
+      break;
+    }
+    case TypeId::kDouble:
+      if (!r->Need(n * 8)) return false;
+      col->dbls.reserve(capacity);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t bits = r->U64();
+        if (bits != 0 && col->IsNull(i)) return false;
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        col->dbls.push_back(d);
+      }
+      break;
+    default:
+      if (!r->Need(n * 8)) return false;
+      col->ints.reserve(capacity);
+      for (size_t i = 0; i < n; ++i) {
+        const int64_t v = r->I64();
+        if (v != 0 && col->IsNull(i)) return false;
+        col->ints.push_back(v);
+      }
+      break;
+  }
+  return r->ok;
+}
+
+std::string SerializeTableImage(const Table& table, const ColumnTable& image) {
+  const size_t n = image.num_rows();
   std::string out;
   PutU32(&out, kImageFormatVersion);
   PutSchema(&out, table.schema());
   PutI64(&out, table.mutation_count());
   PutI64(&out, table.cardinality());
-  PutU64(&out, table.dense_rows().size());
-  for (const auto& [tuple, count] : table.dense_rows()) {
-    PutTuple(&out, tuple);
-    PutI64(&out, count);
+  PutU64(&out, n);
+  for (size_t c = 0; c < image.num_columns(); ++c) {
+    PutColumn(&out, image.column(c), n);
   }
+  for (int64_t m : image.mult()) PutI64(&out, m);
   return out;
 }
 
+/// Decodes a whole image payload; "" on success.
+std::string DecodeTableImage(const std::string& bytes, TableImage* out) {
+  ByteReader r(bytes);
+  const uint32_t version = r.U32();
+  if (!r.ok) return "image header is truncated";
+  if (version != kImageFormatVersion) {
+    return "unsupported image format version " + std::to_string(version) +
+           " (this build reads version " +
+           std::to_string(kImageFormatVersion) + ")";
+  }
+  TableImage img;
+  if (!GetSchema(&r, &img.schema)) {
+    return "image header is truncated or corrupt";
+  }
+  img.mutation_count = r.I64();
+  img.cardinality = r.I64();
+  const uint64_t n64 = r.U64();
+  // Every row takes at least eight bytes (its multiplicity), which bounds
+  // the reservations below by what the payload actually holds.
+  if (!r.ok || n64 > r.remaining() / 8 || n64 >= kNullStringCode) {
+    return "image header is truncated or corrupt";
+  }
+  const size_t n = static_cast<size_t>(n64);
+  // The headroom Table::ColumnarSnapshot gives a fresh image, so the
+  // installs that follow a fault-in append without reallocating.
+  const size_t capacity = n + n / 8 + 16;
+  img.columns = std::make_shared<ColumnTable>(img.schema);
+  for (size_t c = 0; c < img.schema.num_columns(); ++c) {
+    if (!GetColumn(&r, n, capacity, img.columns->mutable_column(c))) {
+      return "column " + std::to_string(c) + " is truncated or corrupt";
+    }
+  }
+  if (!r.Need(n * 8)) return "multiplicities are truncated";
+  std::vector<int64_t>& mult = *img.columns->mutable_mult();
+  mult.reserve(capacity);
+  for (size_t i = 0; i < n; ++i) mult.push_back(r.I64());
+  if (r.remaining() != 0) {
+    return std::to_string(r.remaining()) + " trailing bytes after the image";
+  }
+  *out = std::move(img);
+  return "";
+}
+
+}  // namespace
+
 std::string SaveTableImage(const Table& table, const std::string& path,
                            size_t page_bytes) {
-  const std::string bytes = SerializeTableImage(table);
+  std::shared_ptr<const ColumnTable> image = table.ColumnarSnapshot();
+  if (image == nullptr) {
+    return "table has no columnar image (a cell violates its column type)";
+  }
+  const std::string bytes = SerializeTableImage(table, *image);
+  image.reset();
   const std::string tmp = path + ".tmp";
   io::Env* env = io::GetEnv();
   std::string error;
@@ -402,65 +572,21 @@ std::string SaveTableImage(const Table& table, const std::string& path,
   return env->SyncDir(io::ParentDir(path));
 }
 
-bool LoadTableImage(const std::string& path, TableImage* out,
-                    std::string* error, bool* torn) {
-  if (torn != nullptr) *torn = false;
-  std::unique_ptr<PageFile> file = PageFile::Open(path, error);
-  if (file == nullptr) return false;
-  // Concatenate the longest valid prefix of pages; a torn/corrupt page
-  // ends the stream there (the journal's longest-valid-prefix rule).
+std::string LoadTableImage(const std::string& path, TableImage* out) {
+  std::string error;
+  std::unique_ptr<PageFile> file = PageFile::Open(path, &error);
+  if (file == nullptr) return error;
+  // Every page must read back whole: the image is one record, so a torn
+  // or corrupt page anywhere makes the whole load fail.
   std::string bytes;
-  bool page_torn = false;
   for (int64_t id = 0; id < file->num_pages(); ++id) {
     std::string payload;
-    std::string page_error = file->ReadPage(id, &payload);
-    if (!page_error.empty()) {
-      page_torn = true;
-      break;
-    }
+    error = file->ReadPage(id, &payload);
+    if (!error.empty()) return error;
     bytes.append(payload);
   }
-  ByteReader r(bytes);
-  uint32_t version = r.U32();
-  if (version != kImageFormatVersion) {
-    *error = path + ": unsupported image format version " +
-             std::to_string(version);
-    return false;
-  }
-  TableImage img;
-  if (!GetSchema(&r, &img.schema)) {
-    *error = path + ": image header is truncated or corrupt";
-    return false;
-  }
-  img.mutation_count = r.I64();
-  img.cardinality = r.I64();
-  uint64_t n = r.U64();
-  if (!r.ok) {
-    *error = path + ": image header is truncated or corrupt";
-    return false;
-  }
-  // A torn tail may have dropped row bytes; bound the reservation by what
-  // actually remains (every row is at least one byte) and keep the longest
-  // valid prefix of rows below.
-  img.rows.reserve(static_cast<size_t>(
-      std::min<uint64_t>(n, r.remaining())));
-  bool row_torn = false;
-  for (uint64_t i = 0; i < n; ++i) {
-    Tuple t;
-    if (!GetTuple(&r, &t)) {
-      row_torn = true;
-      break;
-    }
-    int64_t count = r.I64();
-    if (!r.ok) {
-      row_torn = true;
-      break;
-    }
-    img.rows.emplace_back(std::move(t), count);
-  }
-  if (torn != nullptr) *torn = page_torn || row_torn;
-  *out = std::move(img);
-  return true;
+  error = DecodeTableImage(bytes, out);
+  return error.empty() ? "" : path + ": " + error;
 }
 
 }  // namespace paged

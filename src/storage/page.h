@@ -6,9 +6,8 @@
 // exec/journal.cc): [u32 len][u32 page_no][payload][u32 crc32] zero-padded
 // to the file's page size.  Every byte of the frame prefix and payload is
 // covered by the CRC, so a flipped bit anywhere in a frame makes that page
-// unreadable rather than silently wrong; loads keep the longest valid
-// prefix of pages and report torn tails through error strings — never an
-// abort (user-facing input path, see CLAUDE.md conventions).
+// unreadable rather than silently wrong.  Damage surfaces as an error
+// string, never an abort: page files are input from outside the program.
 //
 // Two consumers sit on top:
 //   * storage/paged_store.h spills whole extents as multi-page table
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "io/env.h"
+#include "storage/column_table.h"
 #include "storage/table.h"
 #include "storage/tuple.h"
 
@@ -116,12 +116,34 @@ bool GetTuple(ByteReader* r, Tuple* out);
 // Analytic size model.  Serialized-byte estimates computed from the wire
 // format above — a pure function of the data, so every paging/spill
 // decision derived from it is deterministic across runs, pool sizes, and
-// platforms (never sizeof()/capacity(), which are allocator noise).
+// platforms (never sizeof()/capacity(), which are allocator noise).  A row
+// costs the same in either form: the tuple form reads Values, the column
+// form reads cells, and both price each cell through ApproxCellBytes.
 
-int64_t ApproxValueBytes(const Value& v);
-int64_t ApproxTupleBytes(const Tuple& t);
-/// Bytes of the table's serialized image payload (rows only; the fixed
-/// header is noise at any realistic size).
+/// Bytes of one cell as PutValue writes it: the type tag, plus 8 for a
+/// numeric payload or a u32 length and `string_bytes` for a string.  A NULL
+/// cell (`type` kNull) is the tag alone.
+inline int64_t ApproxCellBytes(TypeId type, size_t string_bytes) {
+  switch (type) {
+    case TypeId::kNull:
+      return 1;
+    case TypeId::kString:
+      return 5 + static_cast<int64_t>(string_bytes);
+    default:
+      return 9;
+  }
+}
+
+/// Bytes of one (tuple, multiplicity) row: its cells plus a fixed row
+/// overhead (the u32 arity and the i64 multiplicity).
+int64_t ApproxRowBytes(const Tuple& t);
+/// Bytes of row `i` of a columnar image; equals
+/// ApproxRowBytes(image.TupleAt(i)).
+int64_t ApproxRowBytes(const ColumnTable& image, size_t i);
+/// Bytes of the table's rows (the fixed image header is noise at any
+/// realistic size).  Read off the columnar image while the table has not
+/// built its rows (a fault-in restores columns only), else off the rows;
+/// both give the same number.
 int64_t ApproxTableBytes(const Table& table);
 
 // ---------------------------------------------------------------------------
@@ -133,7 +155,10 @@ int64_t ApproxTableBytes(const Table& table);
 // `paged.spill_writebacks` mirror them when metrics are armed.  Extent
 // paging (storage/paged_store.h) and operator spill pools
 // (storage/buffer_pool.h) count separately: a spill frame's traffic never
-// shows up as an extent fault or eviction.
+// shows up as an extent fault or eviction.  The on-demand row and index
+// builds of faulted-in tables (storage/table.h) have no metric mirror:
+// which thread reads rows first, and whether a snapshot reader does, is
+// not deterministic.
 
 struct PagedStatsSnapshot {
   int64_t faults = 0;              ///< extent fault-ins
@@ -142,6 +167,8 @@ struct PagedStatsSnapshot {
   int64_t spill_faults = 0;        ///< spill-pool disk re-reads
   int64_t spill_writebacks = 0;    ///< spill-pool dirty evictions written
   int64_t read_retries = 0;        ///< transient-EIO retries in ReadPage
+  int64_t row_builds = 0;    ///< faulted-in extents that built their rows
+  int64_t index_builds = 0;  ///< ... and their tuple index
 };
 
 PagedStatsSnapshot GlobalPagedStats();
@@ -153,6 +180,8 @@ extern std::atomic<int64_t> g_spilled_partitions;
 extern std::atomic<int64_t> g_spill_faults;
 extern std::atomic<int64_t> g_spill_writebacks;
 extern std::atomic<int64_t> g_read_retries;
+extern std::atomic<int64_t> g_row_builds;
+extern std::atomic<int64_t> g_index_builds;
 }  // namespace internal
 
 // ---------------------------------------------------------------------------
@@ -249,33 +278,44 @@ class PageFile {
 // ---------------------------------------------------------------------------
 // Table images: a whole extent serialized across consecutive pages —
 // what the extent pager (storage/paged_store.h) writes on hibernate and
-// reads on fault-in.
+// reads on fault-in.  The payload is the table's columnar image
+// (storage/column_table.h), format version 2:
+//
+//   u32 version  schema  i64 mutation_count  i64 cardinality  u64 rows
+//   per column:  u8 has_null_mask  [rows x u8 null mask]
+//                int64 / date / null column: rows x i64
+//                double column:              rows x u64 (IEEE-754 bits)
+//                string column:              u32 dict size, dict strings
+//                                            in code order, rows x u32 code
+//   rows x i64 multiplicity
+//
+// Rows are in the table's dense order and dictionaries keep their codes,
+// so the restored image equals the hibernated one cell for cell and every
+// scan over it sees the same rows in the same order.
 
-/// A decoded extent image.  `rows` is in the table's dense-storage order,
-/// so rebuilding via Table::Add reproduces the identical dense layout
-/// (scan order, and therefore every downstream row order, is preserved).
+/// A decoded extent image.  `columns` is in the table's dense-row order,
+/// with room reserved for the appends a batch's installs make.  Its prefix
+/// sums are not built: the multiplicities are unchecked input until
+/// Table::RestorePayload validates them and finishes the image.
 struct TableImage {
   Schema schema;
-  std::vector<std::pair<Tuple, int64_t>> rows;
+  std::shared_ptr<ColumnTable> columns;
   int64_t mutation_count = 0;
   int64_t cardinality = 0;
 };
 
-/// Serializes `table` into the page-spanning image stream.
-std::string SerializeTableImage(const Table& table);
-
-/// Writes `table`'s image to `path` with the full crash-atomic discipline
-/// (temp, fsync, rename, fsync parent dir — io/env.h).  Returns "" on
-/// success, else an error description.
+/// Writes `table`'s columnar image to `path` with the full crash-atomic
+/// discipline (temp, fsync, rename, fsync parent dir — io/env.h).  Returns
+/// "" on success, else an error description; a table with no columnar
+/// image (a cell violates its declared type) is such an error.
 std::string SaveTableImage(const Table& table, const std::string& path,
                            size_t page_bytes);
 
-/// Loads an image, keeping the longest valid prefix of pages and rows.
-/// Returns false (with `*error`) when not even the image header survives;
-/// returns true with `*torn = true` when a torn/corrupt tail dropped
-/// trailing rows.  Never aborts.
-bool LoadTableImage(const std::string& path, TableImage* out,
-                    std::string* error, bool* torn);
+/// Loads a whole image.  Returns "" on success, else an error description:
+/// a missing or foreign file, another format version, a torn or corrupt
+/// page, or a payload that does not decode to exactly one image.  There
+/// is no partial result.  Never aborts.
+std::string LoadTableImage(const std::string& path, TableImage* out);
 
 }  // namespace paged
 }  // namespace wuw

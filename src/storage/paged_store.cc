@@ -184,21 +184,16 @@ void PagedStore::OnAccess(const std::string& name, Table* table) {
 void PagedStore::FaultInLocked(const std::string& name, Entry* entry,
                                Table* table) {
   TableImage img;
-  std::string error;
-  bool torn = false;
-  if (!LoadTableImage(entry->path, &img, &error, &torn)) {
+  std::string error = LoadTableImage(entry->path, &img);
+  if (!error.empty()) {
     throw std::runtime_error("paged: extent image for " + name +
                              " unreadable: " + error);
   }
-  if (torn) {
-    throw std::runtime_error("paged: extent image for " + name +
-                             " has a torn tail");
-  }
-  // Restore in image (= original dense) order, so the dense layout — and
-  // every downstream scan order — is reproduced exactly, with the precise
-  // mutation count so the publish audit and image-staleness checks stay
-  // coherent.  A corrupt image leaves the table hibernated.
-  error = table->RestorePayload(std::move(img.rows), img.cardinality,
+  // The image is the hibernated dense order, so every downstream scan
+  // order is reproduced exactly; the precise mutation count keeps the
+  // publish audit and image-staleness checks coherent.  A corrupt image
+  // leaves the table hibernated.
+  error = table->RestorePayload(std::move(img.columns), img.cardinality,
                                 img.mutation_count);
   if (!error.empty()) {
     throw std::runtime_error("paged: extent image for " + name +
@@ -210,9 +205,12 @@ void PagedStore::FaultInLocked(const std::string& name, Entry* entry,
   WUW_METRIC_ADD("paged.faults", obs::MetricClass::kEngine, 1);
 }
 
-void PagedStore::HibernateLocked(const std::string& name, Entry* entry,
+bool PagedStore::HibernateLocked(const std::string& name, Entry* entry,
                                  Table* table) {
   if (!entry->has_image || entry->image_mutations != table->mutation_count()) {
+    // The image is the columnar snapshot; a table without one holds a
+    // type-violating row and stays resident.
+    if (table->ColumnarSnapshot() == nullptr) return false;
     std::string error =
         SaveTableImage(*table, entry->path, options_.page_bytes);
     if (!error.empty()) {
@@ -229,6 +227,7 @@ void PagedStore::HibernateLocked(const std::string& name, Entry* entry,
   evictions_.fetch_add(1, std::memory_order_relaxed);
   internal::g_evictions.fetch_add(1, std::memory_order_relaxed);
   WUW_METRIC_ADD("paged.evictions", obs::MetricClass::kEngine, 1);
+  return true;
 }
 
 void PagedStore::EvictLocked(Catalog* catalog, bool ignore_budget) {
@@ -270,8 +269,9 @@ void PagedStore::EvictLocked(Catalog* catalog, bool ignore_budget) {
   for (const Candidate& victim : candidates) {
     if (!ignore_budget && total <= options_.budget_bytes) break;
     Entry& entry = entries_[*victim.name];
-    total -= entry.approx_bytes;
-    HibernateLocked(*victim.name, &entry, victim.table);
+    if (HibernateLocked(*victim.name, &entry, victim.table)) {
+      total -= entry.approx_bytes;
+    }
   }
 }
 

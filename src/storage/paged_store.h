@@ -2,12 +2,15 @@
 //
 // A PagedStore keeps the warehouse's *resident set* of extents under a
 // byte budget.  Extents that fall out of the working set hibernate to
-// CRC-framed page images (storage/page.h, temp+rename durability);
-// touching a hibernated extent faults it back in transparently through
-// the Catalog accessor hooks (Catalog::SetPager), rebuilding the
-// identical dense-row layout — so rows, row order, OperatorStats, and
-// every kWork counter are bit-identical to the always-resident engine at
-// ANY budget (paged_differential_property_test proves it).
+// CRC-framed page images of their columnar form (storage/page.h,
+// temp+rename durability); touching a hibernated extent faults it back in
+// transparently through the Catalog accessor hooks (Catalog::SetPager).
+// Fault-in restores the columnar image alone, in the hibernated dense-row
+// order: the vectorized scans read it as is, and the table builds its
+// tuples and index only when a row access or an install asks for them
+// (storage/table.h).  Rows, row order, OperatorStats, and every kWork
+// counter are bit-identical to the always-resident engine at ANY budget
+// (paged_differential_property_test proves it).
 //
 // Determinism model (mirrors the threading model, DESIGN.md):
 //   * Eviction decisions happen only at executor touch points — one per
@@ -22,12 +25,18 @@
 //     publish COW-detaches to a fresh slot (use_count 1), which pages
 //     normally.
 //   * Hibernate order: write image, then release the payload — a kill at
-//     `paged.io.write` leaves the extent resident and intact.  Fault-in
-//     decodes the whole image before mutating the table, restores the
-//     exact mutation_count, and never bumps extent_version (contents are
+//     `paged.io.write` leaves the extent resident and intact.  A table
+//     with no columnar image (a type-violating row, which only the direct
+//     Table API can produce) is never hibernated.  Fault-in decodes the
+//     whole image before mutating the table, restores the exact
+//     mutation_count, and never bumps extent_version (contents are
 //     unchanged, so subplan-cache scan keys stay valid exactly as in a
-//     resident run).  A corrupt/torn image raises std::runtime_error —
-//     an I/O failure, not an abort.
+//     resident run).  A corrupt, torn or other-version image raises
+//     std::runtime_error — an I/O failure, not an abort.
+//   * Sizes: eviction charges ApproxTableBytes, which reads the columns of
+//     a table that has not built its rows and the rows otherwise — the
+//     same number either way, so fault and eviction counts do not depend
+//     on which form is resident.
 //   * All page I/O rides the io::Env seam (storage/page.h): image saves
 //     get the full fsync+rename+dirsync discipline, transient read EIO
 //     (WUW_IO_FAULT read_eio=) is absorbed by PageFile's bounded retry
@@ -182,7 +191,9 @@ class PagedStore {
   /// Both require mu_ held.
   void RegisterLocked(const std::string& name);
   void FaultInLocked(const std::string& name, Entry* entry, Table* table);
-  void HibernateLocked(const std::string& name, Entry* entry, Table* table);
+  /// False (nothing written or released) when the table has no columnar
+  /// image to hibernate.
+  bool HibernateLocked(const std::string& name, Entry* entry, Table* table);
   void EvictLocked(Catalog* catalog, bool ignore_budget);
 
   mutable std::mutex mu_;

@@ -1,11 +1,13 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "storage/column_table.h"
+#include "storage/page.h"
 
 namespace wuw {
 
@@ -20,6 +22,74 @@ struct Table::SnapshotCache {
   bool unfinished = false;
 };
 
+/// The payload of a faulted-in table, built on demand from its restored
+/// columnar image: the dense rows on the first row access, the index on
+/// the first lookup.  std::call_once gives concurrent first callers one
+/// build of each; copies of the table share this object, so they share
+/// the builds too.
+struct Table::LazyPayload {
+  /// Source of the rows; dropped once they are built, so the table's
+  /// snapshot cache is again the image's only holder.
+  std::shared_ptr<const ColumnTable> image;
+  size_t num_rows = 0;
+  std::once_flag rows_once;
+  std::once_flag index_once;
+  std::atomic<bool> rows_built{false};
+  std::atomic<bool> index_built{false};
+  std::shared_ptr<RowVec> rows;
+  std::shared_ptr<std::vector<IndexSlot>> slots;
+
+  const std::shared_ptr<RowVec>& Rows() {
+    std::call_once(rows_once, [this] { BuildRows(); });
+    return rows;
+  }
+
+  const std::shared_ptr<std::vector<IndexSlot>>& Slots() {
+    std::call_once(index_once, [this] { BuildIndex(); });
+    return slots;
+  }
+
+  void BuildRows() {
+    auto out = std::make_shared<RowVec>();
+    out->reserve(num_rows);
+    const std::vector<int64_t>& mult = image->mult();
+    for (size_t i = 0; i < num_rows; ++i) {
+      out->emplace_back(image->TupleAt(i), mult[i]);
+    }
+    rows = std::move(out);
+    image.reset();
+    paged::internal::g_row_builds.fetch_add(1, std::memory_order_relaxed);
+    rows_built.store(true, std::memory_order_release);
+  }
+
+  /// The index n incremental inserts would have grown: same capacity, no
+  /// tombstones.
+  void BuildIndex() {
+    const RowVec& rs = *Rows();
+    std::vector<IndexSlot> out;
+    if (!rs.empty()) {
+      size_t capacity = 16;
+      while (rs.size() * 10 > capacity * 7) capacity <<= 1;
+      out.assign(capacity, IndexSlot{0, kIndexEmpty});
+    }
+    const size_t mask = out.size() - 1;
+    for (size_t pos = 0; pos < rs.size(); ++pos) {
+      const Tuple& tuple = rs[pos].first;
+      const size_t hash = tuple.Hash();
+      size_t i = hash & mask;
+      // RestorePayload rejected repeated rows; this only guards that.
+      for (; out[i].pos != kIndexEmpty; i = (i + 1) & mask) {
+        WUW_CHECK(out[i].hash != hash || rs[out[i].pos].first != tuple,
+                  "restored table image holds a duplicate row");
+      }
+      out[i] = IndexSlot{hash, static_cast<uint32_t>(pos)};
+    }
+    slots = std::make_shared<std::vector<IndexSlot>>(std::move(out));
+    paged::internal::g_index_builds.fetch_add(1, std::memory_order_relaxed);
+    index_built.store(true, std::memory_order_release);
+  }
+};
+
 Table::Table() : snapshot_(std::make_shared<SnapshotCache>()) {}
 
 Table::Table(Schema schema)
@@ -32,6 +102,7 @@ Table::Table(const Table& other)
       rows_(other.rows_),
       slots_(other.slots_),
       slots_used_(other.slots_used_),
+      lazy_(other.lazy_),
       cardinality_(other.cardinality_),
       mutation_count_(other.mutation_count_) {
   // The source may be a published extent whose concurrent readers are
@@ -49,6 +120,7 @@ Table::Table(Table&& other) noexcept
       rows_(std::move(other.rows_)),
       slots_(std::move(other.slots_)),
       slots_used_(other.slots_used_),
+      lazy_(std::move(other.lazy_)),
       cardinality_(other.cardinality_),
       mutation_count_(other.mutation_count_),
       snapshot_(std::move(other.snapshot_)),
@@ -60,9 +132,39 @@ Table::Table(Table&& other) noexcept
   other.snapshot_stale_ = false;
 }
 
+const std::shared_ptr<RowVec>& Table::RowBlock() const {
+  return lazy_ != nullptr ? lazy_->Rows() : rows_;
+}
+
+const std::shared_ptr<std::vector<Table::IndexSlot>>& Table::SlotBlock()
+    const {
+  return lazy_ != nullptr ? lazy_->Slots() : slots_;
+}
+
+void Table::AdoptLazyPayload() {
+  if (lazy_ == nullptr) return;
+  rows_ = lazy_->Rows();
+  slots_ = lazy_->Slots();
+  slots_used_ = rows_->size();
+  lazy_.reset();
+}
+
 const RowVec& Table::dense_rows() const {
   static const RowVec kNoRows;
-  return rows_ != nullptr ? *rows_ : kNoRows;
+  const std::shared_ptr<RowVec>& rows = RowBlock();
+  return rows != nullptr ? *rows : kNoRows;
+}
+
+std::shared_ptr<const RowVec> Table::SharedRows() const { return RowBlock(); }
+
+bool Table::rows_materialized() const {
+  return lazy_ == nullptr ||
+         lazy_->rows_built.load(std::memory_order_acquire);
+}
+
+size_t Table::distinct_size() const {
+  if (lazy_ != nullptr) return lazy_->num_rows;
+  return rows_ != nullptr ? rows_->size() : 0;
 }
 
 RowVec& Table::MutableRows() {
@@ -89,6 +191,7 @@ Table& Table::operator=(const Table& other) {
   rows_ = other.rows_;
   slots_ = other.slots_;
   slots_used_ = other.slots_used_;
+  lazy_ = other.lazy_;
   cardinality_ = other.cardinality_;
   mutation_count_ = other.mutation_count_;
   // Same discipline as the copy constructor: the source's columnar cache
@@ -105,6 +208,7 @@ Table& Table::operator=(Table&& other) noexcept {
   rows_ = std::move(other.rows_);
   slots_ = std::move(other.slots_);
   slots_used_ = other.slots_used_;
+  lazy_ = std::move(other.lazy_);
   cardinality_ = other.cardinality_;
   mutation_count_ = other.mutation_count_;
   snapshot_ = std::move(other.snapshot_);
@@ -118,9 +222,10 @@ Table& Table::operator=(Table&& other) noexcept {
 }
 
 size_t Table::FindPosition(const Tuple& tuple, size_t hash) const {
-  if (slots_ == nullptr || slots_->empty()) return SIZE_MAX;
-  const std::vector<IndexSlot>& slots = *slots_;
-  const RowVec& rows = *rows_;
+  const std::shared_ptr<std::vector<IndexSlot>>& block = SlotBlock();
+  if (block == nullptr || block->empty()) return SIZE_MAX;
+  const std::vector<IndexSlot>& slots = *block;
+  const RowVec& rows = *RowBlock();
   const size_t mask = slots.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
     const IndexSlot& slot = slots[i];
@@ -203,6 +308,7 @@ ColumnTable* Table::EditableImage() {
 
 int64_t Table::Add(const Tuple& tuple, int64_t count) {
   if (count == 0) return Count(tuple);
+  AdoptLazyPayload();
   size_t hash = tuple.Hash();
   size_t pos = FindPosition(tuple, hash);
   ++mutation_count_;
@@ -256,7 +362,7 @@ int64_t Table::Add(const Tuple& tuple, int64_t count) {
 
 int64_t Table::Count(const Tuple& tuple) const {
   size_t pos = FindPosition(tuple, tuple.Hash());
-  return pos == SIZE_MAX ? 0 : (*rows_)[pos].second;
+  return pos == SIZE_MAX ? 0 : (*RowBlock())[pos].second;
 }
 
 void Table::ForEach(
@@ -272,6 +378,7 @@ std::vector<std::pair<Tuple, int64_t>> Table::SortedRows() const {
 }
 
 void Table::Clear() {
+  lazy_.reset();
   // A shared block is dropped rather than cleared; the fresh index keeps
   // the capacity the detached copy would have had (IndexBytes).
   if (rows_ != nullptr && rows_.use_count() != 1) {
@@ -293,6 +400,7 @@ void Table::Clear() {
 }
 
 void Table::ReleasePayload() {
+  lazy_.reset();
   rows_.reset();
   slots_.reset();
   slots_used_ = 0;
@@ -303,41 +411,42 @@ void Table::ReleasePayload() {
   snapshot_stale_ = false;
 }
 
-std::string Table::RestorePayload(std::vector<std::pair<Tuple, int64_t>> rows,
+std::string Table::RestorePayload(std::shared_ptr<ColumnTable> image,
                                   int64_t cardinality,
                                   int64_t mutation_count) {
-  if (rows.size() >= kIndexTombstone) return "too many rows for the index";
-  // The capacity n incremental inserts would have grown the index to.
-  std::vector<IndexSlot> slots;
-  if (!rows.empty()) {
-    size_t capacity = 16;
-    while (rows.size() * 10 > capacity * 7) capacity <<= 1;
-    slots.assign(capacity, IndexSlot{0, kIndexEmpty});
+  if (image == nullptr) return "no image";
+  if (!(image->schema() == schema_)) return "image schema differs";
+  const size_t n = image->num_rows();
+  if (n >= kIndexTombstone) return "too many rows for the index";
+  for (size_t c = 0; c < image->num_columns(); ++c) {
+    const ColumnVec& col = image->column(c);
+    if (col.size() != n || (!col.nulls.empty() && col.nulls.size() != n)) {
+      return "column length differs from the row count";
+    }
   }
-  const size_t mask = slots.size() - 1;
   int64_t total = 0;
-  for (size_t pos = 0; pos < rows.size(); ++pos) {
-    const auto& [tuple, count] = rows[pos];
+  for (int64_t count : image->mult()) {
     if (count <= 0) return "non-positive multiplicity";
     if (__builtin_add_overflow(total, count, &total)) {
       return "multiplicity overflow";
     }
-    const size_t hash = tuple.Hash();
-    size_t i = hash & mask;
-    for (; slots[i].pos != kIndexEmpty; i = (i + 1) & mask) {
-      if (slots[i].hash == hash && rows[slots[i].pos].first == tuple) {
-        return "duplicate tuple";
-      }
-    }
-    slots[i] = IndexSlot{hash, static_cast<uint32_t>(pos)};
   }
   if (total != cardinality) return "cardinality mismatch";
-  slots_used_ = rows.size();
-  rows_ = std::make_shared<RowVec>(std::move(rows));
-  slots_ = std::make_shared<std::vector<IndexSlot>>(std::move(slots));
+  if (image->HasEqualRows()) return "repeated row";
+  image->Finish();
+  rows_.reset();
+  slots_.reset();
+  slots_used_ = 0;
+  lazy_ = std::make_shared<LazyPayload>();
+  lazy_->image = image;
+  lazy_->num_rows = n;
   cardinality_ = total;
   mutation_count_ = mutation_count;
-  snapshot_stale_ = true;
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  snapshot_ = std::make_shared<SnapshotCache>();
+  snapshot_->table = std::move(image);
+  snapshot_->built = true;
+  snapshot_stale_ = false;
   return "";
 }
 
@@ -386,7 +495,11 @@ std::shared_ptr<const ColumnTable> Table::ColumnarSnapshot() const {
 }
 
 size_t Table::IndexBytes() const {
-  return slots_ != nullptr ? slots_->capacity() * sizeof(IndexSlot) : 0;
+  if (lazy_ != nullptr && !lazy_->index_built.load(std::memory_order_acquire)) {
+    return 0;
+  }
+  const std::shared_ptr<std::vector<IndexSlot>>& slots = SlotBlock();
+  return slots != nullptr ? slots->capacity() * sizeof(IndexSlot) : 0;
 }
 
 std::string Table::ToString(size_t max_rows) const {

@@ -21,6 +21,14 @@
 // vectors.  Distinct tuples that collide on their full hash simply occupy
 // neighboring slots.  Rehashing reuses the stored hashes, so growth never
 // re-hashes tuples.
+//
+// A table the extent pager faults in (storage/paged_store.h) comes back as
+// its columnar image alone: no tuple is decoded and no index is built at
+// fault-in.  The dense rows (ColumnTable::TupleAt, in image order, which is
+// the hibernated dense order) are built once on the first row access, and
+// the index once on the first Count or Add — each by whichever thread gets
+// there first, shared with every copy.  Scans never need either:
+// Rows::FromTable hands the image to the vectorized kernels directly.
 #ifndef WUW_STORAGE_TABLE_H_
 #define WUW_STORAGE_TABLE_H_
 
@@ -56,8 +64,8 @@ class Table {
   /// paper's work metric.
   int64_t cardinality() const { return cardinality_; }
 
-  /// Number of distinct tuples.
-  size_t distinct_size() const { return dense_rows().size(); }
+  /// Number of distinct tuples.  Never builds rows.
+  size_t distinct_size() const;
 
   bool empty() const { return cardinality_ == 0; }
 
@@ -75,13 +83,20 @@ class Table {
       const std::function<void(const Tuple&, int64_t)>& fn) const;
 
   /// The dense live-row storage, in the same order ForEach visits it.
-  /// Valid until the next mutation of this table.
+  /// Valid until the next mutation of this table.  Builds the rows of a
+  /// faulted-in table on first call (thread-safe: concurrent callers share
+  /// one build).
   const RowVec& dense_rows() const;
 
   /// The dense row block itself, shared in O(1): the holder sees the rows
   /// as of this call, because the table copies the block before its next
   /// write while the handle lives.  May be null for an empty table.
-  std::shared_ptr<const RowVec> SharedRows() const { return rows_; }
+  /// Builds like dense_rows().
+  std::shared_ptr<const RowVec> SharedRows() const;
+
+  /// False while a faulted-in table has not built its dense rows yet; its
+  /// content is then exactly ColumnarSnapshot().
+  bool rows_materialized() const;
 
   /// Stable snapshot of contents sorted by tuple — used by tests to compare
   /// database states across strategies.
@@ -98,10 +113,12 @@ class Table {
   /// no Rows holds the image; otherwise a mutation drops it and the next
   /// call rebuilds.  Null when any cell violates its declared column type
   /// (see storage/column_table.h), or inside a reader's serve scope before
-  /// the image is built.
+  /// the image is built.  Never null for a faulted-in table: the restored
+  /// image is the snapshot.
   std::shared_ptr<const ColumnTable> ColumnarSnapshot() const;
 
-  /// Heap bytes held by the hash index (the micro_engine memory line).
+  /// Heap bytes held by the hash index (the micro_engine memory line); 0
+  /// while a faulted-in table has not built it.
   size_t IndexBytes() const;
 
   /// Monotone count of mutating calls (Add with a non-zero effect window,
@@ -111,23 +128,26 @@ class Table {
   int64_t mutation_count() const { return mutation_count_; }
 
   /// PAGED STORE ONLY (storage/paged_store.h): drops the in-memory payload
-  /// of a hibernated extent — rows, index, and columnar cache — while
+  /// of a hibernated extent — rows, index, and columnar image — while
   /// preserving schema, cardinality() (so size estimation works without a
   /// fault-in) and mutation_count() (so the publish audit and the pager's
   /// image-staleness check stay coherent).  The table must not be read or
   /// mutated until the pager faults it back in.
   void ReleasePayload();
 
-  /// PAGED STORE ONLY: the fault-in counterpart of ReleasePayload.  Moves
-  /// `rows` (the hibernated dense rows, in dense order) in as the payload
-  /// in one bulk step, sizing the index once for their count, and restores
-  /// the exact pre-hibernation `mutation_count` — contents are
-  /// bit-identical to the hibernated state, so continuity of the count is
-  /// the truthful accounting.  Returns "" on success; on a duplicate
-  /// tuple, a non-positive multiplicity, or a multiplicity total other
-  /// than `cardinality` (a corrupt image) returns a description and leaves
-  /// the table untouched.
-  std::string RestorePayload(std::vector<std::pair<Tuple, int64_t>> rows,
+  /// PAGED STORE ONLY: the fault-in counterpart of ReleasePayload.  Makes
+  /// `image` (the hibernated columnar image, dense order; finished here
+  /// once its multiplicities pass the checks below) the table's columnar
+  /// snapshot, owned by this table alone, and restores the
+  /// exact pre-hibernation `mutation_count` — contents are bit-identical to
+  /// the hibernated state, so continuity of the count is the truthful
+  /// accounting.  Rows and index are built later, on demand (see the file
+  /// comment).  Returns "" on success; on a schema other than this table's,
+  /// a column length other than the row count, a non-positive
+  /// multiplicity, a multiplicity total other than `cardinality`, or two
+  /// equal rows (a corrupt image) returns a description and leaves the
+  /// table untouched.
+  std::string RestorePayload(std::shared_ptr<ColumnTable> image,
                              int64_t cardinality, int64_t mutation_count);
 
   std::string ToString(size_t max_rows = 20) const;
@@ -144,6 +164,18 @@ class Table {
     size_t hash;
     uint32_t pos;
   };
+
+  /// The rows and index a faulted-in table builds on demand; see table.cc.
+  struct LazyPayload;
+
+  /// The row and index blocks const readers see: lazy_'s, built on first
+  /// use, while it is set; otherwise rows_ and slots_.
+  const std::shared_ptr<RowVec>& RowBlock() const;
+  const std::shared_ptr<std::vector<IndexSlot>>& SlotBlock() const;
+
+  /// Takes lazy_'s rows and index (building them if needed) as this
+  /// table's own blocks, before a mutation.
+  void AdoptLazyPayload();
 
   /// Writable blocks: allocated on first use, copied while shared.
   RowVec& MutableRows();
@@ -176,6 +208,10 @@ class Table {
   std::shared_ptr<std::vector<IndexSlot>> slots_;
   /// Live + tombstoned slots (the probe-length load factor).
   size_t slots_used_ = 0;
+  /// Set by RestorePayload until a mutation adopts the built blocks;
+  /// rows_ and slots_ are null meanwhile.  Shared by copies, so a copy
+  /// and its source build once between them.
+  std::shared_ptr<LazyPayload> lazy_;
   int64_t cardinality_ = 0;
   /// See mutation_count().
   int64_t mutation_count_ = 0;

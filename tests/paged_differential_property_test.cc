@@ -11,7 +11,7 @@
 //     rows);
 //   * the kWork metric snapshot equals the resident reference's
 //     (`paged.*` and the kernels' value-op counters are kEngine — the
-//     spill routes charge `engine.row.*` where the resident kernel charges
+//     grace routes charge `engine.row.*` where the resident kernel charges
 //     `engine.vec.*`, so they differ by design);
 //   * `paged.faults` / `paged.evictions` (extent paging only) at a fixed
 //     budget are identical across every pool size and subplan-cache

@@ -323,7 +323,7 @@ TEST(RowsEstimatorTest, ColumnarAndBuiltFormsAgreeWithoutBuilding) {
     int64_t running = 0;
     for (const auto& [tuple, count] : built.rows()) {
       (void)count;
-      running += paged::ApproxTupleBytes(tuple) + 8;
+      running += paged::ApproxRowBytes(tuple);
       limits.push_back(running - 1);
       limits.push_back(running);
     }

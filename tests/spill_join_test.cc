@@ -2,19 +2,26 @@
 // (algebra/hash_join.cc): with operator spills armed at thresholds chosen
 // per input pair, HashJoin takes
 //   * the resident route (build side under the threshold),
-//   * the probe-side route (build side over it, probe side under it:
-//     the probe side is hashed and the build side streams past, no spill),
+//   * the probe-side route (build side over it, probe side under it: the
+//     vectorized kernel hashes the probe side and streams the build side
+//     past it, no spill),
 //   * the grace route (both sides over it: both partition through a spill),
-// and each must reproduce the unarmed (vectorized) kernel exactly: rows,
-// row order and OperatorStats.  The spill routes charge `engine.row.*`
-// counters (one KeyHash per key column per row, one compare per
-// KeyHash-equal pair); the resident route charges none.  The route is
-// asserted through the spill counters (GlobalPagedStats).  Inputs mix
-// duplicate and NULL keys, single- and multi-column keys, zero and
-// negative multiplicities, and empty sides.  Honors WUW_SEED.
+// and each must reproduce the unarmed (vectorized) kernel and the naive
+// reference join (tests/reference/) exactly: rows, row order and
+// OperatorStats.  The resident and probe-side routes charge the
+// vectorized kernel's `engine.vec.*` counters, predicted here from the
+// inputs (rows, batches, one key mix per key column per row, one compare
+// per key-equal pair, one dictionary lookup per distinct build-side key
+// string) and no `engine.row.*`; the grace route charges `engine.row.*`
+// (one KeyHash per key column per row, one compare per KeyHash-equal pair)
+// and no `engine.vec.*`.  The route is asserted through
+// `paged.probe_side_joins` and the spill counters (GlobalPagedStats).
+// Inputs mix duplicate and NULL keys, single- and multi-column keys, zero
+// and negative multiplicities, and empty sides.  Honors WUW_SEED.
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,8 +31,10 @@
 #include "algebra/hash_join.h"
 #include "algebra/key_util.h"
 #include "algebra/operator_stats.h"
+#include "algebra/row_batch.h"
 #include "algebra/rows.h"
 #include "obs/metrics.h"
+#include "reference/reference_kernels.h"
 #include "storage/page.h"
 #include "storage/paged_store.h"
 #include "test_util.h"
@@ -53,7 +62,7 @@ std::string RouteName(Route r) {
 int64_t AnalyticBytes(const Rows& rows) {
   int64_t bytes = 0;
   for (const auto& [tuple, count] : rows.rows()) {
-    bytes += paged::ApproxTupleBytes(tuple) + 8;
+    bytes += paged::ApproxRowBytes(tuple);
   }
   return bytes;
 }
@@ -84,6 +93,8 @@ struct JoinRun {
   Rows out;
   OperatorStats stats;
   obs::MetricsSnapshot row_counters;
+  obs::MetricsSnapshot vec_counters;
+  int64_t probe_side_joins = 0;
   paged::PagedStatsSnapshot paged;
 };
 
@@ -113,6 +124,10 @@ JoinRun RunJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
   if (route != Route::kUnarmed) {
     spill = std::make_unique<paged::ScopedOperatorSpill>(options);
   }
+  // Convert both inputs before metering, so every route's counters are
+  // the join's own (the first run would otherwise pay the conversions).
+  left.Columnar();
+  right.Columnar();
   obs::ArmMetrics();
   obs::ResetMetrics();
   const paged::PagedStatsSnapshot before = paged::GlobalPagedStats();
@@ -128,22 +143,79 @@ JoinRun RunJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
        obs::SnapshotMetrics(obs::Mask(obs::MetricClass::kEngine)).counters) {
     if (name.rfind("engine.row.", 0) == 0) {
       run.row_counters.counters.emplace_back(name, value);
+    } else if (name.rfind("engine.vec.", 0) == 0) {
+      run.vec_counters.counters.emplace_back(name, value);
+    } else if (name == "paged.probe_side_joins") {
+      run.probe_side_joins = value;
     }
   }
   return run;
 }
 
-/// The `engine.row.*` counters a spill route charges: one KeyHash per key
-/// column of every row, and one key compare per KeyHash-equal pair.
-obs::MetricsSnapshot SpillRouteCounters(const Rows& left, const Rows& right,
-                                        const JoinKeys& keys) {
-  std::vector<size_t> lidx, ridx;
+void KeyIndexes(const Rows& left, const Rows& right, const JoinKeys& keys,
+                std::vector<size_t>* lidx, std::vector<size_t>* ridx) {
   for (const std::string& c : keys.left_columns) {
-    lidx.push_back(left.schema.MustIndexOf(c));
+    lidx->push_back(left.schema.MustIndexOf(c));
   }
   for (const std::string& c : keys.right_columns) {
-    ridx.push_back(right.schema.MustIndexOf(c));
+    ridx->push_back(right.schema.MustIndexOf(c));
   }
+}
+
+/// The `engine.vec.*` counters the vectorized kernel charges, in either
+/// HashedSide mode: one row and one key mix per key column for every row
+/// of both sides, one batch per kBatchRows rows of each side, one compare
+/// per key-equal pair (NULL matches NULL; distinct keys never share the
+/// kernel's 64-bit hash at these sizes), and one dictionary lookup per
+/// distinct build-side string when a string key column is compared across
+/// the two sides' dictionaries.  Zero counters are absent, as in a
+/// snapshot; names are in snapshot (sorted) order.
+obs::MetricsSnapshot VecKernelCounters(const Rows& left, const Rows& right,
+                                       const JoinKeys& keys) {
+  std::vector<size_t> lidx, ridx;
+  KeyIndexes(left, right, keys, &lidx, &ridx);
+  const int64_t ln = static_cast<int64_t>(left.size());
+  const int64_t rn = static_cast<int64_t>(right.size());
+  const int64_t per_batch = static_cast<int64_t>(kBatchRows);
+  const int64_t arity = static_cast<int64_t>(lidx.size());
+  int64_t cmps = 0;
+  for (const auto& [ltuple, lcount] : left.rows()) {
+    for (const auto& [rtuple, rcount] : right.rows()) {
+      if (KeysEqual(ltuple, lidx, rtuple, ridx)) ++cmps;
+    }
+  }
+  int64_t lookups = 0;
+  for (size_t k = 0; k < ridx.size(); ++k) {
+    if (right.schema.column(ridx[k]).type != TypeId::kString ||
+        left.schema.column(lidx[k]).type != TypeId::kString) {
+      continue;
+    }
+    std::set<std::string> distinct;
+    for (const auto& [rtuple, rcount] : right.rows()) {
+      const Value& v = rtuple.value(ridx[k]);
+      if (!v.is_null()) distinct.insert(v.AsString());
+    }
+    lookups += static_cast<int64_t>(distinct.size());
+  }
+  obs::MetricsSnapshot expect;
+  auto put = [&](const char* name, int64_t value) {
+    if (value != 0) expect.counters.emplace_back(name, value);
+  };
+  put("engine.vec.batches",
+      (ln + per_batch - 1) / per_batch + (rn + per_batch - 1) / per_batch);
+  put("engine.vec.key_cmps", cmps);
+  put("engine.vec.key_mixes", (ln + rn) * arity);
+  put("engine.vec.rows", ln + rn);
+  put("engine.vec.value_hashes", lookups);
+  return expect;
+}
+
+/// The `engine.row.*` counters the grace route charges: one KeyHash per
+/// key column of every row, and one key compare per KeyHash-equal pair.
+obs::MetricsSnapshot GraceRouteCounters(const Rows& left, const Rows& right,
+                                        const JoinKeys& keys) {
+  std::vector<size_t> lidx, ridx;
+  KeyIndexes(left, right, keys, &lidx, &ridx);
   int64_t cmps = 0;
   for (const auto& [ltuple, lcount] : left.rows()) {
     for (const auto& [rtuple, rcount] : right.rows()) {
@@ -161,7 +233,7 @@ obs::MetricsSnapshot SpillRouteCounters(const Rows& left, const Rows& right,
 }
 
 /// Runs every route applicable to (left, right) and compares it with the
-/// unarmed kernel byte for byte.
+/// unarmed kernel and the reference join byte for byte.
 void CheckAllRoutes(const Rows& left, const Rows& right, const JoinKeys& keys) {
   // Under an env-armed WUW_MEM_MB the "unarmed" reference itself may
   // spill; every route must still agree with it.
@@ -170,6 +242,8 @@ void CheckAllRoutes(const Rows& left, const Rows& right, const JoinKeys& keys) {
   if (!env_armed) {
     EXPECT_EQ(reference.paged.spilled_partitions, 0);
   }
+  OperatorStats oracle_stats;
+  const Rows oracle = reference::Join(left, right, keys, &oracle_stats);
   const int64_t lb = AnalyticBytes(left);
   const int64_t rb = AnalyticBytes(right);
   std::vector<Route> routes = {Route::kResident};
@@ -180,17 +254,24 @@ void CheckAllRoutes(const Rows& left, const Rows& right, const JoinKeys& keys) {
     const JoinRun run = RunJoin(left, right, keys, route);
     ASSERT_EQ(run.out.schema.ToString(), reference.out.schema.ToString());
     ASSERT_EQ(run.out.rows().size(), reference.out.rows().size());
+    ASSERT_EQ(run.out.rows().size(), oracle.rows().size());
     for (size_t i = 0; i < run.out.rows().size(); ++i) {
       ASSERT_EQ(run.out.rows()[i].first, reference.out.rows()[i].first)
           << "row " << i;
       ASSERT_EQ(run.out.rows()[i].second, reference.out.rows()[i].second)
           << "row " << i;
+      ASSERT_EQ(run.out.rows()[i], oracle.rows()[i]) << "oracle row " << i;
     }
     EXPECT_EQ(run.stats, reference.stats);
-    EXPECT_TRUE(run.row_counters == (route == Route::kResident
-                                          ? obs::MetricsSnapshot{}
-                                          : SpillRouteCounters(left, right,
-                                                               keys)));
+    EXPECT_EQ(run.stats, oracle_stats);
+    const bool grace = route == Route::kGrace;
+    EXPECT_EQ(run.row_counters, grace ? GraceRouteCounters(left, right, keys)
+                                      : obs::MetricsSnapshot{})
+        << run.row_counters.ToString();
+    EXPECT_EQ(run.vec_counters, grace ? obs::MetricsSnapshot{}
+                                      : VecKernelCounters(left, right, keys))
+        << run.vec_counters.ToString();
+    EXPECT_EQ(run.probe_side_joins, route == Route::kProbeSide ? 1 : 0);
     switch (route) {
       case Route::kResident:
       case Route::kProbeSide:
@@ -235,7 +316,8 @@ TEST(SpillJoinTest, EveryRouteMatchesTheUnarmedKernel) {
 // A hand-checked case: the probe-side route hashes the probe side, yet it
 // must emit in the vectorized kernel's nesting — probe rows ascending, each
 // probe row's build matches in descending build order — with
-// zero-multiplicity pairs dropped.
+// zero-multiplicity pairs dropped.  The build side streams past the probe
+// side in batches, so it spans several to cross batch boundaries.
 TEST(SpillJoinTest, ProbeSideRouteOrdersLikeTheKernelsNesting) {
   Schema ls({{"lk", TypeId::kInt64}, {"lv", TypeId::kInt64}});
   Schema rs({{"rk", TypeId::kInt64}, {"rv", TypeId::kInt64}});
@@ -245,7 +327,10 @@ TEST(SpillJoinTest, ProbeSideRouteOrdersLikeTheKernelsNesting) {
   lrows.emplace_back(Tuple({Value::Int64(1), Value::Int64(1)}), -1);
   lrows.emplace_back(Tuple({Value::Int64(2), Value::Int64(2)}), 2);
   Rows right(rs);
-  for (int64_t i = 0; i < 12; ++i) {
+  // A multiple of 12, so the last rows repeat the first twelve's keys and
+  // multiplicities; over two batches long.
+  const int64_t build_rows = 12 * 172;
+  for (int64_t i = 0; i < build_rows; ++i) {
     right.mutable_rows().emplace_back(
         Tuple({Value::Int64(i % 3), Value::Int64(i)}),
         i % 4 == 3 ? 0 : (i % 2 == 0 ? 1 : -1));
@@ -254,15 +339,17 @@ TEST(SpillJoinTest, ProbeSideRouteOrdersLikeTheKernelsNesting) {
   const JoinRun reference = RunJoin(left, right, keys, Route::kUnarmed);
   const JoinRun probe_side = RunJoin(left, right, keys, Route::kProbeSide);
   ASSERT_FALSE(reference.out.rows().empty());
-  // Probe row 0 (key 2) first; its newest build match (rv 11) has
-  // multiplicity 0, so rv 8 leads.
-  EXPECT_EQ(reference.out.rows()[0].first.value(3), Value::Int64(8))
+  // Probe row 0 (key 2) first; its newest build match (the last row, key
+  // 2) has multiplicity 0, so the one before it with key 2 leads.
+  EXPECT_EQ(reference.out.rows()[0].first.value(3),
+            Value::Int64(build_rows - 4))
       << "unexpected kernel nesting";
   ASSERT_EQ(probe_side.out.rows().size(), reference.out.rows().size());
   for (size_t i = 0; i < reference.out.rows().size(); ++i) {
     EXPECT_EQ(probe_side.out.rows()[i], reference.out.rows()[i]) << "row " << i;
   }
   EXPECT_EQ(probe_side.stats, reference.stats);
+  EXPECT_EQ(probe_side.probe_side_joins, 1);
   EXPECT_EQ(probe_side.paged.spilled_partitions, 0);
 }
 

@@ -1,13 +1,21 @@
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "algebra/filter.h"
+#include "algebra/hash_join.h"
 #include "algebra/rows.h"
+#include "algebra/spill_util.h"
 #include "obs/metrics.h"
 #include "storage/catalog.h"
 #include "storage/column_table.h"
+#include "storage/page.h"
+#include "storage/paged_store.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/tuple.h"
@@ -160,69 +168,294 @@ TEST(TableTest, SortedRowsDeterministic) {
   EXPECT_EQ(rows[2].first.value(0).AsInt64(), 5);
 }
 
-// The pager's bulk fault-in: a released table restored from its dense rows
-// has the identical dense layout, cardinality, mutation count and index
-// size as before, and keeps working as a table afterwards.
-TEST(TableTest, RestorePayloadRebuildsTheReleasedTable) {
+/// A released copy of `t` restored from its own columnar image — the
+/// state a pager fault-in leaves (storage/paged_store.h).
+Table Restored(const Table& t) {
+  Table out = t;
+  std::shared_ptr<ColumnTable> image =
+      ColumnTable::FromRows(t.schema(), t.dense_rows());
+  out.ReleasePayload();
+  EXPECT_EQ(out.RestorePayload(std::move(image), t.cardinality(),
+                               t.mutation_count()),
+            "");
+  return out;
+}
+
+Table MixedTable(int64_t rows) {
   Schema s({{"x", TypeId::kInt64}, {"y", TypeId::kString}});
   Table t(s);
-  for (int64_t i = 0; i < 200; ++i) {
+  for (int64_t i = 0; i < rows; ++i) {
     t.Add(Tuple({Value::Int64(i), Value::String("v" + std::to_string(i % 7))}),
           1 + i % 3);
   }
   // Deletions swap-with-last, so the dense order is not insertion order.
-  for (int64_t i = 0; i < 200; i += 5) {
+  for (int64_t i = 0; i < rows; i += 5) {
     t.Add(Tuple({Value::Int64(i), Value::String("v" + std::to_string(i % 7))}),
           -10);
   }
+  return t;
+}
+
+// The pager's fault-in: a released table restored from its columnar image
+// holds that image as its snapshot and nothing else, then builds the
+// identical dense layout, cardinality, mutation count and index size on
+// demand, and keeps working as a table afterwards.
+TEST(TableTest, RestorePayloadRestoresTheReleasedTable) {
+  Table t = MixedTable(200);
   const auto dense = t.dense_rows();
   const int64_t cardinality = t.cardinality();
   const int64_t mutations = t.mutation_count();
-  Table incremental(s);
+  Table incremental(t.schema());
   for (const auto& [tuple, count] : dense) incremental.Add(tuple, count);
 
+  std::shared_ptr<ColumnTable> image =
+      ColumnTable::FromRows(t.schema(), dense);
+  const ColumnTable* image_ptr = image.get();
   t.ReleasePayload();
   EXPECT_EQ(t.distinct_size(), 0u);
-  EXPECT_EQ(t.RestorePayload(dense, cardinality, mutations), "");
-  EXPECT_EQ(t.dense_rows(), dense);
+  EXPECT_EQ(t.RestorePayload(std::move(image), cardinality, mutations), "");
+  EXPECT_FALSE(t.rows_materialized());
+  EXPECT_EQ(t.ColumnarSnapshot().get(), image_ptr);
+  EXPECT_EQ(t.distinct_size(), dense.size());
+  EXPECT_EQ(t.IndexBytes(), 0u);
   EXPECT_EQ(t.cardinality(), cardinality);
   EXPECT_EQ(t.mutation_count(), mutations);
-  EXPECT_EQ(t.IndexBytes(), incremental.IndexBytes());
+  EXPECT_EQ(t.dense_rows(), dense);
+  EXPECT_TRUE(t.rows_materialized());
   for (const auto& [tuple, count] : dense) EXPECT_EQ(t.Count(tuple), count);
+  EXPECT_EQ(t.IndexBytes(), incremental.IndexBytes());
   EXPECT_TRUE(t.ContentsEqual(incremental));
-  // Point updates find restored rows; new rows still go in.
+  // Point updates find restored rows; new rows still go in; the restored
+  // image stays current in place.
   EXPECT_EQ(t.Add(dense.front().first, -dense.front().second), 0);
   EXPECT_EQ(t.Add(Tuple({Value::Int64(-1), Value::String("new")}), 2), 2);
   EXPECT_EQ(t.cardinality(), cardinality - dense.front().second + 2);
+  EXPECT_EQ(t.ColumnarSnapshot().get(), image_ptr);
 
-  Table empty(s);
+  Table empty(t.schema());
   empty.ReleasePayload();
-  EXPECT_EQ(empty.RestorePayload({}, 0, 4), "");
+  EXPECT_EQ(empty.RestorePayload(ColumnTable::FromRows(t.schema(), {}), 0, 4),
+            "");
+  EXPECT_EQ(empty.distinct_size(), 0u);
+  EXPECT_TRUE(empty.dense_rows().empty());
   EXPECT_EQ(empty.IndexBytes(), 0u);
   EXPECT_EQ(empty.mutation_count(), 4);
 }
 
 // A corrupt image is rejected with an error and the table is left as it
-// was: duplicate tuples, non-positive multiplicities, or a multiplicity
-// total that overflows or disagrees with the recorded cardinality.
-TEST(TableTest, RestorePayloadRejectsCorruptRowsUntouched) {
+// was: a missing image, a foreign schema, a repeated row, non-positive
+// multiplicities, or a multiplicity total that overflows or disagrees with
+// the recorded cardinality.
+TEST(TableTest, RestorePayloadRejectsCorruptImagesUntouched) {
   Schema s({{"x", TypeId::kInt64}});
   Table t(s);
   t.Add(Tuple({Value::Int64(9)}), 4);
   const auto before = t.dense_rows();
   const int64_t mutations = t.mutation_count();
-  const Tuple a({Value::Int64(1)});
-  const Tuple b({Value::Int64(2)});
+  // Built by hand and left unfinished, as the decoder hands images over:
+  // finishing an overflowing multiplicity column would overflow.
+  auto image = [&](std::vector<int64_t> mults) {
+    auto out = std::make_shared<ColumnTable>(s);
+    for (size_t i = 0; i < mults.size(); ++i) {
+      out->mutable_column(0)->ints.push_back(static_cast<int64_t>(i));
+    }
+    *out->mutable_mult() = std::move(mults);
+    return out;
+  };
 
-  EXPECT_NE(t.RestorePayload({{a, 1}, {b, 2}, {a, 1}}, 4, 99), "");
-  EXPECT_NE(t.RestorePayload({{a, 1}, {b, 0}}, 1, 99), "");
-  EXPECT_NE(t.RestorePayload({{a, 1}, {b, -2}}, -1, 99), "");
-  EXPECT_NE(t.RestorePayload({{a, 1}, {b, 2}}, 4, 99), "");
-  EXPECT_NE(t.RestorePayload({{a, INT64_MAX}, {b, 1}}, 0, 99), "");
+  EXPECT_NE(t.RestorePayload(nullptr, 0, 99), "");
+  EXPECT_NE(t.RestorePayload(
+                ColumnTable::FromRows(Schema({{"z", TypeId::kInt64}}), {}), 0,
+                99),
+            "");
+  std::shared_ptr<ColumnTable> repeated = image({1, 2, 1});
+  repeated->mutable_column(0)->ints[2] = 0;  // rows 0, 1, 0
+  EXPECT_NE(t.RestorePayload(repeated, 4, 99), "");
+  EXPECT_NE(t.RestorePayload(image({1, 0}), 1, 99), "");
+  EXPECT_NE(t.RestorePayload(image({1, -2}), -1, 99), "");
+  EXPECT_NE(t.RestorePayload(image({1, 2}), 4, 99), "");
+  EXPECT_NE(t.RestorePayload(image({INT64_MAX, 1}), 0, 99), "");
   EXPECT_EQ(t.dense_rows(), before);
   EXPECT_EQ(t.cardinality(), 4);
   EXPECT_EQ(t.mutation_count(), mutations);
   EXPECT_EQ(t.Count(Tuple({Value::Int64(9)})), 4);
+}
+
+// HasEqualRows (the restore-time distinctness check) agrees with
+// Tuple::operator== on every pair: NULL equals NULL but not a zero
+// payload, -0.0 equals 0.0, NaN equals nothing, strings by content.
+TEST(TableTest, HasEqualRowsMatchesTupleEquality) {
+  Schema s({{"i", TypeId::kInt64},
+            {"d", TypeId::kDouble},
+            {"s", TypeId::kString},
+            {"n", TypeId::kNull}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Tuple> cells = {
+      Tuple({Value::Int64(0), Value::Double(0.0), Value::String("a"),
+             Value::Null()}),
+      Tuple({Value::Null(), Value::Double(0.0), Value::String("a"),
+             Value::Null()}),
+      Tuple({Value::Int64(0), Value::Double(-0.0), Value::String("a"),
+             Value::Null()}),
+      Tuple({Value::Int64(0), Value::Null(), Value::String("a"),
+             Value::Null()}),
+      Tuple({Value::Int64(0), Value::Double(0.0), Value::Null(),
+             Value::Null()}),
+      Tuple({Value::Int64(0), Value::Double(0.0), Value::String(""),
+             Value::Null()}),
+      Tuple({Value::Int64(1), Value::Double(nan), Value::String("b"),
+             Value::Null()}),
+      Tuple({Value::Null(), Value::Null(), Value::Null(), Value::Null()}),
+  };
+  // Every pair of candidate rows, alone and after a few distinct rows
+  // (so the probe sequence is not trivially short).
+  for (size_t a = 0; a < cells.size(); ++a) {
+    for (size_t b = 0; b < cells.size(); ++b) {
+      RowVec rows;
+      for (int64_t k = 0; k < 40; ++k) {
+        rows.emplace_back(Tuple({Value::Int64(100 + k), Value::Double(0.5),
+                                 Value::String("x"), Value::Null()}),
+                          1);
+      }
+      rows.emplace_back(cells[a], 1);
+      if (a != b) rows.emplace_back(cells[b], 1);
+      std::shared_ptr<ColumnTable> image = ColumnTable::FromRows(s, rows);
+      ASSERT_NE(image, nullptr);
+      EXPECT_EQ(image->HasEqualRows(), a != b && cells[a] == cells[b])
+          << cells[a].ToString() << " vs " << cells[b].ToString();
+    }
+  }
+  EXPECT_FALSE(ColumnTable::FromRows(s, {})->HasEqualRows());
+}
+
+// The analytic byte model prices a row the same in tuple and column form
+// (one per-cell implementation): NULLs of every type, a NULL-typed
+// column, empty and long strings, and an empty table.  The pager's
+// ApproxTableBytes and the spill gate's RowsExceedBytes read whichever
+// form is present, so both forms must agree for fault and eviction counts
+// to stay put.
+TEST(TableTest, AnalyticBytesAgreeInTupleAndColumnForms) {
+  Schema s({{"i", TypeId::kInt64},
+            {"d", TypeId::kDouble},
+            {"t", TypeId::kDate},
+            {"s", TypeId::kString},
+            {"n", TypeId::kNull}});
+  Table t(s);
+  for (int64_t k = 0; k < 60; ++k) {
+    auto null = [&](int64_t col) { return (k + col) % 4 == 0; };
+    t.Add(Tuple({null(0) ? Value::Null() : Value::Int64(k),
+                 null(1) ? Value::Null() : Value::Double(0.5 * k),
+                 null(2) ? Value::Null() : Value::Date(19960101 + k),
+                 null(3) ? Value::Null()
+                         : Value::String(std::string(k % 9, 'a' + k % 26)),
+                 Value::Null()}),
+          1 + k % 3);
+  }
+  Table empty(s);
+  for (const Table* table : {&t, &empty}) {
+    SCOPED_TRACE(table->empty() ? "empty" : "mixed");
+    std::shared_ptr<const ColumnTable> image =
+        ColumnTable::FromRows(s, table->dense_rows());
+    ASSERT_NE(image, nullptr);
+    int64_t tuple_sum = 0, column_sum = 0;
+    for (size_t i = 0; i < table->dense_rows().size(); ++i) {
+      const int64_t tuple_bytes =
+          paged::ApproxRowBytes(table->dense_rows()[i].first);
+      ASSERT_EQ(paged::ApproxRowBytes(*image, i), tuple_bytes) << "row " << i;
+      tuple_sum += tuple_bytes;
+      column_sum += paged::ApproxRowBytes(*image, i);
+    }
+    EXPECT_EQ(column_sum, tuple_sum);
+    EXPECT_EQ(paged::ApproxTableBytes(*table), tuple_sum);
+    const Table restored = Restored(*table);
+    EXPECT_EQ(paged::ApproxTableBytes(restored), tuple_sum);
+    EXPECT_FALSE(restored.rows_materialized());
+    // The spill gate's threshold test agrees at the boundary in both forms
+    // (limits are positive: ResolvedSpillBytes is at least 1).
+    const Rows as_rows = Rows::FromTable(*table);
+    const Rows as_columns = Rows::FromTable(restored);
+    ASSERT_FALSE(as_columns.rows_materialized());
+    for (int64_t limit : {tuple_sum - 1, tuple_sum, tuple_sum + 1}) {
+      if (limit < 1) continue;
+      EXPECT_EQ(spill::RowsExceedBytes(as_rows, limit), limit < tuple_sum);
+      EXPECT_EQ(spill::RowsExceedBytes(as_columns, limit), limit < tuple_sum);
+    }
+    EXPECT_FALSE(as_columns.rows_materialized());
+  }
+}
+
+// After a fault-in, the vectorized scans read the restored image: a
+// filter and a join over the table build no tuple and no index, in the
+// table or in the scan.
+TEST(TableTest, FaultedInScansBuildNoTuplesOrIndex) {
+  const Table t = Restored(MixedTable(300));
+  // Keep the join on its resident route even under an env-armed
+  // WUW_MEM_MB (the grace route reads rows).
+  paged::PagedOptions resident;
+  resident.budget_bytes = int64_t{1} << 40;
+  resident.spill_bytes = int64_t{1} << 40;
+  paged::ScopedOperatorSpill no_spill(resident);
+  const paged::PagedStatsSnapshot before = paged::GlobalPagedStats();
+  const Rows scan = Rows::FromTable(t);
+  OperatorStats stats;
+  const Rows filtered =
+      Filter(scan,
+             ScalarExpr::Compare(CompareOp::kGt, ScalarExpr::Column("x"),
+                                 ScalarExpr::Literal(Value::Int64(100))),
+             &stats);
+  Rows probe(Schema({{"k", TypeId::kInt64}}));
+  probe.Add(Tuple({Value::Int64(7)}), 1);
+  const Rows joined = HashJoin(probe, scan, JoinKeys{{"k"}, {"x"}}, &stats);
+  EXPECT_EQ(filtered.size(), 160u);
+  EXPECT_EQ(joined.size(), 1u);
+  EXPECT_FALSE(t.rows_materialized());
+  EXPECT_FALSE(scan.rows_materialized());
+  EXPECT_EQ(t.IndexBytes(), 0u);
+  const paged::PagedStatsSnapshot after = paged::GlobalPagedStats();
+  EXPECT_EQ(after.row_builds, before.row_builds);
+  EXPECT_EQ(after.index_builds, before.index_builds);
+}
+
+// The first Add builds the rows and the index exactly once; later point
+// updates and lookups reuse them.
+TEST(TableTest, FirstAddBuildsRowsAndIndexOnce) {
+  Table t = Restored(MixedTable(100));
+  const Tuple row = t.ColumnarSnapshot()->TupleAt(3);
+  const paged::PagedStatsSnapshot before = paged::GlobalPagedStats();
+  t.Add(row, 1);
+  t.Add(row, -1);
+  t.Add(Tuple({Value::Int64(-5), Value::String("fresh")}), 1);
+  EXPECT_EQ(t.Count(row), t.ColumnarSnapshot()->mult()[3]);
+  const paged::PagedStatsSnapshot after = paged::GlobalPagedStats();
+  EXPECT_EQ(after.row_builds - before.row_builds, 1);
+  EXPECT_EQ(after.index_builds - before.index_builds, 1);
+  EXPECT_TRUE(t.rows_materialized());
+}
+
+// Eight threads asking a faulted-in table (and a copy sharing its payload)
+// for rows at once share one build; the index is built once too.
+TEST(TableTest, ConcurrentRowReadersShareOneBuild) {
+  const Table t = Restored(MixedTable(2000));
+  const Table copy = t;
+  const paged::PagedStatsSnapshot before = paged::GlobalPagedStats();
+  std::vector<const RowVec*> seen(8, nullptr);
+  std::vector<int64_t> counts(8, 0);
+  std::vector<std::thread> threads;
+  for (size_t k = 0; k < seen.size(); ++k) {
+    threads.emplace_back([&, k] {
+      const Table& table = k % 2 == 0 ? t : copy;
+      seen[k] = &table.dense_rows();
+      counts[k] = table.Count(table.dense_rows()[k].first);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t k = 0; k < seen.size(); ++k) {
+    EXPECT_EQ(seen[k], seen[0]);
+    EXPECT_EQ(counts[k], t.dense_rows()[k].second);
+  }
+  const paged::PagedStatsSnapshot after = paged::GlobalPagedStats();
+  EXPECT_EQ(after.row_builds - before.row_builds, 1);
+  EXPECT_EQ(after.index_builds - before.index_builds, 1);
 }
 
 // Every byte an image's readers can see: cells, null masks, dictionary

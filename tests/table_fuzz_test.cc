@@ -3,9 +3,12 @@
 // bookkeeping in Table::Add is the most delicate code in storage/; this
 // hammers it with mixed insert/delete/over-delete traffic.  A second fuzz
 // checks the columnar image Table::Add keeps current in place against a
-// fresh ColumnTable::FromRows of the table's rows after every step.
+// fresh ColumnTable::FromRows of the table's rows after every step, with
+// the table hibernated to a page image and faulted back in (the extent
+// pager's round trip) at random steps.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,6 +20,7 @@
 #include "obs/metrics.h"
 #include "plan/subplan_cache.h"
 #include "storage/column_table.h"
+#include "storage/page.h"
 #include "storage/table.h"
 #include "test_util.h"
 #include "tpcd/tpcd_generator.h"
@@ -190,18 +194,40 @@ void ExpectImageMatchesRows(const Table& table, const ColumnTable& image) {
 
 class TableImageFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
+/// The extent pager's round trip (storage/paged_store.h): save the
+/// table's image, release its payload, load the image and restore it.
+void HibernateAndFaultIn(Table* table, const std::string& path) {
+  ASSERT_EQ(paged::SaveTableImage(*table, path, 1024), "");
+  const int64_t cardinality = table->cardinality();
+  const int64_t mutations = table->mutation_count();
+  table->ReleasePayload();
+  paged::TableImage img;
+  ASSERT_EQ(paged::LoadTableImage(path, &img), "");
+  ASSERT_EQ(img.cardinality, cardinality);
+  ASSERT_EQ(img.mutation_count, mutations);
+  ASSERT_EQ(table->RestorePayload(std::move(img.columns), img.cardinality,
+                                  img.mutation_count),
+            "");
+  ASSERT_FALSE(table->rows_materialized());
+}
+
 // Random Add traffic against the maintained image: inserts, multiplicity
 // bumps up and down, deletes at every position (the last row included),
-// over-deletes, clamped deletes of absent tuples, and Clear.  The image is
-// built once and after each Clear; every other step edits it in place.
+// over-deletes, clamped deletes of absent tuples, and Clear; one step in
+// 25 also hibernates the table and faults it back in.  The image is built
+// once and after each Clear; every other step edits it in place, a
+// restored image included (a fault-in restores it, never rebuilds it).
 TEST_P(TableImageFuzzTest, MaintainedImageEqualsRebuild) {
   const uint64_t seed = GetParam() + testutil::PropertySeed(0);
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
   obs::ArmMetrics();
   Table table(ImageSchema());
+  const std::string path = ::testing::TempDir() + "wuw_image_fuzz_" +
+                           std::to_string(GetParam()) + ".pages";
   int64_t clears = 0;
   int64_t builds = 0;
+  int64_t round_trips = 0;
 
   for (int step = 0; step < 3000; ++step) {
     const RowVec& rows = table.dense_rows();
@@ -247,7 +273,13 @@ TEST_P(TableImageFuzzTest, MaintainedImageEqualsRebuild) {
         }
         break;
     }
+    // A hibernate converts a dropped image first, so it counts as a build.
     const int64_t before = Conversions();
+    if (rng.Below(25) == 0) {
+      ASSERT_NO_FATAL_FAILURE(HibernateAndFaultIn(&table, path))
+          << "step " << step;
+      ++round_trips;
+    }
     std::shared_ptr<const ColumnTable> image = table.ColumnarSnapshot();
     builds += Conversions() - before;
     ASSERT_NE(image, nullptr) << "step " << step;
@@ -255,8 +287,11 @@ TEST_P(TableImageFuzzTest, MaintainedImageEqualsRebuild) {
         << "step " << step;
   }
   // One build up front and one after each Clear: every other edit,
-  // clamped deletes included, kept the image instead of dropping it.
+  // clamped deletes included, kept the image instead of dropping it, and
+  // no fault-in rebuilt it.
   EXPECT_EQ(builds, 1 + clears);
+  EXPECT_GT(round_trips, 0);
+  std::remove(path.c_str());
   obs::DisarmMetrics();
 }
 
