@@ -208,13 +208,6 @@ Rows GraceAggregate(const Rows& input, const std::vector<std::string>& group_by,
 
 }  // namespace
 
-Rows AggregateKernel::Run(const std::vector<const Rows*>& inputs,
-                          OperatorStats* stats, ThreadPool* pool,
-                          const CancelToken* cancel) const {
-  WUW_CHECK(inputs.size() == 1, "AggregateKernel takes exactly one input");
-  return AggregateSigned(*inputs[0], group_by, aggs, stats, pool, cancel);
-}
-
 Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by,
                      const std::vector<AggSpec>& aggs, OperatorStats* stats,
                      ThreadPool* /*pool*/, const CancelToken* /*cancel*/) {

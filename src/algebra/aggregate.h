@@ -54,18 +54,6 @@ Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by
 /// Name of the hidden per-group contributing-row counter column.
 inline const char* kGroupCountColumn = "__count";
 
-/// Plan-node kernel form of AggregateSigned (uniform Run(inputs, stats)
-/// signature; see plan/plan_node.h).
-struct AggregateKernel {
-  std::vector<std::string> group_by;
-  std::vector<AggSpec> aggs;
-
-  /// inputs = {child}.
-  Rows Run(const std::vector<const Rows*>& inputs, OperatorStats* stats,
-           ThreadPool* pool = nullptr,
-           const CancelToken* cancel = nullptr) const;
-};
-
 }  // namespace wuw
 
 #endif  // WUW_ALGEBRA_AGGREGATE_H_

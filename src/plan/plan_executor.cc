@@ -55,7 +55,10 @@ std::shared_ptr<const Rows> PlanExecutor::Eval(PlanNodeId id,
   if (cancel_ != nullptr) cancel_->Check();
   const PlanNode& n = dag_.node(id);
 
-  bool try_cache = cache_ != nullptr && n.cacheable;
+  // Leaves bypass the cache: a scan is an O(1) shared handle on its
+  // operand, so caching it would save nothing and charge the whole operand
+  // against the budget.
+  bool try_cache = cache_ != nullptr && n.cacheable && !n.is_leaf();
   std::shared_ptr<const Rows> result;
   if (try_cache) {
     result = cache_->Lookup(n.fingerprint);
@@ -123,9 +126,6 @@ std::shared_ptr<const Rows> PlanExecutor::Eval(PlanNodeId id,
             break;
           case PlanNodeKind::kHashJoin:
             out = n.join.Run(inputs, stats, pool_, cancel_);
-            break;
-          case PlanNodeKind::kAggregate:
-            out = n.aggregate.Run(inputs, stats, pool_, cancel_);
             break;
           default: WUW_CHECK(false, "unreachable plan node kind");
         }

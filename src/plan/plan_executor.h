@@ -3,10 +3,10 @@
 //  1. Intra-DAG memoization: nodes with more than one parent (the common
 //     join prefixes CSE discovered across a Comp's terms) are materialized
 //     once by PrepareShared and served from an id-indexed memo afterwards.
-//  2. Cross-DAG caching: cacheable nodes consult the SubplanCache by
-//     fingerprint, so later expressions of the same stage — or later
+//  2. Cross-DAG caching: cacheable interior nodes consult the SubplanCache
+//     by fingerprint, so later expressions of the same stage — or later
 //     strategy runs over clones of the same state — reuse results computed
-//     under a different DAG entirely.
+//     under a different DAG entirely.  Leaf scans never touch the cache.
 //
 // Both layers are attached iff a SubplanCache is supplied.  With a null
 // cache the executor degenerates to eager per-term re-evaluation with

@@ -17,7 +17,6 @@ const char* KindName(PlanNodeKind kind) {
     case PlanNodeKind::kFilter: return "filter";
     case PlanNodeKind::kProject: return "project";
     case PlanNodeKind::kHashJoin: return "join";
-    case PlanNodeKind::kAggregate: return "agg";
   }
   return "?";
 }
@@ -123,46 +122,6 @@ PlanNodeId PlanDag::InternHashJoin(PlanNodeId left, PlanNodeId right,
   return Intern(std::move(n));
 }
 
-PlanNodeId PlanDag::InternAggregate(PlanNodeId child,
-                                    std::vector<std::string> group_by,
-                                    std::vector<AggSpec> aggs) {
-  const PlanNode& c = node(child);
-  PlanNode n;
-  n.kind = PlanNodeKind::kAggregate;
-  n.children = {child};
-  n.cacheable = c.cacheable;
-
-  // Output schema mirrors AggregateSigned: group columns, one column per
-  // spec (SUM keeps int64 exactness when its argument is int64), then the
-  // hidden per-group contributing-row counter.
-  std::vector<Column> cols;
-  std::string params;
-  for (const std::string& g : group_by) {
-    cols.push_back(c.schema.column(c.schema.MustIndexOf(g)));
-    params += g + ",";
-  }
-  params += ";";
-  for (const AggSpec& spec : aggs) {
-    if (spec.fn == AggFn::kSum) {
-      TypeId t =
-          BoundExpr::Bind(spec.arg, c.schema).result_type() == TypeId::kInt64
-              ? TypeId::kInt64
-              : TypeId::kDouble;
-      cols.push_back(Column{spec.name, t});
-      params += "sum(" + ExprToSql(spec.arg) + ") AS " + spec.name + ",";
-    } else {
-      cols.push_back(Column{spec.name, TypeId::kInt64});
-      params += "count(*) AS " + spec.name + ",";
-    }
-  }
-  cols.push_back(Column{kGroupCountColumn, TypeId::kInt64});
-  n.schema = Schema(std::move(cols));
-  n.fingerprint = "agg[" + params + "](" + c.fingerprint + ")";
-  n.aggregate.group_by = std::move(group_by);
-  n.aggregate.aggs = std::move(aggs);
-  return Intern(std::move(n));
-}
-
 PlanNodeId PlanDag::Intern(PlanNode node) {
   auto it = by_fingerprint_.find(node.fingerprint);
   if (it != by_fingerprint_.end()) {
@@ -189,7 +148,6 @@ std::string PlanNodeLabel(const PlanNode& node) {
     case PlanNodeKind::kFilter: label = "Filter"; break;
     case PlanNodeKind::kProject: label = "Project"; break;
     case PlanNodeKind::kHashJoin: label = "HashJoin"; break;
-    case PlanNodeKind::kAggregate: label = "Aggregate"; break;
   }
   if (!node.relation.empty()) label += "(" + node.relation + ")";
   return label;

@@ -1,15 +1,15 @@
 // The physical-plan layer: typed plan nodes interned into a DAG.
 //
 // A maintenance term (or a full recompute) lowers into a tree of plan nodes
-// — scan / delta-scan / filter / project / hash-join / aggregate — instead
+// — scan / delta-scan / filter / project / hash-join — instead
 // of executing eagerly.  Trees are built through PlanDag, which performs
 // common-subexpression elimination at construction: every node carries a
 // canonical fingerprint of (operator, parameters, children), and interning
 // a node whose fingerprint already exists returns the existing node.  The
 // 2^|Y|-1 terms of one Comp expression therefore share their common join
 // prefixes structurally (Mistry et al., "Materialized View Selection and
-// Maintenance Using Multi-Query Optimization"), and the fingerprints double
-// as keys of the cross-expression SubplanCache.
+// Maintenance Using Multi-Query Optimization"), and the interior nodes'
+// fingerprints double as keys of the cross-expression SubplanCache.
 //
 // Fingerprints of extent scans embed the view's extent version and the
 // warehouse batch epoch (see exec/warehouse.h): a cached subplan can never
@@ -23,7 +23,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "algebra/aggregate.h"
 #include "algebra/filter.h"
 #include "algebra/hash_join.h"
 #include "algebra/project.h"
@@ -40,7 +39,6 @@ enum class PlanNodeKind : uint8_t {
   kFilter,
   kProject,
   kHashJoin,
-  kAggregate,
 };
 
 /// Index of a node within its PlanDag.
@@ -53,7 +51,7 @@ struct PlanNode {
   PlanNodeKind kind;
   std::vector<PlanNodeId> children;
   /// Output schema, computed at intern time (joins concatenate, projections
-  /// bind their expressions, aggregates mirror AggregateSigned's layout).
+  /// bind their expressions).
   Schema schema;
   /// Canonical identity: equal fingerprints ⇒ equal results.  Used for CSE
   /// within a DAG and as the SubplanCache key across DAGs.
@@ -76,7 +74,6 @@ struct PlanNode {
   FilterKernel filter;
   ProjectKernel project;
   HashJoinKernel join;
-  AggregateKernel aggregate;
 
   // Annotations filled by stats/plan_cardinality.h.
   /// Exact operand size for leaves (|V| or |δV|); 0 for interior nodes.
@@ -113,9 +110,6 @@ class PlanDag {
   PlanNodeId InternFilter(PlanNodeId child, ScalarExpr::Ptr predicate);
   PlanNodeId InternProject(PlanNodeId child, std::vector<ProjectItem> items);
   PlanNodeId InternHashJoin(PlanNodeId left, PlanNodeId right, JoinKeys keys);
-  PlanNodeId InternAggregate(PlanNodeId child,
-                             std::vector<std::string> group_by,
-                             std::vector<AggSpec> aggs);
 
   size_t size() const { return nodes_.size(); }
   const PlanNode& node(PlanNodeId id) const { return nodes_[id]; }

@@ -11,36 +11,22 @@ namespace wuw {
 
 int64_t ApproxRowsBytes(const Rows& rows) {
   // Charge each (tuple, multiplicity) entry its value payloads plus fixed
-  // bookkeeping (shared_ptr control block, vector headers, multiplicity).
-  // COW sharing across copies means this over-approximates total resident
+  // bookkeeping (shared_ptr control block, vector headers, multiplicity):
+  // one Value per column, plus the bytes of every non-NULL string.  COW
+  // sharing across copies means this over-approximates total resident
   // bytes, which is the safe direction for a budget.
   constexpr int64_t kPerRowOverhead = 48;
-  int64_t bytes = 0;
-  if (!rows.rows_materialized()) {
-    // Columnar-only batch: the same charge read off the columns, so
-    // admission never builds rows.  Every tuple has one Value per column.
-    std::shared_ptr<const ColumnTable> ct = rows.Columnar();
-    const int64_t n = static_cast<int64_t>(ct->num_rows());
-    bytes = n * (kPerRowOverhead + static_cast<int64_t>(ct->num_columns() *
-                                                        sizeof(Value)));
-    for (size_t c = 0; c < ct->num_columns(); ++c) {
-      const ColumnVec& col = ct->column(c);
-      if (col.type != TypeId::kString) continue;
-      for (uint32_t code : col.codes) {
-        if (code != kNullStringCode) {
-          bytes += static_cast<int64_t>(col.dict->At(code).size());
-        }
-      }
-    }
-    return bytes;
-  }
-  for (const auto& [tuple, mult] : rows.rows()) {
-    (void)mult;
-    bytes += kPerRowOverhead;
-    for (const Value& v : tuple.values()) {
-      bytes += static_cast<int64_t>(sizeof(Value));
-      if (v.type() == TypeId::kString) {
-        bytes += static_cast<int64_t>(v.AsString().size());
+  std::shared_ptr<const ColumnTable> ct = rows.Columnar();
+  WUW_CHECK(ct != nullptr, "cannot price a batch with no columnar form");
+  const int64_t n = static_cast<int64_t>(ct->num_rows());
+  int64_t bytes = n * (kPerRowOverhead + static_cast<int64_t>(
+                                             ct->num_columns() * sizeof(Value)));
+  for (size_t c = 0; c < ct->num_columns(); ++c) {
+    const ColumnVec& col = ct->column(c);
+    if (col.type != TypeId::kString) continue;
+    for (uint32_t code : col.codes) {
+      if (code != kNullStringCode) {
+        bytes += static_cast<int64_t>(col.dict->At(code).size());
       }
     }
   }
@@ -52,7 +38,8 @@ std::string SubplanCacheStats::ToString() const {
   out << "hits=" << hits << " misses=" << misses
       << " insertions=" << insertions << " evictions=" << evictions
       << " rejected=" << rejected << " bytes_in_use=" << bytes_in_use
-      << " bytes_evicted=" << bytes_evicted
+      << " bytes_evicted=" << bytes_evicted << " released=" << released
+      << " bytes_released=" << bytes_released
       << " cost_saved=" << static_cast<int64_t>(cost_saved);
   return out.str();
 }
@@ -81,9 +68,12 @@ void SubplanCache::Insert(const std::string& fingerprint,
                           double recompute_cost) {
   WUW_CHECK(rows != nullptr, "cannot cache a null result");
   WUW_FAULT_POINT("subplan_cache.insert");
+  // Priced before taking the lock: concurrent term workers never wait on
+  // one another's charge.
+  const int64_t bytes =
+      options_.byte_budget == 0 ? 0 : ApproxRowsBytes(*rows);
   std::lock_guard<std::mutex> lock(mu_);
   if (entries_.count(fingerprint) > 0) return;
-  int64_t bytes = ApproxRowsBytes(*rows);
   if (options_.byte_budget == 0 ||
       (options_.byte_budget > 0 && bytes > options_.byte_budget)) {
     // Budget 0 admits nothing — including zero-byte (empty) results, so
@@ -132,11 +122,32 @@ void SubplanCache::EvictFor(int64_t needed) {
   }
 }
 
-void SubplanCache::Clear() {
+void SubplanCache::AdvanceEpoch(int64_t epoch) {
+  std::unordered_map<std::string, Entry> dead;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (epoch <= epoch_) return;
+    epoch_ = epoch;
+    if (entries_.empty()) return;
+    stats_.released += static_cast<int64_t>(entries_.size());
+    stats_.bytes_released += stats_.bytes_in_use;
+    WUW_METRIC_ADD("cache.released", obs::MetricClass::kEngine,
+                   static_cast<int64_t>(entries_.size()));
+    WUW_METRIC_ADD("cache.bytes_released", obs::MetricClass::kEngine,
+                   stats_.bytes_in_use);
+    stats_.bytes_in_use = 0;
+    dead.swap(entries_);
+    lru_.clear();
+  }
+  // `dead` frees the released results here, outside the lock.
+}
+
+std::vector<std::string> SubplanCache::Fingerprints() const {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  lru_.clear();
-  stats_.bytes_in_use = 0;
+  std::vector<std::string> out;
+  out.reserve(entries_.size());
+  for (const auto& [fingerprint, entry] : entries_) out.push_back(fingerprint);
+  return out;
 }
 
 SubplanCacheStats SubplanCache::stats() const {

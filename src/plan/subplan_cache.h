@@ -8,6 +8,17 @@
 // expression of the same stage, or another strategy run against a clone of
 // the same warehouse state — reuses the bytes instead of the scans.
 //
+// It holds only results that save work (Mistry et al.: materialize a
+// shared subexpression only when reuse beats its cost):
+//  - Leaf scans never enter it.  A scan is an O(1) shared handle on the
+//    extent or delta, so caching one saves nothing and would charge the
+//    whole operand against the budget (PlanExecutor bypasses leaves).
+//  - Results of an older batch epoch are released.  Every key embeds the
+//    epoch of its leaves, so once a newer epoch arrives (AdvanceEpoch) no
+//    older entry can hit again; the first Comp of the new epoch drops them
+//    all instead of letting them hold budget until eviction.  Dropping an
+//    entry only turns a would-be hit into a miss, never changes a result.
+//
 // Eviction is cost-aware: under byte pressure the cache drops the entries
 // that are cheapest to recompute per byte retained (est_recompute_cost /
 // bytes, ascending), breaking ties by least recent use.  A zero budget
@@ -22,6 +33,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "algebra/rows.h"
 
@@ -44,6 +56,10 @@ struct SubplanCacheStats {
   int64_t rejected = 0;
   int64_t bytes_in_use = 0;
   int64_t bytes_evicted = 0;
+  /// Entries dropped because a newer batch epoch made them unreachable
+  /// (AdvanceEpoch), and their bytes.
+  int64_t released = 0;
+  int64_t bytes_released = 0;
   /// Summed est_recompute_cost of every hit — the rows the cache's
   /// consumers did NOT have to touch.  The advisor-facing benefit signal
   /// (and the "cache.cost_saved" kEngine counter: budget-dependent, so it
@@ -53,9 +69,10 @@ struct SubplanCacheStats {
   std::string ToString() const;
 };
 
-/// Rough resident size of a Rows batch, counting tuple payloads once
-/// (tuples are copy-on-write, so cached copies share storage with the rows
-/// handed to consumers).
+/// Rough resident size of a Rows batch as its tuples would occupy it,
+/// read off the batch's columnar image (every cacheable plan node attaches
+/// one; a row-only batch converts once, and the image stays with it).
+/// Aborts on a batch with no columnar form, which no kernel emits.
 int64_t ApproxRowsBytes(const Rows& rows);
 
 /// Thread-safe fingerprint -> Rows memo with byte-budgeted, cost-aware LRU
@@ -77,8 +94,14 @@ class SubplanCache {
   void Insert(const std::string& fingerprint, std::shared_ptr<const Rows> rows,
               double recompute_cost);
 
-  /// Drops every entry (stats are retained).
-  void Clear();
+  /// Tells the cache the batch epoch of the Comp about to run.  The first
+  /// call with an epoch newer than any seen before releases every entry:
+  /// each was keyed at an older epoch, so none can hit again.  An equal or
+  /// older epoch changes nothing, so clones of one state share entries.
+  void AdvanceEpoch(int64_t epoch);
+
+  /// Fingerprints of the resident entries, in no particular order.
+  std::vector<std::string> Fingerprints() const;
 
   SubplanCacheStats stats() const;
   int64_t byte_budget() const { return options_.byte_budget; }
@@ -98,6 +121,8 @@ class SubplanCache {
 
   SubplanCacheOptions options_;
   mutable std::mutex mu_;
+  /// Newest batch epoch seen by AdvanceEpoch.
+  int64_t epoch_ = 0;
   std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> lru_;
   SubplanCacheStats stats_;

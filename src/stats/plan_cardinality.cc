@@ -45,12 +45,6 @@ void AnnotatePlanCardinality(PlanDag* dag) {
                                 l.est_output_rows + r.est_output_rows;
         break;
       }
-      case PlanNodeKind::kAggregate: {
-        const PlanNode& c = dag->node(n->children[0]);
-        n->est_output_rows = c.est_output_rows;
-        n->est_recompute_cost = c.est_recompute_cost + c.est_output_rows;
-        break;
-      }
     }
   }
 }

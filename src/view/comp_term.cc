@@ -150,6 +150,9 @@ CompEvalResult EvalComp(const ViewDefinition& def,
   bool annotated = options.subplan_cache != nullptr ||
                    options.observer != nullptr;
   if (options.subplan_cache != nullptr) {
+    // A Comp of a newer batch releases the older epochs' entries, which
+    // its keys can never match.
+    options.subplan_cache->AdvanceEpoch(epoch);
     exec.PrepareShared(roots, &prepare_stats);
   }
 

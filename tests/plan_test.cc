@@ -163,6 +163,33 @@ TEST(SubplanCacheTest, HitAndMissCountersTrack) {
   EXPECT_EQ(stats.misses, 1);
 }
 
+TEST(SubplanCacheTest, NewerEpochReleasesEveryEntry) {
+  SubplanCache cache(SubplanCacheOptions{/*byte_budget=*/-1});
+  cache.AdvanceEpoch(3);
+  auto rows = std::make_shared<const Rows>(MakeRowsBatch("A", 5, 1));
+  cache.Insert("a", rows, 1.0);
+  cache.Insert("b", std::make_shared<const Rows>(MakeRowsBatch("B", 7, 2)),
+               1.0);
+  const int64_t held = cache.stats().bytes_in_use;
+  // The same epoch (clones of one state) and an older one keep entries.
+  cache.AdvanceEpoch(3);
+  cache.AdvanceEpoch(2);
+  EXPECT_NE(cache.Lookup("a"), nullptr);
+  EXPECT_EQ(cache.stats().released, 0);
+
+  cache.AdvanceEpoch(4);
+  EXPECT_TRUE(cache.Fingerprints().empty());
+  EXPECT_EQ(cache.Lookup("a"), nullptr);
+  EXPECT_EQ(cache.Lookup("b"), nullptr);
+  SubplanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.released, 2);
+  EXPECT_EQ(stats.bytes_released, held);
+  EXPECT_EQ(stats.bytes_in_use, 0);
+  EXPECT_EQ(stats.evictions, 0);
+  // A consumer's handle outlives the release.
+  EXPECT_EQ(rows->size(), 5u);
+}
+
 // The executor over a plan must produce exactly what the eager operators
 // produce, and charge the same operator stats when no cache is attached.
 TEST(PlanExecutorTest, MatchesEagerOperatorsWithoutCache) {
@@ -213,6 +240,43 @@ TEST(PlanExecutorTest, CacheHitSkipsRecomputation) {
   EXPECT_EQ(cold.subplan_cache_hits, 0);
   EXPECT_EQ(warm.subplan_cache_hits, 1);  // root served whole
   EXPECT_EQ(warm.rows_scanned, 0);        // nothing re-joined
+}
+
+// Leaf scans bypass the cache: with every scan shared and each root
+// evaluated on its own (no PrepareShared memo), only the interior nodes
+// look up and insert.
+TEST(PlanExecutorTest, LeavesNeverTouchTheCache) {
+  Table a = MakeTriple("A", 30, 1);
+  Table b = MakeTriple("B", 40, 2);
+  Table c = MakeTriple("C", 20, 3);
+  PlanDag dag;
+  PlanNodeId scan_a = dag.InternTableScan("A", a, 0, 0);
+  PlanNodeId scan_b = dag.InternTableScan("B", b, 0, 0);
+  PlanNodeId root1 = dag.InternHashJoin(scan_a, scan_b,
+                                        JoinKeys{{"A_k"}, {"B_k"}});
+  PlanNodeId filt_c = dag.InternFilter(dag.InternTableScan("C", c, 0, 0),
+                                       ValueAbove("C_v", 5));
+  PlanNodeId root2 = dag.InternHashJoin(scan_a, filt_c,
+                                        JoinKeys{{"A_k"}, {"C_k"}});
+  PlanNodeId root3 = dag.InternFilter(scan_b, ValueAbove("B_v", 10));
+  ASSERT_EQ(dag.node(scan_a).num_uses, 2);
+  ASSERT_EQ(dag.node(scan_b).num_uses, 2);
+  AnnotatePlanCardinality(&dag);
+
+  SubplanCache cache;
+  PlanExecutor exec(dag, &cache);
+  OperatorStats stats;
+  for (PlanNodeId root : {root1, root2, root3}) exec.Execute(root, &stats);
+
+  // Interior cacheable nodes executed: root1, filt_c, root2, root3.
+  SubplanCacheStats cs = cache.stats();
+  EXPECT_EQ(cs.insertions, 4);
+  EXPECT_EQ(cs.misses, 4);
+  EXPECT_EQ(cs.hits, 0);
+  EXPECT_EQ(stats.subplan_cache_misses, 4);
+  for (const std::string& key : cache.Fingerprints()) {
+    EXPECT_NE(key.rfind("scan:", 0), 0u) << key;
+  }
 }
 
 TEST(PlanExecutorTest, PrepareSharedMaterializesSharedNodesOnce) {

@@ -6,9 +6,13 @@
 // time, so sharing bytes never changes the accounting).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/min_work.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
+#include "obs/plan_observation.h"
+#include "parallel/thread_pool.h"
 #include "plan/subplan_cache.h"
 #include "test_util.h"
 #include "tpcd/tpcd_views.h"
@@ -172,6 +176,113 @@ TEST(SubplanCacheStreamTest, PersistentCacheAcrossCoherentBatches) {
       ASSERT_TRUE(cached.catalog().MustGetTable(base)->ContentsEqual(
           *stream.source().MustGetTable(base)))
           << "batch " << batch << " base " << base;
+    }
+  }
+}
+
+// Every batch epoch the cache's keys name: scan leaves embed "#e<epoch>".
+std::set<int64_t> HeldEpochs(const SubplanCache& cache) {
+  std::set<int64_t> epochs;
+  for (const std::string& key : cache.Fingerprints()) {
+    for (size_t at = key.find("#e"); at != std::string::npos;
+         at = key.find("#e", at + 2)) {
+      epochs.insert(std::stoll(key.substr(at + 2)));
+    }
+  }
+  return epochs;
+}
+
+// Epoch release: one cache shared across a coherent multi-batch stream
+// drops each batch's entries at the next batch's first Comp (their keys
+// can never match again), so it never holds a key of an older epoch —
+// at every budget, sequentially and with 8 term workers — while results
+// and linear work stay those of the uncached run.
+TEST(SubplanCacheStreamTest, NewerEpochReleasesOlderEntries) {
+  const uint64_t seed = testutil::PropertySeed(57);
+  SCOPED_TRACE(testutil::SeedTrace(seed));
+  tpcd::GeneratorOptions gen_options;
+  gen_options.scale_factor = 0.002;
+  gen_options.seed = seed;
+  const Warehouse initial = tpcd::MakeTpcdWarehouse(gen_options, {"Q3", "Q10"});
+
+  // The uncached reference: each batch's deltas, strategy, ground truth
+  // and linear work.
+  struct Batch {
+    std::unordered_map<std::string, DeltaRelation> deltas;
+    Strategy strategy;
+    Catalog truth;
+    int64_t linear_work = 0;
+  };
+  std::vector<Batch> batches(4);
+  {
+    Warehouse plain = initial.Clone();
+    tpcd::SourceChangeStream stream(plain, gen_options);
+    for (size_t b = 0; b < batches.size(); ++b) {
+      Batch& batch = batches[b];
+      batch.deltas = stream.NextBatch(/*delete_fraction=*/0.1,
+                                      /*insert_fraction=*/0.05);
+      for (const auto& [name, delta] : batch.deltas) {
+        plain.SetBaseDelta(name, delta);
+      }
+      batch.truth = testutil::GroundTruthAfterChanges(plain);
+      batch.strategy = (b % 2 == 0)
+                           ? MakeDualStageVdagStrategy(plain.vdag())
+                           : MinWork(plain.vdag(), plain.EstimatedSizes())
+                                 .strategy;
+      batch.linear_work =
+          Executor(&plain).Execute(batch.strategy).total_linear_work;
+      ASSERT_TRUE(plain.catalog().ContentsEqual(batch.truth)) << b;
+    }
+  }
+
+  for (int threads : {1, 8}) {
+    for (int64_t budget : {int64_t{0}, int64_t{16} << 10, int64_t{64} << 20,
+                           int64_t{-1}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " budget " +
+                   std::to_string(budget));
+      ThreadPool pool(threads);
+      SubplanCache cache(SubplanCacheOptions{budget});
+      Warehouse w = initial.Clone();
+      for (size_t b = 0; b < batches.size(); ++b) {
+        for (const auto& [name, delta] : batches[b].deltas) {
+          w.SetBaseDelta(name, delta);
+        }
+        const int64_t epoch = w.batch_epoch();
+        const std::set<int64_t> current = {epoch};
+        auto only_current = [&] {
+          std::set<int64_t> held = HeldEpochs(cache);
+          return held.empty() || held == current;
+        };
+        const int64_t held_before =
+            static_cast<int64_t>(cache.Fingerprints().size());
+        const int64_t released_before = cache.stats().released;
+
+        ExecutorOptions options;
+        options.subplan_cache = &cache;
+        options.pool = &pool;
+        options.term_workers = threads;
+        // Sequentially, check after every Comp, the first one included
+        // (an observer forces sequential evaluation, so only there).
+        obs::PlanObserver observer;
+        observer.on_comp = [&](obs::CompPlanObservation) {
+          EXPECT_TRUE(only_current()) << "batch " << b;
+        };
+        if (threads == 1) options.plan_observer = &observer;
+        ExecutionReport report =
+            Executor(&w, options).Execute(batches[b].strategy);
+
+        ASSERT_TRUE(w.catalog().ContentsEqual(batches[b].truth))
+            << "batch " << b;
+        EXPECT_EQ(report.total_linear_work, batches[b].linear_work)
+            << "batch " << b;
+        EXPECT_TRUE(only_current()) << "batch " << b;
+        // The new epoch's first Comp released exactly what the previous
+        // batch left behind.
+        EXPECT_EQ(report.subplan_cache.released - released_before,
+                  held_before)
+            << "batch " << b;
+        if (budget == 0) EXPECT_EQ(report.subplan_cache.hits, 0);
+      }
     }
   }
 }
