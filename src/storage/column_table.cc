@@ -145,7 +145,7 @@ std::shared_ptr<ColumnTable> ColumnTable::FromRows(
   return out;
 }
 
-bool ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
+bool ColumnTable::Accepts(const Tuple& tuple) const {
   if (tuple.size() != columns_.size() || mult_.size() + 1 >= kNullStringCode) {
     return false;
   }
@@ -153,6 +153,11 @@ bool ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
     const Value& v = tuple.value(c);
     if (!v.is_null() && v.type() != columns_[c].type) return false;
   }
+  return true;
+}
+
+bool ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
+  if (!Accepts(tuple)) return false;
   const size_t row = mult_.size();
   for (size_t c = 0; c < columns_.size(); ++c) {
     ColumnVec& col = columns_[c];
@@ -234,6 +239,24 @@ bool ColumnTable::DictsOverBound() const {
   return false;
 }
 
+void ColumnTable::CompactDicts() {
+  const size_t bound = 2 * num_rows() + 64;
+  for (ColumnVec& col : columns_) {
+    if (col.dict == nullptr || col.dict->size() <= bound) continue;
+    std::vector<uint32_t> remap(col.dict->size(), kNullStringCode);
+    auto fresh = std::make_shared<StringDict>();
+    for (uint32_t& code : col.codes) {
+      if (code == kNullStringCode) continue;
+      uint32_t& to = remap[code];
+      if (to == kNullStringCode) to = fresh->Intern(col.dict->At(code));
+      code = to;
+    }
+    WUW_METRIC_ADD("engine.vec.value_hashes", obs::MetricClass::kEngine,
+                   static_cast<int64_t>(fresh->size()));
+    col.dict = std::move(fresh);
+  }
+}
+
 void ColumnTable::Finish() {
   const size_t n = mult_.size();
   abs_prefix_.assign(n + 1, 0);
@@ -262,38 +285,79 @@ bool CellsEqual(const ColumnVec& col, size_t i, size_t j) {
   return NumericImageAt(col, i) == NumericImageAt(col, j);
 }
 
+/// CellHashAt of a cell equal to `v`: the same normalized double image for
+/// every numeric type, the dictionary's string hash, kNullCellHash.
+uint64_t ValueCellHash(const Value& v) {
+  switch (v.type()) {
+    case TypeId::kNull:
+      return kNullCellHash;
+    case TypeId::kString:
+      return Mix64(std::hash<std::string>{}(v.AsString()));
+    default: {
+      double d = v.NumericValue();
+      if (d == 0.0) d = 0.0;
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      return Mix64(bits);
+    }
+  }
+}
+
+/// Cell i equals `v` under Value's equality.
+bool CellEqualsValue(const ColumnVec& col, size_t i, const Value& v) {
+  if (CellIsNull(col, i) || v.is_null()) {
+    return CellIsNull(col, i) && v.is_null();
+  }
+  if (col.type == TypeId::kString) {
+    return v.type() == TypeId::kString &&
+           col.dict->At(col.codes[i]) == v.AsString();
+  }
+  return v.type() != TypeId::kString &&
+         NumericImageAt(col, i) == v.NumericValue();
+}
+
 }  // namespace
 
-bool ColumnTable::HasEqualRows() const {
+std::vector<uint64_t> ColumnTable::RowHashes() const {
   const size_t n = num_rows();
-  // The kernels' key hash over every column, a column at a time.
   std::vector<uint64_t> hashes(n, kKeyHashSeed);
   for (const ColumnVec& col : columns_) {
     for (size_t i = 0; i < n; ++i) {
       hashes[i] = CombineKeyHash(hashes[i], CellHashAt(col, i));
     }
   }
-  size_t nslots = 16;
-  while (nslots < n * 2) nslots <<= 1;
-  const size_t mask = nslots - 1;
-  std::vector<uint32_t> slots(nslots, kNullStringCode);
-  for (size_t i = 0; i < n; ++i) {
-    size_t s = hashes[i] & mask;
-    for (; slots[s] != kNullStringCode; s = (s + 1) & mask) {
-      const size_t j = slots[s];
-      if (hashes[j] != hashes[i]) continue;
-      bool equal = true;
-      for (const ColumnVec& col : columns_) {
-        if (!CellsEqual(col, i, j)) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) return true;
-    }
-    slots[s] = static_cast<uint32_t>(i);
+  return hashes;
+}
+
+uint64_t ColumnTable::RowHash(size_t i) const {
+  uint64_t h = kKeyHashSeed;
+  for (const ColumnVec& col : columns_) {
+    h = CombineKeyHash(h, CellHashAt(col, i));
   }
-  return false;
+  return h;
+}
+
+uint64_t ColumnTable::TupleRowHash(const Tuple& tuple) {
+  uint64_t h = kKeyHashSeed;
+  for (const Value& v : tuple.values()) {
+    h = CombineKeyHash(h, ValueCellHash(v));
+  }
+  return h;
+}
+
+bool ColumnTable::RowsEqual(size_t i, size_t j) const {
+  for (const ColumnVec& col : columns_) {
+    if (!CellsEqual(col, i, j)) return false;
+  }
+  return true;
+}
+
+bool ColumnTable::RowEquals(size_t i, const Tuple& tuple) const {
+  if (tuple.size() != columns_.size()) return false;
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (!CellEqualsValue(columns_[c], i, tuple.value(c))) return false;
+  }
+  return true;
 }
 
 ColumnMinMax ColumnTable::Stats(size_t c) const {

@@ -7,9 +7,9 @@
 // produce this layout batch-at-a-time (algebra/row_batch.h), touching raw
 // arrays in tight typed loops instead of per-row Value variant dispatch.
 //
-// The row-major surfaces stay authoritative: Table remains the
-// install/merge API and Rows the operator-edge type; a ColumnTable is the
-// engine-internal mirror of either, and conversions are exact — every cell
+// Row-major surfaces remain the engine's API: Table is the install/merge
+// API and Rows the operator-edge type.  A ColumnTable is the
+// engine-internal form of either, and conversions are exact — every cell
 // round-trips with its original TypeId, so SortedRows / ContentsEqual /
 // golden output comparisons cannot tell the representations apart.  Rows
 // whose cells violate their declared column type refuse to convert
@@ -20,13 +20,16 @@
 // installs: AppendRow, SetMult and RemoveRow mirror Table::Add's three
 // edits (insert, multiplicity change, swap-with-last delete), so the
 // maintained image equals a fresh FromRows of the table's dense rows cell
-// for cell.  Only the encoding may differ: dictionaries keep strings whose
-// last row was deleted (DictsOverBound() tells the owner when to drop the
-// image for a rebuild) and a null mask can outlive its last NULL.  Table
+// for cell.  Only the encoding may differ: a null mask can outlive its
+// last NULL, and dictionaries keep strings whose last row was deleted
+// until DictsOverBound() says so — a resident table then drops the image
+// for a rebuild, a faulted-in one compacts it (CompactDicts).  Table
 // edits an image only while it owns it alone (storage/table.h); every
 // image anyone else can see is finished and never changes.  An image is
 // also what the extent pager writes and reads back (storage/page.h): a
-// faulted-in table holds only its image until someone asks for rows.
+// faulted-in table is its image plus a row index over it (RowHash,
+// TupleRowHash, RowEquals), and installs edit it without building a
+// tuple.
 #ifndef WUW_STORAGE_COLUMN_TABLE_H_
 #define WUW_STORAGE_COLUMN_TABLE_H_
 
@@ -103,7 +106,8 @@ struct ColumnVec {
 
 // ---------------------------------------------------------------------------
 // Cell hashing and equality, shared by the vectorized kernels
-// (algebra/vectorized.cc) and ColumnTable::HasEqualRows.  The hash is
+// (algebra/vectorized.cc) and a faulted-in table's row index
+// (ColumnTable::RowHashes / TupleRowHash, storage/table.h).  The hash is
 // engine-internal (see algebra/vectorized.h); the only requirement is
 // consistency with Value equality: equal cells must hash equally.
 // Numerics therefore hash through their normalized double image (Value
@@ -197,6 +201,9 @@ class ColumnTable {
   /// before its first new string.  Prefix sums are stale until Finish().
   bool AppendRow(const Tuple& tuple, int64_t m);
 
+  /// True when AppendRow(tuple, m) would succeed.
+  bool Accepts(const Tuple& tuple) const;
+
   /// Sets row `i`'s multiplicity.  Prefix sums are stale until Finish().
   void SetMult(size_t i, int64_t m) { mult_[i] = m; }
 
@@ -209,6 +216,12 @@ class ColumnTable {
   /// the rows (FromRows) interns only live strings; the threshold makes
   /// that rebuild amortized O(1) per edit.
   bool DictsOverBound() const;
+
+  /// Rebuilds every dictionary over its bound from the strings its codes
+  /// still use, in first-occurrence row order — the dictionary FromRows
+  /// would build from the same rows — and rewrites the codes.  A shared
+  /// dictionary is replaced, never changed.
+  void CompactDicts();
 
   /// Recomputes the abs/signed prefix sums after any bulk mutation of
   /// mult_.  Every constructor of a finished table must call this once.
@@ -226,12 +239,20 @@ class ColumnTable {
   /// Materializes row `i` (exact cell types).
   Tuple TupleAt(size_t i) const;
 
-  /// True when two rows are equal as tuples (Tuple::operator==: NULL
-  /// equals NULL, numerics compare by their double image).  A table image
-  /// holds distinct rows; the extent pager checks a restored one with this.
-  /// Rows must stay below kNullStringCode (FromRows and AppendRow keep them
-  /// there).
-  bool HasEqualRows() const;
+  /// Row hashes for a row index over the image: the kernels' key hash
+  /// over every column (CellHashAt folded by CombineKeyHash from
+  /// kKeyHashSeed).  RowHashes computes all of them a column at a time.
+  std::vector<uint64_t> RowHashes() const;
+  uint64_t RowHash(size_t i) const;
+  /// RowHash of any row equal to `tuple`: cells of another numeric type
+  /// hash by the same double image.
+  static uint64_t TupleRowHash(const Tuple& tuple);
+
+  /// Rows i and j are equal as tuples (Tuple::operator==: NULL equals
+  /// NULL, numerics compare by their double image, strings by content).
+  bool RowsEqual(size_t i, size_t j) const;
+  /// Row i equals `tuple` (same rules; a tuple of another arity never does).
+  bool RowEquals(size_t i, const Tuple& tuple) const;
 
   /// Min/max of column `c` over non-null cells.
   ColumnMinMax Stats(size_t c) const;

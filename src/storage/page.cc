@@ -1,6 +1,7 @@
 #include "storage/page.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <set>
 
@@ -140,15 +141,45 @@ int64_t ApproxRowBytes(const ColumnTable& image, size_t i) {
   return bytes;
 }
 
-int64_t ApproxTableBytes(const Table& table) {
-  int64_t bytes = 0;
-  if (!table.rows_materialized()) {
-    std::shared_ptr<const ColumnTable> image = table.ColumnarSnapshot();
-    for (size_t i = 0; i < image->num_rows(); ++i) {
-      bytes += ApproxRowBytes(*image, i);
+int64_t ApproxImageBytes(const ColumnTable& image) {
+  const int64_t n = static_cast<int64_t>(image.num_rows());
+  const int64_t null_bytes = ApproxCellBytes(TypeId::kNull, 0);
+  int64_t bytes = n * kRowOverheadBytes;
+  for (size_t c = 0; c < image.num_columns(); ++c) {
+    const ColumnVec& col = image.column(c);
+    switch (col.type) {
+      case TypeId::kNull:
+        bytes += n * null_bytes;
+        break;
+      case TypeId::kString: {
+        const size_t dict_size = col.dict != nullptr ? col.dict->size() : 0;
+        std::vector<int64_t> code_bytes(dict_size);
+        for (size_t code = 0; code < dict_size; ++code) {
+          const std::string& s = col.dict->At(static_cast<uint32_t>(code));
+          code_bytes[code] = ApproxCellBytes(TypeId::kString, s.size());
+        }
+        for (uint32_t code : col.codes) {
+          bytes += code == kNullStringCode ? null_bytes : code_bytes[code];
+        }
+        break;
+      }
+      default: {
+        int64_t nulls = 0;
+        for (uint8_t b : col.nulls) nulls += b != 0;
+        bytes +=
+            nulls * null_bytes + (n - nulls) * ApproxCellBytes(col.type, 0);
+        break;
+      }
     }
-    return bytes;
   }
+  return bytes;
+}
+
+int64_t ApproxTableBytes(const Table& table) {
+  if (!table.rows_materialized()) {
+    return ApproxImageBytes(*table.ColumnarSnapshot());
+  }
+  int64_t bytes = 0;
   for (const auto& [tuple, count] : table.dense_rows()) {
     (void)count;
     bytes += ApproxRowBytes(tuple);
@@ -279,15 +310,12 @@ std::string PageFile::WritePage(int64_t page_id, const std::string& payload) {
   return file_->WriteAt(offset, frame);
 }
 
-std::string PageFile::ReadPage(int64_t page_id, std::string* payload) {
-  WUW_FAULT_POINT("paged.io.read");
-  WUW_CHECK(page_id >= 0, "page id out of range");
-  uint64_t offset = kFileHeaderBytes +
-                    static_cast<uint64_t>(page_id) * page_bytes_;
+std::string PageFile::ReadRetrying(uint64_t offset, size_t n,
+                                   const std::string& what,
+                                   std::string* out) {
   // Bounded deterministic retry for transient I/O errors (EIO from a
-  // flaky medium).  Truncation (short read) and CRC/decode damage below
-  // are corruption, not transience — those never retry.
-  std::string frame;
+  // flaky medium).  Truncation (short read) and CRC/decode damage are
+  // corruption, not transience — those never retry.
   std::string read_error;
   bool retryable = false;
   for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
@@ -296,30 +324,30 @@ std::string PageFile::ReadPage(int64_t page_id, std::string* payload) {
       WUW_METRIC_ADD("io.retries", obs::MetricClass::kEngine, 1);
     }
     retryable = false;
-    read_error = file_->ReadAt(offset, page_bytes_, &frame, &retryable);
+    read_error = file_->ReadAt(offset, n, out, &retryable);
     if (read_error.empty() || !retryable) break;
   }
-  if (!read_error.empty()) {
-    if (!retryable) {
-      // A short read: the frame is truncated, not transiently unreadable.
-      return "torn page " + std::to_string(page_id) + " in " + path_ +
-             " (short read)";
-    }
-    return "cannot read page " + std::to_string(page_id) + " in " + path_ +
-           ": " + read_error;
+  if (read_error.empty()) return "";
+  if (!retryable) {
+    // A short read: the frame is truncated, not transiently unreadable.
+    return "torn " + what + " in " + path_ + " (short read)";
   }
-  ByteReader r(frame);
-  uint32_t len = r.U32();
-  uint32_t stored_id = r.U32();
-  if (len > payload_capacity()) {
+  return "cannot read " + what + " in " + path_ + ": " + read_error;
+}
+
+std::string PageFile::CheckFrame(const char* frame, int64_t page_id,
+                                 uint32_t* len) const {
+  ByteReader r(reinterpret_cast<const uint8_t*>(frame), 8);
+  *len = r.U32();
+  const uint32_t stored_id = r.U32();
+  if (*len > payload_capacity()) {
     return "corrupt page " + std::to_string(page_id) + " in " + path_ +
            " (bad length)";
   }
-  uint32_t crc_offset = 8 + len;
-  ByteReader crc_reader(
-      reinterpret_cast<const uint8_t*>(frame.data()) + crc_offset, 4);
-  uint32_t stored_crc = crc_reader.U32();
-  if (Crc32(frame.data(), crc_offset) != stored_crc) {
+  const uint32_t crc_offset = 8 + *len;
+  ByteReader crc_reader(reinterpret_cast<const uint8_t*>(frame) + crc_offset,
+                        4);
+  if (Crc32(frame, crc_offset) != crc_reader.U32()) {
     return "corrupt page " + std::to_string(page_id) + " in " + path_ +
            " (CRC mismatch)";
   }
@@ -327,7 +355,53 @@ std::string PageFile::ReadPage(int64_t page_id, std::string* payload) {
     return "corrupt page " + std::to_string(page_id) + " in " + path_ +
            " (wrong page number)";
   }
+  return "";
+}
+
+std::string PageFile::ReadPage(int64_t page_id, std::string* payload) {
+  WUW_FAULT_POINT("paged.io.read");
+  WUW_CHECK(page_id >= 0, "page id out of range");
+  std::string frame;
+  const uint64_t offset =
+      kFileHeaderBytes + static_cast<uint64_t>(page_id) * page_bytes_;
+  std::string error = ReadRetrying(offset, page_bytes_,
+                                   "page " + std::to_string(page_id), &frame);
+  if (!error.empty()) return error;
+  uint32_t len = 0;
+  error = CheckFrame(frame.data(), page_id, &len);
+  if (!error.empty()) return error;
   payload->assign(frame.data() + 8, len);
+  return "";
+}
+
+std::string PageFile::ReadAllPayloads(std::string* out) {
+  WUW_FAULT_POINT("paged.io.read");
+  out->clear();
+  if (num_pages_ == 0) return "";
+  const size_t pages = static_cast<size_t>(num_pages_);
+  std::string error =
+      ReadRetrying(kFileHeaderBytes, pages * page_bytes_,
+                   "pages 0-" + std::to_string(pages - 1), out);
+  if (!error.empty()) {
+    out->clear();
+    return error;
+  }
+  // Check each frame where it lies, then move its payload down to the end
+  // of the payloads before it.  That end never passes the frame's own
+  // payload, so no move overwrites a frame not yet checked.
+  size_t end = 0;
+  for (size_t id = 0; id < pages; ++id) {
+    const size_t frame = id * page_bytes_;
+    uint32_t len = 0;
+    error = CheckFrame(out->data() + frame, static_cast<int64_t>(id), &len);
+    if (!error.empty()) {
+      out->clear();
+      return error;
+    }
+    std::memmove(out->data() + end, out->data() + frame + 8, len);
+    end += len;
+  }
+  out->resize(end);
   return "";
 }
 
@@ -398,6 +472,32 @@ void PutColumn(std::string* out, const ColumnVec& col, size_t n) {
   }
 }
 
+/// Reads `n` little-endian fixed-width words into `out` (room reserved for
+/// `capacity`) after one bounds check: a bulk copy on a little-endian host,
+/// a word at a time elsewhere.
+template <typename T>
+bool GetWords(ByteReader* r, size_t n, size_t capacity, std::vector<T>* out) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+  if (!r->Need(n * sizeof(T))) return false;
+  out->reserve(capacity);
+  out->resize(n);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out->data(), r->data + r->pos, n * sizeof(T));
+    r->pos += n * sizeof(T);
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      if constexpr (sizeof(T) == 4) {
+        const uint32_t word = r->U32();
+        std::memcpy(&(*out)[i], &word, sizeof(T));
+      } else {
+        const uint64_t word = r->U64();
+        std::memcpy(&(*out)[i], &word, sizeof(T));
+      }
+    }
+  }
+  return true;
+}
+
 /// Decodes one column of `n` rows into `col` (type preset), reserving
 /// `capacity` cells.  Accepts only the shapes ColumnTable::FromRows and
 /// AppendRow produce: no null mask on a string column (NULL is a code
@@ -432,36 +532,33 @@ bool GetColumn(ByteReader* r, size_t n, size_t capacity, ColumnVec* col) {
       }
       WUW_METRIC_ADD("engine.vec.value_hashes", obs::MetricClass::kEngine,
                      dict_size);
-      if (!r->Need(n * 4)) return false;
-      col->codes.reserve(capacity);
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t code = r->U32();
+      if (!GetWords(r, n, capacity, &col->codes)) return false;
+      for (uint32_t code : col->codes) {
         if (code >= dict_size && code != kNullStringCode) return false;
-        col->codes.push_back(code);
       }
       col->dict = std::move(dict);
       break;
     }
     case TypeId::kDouble:
-      if (!r->Need(n * 8)) return false;
-      col->dbls.reserve(capacity);
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t bits = r->U64();
-        if (bits != 0 && col->IsNull(i)) return false;
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        col->dbls.push_back(d);
-      }
+      if (!GetWords(r, n, capacity, &col->dbls)) return false;
       break;
     default:
-      if (!r->Need(n * 8)) return false;
-      col->ints.reserve(capacity);
-      for (size_t i = 0; i < n; ++i) {
-        const int64_t v = r->I64();
-        if (v != 0 && col->IsNull(i)) return false;
-        col->ints.push_back(v);
-      }
+      if (!GetWords(r, n, capacity, &col->ints)) return false;
       break;
+  }
+  // A NULL cell carries an all-zero payload (FromRows and AppendRow write
+  // 0 / 0.0 there; -0.0 is not all-zero).
+  if (!col->nulls.empty()) {
+    for (size_t i = 0; i < n; ++i) {
+      if (col->nulls[i] == 0) continue;
+      uint64_t bits = 0;
+      if (col->type == TypeId::kDouble) {
+        std::memcpy(&bits, &col->dbls[i], sizeof(bits));
+      } else {
+        bits = static_cast<uint64_t>(col->ints[i]);
+      }
+      if (bits != 0) return false;
+    }
   }
   return r->ok;
 }
@@ -579,12 +676,8 @@ std::string LoadTableImage(const std::string& path, TableImage* out) {
   // Every page must read back whole: the image is one record, so a torn
   // or corrupt page anywhere makes the whole load fail.
   std::string bytes;
-  for (int64_t id = 0; id < file->num_pages(); ++id) {
-    std::string payload;
-    error = file->ReadPage(id, &payload);
-    if (!error.empty()) return error;
-    bytes.append(payload);
-  }
+  error = file->ReadAllPayloads(&bytes);
+  if (!error.empty()) return error;
   error = DecodeTableImage(bytes, out);
   return error.empty() ? "" : path + ": " + error;
 }

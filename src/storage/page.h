@@ -17,10 +17,10 @@
 //     budget for the grace-partition spill paths in the join/aggregation
 //     kernels.
 //
-// All disk traffic funnels through PageFile::ReadPage / WritePage, which
-// carry the `paged.io.read` / `paged.io.write` fault sites — kill-anywhere
-// recovery sweeps (fault_recovery_property_test) ride the same two points
-// for every paged workload.
+// All disk traffic funnels through PageFile::ReadPage / ReadAllPayloads /
+// WritePage, which carry the `paged.io.read` / `paged.io.write` fault
+// sites — kill-anywhere recovery sweeps (fault_recovery_property_test)
+// ride the same two points for every paged workload.
 #ifndef WUW_STORAGE_PAGE_H_
 #define WUW_STORAGE_PAGE_H_
 
@@ -140,10 +140,14 @@ int64_t ApproxRowBytes(const Tuple& t);
 /// Bytes of row `i` of a columnar image; equals
 /// ApproxRowBytes(image.TupleAt(i)).
 int64_t ApproxRowBytes(const ColumnTable& image, size_t i);
+/// Bytes of every row of a columnar image, computed a column at a time
+/// (null counts, per-code string lengths); equals the sum of
+/// ApproxRowBytes(image, i).
+int64_t ApproxImageBytes(const ColumnTable& image);
 /// Bytes of the table's rows (the fixed image header is noise at any
 /// realistic size).  Read off the columnar image while the table has not
-/// built its rows (a fault-in restores columns only), else off the rows;
-/// both give the same number.
+/// built its rows (a faulted-in table), else off the rows; both give the
+/// same number.
 int64_t ApproxTableBytes(const Table& table);
 
 // ---------------------------------------------------------------------------
@@ -155,10 +159,12 @@ int64_t ApproxTableBytes(const Table& table);
 // `paged.spill_writebacks` mirror them when metrics are armed.  Extent
 // paging (storage/paged_store.h) and operator spill pools
 // (storage/buffer_pool.h) count separately: a spill frame's traffic never
-// shows up as an extent fault or eviction.  The on-demand row and index
-// builds of faulted-in tables (storage/table.h) have no metric mirror:
-// which thread reads rows first, and whether a snapshot reader does, is
-// not deterministic.
+// shows up as an extent fault or eviction.  `row_builds` and
+// `index_builds` count the dense rows and tuple indexes a faulted-in
+// (image-primary) table builds for row consumers (storage/table.h);
+// installs and lookups build neither.  They have no metric mirror: which
+// thread reads rows first, and whether a snapshot reader does, is not
+// deterministic.
 
 struct PagedStatsSnapshot {
   int64_t faults = 0;              ///< extent fault-ins
@@ -167,8 +173,8 @@ struct PagedStatsSnapshot {
   int64_t spill_faults = 0;        ///< spill-pool disk re-reads
   int64_t spill_writebacks = 0;    ///< spill-pool dirty evictions written
   int64_t read_retries = 0;        ///< transient-EIO retries in ReadPage
-  int64_t row_builds = 0;    ///< faulted-in extents that built their rows
-  int64_t index_builds = 0;  ///< ... and their tuple index
+  int64_t row_builds = 0;    ///< dense-row builds of faulted-in extents
+  int64_t index_builds = 0;  ///< tuple-index builds over those rows
 };
 
 PagedStatsSnapshot GlobalPagedStats();
@@ -248,6 +254,13 @@ class PageFile {
   /// Bounded retry schedule for transient read errors.
   static constexpr int kReadAttempts = 3;
 
+  /// Reads every page in one read of the whole file, checks each frame
+  /// where it lies, and leaves the payloads concatenated in *out (each
+  /// moved down in place; no per-page copy).  Same checks, errors and
+  /// retry schedule as ReadPage, and one `paged.io.read` fault site.
+  /// Returns "" on success; on an error *out is empty.
+  std::string ReadAllPayloads(std::string* out);
+
   /// Flushes buffered writes (no fsync).  Returns "" on success.
   std::string Flush();
 
@@ -259,6 +272,15 @@ class PageFile {
   void set_remove_on_close(bool remove) { remove_on_close_ = remove; }
 
  private:
+  /// Reads `n` raw bytes at `offset` on the kReadAttempts schedule;
+  /// `what` names them in errors ("page 3").
+  std::string ReadRetrying(uint64_t offset, size_t n, const std::string& what,
+                           std::string* out);
+  /// Checks the frame of page `page_id` held at `frame`: its length, CRC
+  /// and page number.  Sets *len to its payload length.
+  std::string CheckFrame(const char* frame, int64_t page_id,
+                         uint32_t* len) const;
+
   PageFile(std::unique_ptr<io::RandomRWFile> file, io::Env* env,
            std::string path, size_t page_bytes, int64_t num_pages)
       : file_(std::move(file)),

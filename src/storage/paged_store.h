@@ -6,9 +6,11 @@
 // temp+rename durability); touching a hibernated extent faults it back in
 // transparently through the Catalog accessor hooks (Catalog::SetPager).
 // Fault-in restores the columnar image alone, in the hibernated dense-row
-// order: the vectorized scans read it as is, and the table builds its
-// tuples and index only when a row access or an install asks for them
-// (storage/table.h).  Rows, row order, OperatorStats, and every kWork
+// order, plus a row index over it that the restore's duplicate check
+// fills: the vectorized scans read the image as is, installs edit it in
+// place through the index, and the table builds tuple rows only for a
+// row consumer that needs them held (dense_rows, SharedRows;
+// storage/table.h).  Rows, row order, OperatorStats, and every kWork
 // counter are bit-identical to the always-resident engine at ANY budget
 // (paged_differential_property_test proves it).
 //
@@ -34,9 +36,9 @@
 //     resident run).  A corrupt, torn or other-version image raises
 //     std::runtime_error — an I/O failure, not an abort.
 //   * Sizes: eviction charges ApproxTableBytes, which reads the columns of
-//     a table that has not built its rows and the rows otherwise — the
-//     same number either way, so fault and eviction counts do not depend
-//     on which form is resident.
+//     a table that has not built its rows (a column at a time) and the
+//     rows otherwise — the same number either way, so fault and eviction
+//     counts do not depend on which form is resident.
 //   * All page I/O rides the io::Env seam (storage/page.h): image saves
 //     get the full fsync+rename+dirsync discipline, transient read EIO
 //     (WUW_IO_FAULT read_eio=) is absorbed by PageFile's bounded retry

@@ -22,16 +22,26 @@ struct Table::SnapshotCache {
   bool unfinished = false;
 };
 
-/// The payload of a faulted-in table, built on demand from its restored
-/// columnar image: the dense rows on the first row access, the index on
-/// the first lookup.  std::call_once gives concurrent first callers one
-/// build of each; copies of the table share this object, so they share
-/// the builds too.
+namespace {
+
+/// The capacity n incremental inserts grow an index to: the smallest power
+/// of two from 16 up that holds n slots at no more than 70% load.
+size_t IndexCapacityFor(size_t n) {
+  if (n == 0) return 0;
+  size_t capacity = 16;
+  while (n * 10 > capacity * 7) capacity <<= 1;
+  return capacity;
+}
+
+}  // namespace
+
+/// What an image-primary table builds for row consumers, from its image as
+/// it stands: the dense rows on the first dense_rows()/SharedRows(), a
+/// tuple index over them on the first Count after that.  std::call_once
+/// gives concurrent first callers one build of each; copies of the table
+/// share this object, so they share the builds too.  An image edit
+/// replaces the object once it holds rows.
 struct Table::LazyPayload {
-  /// Source of the rows; dropped once they are built, so the table's
-  /// snapshot cache is again the image's only holder.
-  std::shared_ptr<const ColumnTable> image;
-  size_t num_rows = 0;
   std::once_flag rows_once;
   std::once_flag index_once;
   std::atomic<bool> rows_built{false};
@@ -39,45 +49,41 @@ struct Table::LazyPayload {
   std::shared_ptr<RowVec> rows;
   std::shared_ptr<std::vector<IndexSlot>> slots;
 
-  const std::shared_ptr<RowVec>& Rows() {
-    std::call_once(rows_once, [this] { BuildRows(); });
+  const std::shared_ptr<RowVec>& Rows(const ColumnTable& image) {
+    std::call_once(rows_once, [&] { BuildRows(image); });
     return rows;
   }
 
-  const std::shared_ptr<std::vector<IndexSlot>>& Slots() {
-    std::call_once(index_once, [this] { BuildIndex(); });
+  const std::shared_ptr<std::vector<IndexSlot>>& Slots(
+      const ColumnTable& image) {
+    std::call_once(index_once, [&] { BuildIndex(image); });
     return slots;
   }
 
-  void BuildRows() {
+  void BuildRows(const ColumnTable& image) {
     auto out = std::make_shared<RowVec>();
-    out->reserve(num_rows);
-    const std::vector<int64_t>& mult = image->mult();
-    for (size_t i = 0; i < num_rows; ++i) {
-      out->emplace_back(image->TupleAt(i), mult[i]);
-    }
+    const size_t n = image.num_rows();
+    out->reserve(n);
+    const std::vector<int64_t>& mult = image.mult();
+    for (size_t i = 0; i < n; ++i) out->emplace_back(image.TupleAt(i), mult[i]);
     rows = std::move(out);
-    image.reset();
     paged::internal::g_row_builds.fetch_add(1, std::memory_order_relaxed);
     rows_built.store(true, std::memory_order_release);
   }
 
   /// The index n incremental inserts would have grown: same capacity, no
   /// tombstones.
-  void BuildIndex() {
-    const RowVec& rs = *Rows();
-    std::vector<IndexSlot> out;
-    if (!rs.empty()) {
-      size_t capacity = 16;
-      while (rs.size() * 10 > capacity * 7) capacity <<= 1;
-      out.assign(capacity, IndexSlot{0, kIndexEmpty});
-    }
+  void BuildIndex(const ColumnTable& image) {
+    const RowVec& rs = *Rows(image);
+    std::vector<IndexSlot> out(IndexCapacityFor(rs.size()),
+                               IndexSlot{0, kIndexEmpty});
     const size_t mask = out.size() - 1;
     for (size_t pos = 0; pos < rs.size(); ++pos) {
       const Tuple& tuple = rs[pos].first;
       const size_t hash = tuple.Hash();
       size_t i = hash & mask;
-      // RestorePayload rejected repeated rows; this only guards that.
+      // RestorePayload rejected repeated rows and image edits never add
+      // one; this only guards that.
       for (; out[i].pos != kIndexEmpty; i = (i + 1) & mask) {
         WUW_CHECK(out[i].hash != hash || rs[out[i].pos].first != tuple,
                   "restored table image holds a duplicate row");
@@ -132,19 +138,20 @@ Table::Table(Table&& other) noexcept
   other.snapshot_stale_ = false;
 }
 
+const ColumnTable& Table::Image() const { return *snapshot_->table; }
+
 const std::shared_ptr<RowVec>& Table::RowBlock() const {
-  return lazy_ != nullptr ? lazy_->Rows() : rows_;
+  return lazy_ != nullptr ? lazy_->Rows(Image()) : rows_;
 }
 
 const std::shared_ptr<std::vector<Table::IndexSlot>>& Table::SlotBlock()
     const {
-  return lazy_ != nullptr ? lazy_->Slots() : slots_;
+  return lazy_ != nullptr ? lazy_->Slots(Image()) : slots_;
 }
 
 void Table::AdoptLazyPayload() {
-  if (lazy_ == nullptr) return;
-  rows_ = lazy_->Rows();
-  slots_ = lazy_->Slots();
+  rows_ = lazy_->Rows(Image());
+  slots_ = lazy_->Slots(Image());
   slots_used_ = rows_->size();
   lazy_.reset();
 }
@@ -163,7 +170,7 @@ bool Table::rows_materialized() const {
 }
 
 size_t Table::distinct_size() const {
-  if (lazy_ != nullptr) return lazy_->num_rows;
+  if (lazy_ != nullptr) return Image().num_rows();
   return rows_ != nullptr ? rows_->size() : 0;
 }
 
@@ -296,6 +303,82 @@ void Table::IndexRepoint(size_t hash, uint32_t old_pos, uint32_t new_pos) {
   }
 }
 
+size_t Table::FindImagePosition(const Tuple& tuple, size_t hash) const {
+  if (slots_ == nullptr || slots_->empty()) return SIZE_MAX;
+  const ColumnTable& image = Image();
+  if (tuple.size() != image.num_columns()) return SIZE_MAX;
+  const std::vector<IndexSlot>& slots = *slots_;
+  const size_t mask = slots.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const IndexSlot& slot = slots[i];
+    if (slot.pos == kIndexEmpty) return SIZE_MAX;
+    if (slot.pos != kIndexTombstone && slot.hash == hash &&
+        image.RowEquals(slot.pos, tuple)) {
+      return slot.pos;
+    }
+  }
+}
+
+ColumnTable* Table::MutableImage() {
+  if (lazy_.use_count() != 1 ||
+      lazy_->rows_built.load(std::memory_order_acquire)) {
+    lazy_ = std::make_shared<LazyPayload>();
+  }
+  if (snapshot_.use_count() != 1 || snapshot_->table.use_count() != 1) {
+    auto cache = std::make_shared<SnapshotCache>();
+    {
+      // A reader of a copy may be finishing the shared image.
+      std::lock_guard<std::mutex> lock(snapshot_->mu);
+      cache->table = std::make_shared<ColumnTable>(*snapshot_->table);
+    }
+    cache->built = true;
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_ = std::move(cache);
+  }
+  snapshot_->unfinished = true;
+  return snapshot_->table.get();
+}
+
+bool Table::AddToImage(const Tuple& tuple, int64_t count, int64_t* result) {
+  const size_t hash = ColumnTable::TupleRowHash(tuple);
+  const size_t pos = FindImagePosition(tuple, hash);
+  if (pos == SIZE_MAX) {
+    if (count > 0 && !Image().Accepts(tuple)) return false;
+    ++mutation_count_;
+    *result = 0;
+    if (count <= 0) return true;  // clamp: deleting an absent tuple
+    ColumnTable* image = MutableImage();
+    IndexInsert(hash, static_cast<uint32_t>(image->num_rows()));
+    image->AppendRow(tuple, count);
+    if (image->DictsOverBound()) image->CompactDicts();
+    cardinality_ += count;
+    *result = count;
+    return true;
+  }
+
+  ++mutation_count_;
+  ColumnTable* image = MutableImage();
+  const int64_t old = image->mult()[pos];
+  const int64_t next = old + count;
+  if (next > 0) {
+    cardinality_ += next - old;
+    image->SetMult(pos, next);
+    *result = next;
+    return true;
+  }
+  cardinality_ -= old;
+  const size_t last = image->num_rows() - 1;
+  IndexErase(hash, static_cast<uint32_t>(pos));
+  if (pos != last) {
+    IndexRepoint(image->RowHash(last), static_cast<uint32_t>(last),
+                 static_cast<uint32_t>(pos));
+  }
+  image->RemoveRow(pos);
+  if (image->DictsOverBound()) image->CompactDicts();
+  *result = 0;
+  return true;
+}
+
 ColumnTable* Table::EditableImage() {
   if (!snapshot_stale_ && snapshot_.use_count() == 1 &&
       snapshot_->table != nullptr && snapshot_->table.use_count() == 1) {
@@ -308,7 +391,11 @@ ColumnTable* Table::EditableImage() {
 
 int64_t Table::Add(const Tuple& tuple, int64_t count) {
   if (count == 0) return Count(tuple);
-  AdoptLazyPayload();
+  if (lazy_ != nullptr) {
+    int64_t result;
+    if (AddToImage(tuple, count, &result)) return result;
+    AdoptLazyPayload();
+  }
   size_t hash = tuple.Hash();
   size_t pos = FindPosition(tuple, hash);
   ++mutation_count_;
@@ -361,17 +448,45 @@ int64_t Table::Add(const Tuple& tuple, int64_t count) {
 }
 
 int64_t Table::Count(const Tuple& tuple) const {
+  if (!rows_materialized()) {
+    const size_t pos =
+        FindImagePosition(tuple, ColumnTable::TupleRowHash(tuple));
+    return pos == SIZE_MAX ? 0 : Image().mult()[pos];
+  }
   size_t pos = FindPosition(tuple, tuple.Hash());
   return pos == SIZE_MAX ? 0 : (*RowBlock())[pos].second;
 }
 
+bool Table::VisitRows(
+    const std::function<bool(const Tuple&, int64_t)>& fn) const {
+  if (!rows_materialized()) {
+    const ColumnTable& image = Image();
+    const std::vector<int64_t>& mult = image.mult();
+    for (size_t i = 0; i < image.num_rows(); ++i) {
+      if (!fn(image.TupleAt(i), mult[i])) return false;
+    }
+    return true;
+  }
+  for (const auto& [tuple, count] : dense_rows()) {
+    if (!fn(tuple, count)) return false;
+  }
+  return true;
+}
+
 void Table::ForEach(
     const std::function<void(const Tuple&, int64_t)>& fn) const {
-  for (const auto& [tuple, count] : dense_rows()) fn(tuple, count);
+  VisitRows([&](const Tuple& tuple, int64_t count) {
+    fn(tuple, count);
+    return true;
+  });
 }
 
 std::vector<std::pair<Tuple, int64_t>> Table::SortedRows() const {
-  std::vector<std::pair<Tuple, int64_t>> out = dense_rows();
+  std::vector<std::pair<Tuple, int64_t>> out;
+  out.reserve(distinct_size());
+  ForEach([&](const Tuple& tuple, int64_t count) {
+    out.emplace_back(tuple, count);
+  });
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
@@ -432,14 +547,26 @@ std::string Table::RestorePayload(std::shared_ptr<ColumnTable> image,
     }
   }
   if (total != cardinality) return "cardinality mismatch";
-  if (image->HasEqualRows()) return "repeated row";
+  // One hash pass fills the row index and finds repeated rows.
+  const std::vector<uint64_t> hashes = image->RowHashes();
+  auto slots = std::make_shared<std::vector<IndexSlot>>(
+      IndexCapacityFor(n), IndexSlot{0, kIndexEmpty});
+  const size_t mask = slots->size() - 1;
+  for (size_t pos = 0; pos < n; ++pos) {
+    size_t i = hashes[pos] & mask;
+    for (; (*slots)[i].pos != kIndexEmpty; i = (i + 1) & mask) {
+      const IndexSlot& slot = (*slots)[i];
+      if (slot.hash == hashes[pos] && image->RowsEqual(slot.pos, pos)) {
+        return "repeated row";
+      }
+    }
+    (*slots)[i] = IndexSlot{hashes[pos], static_cast<uint32_t>(pos)};
+  }
   image->Finish();
   rows_.reset();
-  slots_.reset();
-  slots_used_ = 0;
+  slots_ = std::move(slots);
+  slots_used_ = n;
   lazy_ = std::make_shared<LazyPayload>();
-  lazy_->image = image;
-  lazy_->num_rows = n;
   cardinality_ = total;
   mutation_count_ = mutation_count;
   std::lock_guard<std::mutex> lock(snapshot_mu_);
@@ -453,10 +580,9 @@ std::string Table::RestorePayload(std::shared_ptr<ColumnTable> image,
 bool Table::ContentsEqual(const Table& other) const {
   if (cardinality_ != other.cardinality_) return false;
   if (distinct_size() != other.distinct_size()) return false;
-  for (const auto& [tuple, count] : dense_rows()) {
-    if (other.Count(tuple) != count) return false;
-  }
-  return true;
+  return VisitRows([&](const Tuple& tuple, int64_t count) {
+    return other.Count(tuple) == count;
+  });
 }
 
 std::shared_ptr<const ColumnTable> Table::ColumnarSnapshot() const {
@@ -498,22 +624,24 @@ size_t Table::IndexBytes() const {
   if (lazy_ != nullptr && !lazy_->index_built.load(std::memory_order_acquire)) {
     return 0;
   }
-  const std::shared_ptr<std::vector<IndexSlot>>& slots = SlotBlock();
+  const std::shared_ptr<std::vector<IndexSlot>>& slots =
+      lazy_ != nullptr ? lazy_->slots : slots_;
   return slots != nullptr ? slots->capacity() * sizeof(IndexSlot) : 0;
 }
 
 std::string Table::ToString(size_t max_rows) const {
   std::string out = schema_.ToString() + " {\n";
   size_t shown = 0;
-  for (const auto& [tuple, count] : dense_rows()) {
+  VisitRows([&](const Tuple& tuple, int64_t count) {
     if (shown++ >= max_rows) {
       out += "  ...\n";
-      break;
+      return false;
     }
     out += "  " + tuple.ToString();
     if (count != 1) out += " x" + std::to_string(count);
     out += "\n";
-  }
+    return true;
+  });
   out += "} (" + std::to_string(cardinality_) + " rows)";
   return out;
 }

@@ -23,12 +23,24 @@
 // re-hashes tuples.
 //
 // A table the extent pager faults in (storage/paged_store.h) comes back as
-// its columnar image alone: no tuple is decoded and no index is built at
-// fault-in.  The dense rows (ColumnTable::TupleAt, in image order, which is
-// the hibernated dense order) are built once on the first row access, and
-// the index once on the first Count or Add — each by whichever thread gets
-// there first, shared with every copy.  Scans never need either:
-// Rows::FromTable hands the image to the vectorized kernels directly.
+// its columnar image plus a row index over it, and stays image-primary:
+// no tuple is decoded at fault-in, and none is built to install into it.
+// RestorePayload's one hash pass over the image (ColumnTable::RowHashes)
+// both checks that its rows are distinct and fills the index — the same
+// flat {hash, position} slots, keyed by the image's row hash instead of
+// Tuple::Hash.  Add hashes the incoming tuple the same way
+// (ColumnTable::TupleRowHash), compares cells against it, and edits the
+// image in place with the row path's three edits (append, multiplicity
+// change, swap-with-last delete; the index slot is repointed), so the
+// dense order is exactly what the row path would give.  Count probes the
+// same index; ForEach, ContentsEqual and SortedRows read tuples off the
+// image one at a time.  Dense rows are built only for dense_rows() and
+// SharedRows() — once per image state, by whichever thread gets there
+// first, shared with every copy — and a later Count looks tuples up in
+// them as a resident table does.  A scan or a Table copy holding the
+// image or the index makes the next edit copy it first.  Only an insert
+// the image cannot hold (a type-violating cell, which only the direct
+// Table API produces) turns the table row-primary again.
 #ifndef WUW_STORAGE_TABLE_H_
 #define WUW_STORAGE_TABLE_H_
 
@@ -78,7 +90,9 @@ class Table {
   /// Multiplicity of `tuple` (0 if absent).
   int64_t Count(const Tuple& tuple) const;
 
-  /// Iterates over (tuple, multiplicity) pairs in unspecified order.
+  /// Iterates over (tuple, multiplicity) pairs in dense order.  The tuple
+  /// reference is valid during the call only (a faulted-in table that has
+  /// not built its rows materializes each one off its image).
   void ForEach(
       const std::function<void(const Tuple&, int64_t)>& fn) const;
 
@@ -110,15 +124,17 @@ class Table {
   /// Columnar mirror of dense_rows(), built lazily on first request
   /// (thread-safe) and shared with copies.  Add keeps it current in place
   /// while this table alone holds it — no Table copy shares the cache and
-  /// no Rows holds the image; otherwise a mutation drops it and the next
-  /// call rebuilds.  Null when any cell violates its declared column type
-  /// (see storage/column_table.h), or inside a reader's serve scope before
-  /// the image is built.  Never null for a faulted-in table: the restored
-  /// image is the snapshot.
+  /// no Rows holds the image; otherwise a mutation of a resident table
+  /// drops it and the next call rebuilds, while an image-primary table
+  /// copies it and edits the copy.  Null when any cell violates its
+  /// declared column type (see storage/column_table.h), or inside a
+  /// reader's serve scope before the image is built.  Never null for a
+  /// faulted-in table: the restored image is the snapshot.
   std::shared_ptr<const ColumnTable> ColumnarSnapshot() const;
 
-  /// Heap bytes held by the hash index (the micro_engine memory line); 0
-  /// while a faulted-in table has not built it.
+  /// Heap bytes held by the tuple hash index (the micro_engine memory
+  /// line).  A faulted-in table's row index over its image is not counted:
+  /// this reads 0 until a Count after dense_rows() builds a tuple index.
   size_t IndexBytes() const;
 
   /// Monotone count of mutating calls (Add with a non-zero effect window,
@@ -138,12 +154,12 @@ class Table {
   /// PAGED STORE ONLY: the fault-in counterpart of ReleasePayload.  Makes
   /// `image` (the hibernated columnar image, dense order; finished here
   /// once its multiplicities pass the checks below) the table's columnar
-  /// snapshot, owned by this table alone, and restores the
-  /// exact pre-hibernation `mutation_count` — contents are bit-identical to
-  /// the hibernated state, so continuity of the count is the truthful
-  /// accounting.  Rows and index are built later, on demand (see the file
-  /// comment).  Returns "" on success; on a schema other than this table's,
-  /// a column length other than the row count, a non-positive
+  /// snapshot, owned by this table alone, builds the row index over it,
+  /// and restores the exact pre-hibernation `mutation_count` — contents are
+  /// bit-identical to the hibernated state, so continuity of the count is
+  /// the truthful accounting.  The table is then image-primary (see the
+  /// file comment).  Returns "" on success; on a schema other than this
+  /// table's, a column length other than the row count, a non-positive
   /// multiplicity, a multiplicity total other than `cardinality`, or two
   /// equal rows (a corrupt image) returns a description and leaves the
   /// table untouched.
@@ -165,17 +181,39 @@ class Table {
     uint32_t pos;
   };
 
-  /// The rows and index a faulted-in table builds on demand; see table.cc.
+  /// The rows and tuple index an image-primary table builds for row
+  /// consumers; see table.cc.
   struct LazyPayload;
 
-  /// The row and index blocks const readers see: lazy_'s, built on first
-  /// use, while it is set; otherwise rows_ and slots_.
+  /// The row and tuple-index blocks const readers see: lazy_'s, built
+  /// from the image on first use, while it is set; otherwise rows_ and
+  /// slots_.
   const std::shared_ptr<RowVec>& RowBlock() const;
   const std::shared_ptr<std::vector<IndexSlot>>& SlotBlock() const;
 
-  /// Takes lazy_'s rows and index (building them if needed) as this
-  /// table's own blocks, before a mutation.
+  /// Makes an image-primary table row-primary: takes lazy_'s rows and
+  /// tuple index (building them if needed) as this table's own blocks.
   void AdoptLazyPayload();
+
+  /// The image of an image-primary table (lazy_ set).
+  const ColumnTable& Image() const;
+
+  /// Position of `tuple` in the image, by the row index in slots_, or
+  /// SIZE_MAX.  `hash` is ColumnTable::TupleRowHash(tuple).
+  size_t FindImagePosition(const Tuple& tuple, size_t hash) const;
+
+  /// Add on an image-primary table.  Returns false, changing nothing,
+  /// when the tuple is new and the image cannot hold it.
+  bool AddToImage(const Tuple& tuple, int64_t count, int64_t* result);
+
+  /// The image of an image-primary table, ready for an in-place edit:
+  /// copied first while a scan or a Table copy holds it.  Drops rows built
+  /// from the image before this edit.
+  ColumnTable* MutableImage();
+
+  /// Calls fn on every (tuple, multiplicity) in dense order until it
+  /// returns false; returns false iff it did.  Never builds dense rows.
+  bool VisitRows(const std::function<bool(const Tuple&, int64_t)>& fn) const;
 
   /// Writable blocks: allocated on first use, copied while shared.
   RowVec& MutableRows();
@@ -203,14 +241,18 @@ class Table {
 
   Schema schema_;
   /// Dense live rows: (tuple, multiplicity > 0); may be null when empty.
+  /// Null while the table is image-primary.
   std::shared_ptr<RowVec> rows_;
-  /// Flat open-addressing index over rows_; null or empty until first Add.
+  /// Flat open-addressing index: over rows_ by Tuple::Hash, or, while the
+  /// table is image-primary, over the image by its row hash.  Null or
+  /// empty until first Add.
   std::shared_ptr<std::vector<IndexSlot>> slots_;
   /// Live + tombstoned slots (the probe-length load factor).
   size_t slots_used_ = 0;
-  /// Set by RestorePayload until a mutation adopts the built blocks;
-  /// rows_ and slots_ are null meanwhile.  Shared by copies, so a copy
-  /// and its source build once between them.
+  /// Set exactly while the table is image-primary: from RestorePayload
+  /// until Clear, ReleasePayload or an insert the image cannot hold.
+  /// Shared by copies, so a copy and its source build rows once between
+  /// them; an image edit replaces it once it holds rows.
   std::shared_ptr<LazyPayload> lazy_;
   int64_t cardinality_ = 0;
   /// See mutation_count().

@@ -23,8 +23,9 @@
 // The TPC-D case is the acceptance gate: at the tiny budget the exp4
 // VDAG workload (Q3/Q5/Q10, paper delete fraction) must actually page
 // (`paged.evictions > 0`) AND spill (`paged.spilled_partitions > 0`)
-// while staying bit-identical.  Honors WUW_SEED (failures print the
-// repro line).  Labeled property.
+// while staying bit-identical, and no faulted-in extent may build dense
+// rows or a tuple index on the way (installs edit the column image).
+// Honors WUW_SEED (failures print the repro line).  Labeled property.
 #include <memory>
 #include <string>
 #include <utility>
@@ -196,6 +197,8 @@ RunResult RunOne(const Scenario& sc, Flavor flavor, const Strategy& strategy,
   out.paged.spill_faults = after.spill_faults - before.spill_faults;
   out.paged.spill_writebacks =
       after.spill_writebacks - before.spill_writebacks;
+  out.paged.row_builds = after.row_builds - before.row_builds;
+  out.paged.index_builds = after.index_builds - before.index_builds;
   out.converged = clone.catalog().ContentsEqual(sc.truth);
   return out;
 }
@@ -333,6 +336,10 @@ TEST(PagedDifferentialProperty, TpcdExp4WorkloadPagesAndSpills) {
         << "tiny budget never grace-spilled a build side";
     EXPECT_GT(r.paged.spill_writebacks, 0)
         << "two-frame spill pools never wrote a frame back";
+    // Installs edit faulted-in extents through their images: no extent
+    // builds dense rows or a tuple index during the window.
+    EXPECT_EQ(r.paged.row_builds, 0);
+    EXPECT_EQ(r.paged.index_builds, 0);
   }
 }
 

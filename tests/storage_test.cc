@@ -281,9 +281,9 @@ TEST(TableTest, RestorePayloadRejectsCorruptImagesUntouched) {
   EXPECT_EQ(t.Count(Tuple({Value::Int64(9)})), 4);
 }
 
-// HasEqualRows (the restore-time distinctness check) agrees with
-// Tuple::operator== on every pair: NULL equals NULL but not a zero
-// payload, -0.0 equals 0.0, NaN equals nothing, strings by content.
+// The restore-time distinctness check (RestorePayload's row-index pass)
+// agrees with Tuple::operator== on every pair: NULL equals NULL but not a
+// zero payload, -0.0 equals 0.0, NaN equals nothing, strings by content.
 TEST(TableTest, HasEqualRowsMatchesTupleEquality) {
   Schema s({{"i", TypeId::kInt64},
             {"d", TypeId::kDouble},
@@ -321,11 +321,26 @@ TEST(TableTest, HasEqualRowsMatchesTupleEquality) {
       if (a != b) rows.emplace_back(cells[b], 1);
       std::shared_ptr<ColumnTable> image = ColumnTable::FromRows(s, rows);
       ASSERT_NE(image, nullptr);
-      EXPECT_EQ(image->HasEqualRows(), a != b && cells[a] == cells[b])
-          << cells[a].ToString() << " vs " << cells[b].ToString();
+      Table t(s);
+      const std::string error =
+          t.RestorePayload(image, static_cast<int64_t>(rows.size()), 0);
+      EXPECT_EQ(error == "repeated row", a != b && cells[a] == cells[b])
+          << cells[a].ToString() << " vs " << cells[b].ToString() << ": "
+          << error;
+      if (error.empty()) {
+        // The index the check filled finds every row that equals a fresh
+        // copy of itself (a NaN row equals nothing, so no lookup finds it).
+        for (const auto& [tuple, count] : rows) {
+          const Tuple fresh(std::vector<Value>(tuple.values()));
+          EXPECT_EQ(t.Count(fresh), fresh == tuple ? count : 0)
+              << tuple.ToString();
+        }
+        EXPECT_FALSE(t.rows_materialized());
+      }
     }
   }
-  EXPECT_FALSE(ColumnTable::FromRows(s, {})->HasEqualRows());
+  Table empty(s);
+  EXPECT_EQ(empty.RestorePayload(ColumnTable::FromRows(s, {}), 0, 0), "");
 }
 
 // The analytic byte model prices a row the same in tuple and column form
@@ -416,20 +431,85 @@ TEST(TableTest, FaultedInScansBuildNoTuplesOrIndex) {
   EXPECT_EQ(after.index_builds, before.index_builds);
 }
 
-// The first Add builds the rows and the index exactly once; later point
-// updates and lookups reuse them.
-TEST(TableTest, FirstAddBuildsRowsAndIndexOnce) {
-  Table t = Restored(MixedTable(100));
+// Installs into a faulted-in table edit its image through the row index
+// the restore built: bumps, deletes, inserts, lookups and a row-consumer
+// pass (ForEach, ContentsEqual, SortedRows) build no dense rows and no
+// tuple index, and the image stays the one the table restored.
+TEST(TableTest, FirstAddBuildsNoRows) {
+  const Table source = MixedTable(100);
+  Table t = Restored(source);
+  const ColumnTable* image = t.ColumnarSnapshot().get();
   const Tuple row = t.ColumnarSnapshot()->TupleAt(3);
+  const int64_t count = t.ColumnarSnapshot()->mult()[3];
   const paged::PagedStatsSnapshot before = paged::GlobalPagedStats();
-  t.Add(row, 1);
-  t.Add(row, -1);
-  t.Add(Tuple({Value::Int64(-5), Value::String("fresh")}), 1);
-  EXPECT_EQ(t.Count(row), t.ColumnarSnapshot()->mult()[3]);
+  EXPECT_EQ(t.Add(row, 1), count + 1);
+  EXPECT_EQ(t.Add(row, -1), count);
+  const Tuple fresh({Value::Int64(-5), Value::String("fresh")});
+  EXPECT_EQ(t.Add(fresh, 1), 1);
+  const Tuple first = t.ColumnarSnapshot()->TupleAt(0);
+  EXPECT_EQ(t.Add(first, -1000), 0);
+  EXPECT_EQ(t.Count(row), count);
+  EXPECT_EQ(t.Count(fresh), 1);
+  int64_t visited = 0;
+  t.ForEach([&](const Tuple&, int64_t c) { visited += c; });
+  EXPECT_EQ(visited, t.cardinality());
+  EXPECT_EQ(t.SortedRows().size(), t.distinct_size());
+  Table twin = source;
+  twin.Add(twin.dense_rows().front().first, -1000);
+  twin.Add(fresh, 1);
+  EXPECT_TRUE(t.ContentsEqual(twin));
+  EXPECT_TRUE(twin.ContentsEqual(t));
   const paged::PagedStatsSnapshot after = paged::GlobalPagedStats();
-  EXPECT_EQ(after.row_builds - before.row_builds, 1);
-  EXPECT_EQ(after.index_builds - before.index_builds, 1);
-  EXPECT_TRUE(t.rows_materialized());
+  EXPECT_EQ(after.row_builds - before.row_builds, 0);
+  EXPECT_EQ(after.index_builds - before.index_builds, 0);
+  EXPECT_FALSE(t.rows_materialized());
+  EXPECT_EQ(t.IndexBytes(), 0u);
+  EXPECT_EQ(t.ColumnarSnapshot().get(), image);
+}
+
+// The column-at-a-time byte model equals the per-row sum on images with
+// NULLs of every type, a NULL-typed column, empty and long strings, dead
+// dictionary entries, and no rows — so fault and eviction decisions read
+// the same number as before.
+TEST(TableTest, ImageBytesAreThePerRowSum) {
+  Schema s({{"i", TypeId::kInt64},
+            {"d", TypeId::kDouble},
+            {"t", TypeId::kDate},
+            {"s", TypeId::kString},
+            {"n", TypeId::kNull}});
+  Table t(s);
+  for (int64_t k = 0; k < 90; ++k) {
+    auto null = [&](int64_t col) { return (k + col) % 5 == 0; };
+    t.Add(Tuple({null(0) ? Value::Null() : Value::Int64(k),
+                 null(1) ? Value::Null() : Value::Double(-0.5 * k),
+                 null(2) ? Value::Null() : Value::Date(19960101 + k),
+                 null(3) ? Value::Null()
+                         : Value::String(std::string(k % 11, 'a' + k % 26)),
+                 Value::Null()}),
+          1 + k % 4);
+  }
+  Table faulted = Restored(t);
+  // Deletes leave dictionary entries no row uses.
+  for (int64_t k = 0; k < 90; k += 3) {
+    const Tuple first = faulted.ColumnarSnapshot()->TupleAt(0);
+    faulted.Add(first, -100);
+  }
+  const Table* cases[] = {&t, &faulted, nullptr};
+  for (const Table* table : cases) {
+    std::shared_ptr<const ColumnTable> image =
+        table != nullptr ? table->ColumnarSnapshot()
+                         : ColumnTable::FromRows(s, {});
+    ASSERT_NE(image, nullptr);
+    int64_t per_row = 0;
+    for (size_t i = 0; i < image->num_rows(); ++i) {
+      per_row += paged::ApproxRowBytes(*image, i);
+    }
+    EXPECT_EQ(paged::ApproxImageBytes(*image), per_row);
+    if (table != nullptr) {
+      EXPECT_EQ(paged::ApproxTableBytes(*table), per_row);
+    }
+  }
+  EXPECT_FALSE(faulted.rows_materialized());
 }
 
 // Eight threads asking a faulted-in table (and a copy sharing its payload)

@@ -8,6 +8,7 @@
 // pager's round trip) at random steps.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/min_work.h"
+#include "algebra/rows.h"
 #include "core/strategy_space.h"
 #include "exec/executor.h"
 #include "obs/metrics.h"
@@ -296,6 +298,245 @@ TEST_P(TableImageFuzzTest, MaintainedImageEqualsRebuild) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TableImageFuzzTest,
+                         ::testing::Values(1, 2, 3, 17, 99, 12345));
+
+// ---------------------------------------------------------------------------
+// Image-primary installs (storage/table.h): a faulted-in table finds rows
+// through the row index over its image and edits the image in place.
+
+Schema RestoredSchema() {
+  return Schema({{"k", TypeId::kInt64},
+                 {"d", TypeId::kDouble},
+                 {"s", TypeId::kString},
+                 {"t", TypeId::kDate}});
+}
+
+/// A random row of RestoredSchema: NULLs in every column, 0.0 and -0.0,
+/// and now and then a string no row has held yet.
+Tuple RestoredTuple(tpcd::Rng* rng, int64_t key_space, int64_t* unseen) {
+  auto null = [&] { return rng->Below(8) == 0; };
+  static const double kDoubles[] = {0.0, -0.0, 0.5, 1.0, 2.0, -3.0};
+  std::string str = "s" + std::to_string(rng->Range(0, 5));
+  if (rng->Below(10) == 0) str = "unseen " + std::to_string((*unseen)++);
+  return Tuple({null() ? Value::Null() : Value::Int64(rng->Range(0, key_space)),
+                null() ? Value::Null() : Value::Double(kDoubles[rng->Below(6)]),
+                null() ? Value::Null() : Value::String(str),
+                null() ? Value::Null()
+                       : Value::Date(19980101 + rng->Range(0, 2))});
+}
+
+/// `row` with every cell rebuilt (no representation shared with the
+/// table's rows), its -0.0 and 0.0 swapped and integral doubles given as
+/// Int64: a tuple equal to `row` that the image must find by value.
+Tuple EqualButDifferent(const Tuple& row) {
+  std::vector<Value> values(row.values());
+  const Value& d = values[1];
+  if (d.type() == TypeId::kDouble) {
+    const double x = d.AsDouble();
+    if (x == 0.0) {
+      values[1] = Value::Double(std::signbit(x) ? 0.0 : -0.0);
+    } else if (x == static_cast<double>(static_cast<int64_t>(x))) {
+      values[1] = Value::Int64(static_cast<int64_t>(x));
+    }
+  }
+  return Tuple(std::move(values));
+}
+
+/// Cell for cell: same TypeId, and for doubles the same bits (so -0.0 and
+/// 0.0 differ here although they compare equal).
+void ExpectSameCells(const Tuple& got, const Tuple& want, size_t row) {
+  ASSERT_EQ(got.size(), want.size()) << "row " << row;
+  for (size_t c = 0; c < want.size(); ++c) {
+    const Value& g = got.value(c);
+    const Value& w = want.value(c);
+    ASSERT_EQ(g.type(), w.type()) << "row " << row << " column " << c;
+    ASSERT_EQ(g, w) << "row " << row << " column " << c;
+    if (w.type() == TypeId::kDouble) {
+      ASSERT_EQ(std::signbit(g.AsDouble()), std::signbit(w.AsDouble()))
+          << "row " << row << " column " << c;
+    }
+  }
+}
+
+/// Every (tuple, multiplicity) of an image, in its order.
+RowVec ImageRows(const ColumnTable& image) {
+  RowVec out;
+  for (size_t i = 0; i < image.num_rows(); ++i) {
+    out.emplace_back(image.TupleAt(i), image.mult()[i]);
+  }
+  return out;
+}
+
+class RestoredTableFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Random Add/Count traffic on a faulted-in table and on its row-built twin
+// agrees after every operation — cardinality, distinct_size,
+// mutation_count and Count — while the faulted-in table builds no rows
+// and no tuple index; at the end its image holds the twin's dense rows in
+// the twin's order, cell for cell.  The traffic covers inserts that grow
+// the index from a few rows to thousands, bumps, deletes of middle and
+// last rows, over-deletes, deletes of absent tuples, lookups by equal
+// tuples of other representations (-0.0 for 0.0, Int64 for an integral
+// double), unseen strings whose deletes force dictionary compaction, and
+// edits while a scan or a Table copy holds the image (both keep what they
+// saw).  A final insert of a type-violating row turns the table
+// row-primary, still equal to the twin.
+TEST_P(RestoredTableFuzzTest, ImageInstallsMatchRowTwin) {
+  const uint64_t seed = GetParam() + testutil::PropertySeed(0);
+  SCOPED_TRACE(testutil::SeedTrace(seed));
+  tpcd::Rng rng(seed);
+  int64_t unseen = 0;
+
+  Table twin(RestoredSchema());
+  for (int i = 0; i < 12; ++i) {
+    twin.Add(RestoredTuple(&rng, 4000, &unseen), rng.Range(1, 3));
+  }
+  Table restored = twin;
+  std::shared_ptr<ColumnTable> image =
+      ColumnTable::FromRows(twin.schema(), twin.dense_rows());
+  restored.ReleasePayload();
+  ASSERT_EQ(restored.RestorePayload(std::move(image), twin.cardinality(),
+                                    twin.mutation_count()),
+            "");
+  const paged::PagedStatsSnapshot before = paged::GlobalPagedStats();
+  int64_t compactions = 0;
+  int64_t held_edits = 0;
+
+  for (int step = 0; step < 6000; ++step) {
+    const RowVec& rows = twin.dense_rows();
+    const size_t pos = rows.empty() ? 0 : rng.Below(rows.size());
+    Tuple tuple = RestoredTuple(&rng, 4000, &unseen);
+    int64_t count = rng.Range(1, 3);
+    enum { kNoHolder, kScan, kCopy } holder = kNoHolder;
+    Rows scan;
+    Table copy;
+    RowVec held;
+    switch (rows.empty() ? 0 : rng.Below(20)) {
+      case 8:
+      case 9:
+        tuple = EqualButDifferent(rows[pos].first);
+        count = rng.Range(1, 4);  // bump up
+        break;
+      case 10:
+      case 11:
+        tuple = EqualButDifferent(rows[pos].first);
+        count = -rows[pos].second;  // delete a row, usually a middle one
+        break;
+      case 12:
+        tuple = EqualButDifferent(rows.back().first);
+        count = -rows.back().second;  // delete the last row
+        break;
+      case 13:
+        tuple = EqualButDifferent(rows[pos].first);
+        count = -rows[pos].second - rng.Range(1, 5);  // over-delete
+        break;
+      case 14:
+        if (twin.Count(tuple) == 0) count = -rng.Range(1, 3);  // absent
+        break;
+      case 15: {
+        // An unseen string in and out again: a dead dictionary entry.
+        std::vector<Value> values(tuple.values());
+        values[2] = Value::String("unseen " + std::to_string(unseen++));
+        tuple = Tuple(std::move(values));
+        ASSERT_EQ(restored.Add(tuple, 1), twin.Add(tuple, 1));
+        count = -1;
+        break;
+      }
+      case 16:
+        holder = kScan;
+        scan = Rows::FromTable(restored);
+        held = ImageRows(*scan.Columnar());
+        break;
+      case 17:
+        holder = kCopy;
+        copy = restored;
+        held = ImageRows(*copy.ColumnarSnapshot());
+        break;
+      case 18:
+      case 19:
+        tuple = EqualButDifferent(rows[pos].first);
+        count = -rng.Range(1, 2);  // bump down, or delete
+        break;
+      default:
+        break;  // insert (or bump, when equal to a row)
+    }
+    const size_t dict_before =
+        restored.ColumnarSnapshot()->column(2).dict->size();
+    ASSERT_EQ(restored.Add(tuple, count), twin.Add(tuple, count))
+        << "step " << step << " tuple " << tuple.ToString() << " count "
+        << count;
+    ASSERT_EQ(restored.cardinality(), twin.cardinality()) << "step " << step;
+    ASSERT_EQ(restored.distinct_size(), twin.distinct_size())
+        << "step " << step;
+    ASSERT_EQ(restored.mutation_count(), twin.mutation_count())
+        << "step " << step;
+    ASSERT_EQ(restored.Count(tuple), twin.Count(tuple)) << "step " << step;
+    const Tuple probe = RestoredTuple(&rng, 4000, &unseen);
+    ASSERT_EQ(restored.Count(probe), twin.Count(probe)) << "step " << step;
+    std::shared_ptr<const ColumnTable> now = restored.ColumnarSnapshot();
+    const size_t dict_after = now->column(2).dict->size();
+    ASSERT_LE(dict_after, 2 * now->num_rows() + 64) << "step " << step;
+    compactions += dict_after < dict_before;
+    if (holder != kNoHolder) {
+      ++held_edits;
+      const RowVec still = ImageRows(
+          holder == kScan ? *scan.Columnar() : *copy.ColumnarSnapshot());
+      ASSERT_EQ(still, held) << "step " << step;
+    }
+  }
+
+  EXPECT_GT(restored.distinct_size(), 500u) << "the index never grew";
+  EXPECT_GT(held_edits, 0);
+
+  // Shrink to a few rows, then cycle unseen strings through them: dead
+  // dictionary entries pass the bound and the image compacts in place.
+  while (twin.distinct_size() > 8) {
+    const Tuple row = EqualButDifferent(twin.dense_rows()[rng.Below(8)].first);
+    ASSERT_EQ(restored.Add(row, -1000), twin.Add(row, -1000));
+  }
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    std::vector<Value> values(RestoredTuple(&rng, 4000, &unseen).values());
+    values[2] = Value::String("unseen " + std::to_string(unseen++));
+    const Tuple row(std::move(values));
+    const size_t dict_before =
+        restored.ColumnarSnapshot()->column(2).dict->size();
+    for (const int64_t count : {1, -1}) {
+      ASSERT_EQ(restored.Add(row, count), twin.Add(row, count))
+          << "cycle " << cycle;
+    }
+    std::shared_ptr<const ColumnTable> now = restored.ColumnarSnapshot();
+    ASSERT_LE(now->column(2).dict->size(), 2 * now->num_rows() + 64);
+    compactions += now->column(2).dict->size() < dict_before;
+  }
+  ASSERT_EQ(restored.mutation_count(), twin.mutation_count());
+  EXPECT_GT(compactions, 0) << "no dictionary was compacted";
+
+  const paged::PagedStatsSnapshot after = paged::GlobalPagedStats();
+  EXPECT_EQ(after.row_builds, before.row_builds);
+  EXPECT_EQ(after.index_builds, before.index_builds);
+  EXPECT_FALSE(restored.rows_materialized());
+
+  std::shared_ptr<const ColumnTable> final_image = restored.ColumnarSnapshot();
+  const RowVec& want = twin.dense_rows();
+  ASSERT_EQ(final_image->num_rows(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameCells(final_image->TupleAt(i), want[i].first, i));
+    ASSERT_EQ(final_image->mult()[i], want[i].second) << "row " << i;
+  }
+  final_image.reset();
+
+  // An Int64 where the image holds doubles: only the row path takes it.
+  const Tuple violating({Value::Int64(-1), Value::Int64(7), Value::Null(),
+                         Value::Null()});
+  ASSERT_EQ(restored.Add(violating, 2), twin.Add(violating, 2));
+  EXPECT_TRUE(restored.rows_materialized());
+  EXPECT_EQ(restored.ColumnarSnapshot(), nullptr);
+  EXPECT_EQ(restored.dense_rows(), twin.dense_rows());
+  EXPECT_TRUE(restored.ContentsEqual(twin));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RestoredTableFuzzTest,
                          ::testing::Values(1, 2, 3, 17, 99, 12345));
 
 // Differential fuzz one level up the stack: the same fuzzed change batches
