@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 
 #include "algebra/key_util.h"
 #include "algebra/spill_util.h"
@@ -64,8 +65,9 @@ class ChainedTable {
 class JoinMatches {
  public:
   JoinMatches(const std::vector<size_t>& left_idx,
-              const std::vector<size_t>& right_idx)
-      : left_idx_(left_idx), right_idx_(right_idx) {}
+              const std::vector<size_t>& right_idx,
+              const std::vector<size_t>& columns)
+      : left_idx_(left_idx), right_idx_(right_idx), columns_(columns) {}
 
   /// Key-compares a hash-equal (probe, build) pair; keeps it on a match.
   void Offer(const KeyedRow& probe, const KeyedRow& build) {
@@ -73,9 +75,16 @@ class JoinMatches {
     if (!KeysEqual(*probe.tuple, left_idx_, *build.tuple, right_idx_)) return;
     const int64_t count = probe.count * build.count;
     if (count != 0) {
-      produced_.push_back(OutRow{probe.idx, build.idx,
-                                 Tuple::Concat(*probe.tuple, *build.tuple),
-                                 count});
+      // The kept cells of probe ++ build.
+      const size_t ln = probe.tuple->size();
+      std::vector<Value> cells;
+      cells.reserve(columns_.size());
+      for (size_t p : columns_) {
+        cells.push_back(p < ln ? probe.tuple->value(p)
+                               : build.tuple->value(p - ln));
+      }
+      produced_.push_back(
+          OutRow{probe.idx, build.idx, Tuple(std::move(cells)), count});
     }
     rows_produced_ += std::llabs(count);
   }
@@ -90,7 +99,7 @@ class JoinMatches {
                 return a.probe_idx != b.probe_idx ? a.probe_idx < b.probe_idx
                                                   : a.build_idx > b.build_idx;
               });
-    Rows out(Schema::Concat(left.schema, right.schema));
+    Rows out(Schema::Concat(left.schema, right.schema).Project(columns_));
     RowVec& out_rows = out.mutable_rows();
     out_rows.reserve(produced_.size());
     for (OutRow& row : produced_) {
@@ -109,6 +118,7 @@ class JoinMatches {
 
   const std::vector<size_t>& left_idx_;
   const std::vector<size_t>& right_idx_;
+  const std::vector<size_t>& columns_;
   std::vector<OutRow> produced_;
   int64_t key_cmps_ = 0;
   int64_t rows_produced_ = 0;
@@ -125,7 +135,8 @@ class JoinMatches {
 /// nests them.
 Rows GraceHashJoin(const Rows& left, const Rows& right,
                    const std::vector<size_t>& left_idx,
-                   const std::vector<size_t>& right_idx, OperatorStats* stats,
+                   const std::vector<size_t>& right_idx,
+                   const std::vector<size_t>& columns, OperatorStats* stats,
                    const paged::PagedOptions& options) {
   const size_t nparts = options.partitions;
   size_t bits = 0;
@@ -168,7 +179,7 @@ Rows GraceHashJoin(const Rows& left, const Rows& right,
   auto keyed = [](const spill::SpillRecord& rec) {
     return KeyedRow{rec.idx, rec.hash, rec.count, &rec.tuple};
   };
-  JoinMatches matches(left_idx, right_idx);
+  JoinMatches matches(left_idx, right_idx, columns);
   for (size_t p = 0; p < nparts; ++p) {
     std::vector<spill::SpillRecord> build = spilled.ReadPartition(p);
     std::vector<spill::SpillRecord> probe =
@@ -196,12 +207,13 @@ Rows HashJoinKernel::Run(const std::vector<const Rows*>& inputs,
                          OperatorStats* stats, ThreadPool* pool,
                          const CancelToken* cancel) const {
   WUW_CHECK(inputs.size() == 2, "HashJoinKernel takes exactly two inputs");
-  return HashJoin(*inputs[0], *inputs[1], keys, stats, pool, cancel);
+  return HashJoin(*inputs[0], *inputs[1], keys, stats, pool, cancel,
+                  &columns);
 }
 
 Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
               OperatorStats* stats, ThreadPool* pool,
-              const CancelToken* cancel) {
+              const CancelToken* cancel, const std::vector<size_t>* columns) {
   WUW_CHECK(keys.left_columns.size() == keys.right_columns.size(),
             "join key arity mismatch");
   std::vector<size_t> left_idx, right_idx;
@@ -224,15 +236,21 @@ Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
     const int64_t threshold = paged::ResolvedSpillBytes(*spill_opts);
     if (spill::RowsExceedBytes(right, threshold)) {
       if (spill::RowsExceedBytes(left, threshold)) {
-        return GraceHashJoin(left, right, left_idx, right_idx, stats,
-                             *spill_opts);
+        std::vector<size_t> all;
+        if (columns == nullptr) {
+          all.resize(left.schema.num_columns() + right.schema.num_columns());
+          std::iota(all.begin(), all.end(), size_t{0});
+          columns = &all;
+        }
+        return GraceHashJoin(left, right, left_idx, right_idx, *columns,
+                             stats, *spill_opts);
       }
       hashed = vec::HashedSide::kLeft;
       WUW_METRIC_ADD("paged.probe_side_joins", obs::MetricClass::kEngine, 1);
     }
   }
   return vec::TryHashJoin(left, right, left_idx, right_idx, stats, pool,
-                          cancel, hashed);
+                          cancel, hashed, columns);
 }
 
 }  // namespace wuw

@@ -24,8 +24,9 @@ struct JoinKeys {
 };
 
 /// Hash join (build on `right`, probe with `left`) through the vectorized
-/// kernel (algebra/vectorized.h).  Output schema is the concatenation
-/// left ++ right; callers guarantee column-name uniqueness (view binding
+/// kernel (algebra/vectorized.h).  The output keeps the columns of the
+/// concatenation left ++ right at positions `columns` (ascending; null
+/// keeps them all); callers guarantee column-name uniqueness (view binding
 /// qualifies ambiguous names before joining).
 ///
 /// With a pool (and a large enough input) the build is radix-partitioned
@@ -38,12 +39,15 @@ struct JoinKeys {
 /// else both sides grace-spill — with the same byte-identical output.
 Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
               OperatorStats* stats, ThreadPool* pool = nullptr,
-              const CancelToken* cancel = nullptr);
+              const CancelToken* cancel = nullptr,
+              const std::vector<size_t>* columns = nullptr);
 
 /// Plan-node kernel form of HashJoin (uniform Run(inputs, stats, pool)
 /// signature; see plan/plan_node.h).
 struct HashJoinKernel {
   JoinKeys keys;
+  /// Positions in left ++ right of the columns the node emits (ascending).
+  std::vector<size_t> columns;
 
   /// inputs = {left, right}.
   Rows Run(const std::vector<const Rows*>& inputs, OperatorStats* stats,

@@ -27,9 +27,6 @@ struct Rows::PendingRows {
   std::atomic<bool> built{false};
   /// The batch's content; row k of the image is row k of `table`.
   std::shared_ptr<const ColumnTable> table;
-  /// Input rows a selection points into (null: rebuild from `table`).
-  std::shared_ptr<const RowVec> base;
-  std::vector<uint32_t> sel;
   std::shared_ptr<const RowVec> rows;
 
   const std::shared_ptr<const RowVec>& Get() {
@@ -41,18 +38,10 @@ struct Rows::PendingRows {
     auto out = std::make_shared<RowVec>();
     const std::vector<int64_t>& mult = table->mult();
     out->reserve(mult.size());
-    if (base != nullptr) {
-      for (size_t k = 0; k < sel.size(); ++k) {
-        out->emplace_back((*base)[sel[k]].first, mult[k]);
-      }
-    } else {
-      for (size_t i = 0; i < mult.size(); ++i) {
-        out->emplace_back(table->TupleAt(i), mult[i]);
-      }
+    for (size_t i = 0; i < mult.size(); ++i) {
+      out->emplace_back(table->TupleAt(i), mult[i]);
     }
     rows = std::move(out);
-    base.reset();
-    sel = std::vector<uint32_t>();
     built.store(true, std::memory_order_release);
   }
 };
@@ -149,12 +138,6 @@ size_t Rows::size() const {
   return rows_ != nullptr ? rows_->size() : 0;
 }
 
-std::shared_ptr<const RowVec> Rows::RowBlock() const {
-  if (pending_ == nullptr) return rows_;
-  return pending_->built.load(std::memory_order_acquire) ? pending_->rows
-                                                         : nullptr;
-}
-
 template <typename F>
 int64_t Rows::SumMults(F f) const {
   int64_t n = 0;
@@ -237,15 +220,6 @@ Rows Rows::FromColumnar(std::shared_ptr<const ColumnTable> table) {
   out.SetCachedCardinalities(table->SignedCardBetween(0, n),
                              table->AbsCardBetween(0, n));
   out.AttachColumnar(std::move(table));
-  return out;
-}
-
-Rows Rows::Select(const Rows& input, std::vector<uint32_t> sel,
-                  std::shared_ptr<const ColumnTable> table) {
-  Rows out = FromColumnar(std::move(table));
-  out.schema = input.schema;
-  out.pending_->base = input.RowBlock();
-  if (out.pending_->base != nullptr) out.pending_->sel = std::move(sel);
   return out;
 }
 

@@ -14,9 +14,8 @@
 //    Columnar() request and shared by copies, which is what lets the
 //    vectorized kernels (algebra/vectorized.h) engage without changing any
 //    operator signature.
-// Vectorized Filter and HashJoin emit columnar-only batches (FromColumnar,
-// Select): their row image is built once, on the first rows() call, either
-// by sharing the input's tuples through a selection vector or from the
+// Vectorized Filter and HashJoin emit columnar-only batches (FromColumnar):
+// their row image is built once, on the first rows() call, from the
 // columnar cells (ColumnTable::TupleAt round-trips exactly).  size(),
 // empty() and the cardinality caches never build it.
 //
@@ -106,12 +105,6 @@ struct Rows {
   /// Rows are rebuilt from the columns if anyone asks for them.
   static Rows FromColumnar(std::shared_ptr<const ColumnTable> table);
 
-  /// Columnar-only selection of `input`: row k of `table` is row `sel[k]`
-  /// of `input`, with the same multiplicity.  When `input`'s rows exist,
-  /// the row image shares its tuples instead of rebuilding them.
-  static Rows Select(const Rows& input, std::vector<uint32_t> sel,
-                     std::shared_ptr<const ColumnTable> table);
-
   /// The columnar mirror of this batch, built on first request (thread-safe
   /// for concurrent readers) and shared with copies.  Null when any cell
   /// violates its declared column type; the kernels reject such a batch.
@@ -137,9 +130,6 @@ struct Rows {
 
   /// Makes rows_ a uniquely owned, built block (mutable_rows' slow path).
   void DetachRows();
-
-  /// The row block if the row image exists (null for an empty batch).
-  std::shared_ptr<const RowVec> RowBlock() const;
 
   /// Sum of f(multiplicity) over whichever image exists.
   template <typename F>

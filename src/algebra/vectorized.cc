@@ -195,6 +195,7 @@ struct VecCounters {
   int64_t code_evals = 0;
   int64_t value_hashes = 0;
   int64_t value_cmps = 0;
+  int64_t cells_gathered = 0;
 
   void Flush() const {
     WUW_METRIC_ADD("engine.vec.rows", obs::MetricClass::kEngine, rows);
@@ -208,6 +209,8 @@ struct VecCounters {
                    value_hashes);
     WUW_METRIC_ADD("engine.vec.value_cmps", obs::MetricClass::kEngine,
                    value_cmps);
+    WUW_METRIC_ADD("engine.vec.cells_gathered", obs::MetricClass::kEngine,
+                   cells_gathered);
   }
 };
 
@@ -281,20 +284,32 @@ bool CmpValues(CompareOp op, const Value& l, const Value& r) {
   return false;
 }
 
+/// Numeric images compared as Value compares them: kLe and kGe are the
+/// negations of kGt and kLt, so a NaN operand passes them.
+template <CompareOp kOp>
+inline bool CmpImages(double a, double b) {
+  if constexpr (kOp == CompareOp::kEq) return a == b;
+  if constexpr (kOp == CompareOp::kNe) return !(a == b);
+  if constexpr (kOp == CompareOp::kLt) return a < b;
+  if constexpr (kOp == CompareOp::kLe) return !(b < a);
+  if constexpr (kOp == CompareOp::kGt) return b < a;
+  return !(a < b);  // kGe
+}
+
 bool CmpDoubles(CompareOp op, double a, double b) {
   switch (op) {
     case CompareOp::kEq:
-      return a == b;
+      return CmpImages<CompareOp::kEq>(a, b);
     case CompareOp::kNe:
-      return a != b;
+      return CmpImages<CompareOp::kNe>(a, b);
     case CompareOp::kLt:
-      return a < b;
+      return CmpImages<CompareOp::kLt>(a, b);
     case CompareOp::kLe:
-      return a <= b;
+      return CmpImages<CompareOp::kLe>(a, b);
     case CompareOp::kGt:
-      return a > b;
+      return CmpImages<CompareOp::kGt>(a, b);
     case CompareOp::kGe:
-      return a >= b;
+      return CmpImages<CompareOp::kGe>(a, b);
   }
   return false;
 }
@@ -678,34 +693,40 @@ void GatherColumnInto(const ColumnVec& src, const std::vector<uint32_t>& ids,
   }
 }
 
-/// Columnar image of rows `ids` of `src` with multiplicities `mult`
-/// (dictionaries shared, nothing re-interned).
-std::shared_ptr<const ColumnTable> GatherTable(const ColumnTable& src,
-                                               const std::vector<uint32_t>& ids,
-                                               std::vector<int64_t> mult) {
-  auto out = std::make_shared<ColumnTable>(src.schema());
-  for (size_t c = 0; c < src.num_columns(); ++c) {
-    GatherColumnInto(src.column(c), ids, out->mutable_column(c));
+/// Columnar image of rows `ids` of `src`'s columns `columns`, with
+/// multiplicities `mult` (dictionaries shared, nothing re-interned).
+std::shared_ptr<const ColumnTable> GatherTable(
+    const ColumnTable& src, const std::vector<size_t>& columns,
+    const std::vector<uint32_t>& ids, std::vector<int64_t> mult,
+    VecCounters* cnt) {
+  auto out = std::make_shared<ColumnTable>(src.schema().Project(columns));
+  for (size_t c = 0; c < columns.size(); ++c) {
+    GatherColumnInto(src.column(columns[c]), ids, out->mutable_column(c));
   }
+  cnt->cells_gathered += static_cast<int64_t>(columns.size() * ids.size());
   *out->mutable_mult() = std::move(mult);
   out->Finish();
   return out;
 }
 
-/// Columnar image of a join output: left columns gathered by lids, right
-/// columns by rids.
+/// Columnar image of a join output: `columns` are positions in left ++
+/// right; left columns gather by lids, right columns by rids.
 std::shared_ptr<const ColumnTable> GatherJoinTable(
-    const Schema& out_schema, const ColumnTable& lct,
-    const std::vector<uint32_t>& lids, const ColumnTable& rct,
-    const std::vector<uint32_t>& rids, std::vector<int64_t> mult) {
+    const Schema& out_schema, const std::vector<size_t>& columns,
+    const ColumnTable& lct, const std::vector<uint32_t>& lids,
+    const ColumnTable& rct, const std::vector<uint32_t>& rids,
+    std::vector<int64_t> mult, VecCounters* cnt) {
   auto out = std::make_shared<ColumnTable>(out_schema);
   const size_t ln = lct.num_columns();
-  for (size_t c = 0; c < ln; ++c) {
-    GatherColumnInto(lct.column(c), lids, out->mutable_column(c));
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const size_t p = columns[c];
+    if (p < ln) {
+      GatherColumnInto(lct.column(p), lids, out->mutable_column(c));
+    } else {
+      GatherColumnInto(rct.column(p - ln), rids, out->mutable_column(c));
+    }
   }
-  for (size_t c = 0; c < rct.num_columns(); ++c) {
-    GatherColumnInto(rct.column(c), rids, out->mutable_column(ln + c));
-  }
+  cnt->cells_gathered += static_cast<int64_t>(columns.size() * mult.size());
   *out->mutable_mult() = std::move(mult);
   out->Finish();
   return out;
@@ -723,43 +744,288 @@ std::shared_ptr<const ColumnTable> MustColumnar(const Rows& input) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Filter.
+// Filter: a selection vector narrowed one top-level conjunct at a time.
+
+namespace {
+
+/// Keeps the ids in sel[0, m) for which keep(id) holds, in order, with no
+/// data-dependent branch: every id is written, and the cursor advances
+/// only past kept ones.  Returns the number kept.
+template <typename Keep>
+inline size_t Compact(uint32_t* sel, size_t m, Keep keep) {
+  size_t n = 0;
+  for (size_t k = 0; k < m; ++k) {
+    const uint32_t id = sel[k];
+    sel[n] = id;
+    n += keep(id) ? 1 : 0;
+  }
+  return n;
+}
+
+/// A narrowing step over sel[0, m) for one typed conjunct.
+using SelectFn = size_t (*)(const ColumnVec& col, double c, uint32_t* sel,
+                            size_t m);
+
+/// Narrows sel[0, m) to the rows whose numeric cell compares kOp against
+/// the constant image `c` (column on the left).
+template <CompareOp kOp, bool kDoubles, bool kNullable>
+size_t SelectImage(const ColumnVec& col, double c, uint32_t* sel, size_t m) {
+  const int64_t* ints = col.ints.data();
+  const double* dbls = col.dbls.data();
+  const uint8_t* nulls = col.nulls.data();
+  return Compact(sel, m, [&](uint32_t i) {
+    const double v = kDoubles ? dbls[i] : static_cast<double>(ints[i]);
+    bool pass = CmpImages<kOp>(v, c);
+    if constexpr (kNullable) pass = pass & (nulls[i] == 0);
+    return pass;
+  });
+}
+
+template <CompareOp kOp>
+SelectFn ImageLoop(bool doubles, bool nullable) {
+  if (doubles) {
+    return nullable ? &SelectImage<kOp, true, true>
+                    : &SelectImage<kOp, true, false>;
+  }
+  return nullable ? &SelectImage<kOp, false, true>
+                  : &SelectImage<kOp, false, false>;
+}
+
+SelectFn ResolveImageLoop(CompareOp op, bool doubles, bool nullable) {
+  switch (op) {
+    case CompareOp::kEq:
+      return ImageLoop<CompareOp::kEq>(doubles, nullable);
+    case CompareOp::kNe:
+      return ImageLoop<CompareOp::kNe>(doubles, nullable);
+    case CompareOp::kLt:
+      return ImageLoop<CompareOp::kLt>(doubles, nullable);
+    case CompareOp::kLe:
+      return ImageLoop<CompareOp::kLe>(doubles, nullable);
+    case CompareOp::kGt:
+      return ImageLoop<CompareOp::kGt>(doubles, nullable);
+    case CompareOp::kGe:
+      return ImageLoop<CompareOp::kGe>(doubles, nullable);
+  }
+  return nullptr;
+}
+
+/// `lit op cell` rewritten as `cell flip(op) lit`.  Exact under Value's
+/// order: kLe/kGe are defined as negated kGt/kLt with swapped operands.
+CompareOp Flip(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt:
+      return CompareOp::kGt;
+    case CompareOp::kLe:
+      return CompareOp::kGe;
+    case CompareOp::kGt:
+      return CompareOp::kLt;
+    case CompareOp::kGe:
+      return CompareOp::kLe;
+    default:
+      return op;
+  }
+}
+
+bool CmpStrings(CompareOp op, const std::string& a, const std::string& b) {
+  switch (op) {
+    case CompareOp::kEq:
+      return a == b;
+    case CompareOp::kNe:
+      return a != b;
+    case CompareOp::kLt:
+      return a < b;
+    case CompareOp::kLe:
+      return !(b < a);
+    case CompareOp::kGt:
+      return b < a;
+    case CompareOp::kGe:
+      return !(a < b);
+  }
+  return false;
+}
+
+/// One top-level conjunct of a filter predicate, resolved once per
+/// TryFilter call.  A `column op constant` conjunct (either orientation)
+/// becomes a typed loop over the column array; anything else is
+/// evaluated by EvalNodeVec over the rows that survive so far.
+struct Conjunct {
+  enum Kind : uint8_t {
+    kNone,     // no row passes: NULL constant, NULL column, or a
+               // mixed-rank op that is false for every pair
+    kNonNull,  // every non-null cell passes (mixed-rank, true)
+    kImage,    // numeric cell vs numeric constant: `loop`
+    kCodes,    // string cell vs string constant: per-code `pass` table
+    kGeneral,  // EvalNodeVec + ToBoolVec over the survivors
+  } kind = kGeneral;
+  const ColumnVec* col = nullptr;
+  SelectFn loop = nullptr;
+  double constant = 0.0;
+  /// kCodes: pass[code] for each dictionary code, plus a trailing 0 that
+  /// NULL cells (kNullStringCode) are clamped onto.
+  std::vector<uint8_t> pass;
+  std::unique_ptr<VecExpr> expr;
+
+  /// Narrows sel[0, m) of `b`'s rows; returns the number kept.
+  size_t Select(const ColumnTable& ct, const RowBatch& b, uint32_t* sel,
+                size_t m, VecCounters* cnt) const {
+    switch (kind) {
+      case kNone:
+        return 0;
+      case kNonNull:
+        return Compact(sel, m, [&](uint32_t i) { return !col->IsNull(i); });
+      case kImage:
+        return loop(*col, constant, sel, m);
+      case kCodes: {
+        const uint32_t* codes = col->codes.data();
+        const uint8_t* table = pass.data();
+        const uint32_t null_slot = static_cast<uint32_t>(pass.size() - 1);
+        return Compact(sel, m, [&](uint32_t i) {
+          return table[std::min(codes[i], null_slot)] != 0;
+        });
+      }
+      case kGeneral:
+        break;
+    }
+    std::vector<uint32_t> ids(sel, sel + m);
+    int64_t signed_card = 0, abs_card = 0;
+    for (uint32_t id : ids) {
+      signed_card += ct.mult()[id];
+      abs_card += std::llabs(ct.mult()[id]);
+    }
+    RowBatch survivors =
+        RowBatch::Select(b, std::move(ids), signed_card, abs_card);
+    VecVal v;
+    std::vector<uint8_t> truth;
+    EvalNodeVec(*expr, ct, survivors, cnt, &v);
+    ToBoolVec(v, m, cnt, &truth);
+    size_t n = 0;
+    for (size_t k = 0; k < m; ++k) {
+      sel[n] = sel[k];
+      n += truth[k];
+    }
+    return n;
+  }
+};
+
+/// Resolves `e` against `ct`: the typed shapes first, kGeneral otherwise.
+Conjunct ResolveConjunct(const ScalarExpr& e, const ColumnTable& ct,
+                         VecCounters* cnt) {
+  Conjunct out;
+  const ScalarExpr* column = nullptr;
+  const ScalarExpr* literal = nullptr;
+  CompareOp op = CompareOp::kEq;
+  if (e.kind() == ExprKind::kCompare) {
+    op = e.compare_op();
+    if (e.lhs()->kind() == ExprKind::kColumn &&
+        e.rhs()->kind() == ExprKind::kLiteral) {
+      column = e.lhs().get();
+      literal = e.rhs().get();
+    } else if (e.lhs()->kind() == ExprKind::kLiteral &&
+               e.rhs()->kind() == ExprKind::kColumn) {
+      column = e.rhs().get();
+      literal = e.lhs().get();
+      op = Flip(op);
+    }
+  }
+  if (column == nullptr) {
+    out.expr = CompileNode(e, ct.schema());
+    return out;
+  }
+  out.col = &ct.column(ct.schema().MustIndexOf(column->column_name()));
+  const Value& lit = literal->literal();
+  const TypeId ctype = out.col->type;
+  if (lit.is_null() || ctype == TypeId::kNull) {
+    out.kind = Conjunct::kNone;  // a NULL operand compares false
+  } else if (IsNumericType(ctype) && IsNumericType(lit.type())) {
+    out.kind = Conjunct::kImage;
+    out.constant = lit.NumericValue();
+    out.loop = ResolveImageLoop(op, ctype == TypeId::kDouble,
+                                !out.col->nulls.empty());
+  } else if (ctype == TypeId::kString && lit.type() == TypeId::kString) {
+    out.kind = Conjunct::kCodes;
+    const StringDict* dict = out.col->dict.get();
+    const uint32_t codes = dict != nullptr ? dict->size() : 0;
+    out.pass.assign(codes + 1, 0);
+    for (uint32_t code = 0; code < codes; ++code) {
+      out.pass[code] = CmpStrings(op, dict->At(code), lit.AsString()) ? 1 : 0;
+    }
+    cnt->code_evals += codes;
+  } else {
+    // Mixed rank (string vs numeric): decided by rank for every pair of
+    // non-null cells, as in EvalCompareVec.
+    const double crank = ctype == TypeId::kString ? 2 : 1;
+    const double lrank = lit.type() == TypeId::kString ? 2 : 1;
+    out.kind = CmpDoubles(op, crank, lrank) ? Conjunct::kNonNull
+                                            : Conjunct::kNone;
+  }
+  return out;
+}
+
+void SplitConjuncts(const ScalarExpr& e, std::vector<const ScalarExpr*>* out) {
+  if (e.kind() == ExprKind::kLogical && e.logical_op() == LogicalOp::kAnd) {
+    SplitConjuncts(*e.lhs(), out);
+    SplitConjuncts(*e.rhs(), out);
+    return;
+  }
+  out->push_back(&e);
+}
+
+std::vector<size_t> AllColumns(const Schema& schema) {
+  std::vector<size_t> all(schema.num_columns());
+  std::iota(all.begin(), all.end(), size_t{0});
+  return all;
+}
+
+}  // namespace
 
 Rows TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
-               OperatorStats* stats) {
+               OperatorStats* stats, const std::vector<size_t>* columns) {
   std::shared_ptr<const ColumnTable> ct = MustColumnar(input);
-  std::unique_ptr<VecExpr> expr = CompileNode(*predicate, input.schema);
-
   VecCounters cnt;
-  const std::vector<int64_t>& mult = ct->mult();
-  std::vector<uint32_t> sel;
-  sel.reserve(ct->num_rows());
-  int64_t scanned = 0, produced = 0;
+  std::vector<const ScalarExpr*> parts;
+  SplitConjuncts(*predicate, &parts);
+  // AND has no side effects, so the typed conjuncts run first and the
+  // general ones see only what the typed ones keep.
+  std::vector<Conjunct> conjuncts;
+  conjuncts.reserve(parts.size());
+  for (const ScalarExpr* part : parts) {
+    conjuncts.push_back(ResolveConjunct(*part, *ct, &cnt));
+  }
+  std::stable_partition(conjuncts.begin(), conjuncts.end(),
+                        [](const Conjunct& c) {
+                          return c.kind != Conjunct::kGeneral;
+                        });
 
+  const std::vector<int64_t>& mult = ct->mult();
+  std::vector<uint32_t> ids(ct->num_rows());
+  size_t kept = 0;
+  int64_t scanned = 0, produced = 0;
   ForEachBatch(*ct, [&](const RowBatch& b) {
     ++cnt.batches;
     cnt.rows += static_cast<int64_t>(b.size());
     scanned += b.abs_card;
-    VecVal v;
-    std::vector<uint8_t> pass;
-    EvalNodeVec(*expr, *ct, b, &cnt, &v);
-    ToBoolVec(v, b.size(), &cnt, &pass);
-    for (size_t k = 0; k < b.size(); ++k) {
-      if (!pass[k]) continue;
-      uint32_t id = static_cast<uint32_t>(b.row(k));
-      int64_t c = mult[id];
-      produced += std::llabs(c);
-      if (c == 0) continue;  // a zero multiplicity is no row
-      sel.push_back(id);
+    // The batch's survivors live in ids[kept, kept + m).
+    uint32_t* sel = ids.data() + kept;
+    size_t m = b.size();
+    std::iota(sel, sel + m, static_cast<uint32_t>(b.begin));
+    for (const Conjunct& c : conjuncts) {
+      if (m == 0) break;
+      m = c.Select(*ct, b, sel, m, &cnt);
     }
+    // A zero multiplicity is no row; it adds nothing to rows_produced.
+    m = Compact(sel, m, [&](uint32_t i) {
+      produced += std::llabs(mult[i]);
+      return mult[i] != 0;
+    });
+    kept += m;
   });
+  ids.resize(kept);
 
-  std::vector<int64_t> out_mult;
-  out_mult.reserve(sel.size());
-  for (uint32_t id : sel) out_mult.push_back(mult[id]);
-  std::shared_ptr<const ColumnTable> gathered =
-      GatherTable(*ct, sel, std::move(out_mult));
-  Rows out = Rows::Select(input, std::move(sel), std::move(gathered));
+  std::vector<int64_t> out_mult(kept);
+  for (size_t k = 0; k < kept; ++k) out_mult[k] = mult[ids[k]];
+  Rows out = Rows::FromColumnar(
+      GatherTable(*ct, columns != nullptr ? *columns : AllColumns(input.schema),
+                  ids, std::move(out_mult), &cnt));
   if (stats != nullptr) {
     stats->rows_scanned += scanned;
     stats->rows_produced += produced;
@@ -1039,7 +1305,7 @@ Rows TryHashJoin(const Rows& left, const Rows& right,
                  const std::vector<size_t>& left_idx,
                  const std::vector<size_t>& right_idx, OperatorStats* stats,
                  ThreadPool* pool, const CancelToken* cancel,
-                 HashedSide hashed) {
+                 HashedSide hashed, const std::vector<size_t>* columns) {
   std::shared_ptr<const ColumnTable> lct = MustColumnar(left);
   std::shared_ptr<const ColumnTable> rct = MustColumnar(right);
 
@@ -1056,7 +1322,9 @@ Rows TryHashJoin(const Rows& left, const Rows& right,
   const std::vector<int64_t>& lmult = lct->mult();
   const int64_t arity = static_cast<int64_t>(left_idx.size());
 
-  Schema out_schema = Schema::Concat(left.schema, right.schema);
+  const Schema concat = Schema::Concat(left.schema, right.schema);
+  const std::vector<size_t> out_columns =
+      columns != nullptr ? *columns : AllColumns(concat);
 
   std::vector<uint32_t> out_lids, out_rids;
   std::vector<int64_t> out_mult;
@@ -1198,8 +1466,9 @@ Rows TryHashJoin(const Rows& left, const Rows& right,
         });
   }
 
-  Rows out = Rows::FromColumnar(GatherJoinTable(
-      out_schema, *lct, out_lids, *rct, out_rids, std::move(out_mult)));
+  Rows out = Rows::FromColumnar(
+      GatherJoinTable(concat.Project(out_columns), out_columns, *lct,
+                      out_lids, *rct, out_rids, std::move(out_mult), &cnt));
   cnt.Flush();
   return out;
 }

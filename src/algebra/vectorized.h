@@ -10,10 +10,22 @@
 // violation and aborts.  Expressions are typed by the binder's rules
 // (expr/evaluator.h), which ValidateDefinition applies to user input
 // before anything runs, so ill-typed arithmetic or a SUM over strings
-// reaches a kernel only through a bug, and aborts there too.  TryFilter and TryHashJoin return columnar-only batches
-// (Rows::Select / Rows::FromColumnar): no output tuple is built unless a
-// consumer calls rows().  TryProject and TryAggregate build their rows
-// eagerly.
+// reaches a kernel only through a bug, and aborts there too.  TryFilter
+// and TryHashJoin return columnar-only batches (Rows::FromColumnar) that
+// keep only the columns the caller asks for: no output tuple is built
+// unless a consumer calls rows().  TryProject and TryAggregate build their
+// rows eagerly.
+//
+// TryFilter narrows a selection vector one top-level conjunct at a time,
+// with branch-free compaction.  A `column op constant` conjunct (either
+// orientation) runs as one typed loop off the column array, with the op
+// resolved and a string constant turned into a per-code pass table once
+// per call, and the null test only for a column that has nulls; every
+// other conjunct runs through the expression evaluator over the surviving
+// rows only.  Semantics are BoundExpr::EvalBool's (expr/evaluator.h):
+// numerics compare by double image with kLe/kGe as negated kGt/kLt (a NaN
+// passes them), a NULL operand compares false, and string-vs-numeric
+// compares by type rank.
 //
 // Output order, which the join and aggregate grace routes reproduce:
 // filter and project keep input order (project emits one row per input
@@ -56,9 +68,12 @@ class ThreadPool;
 
 namespace vec {
 
-/// Vectorized selection.  `predicate` must be non-null.
+/// Vectorized selection.  `predicate` must be non-null.  The output keeps
+/// the input columns at positions `columns` (ascending; null keeps them
+/// all).
 Rows TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
-               OperatorStats* stats);
+               OperatorStats* stats,
+               const std::vector<size_t>* columns = nullptr);
 
 /// Vectorized generalized projection.
 Rows TryProject(const Rows& input, const std::vector<ProjectItem>& items,
@@ -77,11 +92,14 @@ enum class HashedSide {
 /// radix-partitioned parallel build when the pool and input sizes warrant
 /// it.  `left_idx` / `right_idx` are resolved key column positions.  Rows,
 /// order, stats and kEngine counters are the same for either `hashed`.
+/// The output keeps the columns of left ++ right at positions `columns`
+/// (ascending; null keeps them all).
 Rows TryHashJoin(const Rows& left, const Rows& right,
                  const std::vector<size_t>& left_idx,
                  const std::vector<size_t>& right_idx, OperatorStats* stats,
                  ThreadPool* pool, const CancelToken* cancel,
-                 HashedSide hashed = HashedSide::kRight);
+                 HashedSide hashed = HashedSide::kRight,
+                 const std::vector<size_t>* columns = nullptr);
 
 /// Vectorized signed aggregation with flat accumulators.
 Rows TryAggregate(const Rows& input, const std::vector<std::string>& group_by,

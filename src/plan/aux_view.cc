@@ -29,8 +29,8 @@ bool ParseInt64(const std::string& text, int64_t* out) {
 /// string that identifies the materialization across parents.  Mirrors
 /// BuildJoinPlan's classification (view/join_pipeline.cc) exactly — the
 /// prefix def must compute precisely what the parent pipeline's first k
-/// steps compute, including the quirk that no-column conjuncts land at
-/// step 0 and are therefore dropped by every lowering path alike.
+/// steps compute (a no-column conjunct runs at source 0's scan, so inside
+/// every prefix).
 struct PrefixParts {
   bool constructible = false;
   std::vector<JoinCondition> joins;

@@ -29,6 +29,24 @@ std::string JoinKeysFingerprint(const JoinKeys& keys) {
   return out;
 }
 
+/// Resolves a node's kept positions among `width` input columns into
+/// `*out` (null keeps them all) and returns the fingerprint suffix naming
+/// them; a node that keeps every column gets none.
+std::string KeepColumns(const std::vector<size_t>* columns, size_t width,
+                        std::vector<size_t>* out) {
+  out->resize(width);
+  for (size_t c = 0; c < width; ++c) (*out)[c] = c;
+  if (columns == nullptr || *columns == *out) return "";
+  *out = *columns;
+  std::string suffix = "|cols=";
+  for (size_t c : *columns) {
+    WUW_CHECK(c < width, "kept column out of range");
+    suffix += std::to_string(c);
+    suffix += ',';
+  }
+  return suffix;
+}
+
 }  // namespace
 
 PlanNodeId PlanDag::InternTableScan(const std::string& name,
@@ -75,14 +93,18 @@ PlanNodeId PlanDag::InternRowsScan(const Rows& rows) {
   return Intern(std::move(n));
 }
 
-PlanNodeId PlanDag::InternFilter(PlanNodeId child, ScalarExpr::Ptr predicate) {
+PlanNodeId PlanDag::InternFilter(PlanNodeId child, ScalarExpr::Ptr predicate,
+                                 const std::vector<size_t>* columns) {
   const PlanNode& c = node(child);
   PlanNode n;
   n.kind = PlanNodeKind::kFilter;
   n.children = {child};
-  n.schema = c.schema;
+  const std::string kept =
+      KeepColumns(columns, c.schema.num_columns(), &n.filter.columns);
+  n.schema = c.schema.Project(n.filter.columns);
   n.cacheable = c.cacheable;
-  n.fingerprint = "filter[" + ExprToSql(predicate) + "](" + c.fingerprint + ")";
+  n.fingerprint = "filter[" + ExprToSql(predicate) + kept + "](" +
+                  c.fingerprint + ")";
   n.filter.predicate = std::move(predicate);
   return Intern(std::move(n));
 }
@@ -108,16 +130,20 @@ PlanNodeId PlanDag::InternProject(PlanNodeId child,
 }
 
 PlanNodeId PlanDag::InternHashJoin(PlanNodeId left, PlanNodeId right,
-                                   JoinKeys keys) {
+                                   JoinKeys keys,
+                                   const std::vector<size_t>* columns) {
   const PlanNode& l = node(left);
   const PlanNode& r = node(right);
   PlanNode n;
   n.kind = PlanNodeKind::kHashJoin;
   n.children = {left, right};
-  n.schema = Schema::Concat(l.schema, r.schema);
+  const Schema concat = Schema::Concat(l.schema, r.schema);
+  const std::string kept =
+      KeepColumns(columns, concat.num_columns(), &n.join.columns);
+  n.schema = concat.Project(n.join.columns);
   n.cacheable = l.cacheable && r.cacheable;
-  n.fingerprint = "join[" + JoinKeysFingerprint(keys) + "](" + l.fingerprint +
-                  ")(" + r.fingerprint + ")";
+  n.fingerprint = "join[" + JoinKeysFingerprint(keys) + kept + "](" +
+                  l.fingerprint + ")(" + r.fingerprint + ")";
   n.join.keys = std::move(keys);
   return Intern(std::move(n));
 }

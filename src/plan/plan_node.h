@@ -50,8 +50,9 @@ using PlanNodeId = int32_t;
 struct PlanNode {
   PlanNodeKind kind;
   std::vector<PlanNodeId> children;
-  /// Output schema, computed at intern time (joins concatenate, projections
-  /// bind their expressions).
+  /// Output schema, computed at intern time (filters keep their kept
+  /// columns of the child's, joins of the concatenation, projections bind
+  /// their expressions).
   Schema schema;
   /// Canonical identity: equal fingerprints ⇒ equal results.  Used for CSE
   /// within a DAG and as the SubplanCache key across DAGs.
@@ -107,9 +108,14 @@ class PlanDag {
   /// Leaf over caller-owned Rows; never cacheable (pointer identity only).
   PlanNodeId InternRowsScan(const Rows& rows);
 
-  PlanNodeId InternFilter(PlanNodeId child, ScalarExpr::Ptr predicate);
+  /// A filter or join emits the columns at positions `columns` (ascending)
+  /// of its child's schema (the join: of left ++ right); null keeps every
+  /// column.  A narrowed node's fingerprint lists the kept positions.
+  PlanNodeId InternFilter(PlanNodeId child, ScalarExpr::Ptr predicate,
+                          const std::vector<size_t>* columns = nullptr);
   PlanNodeId InternProject(PlanNodeId child, std::vector<ProjectItem> items);
-  PlanNodeId InternHashJoin(PlanNodeId left, PlanNodeId right, JoinKeys keys);
+  PlanNodeId InternHashJoin(PlanNodeId left, PlanNodeId right, JoinKeys keys,
+                            const std::vector<size_t>* columns = nullptr);
 
   size_t size() const { return nodes_.size(); }
   const PlanNode& node(PlanNodeId id) const { return nodes_[id]; }

@@ -29,6 +29,13 @@ Schema Schema::Concat(const Schema& a, const Schema& b) {
   return Schema(std::move(cols));
 }
 
+Schema Schema::Project(const std::vector<size_t>& indices) const {
+  std::vector<Column> cols;
+  cols.reserve(indices.size());
+  for (size_t i : indices) cols.push_back(columns_[i]);
+  return Schema(std::move(cols));
+}
+
 bool Schema::operator==(const Schema& other) const {
   if (columns_.size() != other.columns_.size()) return false;
   for (size_t i = 0; i < columns_.size(); ++i) {

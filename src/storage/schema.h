@@ -37,6 +37,9 @@ class Schema {
   /// Concatenates two schemas; duplicate names are qualified by the caller.
   static Schema Concat(const Schema& a, const Schema& b);
 
+  /// The columns at `indices`, in that order.
+  Schema Project(const std::vector<size_t>& indices) const;
+
   bool operator==(const Schema& other) const;
 
   std::string ToString() const;

@@ -18,7 +18,8 @@ Tuple Tuple::Project(const std::vector<size_t>& indices) const {
 }
 
 bool Tuple::operator==(const Tuple& other) const {
-  if (values_ == other.values_) return true;  // shared representation
+  // Cells compare even for a shared representation: a NaN cell makes a
+  // tuple unequal to every tuple, itself included, as Value equality does.
   if (size() != other.size()) return false;
   for (size_t i = 0; i < size(); ++i) {
     if (value(i) != other.value(i)) return false;

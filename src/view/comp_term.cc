@@ -121,12 +121,12 @@ CompEvalResult EvalComp(const ViewDefinition& def,
       roots[slot] = BuildRawProjectionPlan(
           def,
           BuildJoinPlanFromPrefix(def, schemas, prefix, aux->prefix_len,
-                                  inputs, &dag),
+                                  inputs, PipelineWidth::kRaw, &dag),
           &dag);
       WUW_METRIC_ADD("aux.term_substitutions", obs::MetricClass::kWork, 1);
     } else {
       roots[slot] = BuildRawProjectionPlan(
-          def, BuildJoinPlan(def, inputs, &dag), &dag);
+          def, BuildJoinPlan(def, inputs, PipelineWidth::kRaw, &dag), &dag);
     }
   }
 

@@ -22,9 +22,10 @@ Table RecomputeView(const ViewDefinition& def, const TableSource& source,
   for (const std::string& src : def.sources()) {
     inputs.push_back(Rows::FromTable(source(src)));
   }
-  Rows joined = EvalJoinPipeline(def, std::move(inputs), stats);
-  if (join_rows != nullptr) *join_rows = joined.AbsCardinality();
-  Rows raw = ProjectToRaw(def, joined, stats);
+  // The raw projection emits one row per joined row, with its
+  // multiplicity, so its size is the join's.
+  Rows raw = EvalRawPipeline(def, std::move(inputs), stats);
+  if (join_rows != nullptr) *join_rows = raw.AbsCardinality();
 
   auto resolver = [&](const std::string& name) -> const Schema& {
     return source(name).schema();

@@ -23,6 +23,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,6 +36,7 @@
 #include "algebra/project.h"
 #include "algebra/row_batch.h"
 #include "algebra/rows.h"
+#include "expr/printer.h"
 #include "parallel/thread_pool.h"
 #include "reference/reference_kernels.h"
 #include "storage/column_table.h"
@@ -97,10 +101,16 @@ void ExpectRowsIdentical(const Rows& expect, const Rows& got) {
     ASSERT_EQ(expect.rows()[i].second, got.rows()[i].second) << "row " << i;
     const Tuple& a = expect.rows()[i].first;
     const Tuple& b = got.rows()[i].first;
-    ASSERT_TRUE(a == b) << "row " << i;
+    ASSERT_EQ(a.size(), b.size()) << "row " << i;
     for (size_t c = 0; c < a.size(); ++c) {
-      ASSERT_EQ(a.value(c).type(), b.value(c).type())
-          << "row " << i << " col " << c;
+      const Value& x = a.value(c);
+      const Value& y = b.value(c);
+      ASSERT_EQ(x.type(), y.type()) << "row " << i << " col " << c;
+      // NaN cells are identical to each other, though never Value-equal.
+      const bool both_nan = x.type() == TypeId::kDouble && !x.is_null() &&
+                            !y.is_null() && std::isnan(x.AsDouble()) &&
+                            std::isnan(y.AsDouble());
+      ASSERT_TRUE(both_nan || x == y) << "row " << i << " col " << c;
     }
   }
 }
@@ -403,6 +413,151 @@ TEST_P(KernelDifferentialTest, FilterMatchesReference) {
           },
           [&, &pred = pred](OperatorStats* stats, ThreadPool* pool) {
             return Filter(input, pred, stats, pool, nullptr);
+          });
+    }
+  }
+}
+
+/// Rows over (e_k INT, e_i INT nullable, e_d DOUBLE nullable, e_s STRING
+/// nullable, e_t DATE) whose cells lean on the edges of the compare
+/// semantics: INT64_MIN/MAX, NaN, +-0.0, infinities, the empty string, and
+/// zero multiplicities next to signed ones.
+Rows EdgeRows(size_t n, tpcd::Rng* rng) {
+  Rows out(Schema({{"e_k", TypeId::kInt64},
+                   {"e_i", TypeId::kInt64},
+                   {"e_d", TypeId::kDouble},
+                   {"e_s", TypeId::kString},
+                   {"e_t", TypeId::kDate}}));
+  const int64_t ints[] = {std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max(), 0, -1, 7};
+  const double dbls[] = {std::numeric_limits<double>::quiet_NaN(),
+                         0.0,
+                         -0.0,
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         7.0,
+                         -2.5,
+                         9223372036854775807.0};
+  const char* strs[] = {"", "s1", "s3", "s7", "zz"};
+  out.mutable_rows().reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    Value v = rng->Below(5) == 0
+                  ? Value::Null()
+                  : Value::Int64(rng->Below(2) == 0
+                                     ? ints[rng->Below(5)]
+                                     : rng->Range(-20, 20));
+    Value d = rng->Below(5) == 0 ? Value::Null()
+                                 : Value::Double(dbls[rng->Below(8)]);
+    Value str = rng->Below(5) == 0 ? Value::Null()
+                                   : Value::String(strs[rng->Below(5)]);
+    Value t = Value::Date(1995, 1 + static_cast<int>(rng->Below(12)), 1);
+    int64_t mult = rng->Range(-2, 2);  // 0 included: no row, no stats
+    out.mutable_rows().emplace_back(
+        Tuple({Value::Int64(rng->Range(1, 50)), std::move(v), std::move(d),
+               std::move(str), std::move(t)}),
+        mult);
+  }
+  return out;
+}
+
+/// A random conjunct over EdgeRows' schema.
+ScalarExpr::Ptr RandomConjunct(tpcd::Rng* rng) {
+  const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                           CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  const CompareOp op = ops[rng->Below(6)];
+  auto col = [](const char* name) { return ScalarExpr::Column(name); };
+  auto lit = [](Value v) { return ScalarExpr::Literal(std::move(v)); };
+  // column op constant, in either orientation.
+  auto with_constant = [&](ScalarExpr::Ptr column, Value constant) {
+    return rng->Below(2) == 0
+               ? ScalarExpr::Compare(op, std::move(column), lit(constant))
+               : ScalarExpr::Compare(op, lit(constant), std::move(column));
+  };
+  switch (rng->Below(14)) {
+    case 0:
+      return with_constant(col("e_i"), Value::Int64(rng->Range(-5, 5)));
+    case 1:
+      return with_constant(
+          col("e_i"), Value::Int64(rng->Below(2) == 0
+                                       ? std::numeric_limits<int64_t>::min()
+                                       : std::numeric_limits<int64_t>::max()));
+    case 2:  // an Int64 column against a Double literal
+      return with_constant(
+          col("e_i"), Value::Double(rng->Below(2) == 0 ? 9223372036854775807.0
+                                                       : 2.5));
+    case 3: {
+      const double c[] = {std::numeric_limits<double>::quiet_NaN(), 0.0,
+                          -0.0, 7.0};
+      return with_constant(col("e_d"), Value::Double(c[rng->Below(4)]));
+    }
+    case 4: {  // seen, empty and unseen string constants
+      const char* c[] = {"s3", "", "unseen", "s1"};
+      return with_constant(col("e_s"), Value::String(c[rng->Below(4)]));
+    }
+    case 5:
+      return with_constant(col("e_t"), Value::Date(1995, 6, 1));
+    case 6:  // a NULL constant compares false
+      return with_constant(col(rng->Below(2) == 0 ? "e_i" : "e_s"),
+                           Value::Null());
+    case 7:  // mixed rank: decided by type rank for non-null cells
+      return rng->Below(2) == 0
+                 ? with_constant(col("e_s"), Value::Int64(3))
+                 : with_constant(col("e_d"), Value::String("s3"));
+    case 8:  // column op column
+      return rng->Below(2) == 0
+                 ? ScalarExpr::Compare(op, col("e_i"), col("e_d"))
+                 : ScalarExpr::Compare(op, col("e_s"), col("e_s"));
+    case 9:
+      return ScalarExpr::Logical(
+          LogicalOp::kOr,
+          ScalarExpr::Compare(op, col("e_k"), lit(Value::Int64(25))),
+          ScalarExpr::Compare(CompareOp::kEq, col("e_s"),
+                              lit(Value::String("s7"))));
+    case 10:
+      return ScalarExpr::Not(
+          ScalarExpr::Compare(op, col("e_d"), lit(Value::Double(0.0))));
+    case 11:  // arithmetic under a compare
+      return ScalarExpr::Compare(
+          op,
+          ScalarExpr::Arith(ArithOp::kAdd, col("e_k"), lit(Value::Int64(3))),
+          lit(Value::Int64(30)));
+    case 12:  // arithmetic as a truth value (0, NaN and NULL included)
+      return ScalarExpr::Arith(ArithOp::kMul, col("e_d"),
+                               lit(Value::Double(2.0)));
+    default:  // a bare string column as a truth value ("" is false)
+      return col("e_s");
+  }
+}
+
+TEST_P(KernelDifferentialTest, RandomConjunctionsMatchReference) {
+  const uint64_t seed = GetParam() + testutil::PropertySeed(0);
+  SCOPED_TRACE(testutil::SeedTrace(seed));
+  tpcd::Rng rng(seed);
+  for (size_t n : {size_t{0}, size_t{1}, kBatchRows - 1, kBatchRows,
+                   kBatchRows + 1}) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    Rows input = EdgeRows(n, &rng);
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<ScalarExpr::Ptr> terms(1 + rng.Below(4));
+      for (ScalarExpr::Ptr& term : terms) term = RandomConjunct(&rng);
+      const ScalarExpr::Ptr pred = ScalarExpr::AndAll(terms);
+      SCOPED_TRACE(ExprToSql(pred));
+      // A random subset of the columns, kept in schema order.
+      std::vector<size_t> kept;
+      for (size_t c = 0; c < input.schema.num_columns(); ++c) {
+        if (rng.Below(2) == 0) kept.push_back(c);
+      }
+      ExpectMatchesReference(
+          [&](OperatorStats* stats) {
+            Rows all = reference::Filter(input, pred, stats);
+            Rows out(all.schema.Project(kept));
+            for (const auto& [tuple, count] : all.rows()) {
+              out.Add(tuple.Project(kept), count);
+            }
+            return out;
+          },
+          [&](OperatorStats* stats, ThreadPool* pool) {
+            return Filter(input, pred, stats, pool, nullptr, &kept);
           });
     }
   }

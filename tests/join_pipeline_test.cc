@@ -94,6 +94,37 @@ TEST(JoinPipelineTest, DisconnectedSourceIsCrossProduct) {
   EXPECT_EQ(joined.rows().size(), 6u);
 }
 
+TEST(JoinPipelineTest, ConjunctReadingNoColumnStillFilters) {
+  // `1 = 0` reads no column; it runs at the first scan instead of being
+  // dropped, with one source or several.
+  ScalarExpr::Ptr never = ScalarExpr::Compare(
+      CompareOp::kEq, ScalarExpr::Literal(Value::Int64(1)),
+      ScalarExpr::Literal(Value::Int64(0)));
+  Rows a = TripleRows("A", {{1, 10, 0}, {2, 20, 1}});
+  Rows b = TripleRows("B", {{1, 5, 0}, {2, 6, 1}});
+  auto two = ViewDefinitionBuilder("V")
+                 .From("A")
+                 .From("B")
+                 .JoinOn("A_k", "B_k")
+                 .Where(never)
+                 .SelectColumn("A_k", "V_k")
+                 .Build();
+  EXPECT_EQ(EvalJoinPipeline(*two, {a, b}, nullptr).size(), 0u);
+  EXPECT_EQ(EvalRawPipeline(*two, {a, b}, nullptr).size(), 0u);
+  auto one = ViewDefinitionBuilder("W")
+                 .From("A")
+                 .Where(never)
+                 .SelectColumn("A_k", "W_k")
+                 .Build();
+  EXPECT_EQ(EvalRawPipeline(*one, {a}, nullptr).size(), 0u);
+  auto kept = ViewDefinitionBuilder("U")
+                  .From("A")
+                  .Where(ScalarExpr::True())
+                  .SelectColumn("A_k", "U_k")
+                  .Build();
+  EXPECT_EQ(EvalRawPipeline(*kept, {a}, nullptr).size(), 2u);
+}
+
 TEST(JoinPipelineTest, MultipleEdgesToSameSourceBecomeCompositeKey) {
   // Join on both _k and _g simultaneously.
   auto def = ViewDefinitionBuilder("V")
@@ -113,8 +144,7 @@ TEST(JoinPipelineTest, RawProjectionForAggregateViews) {
   auto def = testutil::AggTripleView("V", {"A", "B"});
   Rows a = TripleRows("A", {{1, 10, 2}});
   Rows b = TripleRows("B", {{1, 5, 0}});
-  Rows joined = EvalJoinPipeline(*def, {a, b}, nullptr);
-  Rows raw = ProjectToRaw(*def, joined, nullptr);
+  Rows raw = EvalRawPipeline(*def, {a, b}, nullptr);
   // Raw schema: group keys (V_k, V_g) + __arg0 for the SUM.
   EXPECT_EQ(raw.schema.num_columns(), 3u);
   EXPECT_EQ(raw.schema.column(2).name, "__arg0");
@@ -122,7 +152,7 @@ TEST(JoinPipelineTest, RawProjectionForAggregateViews) {
   EXPECT_EQ(raw.rows()[0].first.value(2).AsInt64(), 15);  // A_v + B_v
 }
 
-TEST(JoinPipelineTest, RawSchemaMatchesProjectToRaw) {
+TEST(JoinPipelineTest, RawSchemaMatchesRawPipeline) {
   auto def = testutil::AggTripleView("V", {"A", "B"});
   Schema from_helper = RawSchema(*def, [&](const std::string& n) -> const Schema& {
     static Schema a = TripleSchema("A");
@@ -131,8 +161,7 @@ TEST(JoinPipelineTest, RawSchemaMatchesProjectToRaw) {
   });
   Rows a = TripleRows("A", {{1, 10, 2}});
   Rows b = TripleRows("B", {{1, 5, 0}});
-  Rows raw = ProjectToRaw(*def, EvalJoinPipeline(*def, {a, b}, nullptr),
-                          nullptr);
+  Rows raw = EvalRawPipeline(*def, {a, b}, nullptr);
   EXPECT_EQ(from_helper, raw.schema);
 }
 

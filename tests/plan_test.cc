@@ -3,11 +3,16 @@
 // result reuse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+
 #include "plan/plan_executor.h"
 #include "plan/plan_node.h"
 #include "plan/subplan_cache.h"
 #include "stats/plan_cardinality.h"
 #include "test_util.h"
+#include "tpcd/tpcd_views.h"
 #include "view/join_pipeline.h"
 
 namespace wuw {
@@ -337,13 +342,217 @@ TEST(PlanPipelineTest, BuildJoinPlanMatchesEvalJoinPipeline) {
   PlanDag dag;
   std::vector<PlanNodeId> leaves = {dag.InternTableScan("A", a, 0, 0),
                                     dag.InternTableScan("B", b, 0, 0)};
-  PlanNodeId root = BuildJoinPlan(*def, leaves, &dag);
+  PlanNodeId root = BuildJoinPlan(*def, leaves, PipelineWidth::kFull, &dag);
   OperatorStats plan_stats;
   PlanExecutor exec(dag, nullptr);
   Rows from_plan = *exec.Execute(root, &plan_stats);
 
   EXPECT_TRUE(ToTable(eager).ContentsEqual(ToTable(from_plan)));
   EXPECT_EQ(eager_stats, plan_stats);
+}
+
+// ---------------------------------------------------------------------------
+// Column pruning: a term lowered at PipelineWidth::kRaw must compute the
+// raw rows, in the same order and with the same OperatorStats, as the
+// full-width lowering, while every pruned node carries only columns some
+// ancestor reads.
+
+/// One Comp-style term of `def` lowered at `width` and executed: source i
+/// scans its base delta when bit i of `delta_mask` is set, its extent
+/// otherwise.  With a non-null `prefix`, the first `prefix_len` sources are
+/// replaced by that materialized join prefix (an aux-view stand-in).
+struct LoweredTerm {
+  PlanDag dag;
+  PlanNodeId root = -1;
+  Rows raw;
+  OperatorStats stats;
+};
+
+void LowerTerm(const Warehouse& w, const ViewDefinition& def,
+               uint64_t delta_mask, const Rows* prefix, size_t prefix_len,
+               PipelineWidth width, LoweredTerm* out) {
+  PlanDag& dag = out->dag;
+  std::vector<PlanNodeId> inputs;
+  std::vector<const Schema*> schemas;
+  for (size_t i = 0; i < def.num_sources(); ++i) {
+    const std::string& src = def.sources()[i];
+    const Table& table = *w.catalog().MustGetTable(src);
+    schemas.push_back(&table.schema());
+    if (prefix != nullptr && i < prefix_len) continue;
+    inputs.push_back(delta_mask >> i & 1
+                         ? dag.InternDeltaScan(src, w.base_delta(src), 0)
+                         : dag.InternTableScan(src, table, 0, 0));
+  }
+  PlanNodeId joined =
+      prefix == nullptr
+          ? BuildJoinPlan(def, inputs, width, &dag)
+          : BuildJoinPlanFromPrefix(def, schemas, dag.InternRowsScan(*prefix),
+                                    prefix_len, inputs, width, &dag);
+  out->root = BuildRawProjectionPlan(def, joined, &dag);
+  PlanExecutor exec(dag, nullptr);
+  out->raw = *exec.Execute(out->root, &out->stats);
+}
+
+/// The full-width join of def's first `k` sources over their extents: the
+/// rows an aux view materializing that prefix holds.
+Rows PrefixRows(const Warehouse& w, const ViewDefinition& def, size_t k) {
+  ViewDefinitionBuilder b("prefix");
+  std::vector<Rows> inputs;
+  std::vector<const Schema*> schemas;
+  for (size_t i = 0; i < k; ++i) {
+    b.From(def.sources()[i]);
+    const Table& table = *w.catalog().MustGetTable(def.sources()[i]);
+    inputs.push_back(Rows::FromTable(table));
+    schemas.push_back(&table.schema());
+  }
+  auto inside = [&](const std::string& col) {
+    for (const Schema* schema : schemas) {
+      if (schema->HasColumn(col)) return true;
+    }
+    return false;
+  };
+  for (const JoinCondition& jc : def.joins()) {
+    if (inside(jc.left_column) && inside(jc.right_column)) {
+      b.JoinOn(jc.left_column, jc.right_column);
+    }
+  }
+  for (const ScalarExpr::Ptr& conjunct : def.filters()) {
+    std::vector<std::string> cols = conjunct->ReferencedColumns();
+    if (!cols.empty() && std::all_of(cols.begin(), cols.end(), inside)) {
+      b.Where(conjunct);
+    }
+  }
+  for (const Schema* schema : schemas) {
+    for (const Column& col : schema->columns()) b.SelectColumn(col.name);
+  }
+  return EvalJoinPipeline(*b.Build(), std::move(inputs), nullptr);
+}
+
+/// Every column a node below the raw projection `root` emits is read by
+/// one of its ancestors: a join key, a filter predicate or the projection.
+void ExpectNoUnreadColumns(const PlanDag& dag, PlanNodeId id,
+                           std::set<std::string> read_above) {
+  const PlanNode& n = dag.node(id);
+  if (n.is_leaf()) return;
+  for (const Column& col : n.schema.columns()) {
+    EXPECT_EQ(read_above.count(col.name), 1u)
+        << PlanNodeLabel(n) << " #" << id << " carries " << col.name
+        << ", which nothing above it reads";
+  }
+  if (n.kind == PlanNodeKind::kFilter) {
+    for (const std::string& c : n.filter.predicate->ReferencedColumns()) {
+      read_above.insert(c);
+    }
+    ExpectNoUnreadColumns(dag, n.children[0], read_above);
+  } else if (n.kind == PlanNodeKind::kHashJoin) {
+    std::set<std::string> left = read_above, right = read_above;
+    left.insert(n.join.keys.left_columns.begin(),
+                n.join.keys.left_columns.end());
+    right.insert(n.join.keys.right_columns.begin(),
+                 n.join.keys.right_columns.end());
+    ExpectNoUnreadColumns(dag, n.children[0], left);
+    ExpectNoUnreadColumns(dag, n.children[1], right);
+  }
+}
+
+void ExpectRawIdentical(const Rows& expect, const Rows& got) {
+  ASSERT_EQ(expect.schema, got.schema);
+  ASSERT_EQ(expect.rows().size(), got.rows().size());
+  for (size_t i = 0; i < expect.rows().size(); ++i) {
+    EXPECT_TRUE(expect.rows()[i].first == got.rows()[i].first) << "row " << i;
+    EXPECT_EQ(expect.rows()[i].second, got.rows()[i].second) << "row " << i;
+  }
+}
+
+/// Sum of the widths of every Filter and HashJoin in the DAG.
+size_t InteriorWidth(const PlanDag& dag) {
+  size_t width = 0;
+  for (size_t id = 0; id < dag.size(); ++id) {
+    const PlanNode& n = dag.node(static_cast<PlanNodeId>(id));
+    if (n.kind == PlanNodeKind::kFilter || n.kind == PlanNodeKind::kHashJoin) {
+      width += n.schema.num_columns();
+    }
+  }
+  return width;
+}
+
+/// Lowers every term of every derived view with at most two delta
+/// operands (deltas of base sources only), with and without a prefix, at
+/// both widths, and compares.  Returns the interior widths summed over all
+/// terms at {kRaw, kFull}.
+std::pair<size_t, size_t> CheckPrunedLowering(const Warehouse& w) {
+  size_t raw_width = 0, full_width = 0;
+  for (const std::string& name : w.vdag().DerivedViewsBottomUp()) {
+    const ViewDefinition& def = *w.vdag().definition(name);
+    const size_t n = def.num_sources();
+    for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+      bool base_only = true;
+      for (size_t i = 0; i < n; ++i) {
+        if ((mask >> i & 1) && !w.vdag().IsBaseView(def.sources()[i])) {
+          base_only = false;
+        }
+      }
+      if (!base_only || __builtin_popcountll(mask) > 2) continue;
+      SCOPED_TRACE(name + " mask " + std::to_string(mask));
+      LoweredTerm full, pruned;
+      LowerTerm(w, def, mask, nullptr, 0, PipelineWidth::kFull, &full);
+      LowerTerm(w, def, mask, nullptr, 0, PipelineWidth::kRaw, &pruned);
+      ExpectRawIdentical(full.raw, pruned.raw);
+      EXPECT_EQ(full.stats, pruned.stats);
+      ExpectNoUnreadColumns(pruned.dag, pruned.dag.node(pruned.root).children[0],
+                            [&] {
+                              std::set<std::string> read;
+                              for (const ProjectItem& item :
+                                   pruned.dag.node(pruned.root).project.items) {
+                                for (const std::string& c :
+                                     item.expr->ReferencedColumns()) {
+                                  read.insert(c);
+                                }
+                              }
+                              return read;
+                            }());
+      raw_width += InteriorWidth(pruned.dag);
+      full_width += InteriorWidth(full.dag);
+
+      // An aux-view prefix stands in for the leading full operands.
+      for (size_t k = 2; k < n; ++k) {
+        if ((mask & ((uint64_t{1} << k) - 1)) != 0) break;
+        SCOPED_TRACE("prefix " + std::to_string(k));
+        const Rows prefix = PrefixRows(w, def, k);
+        LoweredTerm pfull, ppruned;
+        LowerTerm(w, def, mask, &prefix, k, PipelineWidth::kFull, &pfull);
+        LowerTerm(w, def, mask, &prefix, k, PipelineWidth::kRaw, &ppruned);
+        ExpectRawIdentical(full.raw, pfull.raw);
+        ExpectRawIdentical(pfull.raw, ppruned.raw);
+        EXPECT_EQ(pfull.stats, ppruned.stats);
+      }
+    }
+  }
+  return {raw_width, full_width};
+}
+
+TEST(PlanPruningTest, TpcdTermsPrunedMatchFullWidth) {
+  tpcd::GeneratorOptions options;
+  options.scale_factor = 0.002;
+  options.seed = 31;
+  Warehouse w = tpcd::MakeExtendedTpcdWarehouse(options);
+  tpcd::ApplyPaperChangeWorkload(&w, 0.10, 0.05, 32);
+  const auto [raw_width, full_width] = CheckPrunedLowering(w);
+  // Q5's last join alone carries 28 columns for the 3 its projection reads.
+  EXPECT_LT(raw_width * 2, full_width);
+}
+
+TEST(PlanPruningTest, RandomVdagTermsPrunedMatchFullWidth) {
+  const uint64_t seed = testutil::PropertySeed(4101);
+  SCOPED_TRACE(testutil::SeedTrace(seed));
+  for (uint64_t trial = 0; trial < 6; ++trial) {
+    tpcd::Rng rng(seed + trial);
+    Warehouse w = testutil::MakeLoadedWarehouse(
+        testutil::RandomVdag(&rng, 4, 5), 40, seed + trial);
+    testutil::ApplyTripleChanges(&w, 0.2, 6, seed + trial);
+    const auto [raw_width, full_width] = CheckPrunedLowering(w);
+    EXPECT_LE(raw_width, full_width);
+  }
 }
 
 TEST(PlanCardinalityTest, AnnotationsAreMonotoneUpTheDag) {

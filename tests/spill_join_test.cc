@@ -99,7 +99,7 @@ struct JoinRun {
 };
 
 JoinRun RunJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
-                Route route) {
+                Route route, const std::vector<size_t>* columns = nullptr) {
   paged::PagedOptions options;
   options.budget_bytes = 1 << 20;
   options.page_bytes = kPageBytes;  // spills span many frames
@@ -132,7 +132,7 @@ JoinRun RunJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
   obs::ResetMetrics();
   const paged::PagedStatsSnapshot before = paged::GlobalPagedStats();
   JoinRun run;
-  run.out = HashJoin(left, right, keys, &run.stats);
+  run.out = HashJoin(left, right, keys, &run.stats, nullptr, nullptr, columns);
   const paged::PagedStatsSnapshot after = paged::GlobalPagedStats();
   run.paged.spilled_partitions =
       after.spilled_partitions - before.spilled_partitions;
@@ -178,10 +178,12 @@ obs::MetricsSnapshot VecKernelCounters(const Rows& left, const Rows& right,
   const int64_t rn = static_cast<int64_t>(right.size());
   const int64_t per_batch = static_cast<int64_t>(kBatchRows);
   const int64_t arity = static_cast<int64_t>(lidx.size());
-  int64_t cmps = 0;
+  int64_t cmps = 0, emitted = 0;
   for (const auto& [ltuple, lcount] : left.rows()) {
     for (const auto& [rtuple, rcount] : right.rows()) {
-      if (KeysEqual(ltuple, lidx, rtuple, ridx)) ++cmps;
+      if (!KeysEqual(ltuple, lidx, rtuple, ridx)) continue;
+      ++cmps;
+      if (lcount * rcount != 0) ++emitted;
     }
   }
   int64_t lookups = 0;
@@ -203,6 +205,10 @@ obs::MetricsSnapshot VecKernelCounters(const Rows& left, const Rows& right,
   };
   put("engine.vec.batches",
       (ln + per_batch - 1) / per_batch + (rn + per_batch - 1) / per_batch);
+  // Every emitted row gathers each column of left ++ right.
+  put("engine.vec.cells_gathered",
+      emitted * static_cast<int64_t>(left.schema.num_columns() +
+                                     right.schema.num_columns()));
   put("engine.vec.key_cmps", cmps);
   put("engine.vec.key_mixes", (ln + rn) * arity);
   put("engine.vec.rows", ln + rn);
@@ -309,6 +315,38 @@ TEST(SpillJoinTest, EveryRouteMatchesTheUnarmedKernel) {
       const Rows left = MakeSide("l", ln, &rng);
       const Rows right = MakeSide("r", rn, &rng);
       CheckAllRoutes(left, right, *keys);
+    }
+  }
+}
+
+// A plan node that keeps a subset of left ++ right gets exactly those
+// columns, in order, from every route, with the full join's rows, order
+// and stats.
+TEST(SpillJoinTest, EveryRouteEmitsOnlyTheKeptColumns) {
+  const uint64_t seed = testutil::PropertySeed(337);
+  SCOPED_TRACE(testutil::SeedTrace(seed));
+  std::mt19937_64 rng(seed);
+  const Rows left = MakeSide("l", 40, &rng);
+  const Rows right = MakeSide("r", 300, &rng);
+  OperatorStats oracle_stats;
+  const Rows full = reference::Join(left, right, kOneKey, &oracle_stats);
+  const std::vector<std::vector<size_t>> subsets = {
+      {}, {0}, {4}, {1, 3}, {0, 2, 5}, {0, 1, 2, 3, 4, 5}};
+  for (const std::vector<size_t>& kept : subsets) {
+    SCOPED_TRACE("kept " + std::to_string(kept.size()) + " columns");
+    for (Route route : {Route::kUnarmed, Route::kResident, Route::kProbeSide,
+                        Route::kGrace}) {
+      SCOPED_TRACE("route " + RouteName(route));
+      const JoinRun run = RunJoin(left, right, kOneKey, route, &kept);
+      ASSERT_EQ(run.out.schema, full.schema.Project(kept));
+      ASSERT_EQ(run.out.rows().size(), full.rows().size());
+      for (size_t i = 0; i < full.rows().size(); ++i) {
+        ASSERT_EQ(run.out.rows()[i].first, full.rows()[i].first.Project(kept))
+            << "row " << i;
+        ASSERT_EQ(run.out.rows()[i].second, full.rows()[i].second)
+            << "row " << i;
+      }
+      EXPECT_EQ(run.stats, oracle_stats);
     }
   }
 }

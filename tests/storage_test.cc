@@ -336,6 +336,16 @@ TEST(TableTest, HasEqualRowsMatchesTupleEquality) {
               << tuple.ToString();
         }
         EXPECT_FALSE(t.rows_materialized());
+        // A resident table agrees, even looked up through a copy of its
+        // own tuple, which shares the stored representation.
+        Table resident(s);
+        for (const auto& [tuple, count] : rows) resident.Add(tuple, count);
+        for (const auto& [tuple, count] : rows) {
+          const Tuple shared = tuple;
+          const Tuple fresh(std::vector<Value>(tuple.values()));
+          EXPECT_EQ(resident.Count(shared), fresh == tuple ? count : 0)
+              << tuple.ToString();
+        }
       }
     }
   }

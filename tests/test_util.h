@@ -9,12 +9,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/warehouse.h"
 #include "graph/vdag.h"
+#include "reference/reference_views.h"
 #include "tpcd/change_generator.h"
 #include "tpcd/tpcd_generator.h"
 #include "view/view_definition.h"
@@ -236,19 +238,30 @@ inline void ApplyTripleChanges(Warehouse* w, double delete_fraction,
   }
 }
 
-/// Recomputes all derived views from scratch on a clone and returns the
-/// clone's catalog — the ground-truth final state for convergence tests.
+/// The ground-truth final state for convergence tests: a clone's catalog
+/// with the base deltas installed and every derived view evaluated by the
+/// independent reference evaluator (reference/reference_views.h), not by
+/// the engine under test.
 inline Catalog GroundTruthAfterChanges(const Warehouse& w) {
   Warehouse clone = w.Clone();
-  // Install base deltas directly, then recompute derived views.  Mutate
-  // through base_table (version bump + copy-on-write detach) so an armed
-  // clone keeps its published snapshot frozen and passes the publish audit.
+  // Install base deltas directly.  Mutate through base_table / MutableExtent
+  // (version bump + copy-on-write detach) so an armed clone keeps its
+  // published snapshot frozen and passes the publish audit.
+  std::map<std::string, reference::Relation> bases;
   for (const std::string& name : clone.vdag().BaseViews()) {
     const DeltaRelation& delta = clone.base_delta(name);
     Table* table = clone.base_table(name);
     delta.ForEach([&](const Tuple& t, int64_t c) { table->Add(t, c); });
+    reference::Relation& rows = bases[name];
+    table->ForEach([&](const Tuple& t, int64_t c) { rows.emplace_back(t, c); });
   }
-  clone.RecomputeDerived();
+  for (const auto& [name, rows] :
+       reference::EvalDerivedViews(clone.vdag(), std::move(bases))) {
+    Table* table = clone.MutableExtent(name);
+    table->Clear();
+    for (const auto& [tuple, count] : rows) table->Add(tuple, count);
+    clone.NoteExtentChanged(name);
+  }
   return std::move(clone.catalog());
 }
 
