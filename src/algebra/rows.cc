@@ -196,20 +196,7 @@ void Rows::SetCachedCardinalities(int64_t signed_card, int64_t abs_card) const {
 }
 
 Rows Rows::FromTable(const Table& table) {
-  if (!table.rows_materialized()) {
-    // A faulted-in table that has built no rows: its image is its content.
-    Rows out = FromColumnar(table.ColumnarSnapshot());
-    out.schema = table.schema();
-    return out;
-  }
-  Rows out(table.schema());
-  out.rows_ = table.SharedRows();
-  // Table multiplicities are strictly positive, so both cardinalities equal
-  // |V| — and the table's cached columnar snapshot transfers as-is.
-  out.SetCachedCardinalities(table.cardinality(), table.cardinality());
-  std::shared_ptr<const ColumnTable> snapshot = table.ColumnarSnapshot();
-  if (snapshot != nullptr) out.AttachColumnar(std::move(snapshot));
-  return out;
+  return FromColumnar(table.ColumnarSnapshot());
 }
 
 Rows Rows::FromColumnar(std::shared_ptr<const ColumnTable> table) {

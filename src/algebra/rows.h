@@ -95,10 +95,8 @@ struct Rows {
   /// like SignedCardinality.
   int64_t AbsCardinality() const;
 
-  /// Snapshot of a table as +1-weighted rows (multiplicities preserved).
-  /// Shares the table's row block in O(1) and carries its cardinality and
-  /// columnar snapshot along; a faulted-in table that has not built its
-  /// rows yields a columnar-only batch over its image (FromColumnar).
+  /// Snapshot of a table: the columnar-only batch over its image
+  /// (FromColumnar), shared in O(1).
   static Rows FromTable(const Table& table);
 
   /// Columnar-only batch whose content is exactly `table` (non-null).

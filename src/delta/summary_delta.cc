@@ -4,6 +4,7 @@
 
 #include "algebra/aggregate.h"
 #include "common/check.h"
+#include "storage/column_table.h"
 #include "view/join_pipeline.h"
 
 namespace wuw {
@@ -33,26 +34,43 @@ DeltaRelation FinalizeAggregateDelta(const ViewDefinition& def,
       AggregateSigned(raw, def.GroupKeyNames(), RawAggSpecs(def), stats);
   if (summary.empty()) return delta;
 
-  // Index the current extent by group key.  (A production system would keep
-  // a key index on the summary table; a one-pass scan models the same
-  // merge-style install and costs the same for every strategy, so it never
-  // affects strategy comparisons.)
+  // Find each changed group's current row: one pass over the extent's
+  // image hashing only the key columns (the leading ones), materializing
+  // only the rows that match.  (A production system would keep a key index
+  // on the summary table; a one-pass scan models the same merge-style
+  // install and costs the same for every strategy, so it never affects
+  // strategy comparisons.)
   std::vector<size_t> key_idx;
   for (size_t i = 0; i < num_keys; ++i) key_idx.push_back(i);
-  std::unordered_map<Tuple, Tuple, TupleHash> current_by_key;
-  current_by_key.reserve(current.distinct_size());
-  current.ForEach([&](const Tuple& row, int64_t count) {
-    WUW_CHECK(count == 1, "aggregate view rows must have multiplicity 1");
-    current_by_key.emplace(row.Project(key_idx), row);
-    if (stats != nullptr) stats->rows_scanned += 1;
-  });
+  const RowVec& changes = summary.rows();
+  std::vector<Tuple> keys;
+  keys.reserve(changes.size());
+  std::unordered_multimap<uint64_t, size_t> by_hash;
+  for (size_t s = 0; s < changes.size(); ++s) {
+    keys.push_back(changes[s].first.Project(key_idx));
+    by_hash.emplace(ColumnTable::TupleRowHash(keys.back()), s);
+  }
+  std::vector<Tuple> old_rows(changes.size());  // empty: no current row
+  std::shared_ptr<const ColumnTable> image = current.ColumnarSnapshot();
+  for (size_t i = 0; i < image->num_rows(); ++i) {
+    WUW_CHECK(image->mult()[i] == 1,
+              "aggregate view rows must have multiplicity 1");
+    auto [first, last] = by_hash.equal_range(image->PrefixHash(i, num_keys));
+    for (auto it = first; it != last; ++it) {
+      if (image->PrefixEquals(i, keys[it->second])) {
+        old_rows[it->second] = image->TupleAt(i);
+      }
+    }
+  }
+  if (stats != nullptr) {
+    stats->rows_scanned += static_cast<int64_t>(image->num_rows());
+  }
 
-  for (const auto& [srow, smult] : summary.rows()) {
+  for (size_t s = 0; s < changes.size(); ++s) {
+    const auto& [srow, smult] = changes[s];
     WUW_CHECK(smult == 1, "summary rows are +1 weighted");
-    Tuple key = srow.Project(key_idx);
-
-    auto it = current_by_key.find(key);
-    const Tuple* old_row = it == current_by_key.end() ? nullptr : &it->second;
+    const Tuple& key = keys[s];
+    const Tuple* old_row = old_rows[s].size() > 0 ? &old_rows[s] : nullptr;
 
     int64_t old_count =
         old_row ? old_row->value(num_keys + num_aggs).AsInt64() : 0;

@@ -35,6 +35,18 @@ ParallelStrategy Singletons(const Strategy& strategy) {
   return out;
 }
 
+// True when a journaled step's logged effect has the schema its view takes:
+// the accumulator's raw schema for a Comp, the extent's for an Inst.
+bool FitsView(const JournalEntry& entry, Warehouse* warehouse) {
+  const Expression& e = entry.expression;
+  if (e.is_comp()) {
+    return entry.comp_raw.schema ==
+           warehouse->accumulator(e.view)->raw_schema();
+  }
+  return entry.installed.schema() ==
+         warehouse->catalog().MustGetTable(e.view)->schema();
+}
+
 // Replays one journaled step's durable effect onto `warehouse`.  No join
 // work runs: a Comp re-accumulates the logged raw rows, an Inst re-applies
 // the logged finalized delta.  Execution is deterministic, so the replayed
@@ -362,8 +374,13 @@ ExecutionReport Executor::Run(ParallelStrategy plan, bool staged,
       WUW_CHECK(entry.step >= 0 &&
                     entry.step < static_cast<int64_t>(linear.size()),
                 "journal step out of strategy range");
+      // An effect logged with another schema than its view's (a journal of
+      // some other warehouse) reads as the torn tail: it and every later
+      // step execute live, as after a truncated journal.
+      if (resumed->replay && !FitsView(entry, warehouse_)) break;
       WUW_CHECK(completed[entry.step] == 0, "duplicate journal step");
       completed[entry.step] = 1;
+      ++report.steps_replayed;
       if (resumed->replay) ReplayEntry(entry, warehouse_);
       if (journal != nullptr) {
         JournalEntry copy = entry;
@@ -376,7 +393,6 @@ ExecutionReport Executor::Run(ParallelStrategy plan, bool staged,
         journal->Record(std::move(copy));
       }
     }
-    report.steps_replayed = static_cast<int64_t>(resumed->done.size());
     WUW_METRIC_ADD("resume.steps_replayed", obs::MetricClass::kWork,
                    report.steps_replayed);
   }

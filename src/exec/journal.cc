@@ -10,6 +10,7 @@
 #include "common/crc32.h"
 #include "fault/fault_injection.h"
 #include "obs/metrics.h"
+#include "storage/column_table.h"
 
 namespace wuw {
 
@@ -324,6 +325,9 @@ bool GetSchema(ByteReader* r, Schema* out) {
   return true;
 }
 
+// GetRows and GetDelta reject a row that does not fit its decoded schema
+// (arity, or a non-NULL cell of another type): a CRC-valid record this
+// version never wrote, which must not reach Table::Add on replay.
 bool GetRows(ByteReader* r, Rows* out) {
   Schema schema;
   if (!GetSchema(r, &schema)) return false;
@@ -334,7 +338,7 @@ bool GetRows(ByteReader* r, Rows* out) {
   rows.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     Tuple t;
-    if (!GetTuple(r, &t)) return false;
+    if (!GetTuple(r, &t) || !TupleFitsSchema(out->schema, t)) return false;
     int64_t count = r->I64();
     rows.emplace_back(std::move(t), count);
   }
@@ -349,7 +353,7 @@ bool GetDelta(ByteReader* r, DeltaRelation* out) {
   *out = DeltaRelation(std::move(schema));
   for (uint64_t i = 0; i < n; ++i) {
     Tuple t;
-    if (!GetTuple(r, &t)) return false;
+    if (!GetTuple(r, &t) || !TupleFitsSchema(out->schema(), t)) return false;
     int64_t count = r->I64();
     if (!r->ok) return false;
     out->Add(t, count);

@@ -147,8 +147,9 @@ std::string SerializeJournal(const StrategyJournal& journal);
 
 /// Decodes `bytes` into `*out` (Clear + Begin + Record...).  Returns false
 /// and fills *error iff the header is damaged.  Damage in the record
-/// stream truncates to the longest valid record prefix and still returns
-/// true, setting `*torn` (optional) when anything was dropped.
+/// stream — including a row that does not fit its logged schema —
+/// truncates to the longest valid record prefix and still returns true,
+/// setting `*torn` (optional) when anything was dropped.
 bool DeserializeJournal(const std::string& bytes, StrategyJournal* out,
                         std::string* error, bool* torn = nullptr);
 

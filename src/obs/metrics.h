@@ -171,9 +171,6 @@ class ServeScope {
   bool prev_;
 };
 
-/// True on a thread currently inside a ServeScope.
-inline bool InServeScope() { return internal::g_in_serve_scope; }
-
 }  // namespace obs
 }  // namespace wuw
 

@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 #include "query/ad_hoc.h"
+#include "storage/column_table.h"
 
 namespace wuw {
 
@@ -170,11 +171,11 @@ uint64_t SnapshotFingerprint(const ReadSnapshot& snapshot,
     mix(std::hash<std::string>{}(name));
     mix(static_cast<uint64_t>(table->cardinality()));
     mix(static_cast<uint64_t>(table->distinct_size()));
-    const auto& rows = table->dense_rows();
-    const size_t n = std::min(rows.size(), max_rows_per_table);
+    std::shared_ptr<const ColumnTable> image = table->ColumnarSnapshot();
+    const size_t n = std::min(image->num_rows(), max_rows_per_table);
     for (size_t i = 0; i < n; ++i) {
-      mix(rows[i].first.Hash());
-      mix(static_cast<uint64_t>(rows[i].second));
+      mix(image->RowHash(i));
+      mix(static_cast<uint64_t>(image->mult()[i]));
     }
   }
   return h;

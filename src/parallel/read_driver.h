@@ -83,9 +83,10 @@ struct ReadSessionReport {
 ReadSessionReport RunReadSessions(const Warehouse& warehouse,
                                   const ReadSessionOptions& options);
 
-/// Order-insensitive digest of a snapshot's visible contents (first
-/// `max_rows_per_table` rows per table + cardinalities).  Two fingerprints
-/// of one pinned snapshot must always match — the torn-read detector.
+/// Digest of a snapshot's visible contents: cardinalities and the first
+/// `max_rows_per_table` rows of each table's image, in dense order.  Two
+/// fingerprints of one pinned snapshot must always match — the torn-read
+/// detector.
 uint64_t SnapshotFingerprint(const ReadSnapshot& snapshot,
                              size_t max_rows_per_table);
 

@@ -96,9 +96,9 @@ void Catalog::ReplaceTable(const std::string& name,
 Catalog Catalog::Clone() const {
   Catalog out;
   for (const std::string& name : names_) {
+    // A Table copy shares the image and index until either side edits.
     const Table* src = MustGetTable(name);
-    Table* dst = out.CreateTable(name, src->schema());
-    src->ForEach([&](const Tuple& t, int64_t c) { dst->Add(t, c); });
+    *out.CreateTable(name, src->schema()) = *src;
   }
   return out;
 }

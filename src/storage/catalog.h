@@ -64,7 +64,8 @@ class Catalog {
   /// written.  Aborts if the name is absent.
   void ReplaceTable(const std::string& name, std::shared_ptr<Table> table);
 
-  /// Deep copy of all tables.
+  /// Copy of all tables; each shares its source's storage copy-on-write,
+  /// so an edit on either side never shows on the other.
   Catalog Clone() const;
 
   /// True iff both catalogs hold the same *visible* tables with identical

@@ -71,29 +71,28 @@ ColumnTable::ColumnTable(Schema schema) : schema_(std::move(schema)) {
 
 std::shared_ptr<ColumnTable> ColumnTable::FromRows(
     const Schema& schema,
-    const std::vector<std::pair<Tuple, int64_t>>& rows, size_t spare_rows) {
+    const std::vector<std::pair<Tuple, int64_t>>& rows) {
   if (rows.size() >= kNullStringCode) return nullptr;
   auto out = std::make_shared<ColumnTable>(schema);
   const size_t ncols = schema.num_columns();
   const size_t n = rows.size();
-  const size_t capacity = n + spare_rows;
   std::vector<std::shared_ptr<StringDict>> dicts(ncols);
   for (size_t c = 0; c < ncols; ++c) {
     ColumnVec& col = out->columns_[c];
     switch (col.type) {
       case TypeId::kString:
         dicts[c] = std::make_shared<StringDict>();
-        col.codes.reserve(capacity);
+        col.codes.reserve(n);
         break;
       case TypeId::kDouble:
-        col.dbls.reserve(capacity);
+        col.dbls.reserve(n);
         break;
       default:
-        col.ints.reserve(capacity);
+        col.ints.reserve(n);
         break;
     }
   }
-  out->mult_.reserve(capacity);
+  out->mult_.reserve(n);
 
   for (const auto& [tuple, m] : rows) {
     if (tuple.size() != ncols) return nullptr;
@@ -145,19 +144,55 @@ std::shared_ptr<ColumnTable> ColumnTable::FromRows(
   return out;
 }
 
-bool ColumnTable::Accepts(const Tuple& tuple) const {
-  if (tuple.size() != columns_.size() || mult_.size() + 1 >= kNullStringCode) {
-    return false;
-  }
-  for (size_t c = 0; c < columns_.size(); ++c) {
+bool TupleFitsSchema(const Schema& schema, const Tuple& tuple) {
+  if (tuple.size() != schema.num_columns()) return false;
+  for (size_t c = 0; c < tuple.size(); ++c) {
     const Value& v = tuple.value(c);
-    if (!v.is_null() && v.type() != columns_[c].type) return false;
+    if (!v.is_null() && v.type() != schema.column(c).type) return false;
   }
   return true;
 }
 
-bool ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
-  if (!Accepts(tuple)) return false;
+bool ColumnTable::Accepts(const Tuple& tuple) const {
+  return mult_.size() + 1 < kNullStringCode && TupleFitsSchema(schema_, tuple);
+}
+
+namespace {
+
+/// A copy of `from` with room for `capacity` elements (none when empty:
+/// an inactive payload or an absent null mask stays unallocated).
+template <typename T>
+std::vector<T> ReservedCopy(const std::vector<T>& from, size_t capacity) {
+  std::vector<T> out;
+  if (from.empty()) return out;
+  out.reserve(capacity);
+  out.assign(from.begin(), from.end());
+  return out;
+}
+
+}  // namespace
+
+std::shared_ptr<ColumnTable> ColumnTable::CopyWithSpare(
+    size_t spare_rows) const {
+  auto out = std::make_shared<ColumnTable>();
+  out->schema_ = schema_;
+  const size_t capacity = num_rows() + spare_rows;
+  out->columns_.resize(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const ColumnVec& from = columns_[c];
+    ColumnVec& to = out->columns_[c];
+    to.type = from.type;
+    to.ints = ReservedCopy(from.ints, capacity);
+    to.dbls = ReservedCopy(from.dbls, capacity);
+    to.codes = ReservedCopy(from.codes, capacity);
+    to.dict = from.dict;
+    to.nulls = ReservedCopy(from.nulls, capacity);
+  }
+  out->mult_ = ReservedCopy(mult_, capacity);
+  return out;
+}
+
+void ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
   const size_t row = mult_.size();
   for (size_t c = 0; c < columns_.size(); ++c) {
     ColumnVec& col = columns_[c];
@@ -201,7 +236,6 @@ bool ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
     }
   }
   mult_.push_back(m);
-  return true;
 }
 
 void ColumnTable::RemoveRow(size_t i) {
@@ -228,15 +262,6 @@ void ColumnTable::RemoveRow(size_t i) {
   }
   mult_[i] = mult_[last];
   mult_.pop_back();
-}
-
-bool ColumnTable::DictsOverBound() const {
-  for (const ColumnVec& col : columns_) {
-    if (col.dict != nullptr && col.dict->size() > 2 * num_rows() + 64) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void ColumnTable::CompactDicts() {
@@ -329,10 +354,10 @@ std::vector<uint64_t> ColumnTable::RowHashes() const {
   return hashes;
 }
 
-uint64_t ColumnTable::RowHash(size_t i) const {
+uint64_t ColumnTable::PrefixHash(size_t i, size_t n) const {
   uint64_t h = kKeyHashSeed;
-  for (const ColumnVec& col : columns_) {
-    h = CombineKeyHash(h, CellHashAt(col, i));
+  for (size_t c = 0; c < n; ++c) {
+    h = CombineKeyHash(h, CellHashAt(columns_[c], i));
   }
   return h;
 }
@@ -352,10 +377,10 @@ bool ColumnTable::RowsEqual(size_t i, size_t j) const {
   return true;
 }
 
-bool ColumnTable::RowEquals(size_t i, const Tuple& tuple) const {
-  if (tuple.size() != columns_.size()) return false;
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    if (!CellEqualsValue(columns_[c], i, tuple.value(c))) return false;
+bool ColumnTable::PrefixEquals(size_t i, const Tuple& prefix) const {
+  if (prefix.size() > columns_.size()) return false;
+  for (size_t c = 0; c < prefix.size(); ++c) {
+    if (!CellEqualsValue(columns_[c], i, prefix.value(c))) return false;
   }
   return true;
 }

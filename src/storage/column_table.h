@@ -7,29 +7,24 @@
 // produce this layout batch-at-a-time (algebra/row_batch.h), touching raw
 // arrays in tight typed loops instead of per-row Value variant dispatch.
 //
-// Row-major surfaces remain the engine's API: Table is the install/merge
-// API and Rows the operator-edge type.  A ColumnTable is the
-// engine-internal form of either, and conversions are exact — every cell
-// round-trips with its original TypeId, so SortedRows / ContentsEqual /
-// golden output comparisons cannot tell the representations apart.  Rows
-// whose cells violate their declared column type refuse to convert
-// (FromRows returns null); nothing the engine builds does that, and the
-// kernels reject such a batch.
+// Row-major surfaces remain the operators' API: Rows is the operator-edge
+// type and Table the install/merge API.  Conversions are exact — every
+// cell round-trips with its original TypeId, so SortedRows /
+// ContentsEqual / golden output comparisons cannot tell the
+// representations apart.  Rows whose cells violate their declared column
+// type refuse to convert (FromRows returns null); nothing the engine
+// builds does that, and the kernels reject such a batch.
 //
-// A table's image is built once by FromRows and then kept current through
-// installs: AppendRow, SetMult and RemoveRow mirror Table::Add's three
-// edits (insert, multiplicity change, swap-with-last delete), so the
-// maintained image equals a fresh FromRows of the table's dense rows cell
-// for cell.  Only the encoding may differ: a null mask can outlive its
-// last NULL, and dictionaries keep strings whose last row was deleted
-// until DictsOverBound() says so — a resident table then drops the image
-// for a rebuild, a faulted-in one compacts it (CompactDicts).  Table
-// edits an image only while it owns it alone (storage/table.h); every
-// image anyone else can see is finished and never changes.  An image is
-// also what the extent pager writes and reads back (storage/page.h): a
-// faulted-in table is its image plus a row index over it (RowHash,
-// TupleRowHash, RowEquals), and installs edit it without building a
-// tuple.
+// A ColumnTable is also every Table's storage (storage/table.h): the table
+// is its image plus a row index over it (RowHash, TupleRowHash,
+// RowEquals), and Table::Add edits the image with AppendRow, SetMult and
+// RemoveRow (insert, multiplicity change, swap-with-last delete).  Deletes
+// leave dictionary strings whose last row is gone until CompactDicts finds
+// them over its bound; a null mask can outlive its last NULL.  Table edits
+// an image only while it owns it alone, and copies it (CopyWithSpare)
+// otherwise; every image anyone else can see is finished and never
+// changes.  An image is also what the extent pager writes and reads back
+// (storage/page.h).
 #ifndef WUW_STORAGE_COLUMN_TABLE_H_
 #define WUW_STORAGE_COLUMN_TABLE_H_
 
@@ -160,6 +155,10 @@ inline uint64_t CombineKeyHash(uint64_t h, uint64_t cell) {
 
 inline constexpr uint64_t kKeyHashSeed = 0x345678;
 
+/// `tuple` has the schema's arity and every non-null cell is of its
+/// column's declared type: what a typed image (and so a Table) can hold.
+bool TupleFitsSchema(const Schema& schema, const Tuple& tuple);
+
 /// Per-column min/max over non-null cells (the stats the round-trip
 /// property suite checks against a row-order recompute).
 struct ColumnMinMax {
@@ -178,13 +177,16 @@ class ColumnTable {
   explicit ColumnTable(Schema schema);
 
   /// Exact columnar image of (schema, rows); null if any cell's type
-  /// disagrees with its declared column (the row engine tolerates such
-  /// rows, the typed arrays cannot represent them losslessly).  The
-  /// arrays reserve room for `spare_rows` later AppendRow calls.
+  /// disagrees with its declared column (the typed arrays cannot represent
+  /// such rows losslessly).
   static std::shared_ptr<ColumnTable> FromRows(
       const Schema& schema,
-      const std::vector<std::pair<Tuple, int64_t>>& rows,
-      size_t spare_rows = 0);
+      const std::vector<std::pair<Tuple, int64_t>>& rows);
+
+  /// A copy whose arrays reserve room for `spare_rows` later AppendRow
+  /// calls.  Shares the string dictionaries (AppendRow copies a shared one
+  /// before interning); the prefix sums are left for Finish().
+  std::shared_ptr<ColumnTable> CopyWithSpare(size_t spare_rows) const;
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return mult_.size(); }
@@ -194,15 +196,15 @@ class ColumnTable {
   const std::vector<int64_t>& mult() const { return mult_; }
   std::vector<int64_t>* mutable_mult() { return &mult_; }
 
-  /// Appends one row-major row.  Returns false and leaves the table
-  /// untouched when the arity or a non-null cell's type disagrees with the
-  /// schema, or when the table would reach kNullStringCode rows (the cases
-  /// FromRows returns null for).  A shared string dictionary is copied
-  /// before its first new string.  Prefix sums are stale until Finish().
-  bool AppendRow(const Tuple& tuple, int64_t m);
-
-  /// True when AppendRow(tuple, m) would succeed.
+  /// True when the table can hold `tuple`: the schema's arity, every
+  /// non-null cell of its column's declared type, and fewer than
+  /// kNullStringCode rows after it (the cases FromRows returns null for).
   bool Accepts(const Tuple& tuple) const;
+
+  /// Appends one row-major row; requires Accepts(tuple).  A shared string
+  /// dictionary is copied before its first new string.  Prefix sums are
+  /// stale until Finish().
+  void AppendRow(const Tuple& tuple, int64_t m);
 
   /// Sets row `i`'s multiplicity.  Prefix sums are stale until Finish().
   void SetMult(size_t i, int64_t m) { mult_[i] = m; }
@@ -211,16 +213,12 @@ class ColumnTable {
   /// swap-with-last delete).  Prefix sums are stale until Finish().
   void RemoveRow(size_t i);
 
-  /// True when some string dictionary holds more than 2 x num_rows() + 64
-  /// strings, i.e. deletes left it mostly dead entries.  A rebuild from
-  /// the rows (FromRows) interns only live strings; the threshold makes
-  /// that rebuild amortized O(1) per edit.
-  bool DictsOverBound() const;
-
-  /// Rebuilds every dictionary over its bound from the strings its codes
-  /// still use, in first-occurrence row order — the dictionary FromRows
-  /// would build from the same rows — and rewrites the codes.  A shared
-  /// dictionary is replaced, never changed.
+  /// Rebuilds every string dictionary holding more than 2 x num_rows() + 64
+  /// strings (deletes left it mostly dead entries) from the strings its
+  /// codes still use, in first-occurrence row order — the dictionary
+  /// FromRows would build from the same rows — and rewrites the codes.  A
+  /// shared dictionary is replaced, never changed.  The bound makes this
+  /// amortized O(1) per edit; other dictionaries are left as they are.
   void CompactDicts();
 
   /// Recomputes the abs/signed prefix sums after any bulk mutation of
@@ -243,16 +241,23 @@ class ColumnTable {
   /// over every column (CellHashAt folded by CombineKeyHash from
   /// kKeyHashSeed).  RowHashes computes all of them a column at a time.
   std::vector<uint64_t> RowHashes() const;
-  uint64_t RowHash(size_t i) const;
-  /// RowHash of any row equal to `tuple`: cells of another numeric type
-  /// hash by the same double image.
+  uint64_t RowHash(size_t i) const { return PrefixHash(i, columns_.size()); }
+  /// The same hash over row i's first n columns.
+  uint64_t PrefixHash(size_t i, size_t n) const;
+  /// RowHash of any row equal to `tuple` (PrefixHash of any row whose
+  /// prefix equals it): cells of another numeric type hash by the same
+  /// double image.
   static uint64_t TupleRowHash(const Tuple& tuple);
 
   /// Rows i and j are equal as tuples (Tuple::operator==: NULL equals
   /// NULL, numerics compare by their double image, strings by content).
   bool RowsEqual(size_t i, size_t j) const;
   /// Row i equals `tuple` (same rules; a tuple of another arity never does).
-  bool RowEquals(size_t i, const Tuple& tuple) const;
+  bool RowEquals(size_t i, const Tuple& tuple) const {
+    return tuple.size() == columns_.size() && PrefixEquals(i, tuple);
+  }
+  /// Row i's first prefix.size() cells equal `prefix` (same rules).
+  bool PrefixEquals(size_t i, const Tuple& prefix) const;
 
   /// Min/max of column `c` over non-null cells.
   ColumnMinMax Stats(size_t c) const;

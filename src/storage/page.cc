@@ -176,15 +176,7 @@ int64_t ApproxImageBytes(const ColumnTable& image) {
 }
 
 int64_t ApproxTableBytes(const Table& table) {
-  if (!table.rows_materialized()) {
-    return ApproxImageBytes(*table.ColumnarSnapshot());
-  }
-  int64_t bytes = 0;
-  for (const auto& [tuple, count] : table.dense_rows()) {
-    (void)count;
-    bytes += ApproxRowBytes(tuple);
-  }
-  return bytes;
+  return ApproxImageBytes(*table.ColumnarSnapshot());
 }
 
 // ---------------------------------------------------------------------------
@@ -197,8 +189,6 @@ std::atomic<int64_t> g_spilled_partitions{0};
 std::atomic<int64_t> g_spill_faults{0};
 std::atomic<int64_t> g_spill_writebacks{0};
 std::atomic<int64_t> g_read_retries{0};
-std::atomic<int64_t> g_row_builds{0};
-std::atomic<int64_t> g_index_builds{0};
 }  // namespace internal
 
 PagedStatsSnapshot GlobalPagedStats() {
@@ -212,8 +202,6 @@ PagedStatsSnapshot GlobalPagedStats() {
       internal::g_spill_writebacks.load(std::memory_order_relaxed);
   out.read_retries =
       internal::g_read_retries.load(std::memory_order_relaxed);
-  out.row_builds = internal::g_row_builds.load(std::memory_order_relaxed);
-  out.index_builds = internal::g_index_builds.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -601,8 +589,8 @@ std::string DecodeTableImage(const std::string& bytes, TableImage* out) {
     return "image header is truncated or corrupt";
   }
   const size_t n = static_cast<size_t>(n64);
-  // The headroom Table::ColumnarSnapshot gives a fresh image, so the
-  // installs that follow a fault-in append without reallocating.
+  // The headroom Table gives a copied image (ColumnTable::CopyWithSpare),
+  // so the installs that follow a fault-in append without reallocating.
   const size_t capacity = n + n / 8 + 16;
   img.columns = std::make_shared<ColumnTable>(img.schema);
   for (size_t c = 0; c < img.schema.num_columns(); ++c) {
@@ -626,9 +614,6 @@ std::string DecodeTableImage(const std::string& bytes, TableImage* out) {
 std::string SaveTableImage(const Table& table, const std::string& path,
                            size_t page_bytes) {
   std::shared_ptr<const ColumnTable> image = table.ColumnarSnapshot();
-  if (image == nullptr) {
-    return "table has no columnar image (a cell violates its column type)";
-  }
   const std::string bytes = SerializeTableImage(table, *image);
   image.reset();
   const std::string tmp = path + ".tmp";

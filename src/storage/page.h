@@ -144,10 +144,8 @@ int64_t ApproxRowBytes(const ColumnTable& image, size_t i);
 /// (null counts, per-code string lengths); equals the sum of
 /// ApproxRowBytes(image, i).
 int64_t ApproxImageBytes(const ColumnTable& image);
-/// Bytes of the table's rows (the fixed image header is noise at any
-/// realistic size).  Read off the columnar image while the table has not
-/// built its rows (a faulted-in table), else off the rows; both give the
-/// same number.
+/// Bytes of the table's rows: ApproxImageBytes of its image (the fixed
+/// image header is noise at any realistic size).
 int64_t ApproxTableBytes(const Table& table);
 
 // ---------------------------------------------------------------------------
@@ -159,12 +157,7 @@ int64_t ApproxTableBytes(const Table& table);
 // `paged.spill_writebacks` mirror them when metrics are armed.  Extent
 // paging (storage/paged_store.h) and operator spill pools
 // (storage/buffer_pool.h) count separately: a spill frame's traffic never
-// shows up as an extent fault or eviction.  `row_builds` and
-// `index_builds` count the dense rows and tuple indexes a faulted-in
-// (image-primary) table builds for row consumers (storage/table.h);
-// installs and lookups build neither.  They have no metric mirror: which
-// thread reads rows first, and whether a snapshot reader does, is not
-// deterministic.
+// shows up as an extent fault or eviction.
 
 struct PagedStatsSnapshot {
   int64_t faults = 0;              ///< extent fault-ins
@@ -173,8 +166,6 @@ struct PagedStatsSnapshot {
   int64_t spill_faults = 0;        ///< spill-pool disk re-reads
   int64_t spill_writebacks = 0;    ///< spill-pool dirty evictions written
   int64_t read_retries = 0;        ///< transient-EIO retries in ReadPage
-  int64_t row_builds = 0;    ///< dense-row builds of faulted-in extents
-  int64_t index_builds = 0;  ///< tuple-index builds over those rows
 };
 
 PagedStatsSnapshot GlobalPagedStats();
@@ -186,8 +177,6 @@ extern std::atomic<int64_t> g_spilled_partitions;
 extern std::atomic<int64_t> g_spill_faults;
 extern std::atomic<int64_t> g_spill_writebacks;
 extern std::atomic<int64_t> g_read_retries;
-extern std::atomic<int64_t> g_row_builds;
-extern std::atomic<int64_t> g_index_builds;
 }  // namespace internal
 
 // ---------------------------------------------------------------------------

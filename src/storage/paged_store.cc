@@ -205,12 +205,9 @@ void PagedStore::FaultInLocked(const std::string& name, Entry* entry,
   WUW_METRIC_ADD("paged.faults", obs::MetricClass::kEngine, 1);
 }
 
-bool PagedStore::HibernateLocked(const std::string& name, Entry* entry,
+void PagedStore::HibernateLocked(const std::string& name, Entry* entry,
                                  Table* table) {
   if (!entry->has_image || entry->image_mutations != table->mutation_count()) {
-    // The image is the columnar snapshot; a table without one holds a
-    // type-violating row and stays resident.
-    if (table->ColumnarSnapshot() == nullptr) return false;
     std::string error =
         SaveTableImage(*table, entry->path, options_.page_bytes);
     if (!error.empty()) {
@@ -227,7 +224,6 @@ bool PagedStore::HibernateLocked(const std::string& name, Entry* entry,
   evictions_.fetch_add(1, std::memory_order_relaxed);
   internal::g_evictions.fetch_add(1, std::memory_order_relaxed);
   WUW_METRIC_ADD("paged.evictions", obs::MetricClass::kEngine, 1);
-  return true;
 }
 
 void PagedStore::EvictLocked(Catalog* catalog, bool ignore_budget) {
@@ -269,9 +265,8 @@ void PagedStore::EvictLocked(Catalog* catalog, bool ignore_budget) {
   for (const Candidate& victim : candidates) {
     if (!ignore_budget && total <= options_.budget_bytes) break;
     Entry& entry = entries_[*victim.name];
-    if (HibernateLocked(*victim.name, &entry, victim.table)) {
-      total -= entry.approx_bytes;
-    }
+    HibernateLocked(*victim.name, &entry, victim.table);
+    total -= entry.approx_bytes;
   }
 }
 

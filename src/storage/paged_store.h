@@ -5,12 +5,10 @@
 // CRC-framed page images of their columnar form (storage/page.h,
 // temp+rename durability); touching a hibernated extent faults it back in
 // transparently through the Catalog accessor hooks (Catalog::SetPager).
-// Fault-in restores the columnar image alone, in the hibernated dense-row
-// order, plus a row index over it that the restore's duplicate check
-// fills: the vectorized scans read the image as is, installs edit it in
-// place through the index, and the table builds tuple rows only for a
-// row consumer that needs them held (dense_rows, SharedRows;
-// storage/table.h).  Rows, row order, OperatorStats, and every kWork
+// Fault-in restores the columnar image, in the hibernated dense-row order,
+// plus the row index over it that the restore's duplicate check fills —
+// the table's one form (storage/table.h), so scans and installs go on as
+// if it had never left.  Rows, row order, OperatorStats, and every kWork
 // counter are bit-identical to the always-resident engine at ANY budget
 // (paged_differential_property_test proves it).
 //
@@ -27,18 +25,14 @@
 //     publish COW-detaches to a fresh slot (use_count 1), which pages
 //     normally.
 //   * Hibernate order: write image, then release the payload — a kill at
-//     `paged.io.write` leaves the extent resident and intact.  A table
-//     with no columnar image (a type-violating row, which only the direct
-//     Table API can produce) is never hibernated.  Fault-in decodes the
-//     whole image before mutating the table, restores the exact
-//     mutation_count, and never bumps extent_version (contents are
+//     `paged.io.write` leaves the extent resident and intact.  Fault-in
+//     decodes the whole image before mutating the table, restores the
+//     exact mutation_count, and never bumps extent_version (contents are
 //     unchanged, so subplan-cache scan keys stay valid exactly as in a
 //     resident run).  A corrupt, torn or other-version image raises
 //     std::runtime_error — an I/O failure, not an abort.
-//   * Sizes: eviction charges ApproxTableBytes, which reads the columns of
-//     a table that has not built its rows (a column at a time) and the
-//     rows otherwise — the same number either way, so fault and eviction
-//     counts do not depend on which form is resident.
+//   * Sizes: eviction charges ApproxTableBytes, read off the image a
+//     column at a time.
 //   * All page I/O rides the io::Env seam (storage/page.h): image saves
 //     get the full fsync+rename+dirsync discipline, transient read EIO
 //     (WUW_IO_FAULT read_eio=) is absorbed by PageFile's bounded retry
@@ -193,9 +187,7 @@ class PagedStore {
   /// Both require mu_ held.
   void RegisterLocked(const std::string& name);
   void FaultInLocked(const std::string& name, Entry* entry, Table* table);
-  /// False (nothing written or released) when the table has no columnar
-  /// image to hibernate.
-  bool HibernateLocked(const std::string& name, Entry* entry, Table* table);
+  void HibernateLocked(const std::string& name, Entry* entry, Table* table);
   void EvictLocked(Catalog* catalog, bool ignore_budget);
 
   mutable std::mutex mu_;

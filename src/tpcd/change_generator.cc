@@ -101,8 +101,7 @@ SourceChangeStream::SourceChangeStream(const Warehouse& warehouse,
   int64_t max_cardinality = 0;
   for (const std::string& base : warehouse.vdag().BaseViews()) {
     const Table* table = warehouse.catalog().MustGetTable(base);
-    Table* mirror = source_.CreateTable(base, table->schema());
-    table->ForEach([&](const Tuple& t, int64_t c) { mirror->Add(t, c); });
+    *source_.CreateTable(base, table->schema()) = *table;
     bases_.push_back(base);
     max_cardinality = std::max(max_cardinality, table->cardinality());
   }

@@ -49,6 +49,9 @@ class DeltaAccumulator {
 
   bool finalized() const { return finalized_; }
 
+  /// Schema of the raw rows Accumulate takes.
+  const Schema& raw_schema() const { return raw_schema_; }
+
   /// Number of raw rows gathered so far (diagnostics).
   int64_t raw_size() const { return static_cast<int64_t>(raw_.size()); }
 

@@ -610,10 +610,11 @@ TEST(AuxViewPropertyTest, AuditFlagsUnbumpedAuxMutation) {
   ASSERT_FALSE(bound.empty());
   ASSERT_TRUE(w.AuxAuditViolations().empty());
 
-  // The test-only backdoor: mutate the aux extent without the version bump.
-  w.TestOnlyExtentNoVersionBump(bound[0])->Add(
-      Tuple({Value::Int64(424242), Value::Int64(1), Value::Int64(0)}),
-      1);
+  // The test-only backdoor: mutate the aux extent without the version bump
+  // (an all-NULL row fits any schema).
+  Table* aux = w.TestOnlyExtentNoVersionBump(bound[0]);
+  const size_t arity = aux->schema().num_columns();
+  aux->Add(Tuple(std::vector<Value>(arity, Value::Null())), 1);
   std::vector<std::string> violations = w.AuxAuditViolations();
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0], bound[0]);

@@ -8,6 +8,7 @@
 #include "exec/journal.h"
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -228,6 +229,89 @@ TEST(JournalDurabilityTest, EntryForAnotherExpressionIsTornTail) {
   EXPECT_FALSE(loaded.complete());
   EXPECT_EQ(loaded.size(), first_inst);
   ExpectResumeConverges(b, loaded);
+}
+
+/// Serializes the journal of `b` with the entry at step `step` rewritten
+/// by `edit` (every frame's CRC is valid).
+std::string ForgeEntry(const Bench& b, int64_t step,
+                       const std::function<void(JournalEntry*)>& edit) {
+  const StrategyJournal& journal = b.ran.journal();
+  StrategyJournal forged;
+  forged.Begin(journal.strategy(), journal.batch_epoch());
+  for (JournalEntry entry : journal.EntriesInStepOrder()) {
+    if (entry.step == step) edit(&entry);
+    forged.Record(std::move(entry));
+  }
+  forged.MarkComplete();
+  return SerializeJournal(forged);
+}
+
+/// Step of the first Inst entry with a non-empty installed delta.
+int64_t FirstNonEmptyInst(const Bench& b) {
+  for (const JournalEntry& entry : b.ran.journal().EntriesInStepOrder()) {
+    if (entry.expression.is_inst() && !entry.installed.empty()) {
+      return entry.step;
+    }
+  }
+  return -1;
+}
+
+// A CRC-valid entry whose installed delta holds a string in an Int64
+// column must never reach Table::Add on replay: decoding rejects the row,
+// the entry reads as the torn tail, and resume re-executes it.
+TEST(JournalDurabilityTest, IllTypedRowIsTornTail) {
+  Bench b = MakeJournaledRun(59);
+  const int64_t step = FirstNonEmptyInst(b);
+  ASSERT_GE(step, 0);
+  const std::string forged = ForgeEntry(b, step, [](JournalEntry* entry) {
+    const Schema& schema = entry->installed.schema();
+    ASSERT_EQ(schema.column(0).type, TypeId::kInt64);
+    std::vector<Value> cells(schema.num_columns(), Value::Int64(1));
+    cells[0] = Value::String("not an int");
+    entry->installed.Add(Tuple(std::move(cells)), 1);
+  });
+
+  StrategyJournal loaded;
+  std::string error;
+  bool torn = false;
+  ASSERT_TRUE(DeserializeJournal(forged, &loaded, &error, &torn)) << error;
+  EXPECT_TRUE(torn);
+  EXPECT_FALSE(loaded.complete());
+  EXPECT_EQ(loaded.size(), step);
+  ExpectResumeConverges(b, loaded);
+}
+
+// An entry whose logged delta has another schema than its view's (a
+// journal of some other warehouse) decodes, but replays as the torn tail:
+// resume replays only the steps before it, executes the rest live, and
+// still converges.
+TEST(JournalDurabilityTest, EntryWithAnotherSchemaReplaysAsTornTail) {
+  Bench b = MakeJournaledRun(61);
+  const int64_t step = FirstNonEmptyInst(b);
+  ASSERT_GE(step, 0);
+  const std::string forged = ForgeEntry(b, step, [](JournalEntry* entry) {
+    std::vector<Column> columns;
+    for (size_t c = 0; c < entry->installed.schema().num_columns(); ++c) {
+      columns.push_back({"other_" + std::to_string(c),
+                         entry->installed.schema().column(c).type});
+    }
+    DeltaRelation renamed{Schema(std::move(columns))};
+    entry->installed.ForEach(
+        [&](const Tuple& t, int64_t c) { renamed.Add(t, c); });
+    entry->installed = std::move(renamed);
+  });
+
+  StrategyJournal loaded;
+  std::string error;
+  bool torn = false;
+  ASSERT_TRUE(DeserializeJournal(forged, &loaded, &error, &torn)) << error;
+  EXPECT_FALSE(torn);
+  EXPECT_TRUE(loaded.complete());
+  Warehouse restored = b.pre.Clone();
+  ExecutionReport r = ResumeStrategy(loaded, &restored);
+  EXPECT_EQ(r.steps_replayed, step);
+  ASSERT_EQ(r.window_result, WindowResult::kCompleted);
+  EXPECT_TRUE(restored.catalog().ContentsEqual(b.truth));
 }
 
 TEST(JournalDurabilityTest, SaveLoadRoundTripAndAtomicity) {

@@ -352,24 +352,20 @@ TEST(PageDurabilityTest, WellFramedForeignPayloadsAreErrors) {
   std::remove(path.c_str());
 }
 
-// A table holding a type-violating row (only the direct Table API can
-// make one) has no columnar image: saving it is an error, and the pager
-// never hibernates it while it still hibernates its typed neighbours.
-TEST(PageDurabilityTest, TableWithoutColumnarImageStaysResident) {
+// A type-violating row cannot enter a table (Add aborts), so every table
+// has an image and the pager can hibernate each one; both come back equal.
+TEST(PageDurabilityDeathTest, EveryTableHasAnImageToHibernate) {
   Catalog catalog;
   Table* typed = catalog.CreateTable("typed", testutil::TripleSchema("T"));
   testutil::FillTriple(typed, 30, 43, /*hole_every=*/5);
   Table* untyped = catalog.CreateTable("untyped", testutil::TripleSchema("U"));
   testutil::FillTriple(untyped, 30, 47, /*hole_every=*/5);
-  untyped->Add(Tuple({Value::String("not an int"), Value::Int64(1),
-                      Value::Int64(2)}),
-               1);
-  ASSERT_EQ(untyped->ColumnarSnapshot(), nullptr);
+  EXPECT_DEATH(untyped->Add(Tuple({Value::String("not an int"),
+                                   Value::Int64(1), Value::Int64(2)}),
+                            1),
+               "does not fit");
   const Table typed_before = *typed;
   const Table untyped_before = *untyped;
-  EXPECT_NE(SaveTableImage(*untyped, ::testing::TempDir() + "wuw_untyped.pages",
-                           kPage),
-            "");
 
   PagedOptions options;
   options.budget_bytes = 1;
@@ -380,11 +376,11 @@ TEST(PageDurabilityTest, TableWithoutColumnarImageStaysResident) {
   store.Register("untyped");
   store.TestOnlyEvictAll(&catalog);
   EXPECT_TRUE(store.IsHibernated("typed"));
-  EXPECT_FALSE(store.IsHibernated("untyped"));
-  EXPECT_EQ(store.evictions(), 1);
+  EXPECT_TRUE(store.IsHibernated("untyped"));
+  EXPECT_EQ(store.evictions(), 2);
   EXPECT_TRUE(catalog.MustGetTable("untyped")->ContentsEqual(untyped_before));
   EXPECT_TRUE(catalog.MustGetTable("typed")->ContentsEqual(typed_before));
-  EXPECT_EQ(store.faults(), 1);
+  EXPECT_EQ(store.faults(), 2);
   catalog.SetPager(nullptr);
 }
 

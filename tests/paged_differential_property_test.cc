@@ -197,8 +197,6 @@ RunResult RunOne(const Scenario& sc, Flavor flavor, const Strategy& strategy,
   out.paged.spill_faults = after.spill_faults - before.spill_faults;
   out.paged.spill_writebacks =
       after.spill_writebacks - before.spill_writebacks;
-  out.paged.row_builds = after.row_builds - before.row_builds;
-  out.paged.index_builds = after.index_builds - before.index_builds;
   out.converged = clone.catalog().ContentsEqual(sc.truth);
   return out;
 }
@@ -336,10 +334,6 @@ TEST(PagedDifferentialProperty, TpcdExp4WorkloadPagesAndSpills) {
         << "tiny budget never grace-spilled a build side";
     EXPECT_GT(r.paged.spill_writebacks, 0)
         << "two-frame spill pools never wrote a frame back";
-    // Installs edit faulted-in extents through their images: no extent
-    // builds dense rows or a tuple index during the window.
-    EXPECT_EQ(r.paged.row_builds, 0);
-    EXPECT_EQ(r.paged.index_builds, 0);
   }
 }
 

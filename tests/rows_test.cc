@@ -9,7 +9,7 @@
 //  * Copies and moves of an unbuilt batch build the same rows; concurrent
 //    first rows() calls on one batch share a single build.
 //  * A table scan (Rows::FromTable) and a Table copy share the table's
-//    block, and a later mutation of the table leaves both unchanged.
+//    image, and a later mutation of the table leaves both unchanged.
 //  * Copies of an Add()-built batch convert to columns once between them.
 //  * The size-only consumers (ApproxRowsBytes, RowsExceedBytes) give the
 //    same answers from the columns as from the rows, without building rows.
@@ -256,14 +256,15 @@ TEST(RowsSharingTest, TableMutationLeavesScansAndCopiesUnchanged) {
   const int64_t card = table.cardinality();
 
   Rows scan = Rows::FromTable(table);
-  EXPECT_EQ(&scan.rows(), &table.dense_rows());  // shared, not copied
+  EXPECT_EQ(scan.Columnar(), table.ColumnarSnapshot());  // shared, not copied
   Table copy = table;
-  EXPECT_EQ(&copy.dense_rows(), &table.dense_rows());
+  EXPECT_EQ(copy.ColumnarSnapshot(), table.ColumnarSnapshot());
 
   table.Add(Tuple({Value::Int64(1), Value::String("v1")}), -100);  // delete
   table.Add(Tuple({Value::Int64(2), Value::String("v2")}), 5);     // bump
   table.Add(Tuple({Value::Int64(99), Value::String("new")}), 1);   // insert
-  EXPECT_NE(&scan.rows(), &table.dense_rows());
+  EXPECT_NE(scan.Columnar(), table.ColumnarSnapshot());
+  EXPECT_EQ(scan.Columnar(), copy.ColumnarSnapshot());
 
   ExpectSameRows(before, scan.rows());
   EXPECT_EQ(scan.SignedCardinality(), card);

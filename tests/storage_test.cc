@@ -197,9 +197,8 @@ Table MixedTable(int64_t rows) {
 }
 
 // The pager's fault-in: a released table restored from its columnar image
-// holds that image as its snapshot and nothing else, then builds the
-// identical dense layout, cardinality, mutation count and index size on
-// demand, and keeps working as a table afterwards.
+// holds that image, with the identical dense layout, cardinality, mutation
+// count and index size, and keeps working as a table afterwards.
 TEST(TableTest, RestorePayloadRestoresTheReleasedTable) {
   Table t = MixedTable(200);
   const auto dense = t.dense_rows();
@@ -212,16 +211,12 @@ TEST(TableTest, RestorePayloadRestoresTheReleasedTable) {
       ColumnTable::FromRows(t.schema(), dense);
   const ColumnTable* image_ptr = image.get();
   t.ReleasePayload();
-  EXPECT_EQ(t.distinct_size(), 0u);
   EXPECT_EQ(t.RestorePayload(std::move(image), cardinality, mutations), "");
-  EXPECT_FALSE(t.rows_materialized());
   EXPECT_EQ(t.ColumnarSnapshot().get(), image_ptr);
   EXPECT_EQ(t.distinct_size(), dense.size());
-  EXPECT_EQ(t.IndexBytes(), 0u);
   EXPECT_EQ(t.cardinality(), cardinality);
   EXPECT_EQ(t.mutation_count(), mutations);
   EXPECT_EQ(t.dense_rows(), dense);
-  EXPECT_TRUE(t.rows_materialized());
   for (const auto& [tuple, count] : dense) EXPECT_EQ(t.Count(tuple), count);
   EXPECT_EQ(t.IndexBytes(), incremental.IndexBytes());
   EXPECT_TRUE(t.ContentsEqual(incremental));
@@ -335,9 +330,8 @@ TEST(TableTest, HasEqualRowsMatchesTupleEquality) {
           EXPECT_EQ(t.Count(fresh), fresh == tuple ? count : 0)
               << tuple.ToString();
         }
-        EXPECT_FALSE(t.rows_materialized());
-        // A resident table agrees, even looked up through a copy of its
-        // own tuple, which shares the stored representation.
+        // A table built by Add agrees, even looked up through a copy of
+        // the tuple it was given.
         Table resident(s);
         for (const auto& [tuple, count] : rows) resident.Add(tuple, count);
         for (const auto& [tuple, count] : rows) {
@@ -356,9 +350,9 @@ TEST(TableTest, HasEqualRowsMatchesTupleEquality) {
 // The analytic byte model prices a row the same in tuple and column form
 // (one per-cell implementation): NULLs of every type, a NULL-typed
 // column, empty and long strings, and an empty table.  The pager's
-// ApproxTableBytes and the spill gate's RowsExceedBytes read whichever
-// form is present, so both forms must agree for fault and eviction counts
-// to stay put.
+// ApproxTableBytes reads the image; the spill gate's RowsExceedBytes reads
+// whichever form a batch holds, so both forms must agree for fault,
+// eviction and spill decisions to stay put.
 TEST(TableTest, AnalyticBytesAgreeInTupleAndColumnForms) {
   Schema s({{"i", TypeId::kInt64},
             {"d", TypeId::kDouble},
@@ -379,13 +373,12 @@ TEST(TableTest, AnalyticBytesAgreeInTupleAndColumnForms) {
   Table empty(s);
   for (const Table* table : {&t, &empty}) {
     SCOPED_TRACE(table->empty() ? "empty" : "mixed");
-    std::shared_ptr<const ColumnTable> image =
-        ColumnTable::FromRows(s, table->dense_rows());
+    const RowVec dense = table->dense_rows();
+    std::shared_ptr<const ColumnTable> image = ColumnTable::FromRows(s, dense);
     ASSERT_NE(image, nullptr);
     int64_t tuple_sum = 0, column_sum = 0;
-    for (size_t i = 0; i < table->dense_rows().size(); ++i) {
-      const int64_t tuple_bytes =
-          paged::ApproxRowBytes(table->dense_rows()[i].first);
+    for (size_t i = 0; i < dense.size(); ++i) {
+      const int64_t tuple_bytes = paged::ApproxRowBytes(dense[i].first);
       ASSERT_EQ(paged::ApproxRowBytes(*image, i), tuple_bytes) << "row " << i;
       tuple_sum += tuple_bytes;
       column_sum += paged::ApproxRowBytes(*image, i);
@@ -394,10 +387,10 @@ TEST(TableTest, AnalyticBytesAgreeInTupleAndColumnForms) {
     EXPECT_EQ(paged::ApproxTableBytes(*table), tuple_sum);
     const Table restored = Restored(*table);
     EXPECT_EQ(paged::ApproxTableBytes(restored), tuple_sum);
-    EXPECT_FALSE(restored.rows_materialized());
     // The spill gate's threshold test agrees at the boundary in both forms
     // (limits are positive: ResolvedSpillBytes is at least 1).
-    const Rows as_rows = Rows::FromTable(*table);
+    Rows as_rows(s);
+    for (const auto& [tuple, count] : dense) as_rows.Add(tuple, count);
     const Rows as_columns = Rows::FromTable(restored);
     ASSERT_FALSE(as_columns.rows_materialized());
     for (int64_t limit : {tuple_sum - 1, tuple_sum, tuple_sum + 1}) {
@@ -410,8 +403,8 @@ TEST(TableTest, AnalyticBytesAgreeInTupleAndColumnForms) {
 }
 
 // After a fault-in, the vectorized scans read the restored image: a
-// filter and a join over the table build no tuple and no index, in the
-// table or in the scan.
+// filter and a join over the table build no tuple, and the table's row
+// index is untouched.
 TEST(TableTest, FaultedInScansBuildNoTuplesOrIndex) {
   const Table t = Restored(MixedTable(300));
   // Keep the join on its resident route even under an env-armed
@@ -420,7 +413,7 @@ TEST(TableTest, FaultedInScansBuildNoTuplesOrIndex) {
   resident.budget_bytes = int64_t{1} << 40;
   resident.spill_bytes = int64_t{1} << 40;
   paged::ScopedOperatorSpill no_spill(resident);
-  const paged::PagedStatsSnapshot before = paged::GlobalPagedStats();
+  const size_t index_bytes = t.IndexBytes();
   const Rows scan = Rows::FromTable(t);
   OperatorStats stats;
   const Rows filtered =
@@ -433,25 +426,21 @@ TEST(TableTest, FaultedInScansBuildNoTuplesOrIndex) {
   const Rows joined = HashJoin(probe, scan, JoinKeys{{"k"}, {"x"}}, &stats);
   EXPECT_EQ(filtered.size(), 160u);
   EXPECT_EQ(joined.size(), 1u);
-  EXPECT_FALSE(t.rows_materialized());
   EXPECT_FALSE(scan.rows_materialized());
-  EXPECT_EQ(t.IndexBytes(), 0u);
-  const paged::PagedStatsSnapshot after = paged::GlobalPagedStats();
-  EXPECT_EQ(after.row_builds, before.row_builds);
-  EXPECT_EQ(after.index_builds, before.index_builds);
+  EXPECT_EQ(scan.Columnar(), t.ColumnarSnapshot());
+  EXPECT_EQ(t.IndexBytes(), index_bytes);
 }
 
-// Installs into a faulted-in table edit its image through the row index
-// the restore built: bumps, deletes, inserts, lookups and a row-consumer
-// pass (ForEach, ContentsEqual, SortedRows) build no dense rows and no
-// tuple index, and the image stays the one the table restored.
+// Installs into a faulted-in table edit its image in place through the
+// row index the restore built: after bumps, deletes, inserts, lookups and
+// a row-consumer pass (ForEach, ContentsEqual, SortedRows) the image is
+// still the one the table restored.
 TEST(TableTest, FirstAddBuildsNoRows) {
   const Table source = MixedTable(100);
   Table t = Restored(source);
   const ColumnTable* image = t.ColumnarSnapshot().get();
   const Tuple row = t.ColumnarSnapshot()->TupleAt(3);
   const int64_t count = t.ColumnarSnapshot()->mult()[3];
-  const paged::PagedStatsSnapshot before = paged::GlobalPagedStats();
   EXPECT_EQ(t.Add(row, 1), count + 1);
   EXPECT_EQ(t.Add(row, -1), count);
   const Tuple fresh({Value::Int64(-5), Value::String("fresh")});
@@ -469,11 +458,6 @@ TEST(TableTest, FirstAddBuildsNoRows) {
   twin.Add(fresh, 1);
   EXPECT_TRUE(t.ContentsEqual(twin));
   EXPECT_TRUE(twin.ContentsEqual(t));
-  const paged::PagedStatsSnapshot after = paged::GlobalPagedStats();
-  EXPECT_EQ(after.row_builds - before.row_builds, 0);
-  EXPECT_EQ(after.index_builds - before.index_builds, 0);
-  EXPECT_FALSE(t.rows_materialized());
-  EXPECT_EQ(t.IndexBytes(), 0u);
   EXPECT_EQ(t.ColumnarSnapshot().get(), image);
 }
 
@@ -519,33 +503,36 @@ TEST(TableTest, ImageBytesAreThePerRowSum) {
       EXPECT_EQ(paged::ApproxTableBytes(*table), per_row);
     }
   }
-  EXPECT_FALSE(faulted.rows_materialized());
 }
 
-// Eight threads asking a faulted-in table (and a copy sharing its payload)
-// for rows at once share one build; the index is built once too.
-TEST(TableTest, ConcurrentRowReadersShareOneBuild) {
-  const Table t = Restored(MixedTable(2000));
-  const Table copy = t;
-  const paged::PagedStatsSnapshot before = paged::GlobalPagedStats();
-  std::vector<const RowVec*> seen(8, nullptr);
+// Eight threads reading an edited table at once (its image's prefix sums
+// not yet finished) — snapshots, copies and lookups — all get the one
+// image, finished once, and the same counts.
+TEST(TableTest, ConcurrentReadersShareOneFinishedImage) {
+  Table t = MixedTable(2000);
+  t.Add(Tuple({Value::Int64(-1), Value::String("edit")}), 3);
+  const RowVec dense = t.dense_rows();
+  std::vector<const ColumnTable*> seen(8, nullptr);
   std::vector<int64_t> counts(8, 0);
   std::vector<std::thread> threads;
   for (size_t k = 0; k < seen.size(); ++k) {
     threads.emplace_back([&, k] {
-      const Table& table = k % 2 == 0 ? t : copy;
-      seen[k] = &table.dense_rows();
-      counts[k] = table.Count(table.dense_rows()[k].first);
+      if (k % 2 == 0) {
+        seen[k] = t.ColumnarSnapshot().get();
+      } else {
+        const Table copy = t;
+        seen[k] = copy.ColumnarSnapshot().get();
+      }
+      counts[k] = t.Count(dense[k].first);
     });
   }
   for (std::thread& th : threads) th.join();
+  const std::shared_ptr<const ColumnTable> image = t.ColumnarSnapshot();
   for (size_t k = 0; k < seen.size(); ++k) {
-    EXPECT_EQ(seen[k], seen[0]);
-    EXPECT_EQ(counts[k], t.dense_rows()[k].second);
+    EXPECT_EQ(seen[k], image.get());
+    EXPECT_EQ(counts[k], dense[k].second);
   }
-  const paged::PagedStatsSnapshot after = paged::GlobalPagedStats();
-  EXPECT_EQ(after.row_builds - before.row_builds, 1);
-  EXPECT_EQ(after.index_builds - before.index_builds, 1);
+  EXPECT_EQ(image->AbsCardBetween(0, image->num_rows()), t.cardinality());
 }
 
 // Every byte an image's readers can see: cells, null masks, dictionary
@@ -590,9 +577,21 @@ void Churn(Table* t) {
   t->Add(ImageRow(5, "v5"), -100);
 }
 
-// The drop path: while a Table copy shares the image (a published
-// snapshot) or a scan holds it, mutations leave it byte-identical and the
-// mutated table gets a fresh image of its new rows.
+/// Forty rows (keys 0..39, strings "v<key>"), churned in place: the image
+/// of a table that never shared it.
+std::shared_ptr<const ColumnTable> ChurnedAlone() {
+  Table table(ImageSchema());
+  for (int64_t i = 0; i < 40; ++i) {
+    table.Add(ImageRow(i, "v" + std::to_string(i)), 1 + i % 3);
+  }
+  Churn(&table);
+  return table.ColumnarSnapshot();
+}
+
+// Copy-on-edit: while a Table copy shares the image (a published
+// snapshot) or a scan holds it, mutations leave it byte-identical, and the
+// mutated table edits a copy byte-identical to the image the same edits
+// leave in place on a table that never shared its image.
 TEST(TableImageTest, CopiesAndScansKeepTheirImagesThroughMutations) {
   for (const bool via_scan : {false, true}) {
     SCOPED_TRACE(via_scan ? "scan" : "copy");
@@ -617,35 +616,67 @@ TEST(TableImageTest, CopiesAndScansKeepTheirImagesThroughMutations) {
     EXPECT_EQ(ImageBytes(*held), bytes);
     std::shared_ptr<const ColumnTable> after = table.ColumnarSnapshot();
     EXPECT_NE(after, held);
-    EXPECT_EQ(ImageBytes(*after),
-              ImageBytes(*ColumnTable::FromRows(table.schema(),
-                                                table.dense_rows())));
+    EXPECT_EQ(ImageBytes(*after), ImageBytes(*ChurnedAlone()));
   }
 }
 
-// A type-violating row drops the image (no abort); the snapshot stays null
-// while the row is present and returns, equal to a rebuild, once it goes.
-TEST(TableImageTest, TypeViolatingRowDropsTheImageUntilDeleted) {
+// A publish shares the extent with readers, and the writer's next Add
+// copies the image instead of dropping it: the published table keeps its
+// image pointer and bytes, a reader's scan (under obs::ServeScope) is that
+// very image, and neither side converts rows to columns.
+TEST(TableImageTest, PublishedCopyKeepsItsImageThroughWriterAdds) {
+  obs::ArmMetrics();
+  obs::Counter* conversions =
+      obs::GetCounter("engine.vec.conversions", obs::MetricClass::kEngine);
+  Table writer(ImageSchema());
+  for (int64_t i = 0; i < 40; ++i) {
+    writer.Add(ImageRow(i, "v" + std::to_string(i)), 1 + i % 3);
+  }
+  const int64_t start = conversions->value();
+  const Table published = writer;  // the publish-time share
+  const std::shared_ptr<const ColumnTable> image = published.ColumnarSnapshot();
+  const std::string bytes = ImageBytes(*image);
+  Churn(&writer);
+  EXPECT_EQ(published.ColumnarSnapshot(), image);
+  EXPECT_EQ(ImageBytes(*published.ColumnarSnapshot()), bytes);
+  {
+    obs::ServeScope serve;
+    const Rows scan = Rows::FromTable(published);
+    EXPECT_EQ(scan.Columnar(), image);
+    EXPECT_FALSE(scan.rows_materialized());
+  }
+  const std::shared_ptr<const ColumnTable> edited = writer.ColumnarSnapshot();
+  EXPECT_NE(edited, image);
+  EXPECT_EQ(ImageBytes(*edited), ImageBytes(*ChurnedAlone()));
+  EXPECT_EQ(conversions->value(), start);
+  obs::DisarmMetrics();
+}
+
+// A new tuple the image cannot hold — a cell of another type than its
+// column (NULL aside), or another arity — is a caller bug: Add aborts, on
+// a fresh table or one with rows.  A tuple equal to a stored row finds it
+// whatever its numeric type, and a delete of an absent tuple clamps.
+TEST(TableImageDeathTest, AddOfATupleThatDoesNotFitAborts) {
   Table table(ImageSchema());
   for (int64_t i = 0; i < 10; ++i) table.Add(ImageRow(i, "v"), 1);
-  ASSERT_NE(table.ColumnarSnapshot(), nullptr);
-  const Tuple bad({Value::Int64(77), Value::Int64(78)});
-  table.Add(bad, 2);
-  EXPECT_EQ(table.ColumnarSnapshot(), nullptr);
-  table.Add(ImageRow(11, "w"), 1);
-  EXPECT_EQ(table.ColumnarSnapshot(), nullptr);
-  table.Add(bad, -2);
-  std::shared_ptr<const ColumnTable> image = table.ColumnarSnapshot();
-  ASSERT_NE(image, nullptr);
-  EXPECT_EQ(image->num_rows(), 11u);
-  EXPECT_EQ(ImageBytes(*image),
-            ImageBytes(*ColumnTable::FromRows(table.schema(),
-                                              table.dense_rows())));
+  const Tuple wrong_type({Value::Int64(77), Value::Int64(78)});
+  const Tuple wrong_numeric({Value::Double(77.0), Value::String("v")});
+  const Tuple wrong_arity({Value::Int64(1)});
+  EXPECT_DEATH(table.Add(wrong_type, 2), "does not fit");
+  EXPECT_DEATH(table.Add(wrong_numeric, 1), "does not fit");
+  EXPECT_DEATH(table.Add(wrong_arity, 1), "does not fit");
+  EXPECT_DEATH(Table(ImageSchema()).Add(wrong_type, 1), "does not fit");
+  EXPECT_EQ(table.Add(wrong_type, -1), 0);
+  EXPECT_EQ(table.Add(Tuple({Value::Double(3.0), Value::String("v")}), 2), 3);
+  // NULL fits any column.
+  EXPECT_EQ(table.Add(Tuple({Value::Null(), Value::Null()}), 1), 1);
+  EXPECT_EQ(table.distinct_size(), 11u);
+  EXPECT_EQ(table.cardinality(), 13);
 }
 
 // Deleting the last row holding a string leaves a dead dictionary entry;
-// the image is dropped and rebuilt before dead entries exceed the bound,
-// so 10k insert/delete cycles of unique strings cost ~10k/64 rebuilds.
+// the table compacts the dictionary in place before dead entries exceed
+// the bound, and never rebuilds the image from rows.
 TEST(TableImageTest, DictionaryStaysUnderItsBound) {
   obs::ArmMetrics();
   obs::Counter* conversions =
@@ -663,7 +694,7 @@ TEST(TableImageTest, DictionaryStaysUnderItsBound) {
           << "cycle " << i;
     }
   }
-  EXPECT_LE(conversions->value() - start, 10000 / 64 + 1);
+  EXPECT_EQ(conversions->value(), start);
   obs::DisarmMetrics();
 }
 
