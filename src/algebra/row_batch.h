@@ -3,10 +3,9 @@
 // A RowBatch is a VIEW over a contiguous row range of a ColumnTable plus an
 // optional selection vector — filtering narrows the selection instead of
 // copying cells, and every downstream loop walks `row(k)` indices into the
-// shared column arrays.  Batches carry their running signed/abs
-// cardinality, computed in O(1) from the ColumnTable's prefix sums, so the
-// window-budget work charging never re-scans multiplicities (debug builds
-// assert the cached values against the O(n) recompute).
+// shared column arrays.  Batches carry their signed/abs cardinality,
+// summed once over the batch's multiplicities when it is made (debug
+// builds assert the cached values against a recompute).
 //
 // Batch capacity is kBatchRows.  The size only chunks kernel loops — no
 // per-row semantics cross a batch boundary — so tests cover batch
@@ -45,7 +44,7 @@ struct RowBatch {
   /// Absolute row id of the k-th visible row.
   size_t row(size_t k) const { return filtered ? sel[k] : begin + k; }
 
-  /// Unfiltered view of [begin, end) with O(1) cardinalities.
+  /// Unfiltered view of [begin, end), its cardinalities summed here.
   static RowBatch Of(const ColumnTable& table, size_t begin, size_t end);
 
   /// Narrows `base` to `selected` (absolute ids within [base.begin,

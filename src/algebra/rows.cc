@@ -203,9 +203,7 @@ Rows Rows::FromColumnar(std::shared_ptr<const ColumnTable> table) {
   Rows out(table->schema());
   out.pending_ = std::make_shared<PendingRows>();
   out.pending_->table = table;
-  const size_t n = table->num_rows();
-  out.SetCachedCardinalities(table->SignedCardBetween(0, n),
-                             table->AbsCardBetween(0, n));
+  out.SetCachedCardinalities(table->signed_total(), table->abs_total());
   out.AttachColumnar(std::move(table));
   return out;
 }

@@ -116,6 +116,14 @@ inline uint64_t RowKeyHash(const std::vector<const ColumnVec*>& cols,
   return h;
 }
 
+/// RowKeyHash of every row of the unfiltered batch `b` (as ForEachBatch
+/// yields), a column at a time, into out[0, b.size()).
+void BatchKeyHashes(const std::vector<const ColumnVec*>& cols,
+                    const RowBatch& b, uint64_t* out) {
+  std::fill(out, out + b.size(), kKeyHashSeed);
+  for (const ColumnVec* c : cols) FoldCellHashes(*c, b.begin, b.end, out);
+}
+
 // ---------------------------------------------------------------------------
 // Vectorized expression evaluation.  CompileNode mirrors BindNode
 // (expr/evaluator.cc) exactly — same column resolution, same static type
@@ -1154,8 +1162,7 @@ Rows TryProject(const Rows& input, const std::vector<ProjectItem>& items,
   }
   *payload->mutable_mult() = mult;  // one output row per input row
   payload->Finish();
-  out.SetCachedCardinalities(ct->SignedCardBetween(0, n),
-                             ct->AbsCardBetween(0, n));
+  out.SetCachedCardinalities(ct->signed_total(), ct->abs_total());
   out.AttachColumnar(std::move(payload));
   if (stats != nullptr) {
     stats->rows_scanned += scanned;
@@ -1217,10 +1224,9 @@ void ChainedHashJoin(const ColumnTable& build,
   ForEachBatch(build, [&](const RowBatch& b) {
     ++cnt->batches;
     scanned += b.abs_card;
-    for (size_t k = 0; k < b.size(); ++k) {
-      size_t i = b.row(k);
-      uint64_t h = RowKeyHash(bcols, i);
-      hashes[i] = h;
+    BatchKeyHashes(bcols, b, hashes.data() + b.begin);
+    for (size_t i = b.begin; i < b.end; ++i) {
+      const uint64_t h = hashes[i];
       chain[i] = heads[h & mask];
       heads[h & mask] = static_cast<int32_t>(i);
     }
@@ -1229,12 +1235,13 @@ void ChainedHashJoin(const ColumnTable& build,
   cnt->key_mixes += static_cast<int64_t>(bn) * arity;
 
   int64_t probe_scanned = 0, produced = 0;
+  uint64_t probe_hashes[kBatchRows];
   ForEachBatch(probe, [&](const RowBatch& b) {
     ++cnt->batches;
     probe_scanned += b.abs_card;
-    for (size_t k = 0; k < b.size(); ++k) {
-      size_t i = b.row(k);
-      uint64_t h = RowKeyHash(pcols, i);
+    BatchKeyHashes(pcols, b, probe_hashes);
+    for (size_t i = b.begin; i < b.end; ++i) {
+      const uint64_t h = probe_hashes[i - b.begin];
       int64_t pc = pmult[i];
       for (int32_t j = heads[h & mask]; j >= 0; j = chain[j]) {
         if (hashes[j] != h) continue;
@@ -1330,6 +1337,13 @@ Rows TryHashJoin(const Rows& left, const Rows& right,
   std::vector<int64_t> out_mult;
 
   if (hashed == HashedSide::kLeft) {
+    ProbeSideJoin(*lct, *rct, lcols, rcols, eq, stats, &cnt, &out_lids,
+                  &out_rids, &out_mult);
+  } else if (!ShouldParallelize(pool, ln + n) && ln * 4 <= n) {
+    // A probe side at most a quarter of the build side: hashing it instead
+    // keeps the table cache-resident and skips the build side's hash,
+    // chain and bucket arrays (a Comp term probes a whole extent with a
+    // delta this way).  Same output, order and counters.
     ProbeSideJoin(*lct, *rct, lcols, rcols, eq, stats, &cnt, &out_lids,
                   &out_rids, &out_mult);
   } else if (ShouldParallelize(pool, ln + n)) {

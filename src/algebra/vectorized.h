@@ -85,6 +85,8 @@ enum class HashedSide {
   kRight,
   /// The probe (left) side, with the right side streamed past it: the
   /// WUW_MEM_MB route for a build side too large to hash.  Sequential.
+  /// The sequential kRight kernel also takes it when the left side is at
+  /// most a quarter of the right.
   kLeft,
 };
 

@@ -39,12 +39,13 @@ ParallelStrategy Singletons(const Strategy& strategy) {
 // the accumulator's raw schema for a Comp, the extent's for an Inst.
 bool FitsView(const JournalEntry& entry, Warehouse* warehouse) {
   const Expression& e = entry.expression;
+  const Table* extent = warehouse->catalog().GetTable(e.view);
+  if (extent == nullptr) return false;
   if (e.is_comp()) {
     return entry.comp_raw.schema ==
            warehouse->accumulator(e.view)->raw_schema();
   }
-  return entry.installed.schema() ==
-         warehouse->catalog().MustGetTable(e.view)->schema();
+  return entry.installed.schema() == extent->schema();
 }
 
 // Replays one journaled step's durable effect onto `warehouse`.  No join
@@ -283,6 +284,20 @@ ExecutionReport Executor::Resume(const StrategyJournal& journal,
   // warehouse->journal() itself, which re-journaling overwrites.
   Resumed resumed{journal.EntriesInStepOrder(),
                   mode == ResumeMode::kReplayRestored};
+  if (resumed.replay) {
+    // Check every entry before replaying any: a journal of some other
+    // warehouse must not be half applied.
+    for (const JournalEntry& entry : resumed.done) {
+      if (FitsView(entry, warehouse_)) continue;
+      ExecutionReport refused;
+      refused.windows = 0;
+      refused.resume_error =
+          "journal step " + std::to_string(entry.step) + " (" +
+          entry.expression.ToString() +
+          ") logged an effect with another schema than its view's";
+      return refused;
+    }
+  }
   return Run(Singletons(journal.strategy()), /*staged=*/false, &resumed);
 }
 
@@ -374,13 +389,8 @@ ExecutionReport Executor::Run(ParallelStrategy plan, bool staged,
       WUW_CHECK(entry.step >= 0 &&
                     entry.step < static_cast<int64_t>(linear.size()),
                 "journal step out of strategy range");
-      // An effect logged with another schema than its view's (a journal of
-      // some other warehouse) reads as the torn tail: it and every later
-      // step execute live, as after a truncated journal.
-      if (resumed->replay && !FitsView(entry, warehouse_)) break;
       WUW_CHECK(completed[entry.step] == 0, "duplicate journal step");
       completed[entry.step] = 1;
-      ++report.steps_replayed;
       if (resumed->replay) ReplayEntry(entry, warehouse_);
       if (journal != nullptr) {
         JournalEntry copy = entry;
@@ -393,6 +403,7 @@ ExecutionReport Executor::Run(ParallelStrategy plan, bool staged,
         journal->Record(std::move(copy));
       }
     }
+    report.steps_replayed = static_cast<int64_t>(resumed->done.size());
     WUW_METRIC_ADD("resume.steps_replayed", obs::MetricClass::kWork,
                    report.steps_replayed);
   }

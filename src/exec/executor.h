@@ -167,6 +167,12 @@ struct ExecutionReport {
   /// Update windows the run spanned: 1 normally, more when the
   /// WUW_WINDOW_BUDGET env knob split the run (env mode always completes).
   int64_t windows = 1;
+  /// ResumeMode::kReplayRestored only: non-empty when the journal does not
+  /// fit this warehouse (an entry logged an effect with another schema than
+  /// its view's, or names no extent here).  Then nothing ran: the
+  /// warehouse, its pending batch and its journal are untouched, and
+  /// windows is 0.
+  std::string resume_error;
 
   std::string ToString() const;
 };

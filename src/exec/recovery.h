@@ -39,7 +39,10 @@ namespace wuw {
 /// resumed window exactly like Executor::Execute, except that every
 /// resumed window completes at least one missing step, so chained windows
 /// always terminate: on exhaustion the report says kPaused and the
-/// (re-)journal is the next window's handle.
+/// (re-)journal is the next window's handle.  Under kReplayRestored a
+/// journal that does not fit `warehouse` (an entry logged with another
+/// schema than its view's) replays nothing and comes back as
+/// `resume_error`.
 inline ExecutionReport ResumeStrategy(
     const StrategyJournal& journal, Warehouse* warehouse,
     ExecutorOptions options = {},

@@ -25,15 +25,6 @@ uint32_t StringDict::Find(const std::string& s) const {
   return it == lookup_.end() ? kNullStringCode : it->second;
 }
 
-size_t StringDict::ApproxBytes() const {
-  size_t bytes = strings_.capacity() * sizeof(std::string) +
-                 hashes_.capacity() * sizeof(uint64_t);
-  for (const std::string& s : strings_) bytes += s.capacity();
-  // unordered_map node ≈ key string + hash + two pointers.
-  bytes += lookup_.size() * (sizeof(std::string) + 3 * sizeof(void*));
-  return bytes;
-}
-
 size_t ColumnVec::size() const {
   switch (type) {
     case TypeId::kString:
@@ -172,11 +163,10 @@ std::vector<T> ReservedCopy(const std::vector<T>& from, size_t capacity) {
 
 }  // namespace
 
-std::shared_ptr<ColumnTable> ColumnTable::CopyWithSpare(
-    size_t spare_rows) const {
+std::shared_ptr<ColumnTable> ColumnTable::CopyForEdit() const {
   auto out = std::make_shared<ColumnTable>();
   out->schema_ = schema_;
-  const size_t capacity = num_rows() + spare_rows;
+  const size_t capacity = EditCapacity(num_rows());
   out->columns_.resize(columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) {
     const ColumnVec& from = columns_[c];
@@ -283,13 +273,20 @@ void ColumnTable::CompactDicts() {
 }
 
 void ColumnTable::Finish() {
-  const size_t n = mult_.size();
-  abs_prefix_.assign(n + 1, 0);
-  signed_prefix_.assign(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    abs_prefix_[i + 1] = abs_prefix_[i] + std::llabs(mult_[i]);
-    signed_prefix_[i + 1] = signed_prefix_[i] + mult_[i];
-  }
+  abs_total_ = AbsCardBetween(0, mult_.size());
+  signed_total_ = SignedCardBetween(0, mult_.size());
+}
+
+int64_t ColumnTable::AbsCardBetween(size_t begin, size_t end) const {
+  int64_t sum = 0;
+  for (size_t i = begin; i < end; ++i) sum += std::llabs(mult_[i]);
+  return sum;
+}
+
+int64_t ColumnTable::SignedCardBetween(size_t begin, size_t end) const {
+  int64_t sum = 0;
+  for (size_t i = begin; i < end; ++i) sum += mult_[i];
+  return sum;
 }
 
 Tuple ColumnTable::TupleAt(size_t i) const {
@@ -343,13 +340,64 @@ bool CellEqualsValue(const ColumnVec& col, size_t i, const Value& v) {
 
 }  // namespace
 
+namespace {
+
+template <typename T, bool kHasNulls>
+void FoldNumericHashes(const T* cells, const uint8_t* nulls, size_t n,
+                       uint64_t* hashes) {
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t cell = kNullCellHash;
+    if (!kHasNulls || nulls[i] == 0) {
+      double d = static_cast<double>(cells[i]);
+      if (d == 0.0) d = 0.0;  // normalize -0.0, as CellHashAt does
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      cell = Mix64(bits);
+    }
+    hashes[i] = CombineKeyHash(hashes[i], cell);
+  }
+}
+
+}  // namespace
+
+void FoldCellHashes(const ColumnVec& col, size_t begin, size_t end,
+                    uint64_t* hashes) {
+  const size_t n = end - begin;
+  const uint8_t* nulls = col.nulls.empty() ? nullptr : col.nulls.data() + begin;
+  switch (col.type) {
+    case TypeId::kString:
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t code = col.codes[begin + i];
+        hashes[i] = CombineKeyHash(
+            hashes[i],
+            code == kNullStringCode ? kNullCellHash : col.dict->HashOf(code));
+      }
+      break;
+    case TypeId::kNull:
+      for (size_t i = 0; i < n; ++i) {
+        hashes[i] = CombineKeyHash(hashes[i], kNullCellHash);
+      }
+      break;
+    case TypeId::kDouble:
+      nulls != nullptr ? FoldNumericHashes<double, true>(
+                             col.dbls.data() + begin, nulls, n, hashes)
+                       : FoldNumericHashes<double, false>(
+                             col.dbls.data() + begin, nulls, n, hashes);
+      break;
+    default:
+      nulls != nullptr ? FoldNumericHashes<int64_t, true>(
+                             col.ints.data() + begin, nulls, n, hashes)
+                       : FoldNumericHashes<int64_t, false>(
+                             col.ints.data() + begin, nulls, n, hashes);
+      break;
+  }
+}
+
 std::vector<uint64_t> ColumnTable::RowHashes() const {
   const size_t n = num_rows();
   std::vector<uint64_t> hashes(n, kKeyHashSeed);
   for (const ColumnVec& col : columns_) {
-    for (size_t i = 0; i < n; ++i) {
-      hashes[i] = CombineKeyHash(hashes[i], CellHashAt(col, i));
-    }
+    FoldCellHashes(col, 0, n, hashes.data());
   }
   return hashes;
 }
@@ -442,18 +490,5 @@ ColumnMinMax ColumnTable::Stats(size_t c) const {
   return out;
 }
 
-size_t ColumnTable::ApproxBytes() const {
-  size_t bytes = mult_.capacity() * sizeof(int64_t) +
-                 abs_prefix_.capacity() * sizeof(int64_t) +
-                 signed_prefix_.capacity() * sizeof(int64_t);
-  for (const ColumnVec& col : columns_) {
-    bytes += col.ints.capacity() * sizeof(int64_t) +
-             col.dbls.capacity() * sizeof(double) +
-             col.codes.capacity() * sizeof(uint32_t) +
-             col.nulls.capacity();
-    if (col.dict != nullptr) bytes += col.dict->ApproxBytes();
-  }
-  return bytes;
-}
 
 }  // namespace wuw

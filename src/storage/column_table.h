@@ -21,7 +21,7 @@
 // RemoveRow (insert, multiplicity change, swap-with-last delete).  Deletes
 // leave dictionary strings whose last row is gone until CompactDicts finds
 // them over its bound; a null mask can outlive its last NULL.  Table edits
-// an image only while it owns it alone, and copies it (CopyWithSpare)
+// an image only while it owns it alone, and copies it (CopyForEdit)
 // otherwise; every image anyone else can see is finished and never
 // changes.  An image is also what the extent pager writes and reads back
 // (storage/page.h).
@@ -65,7 +65,6 @@ class StringDict {
   /// hash differently without changing any output).
   uint64_t HashOf(uint32_t code) const { return hashes_[code]; }
   size_t size() const { return strings_.size(); }
-  size_t ApproxBytes() const;
 
  private:
   std::vector<std::string> strings_;
@@ -155,6 +154,12 @@ inline uint64_t CombineKeyHash(uint64_t h, uint64_t cell) {
 
 inline constexpr uint64_t kKeyHashSeed = 0x345678;
 
+/// Folds CellHashAt(col, i) into hashes[i - begin] by CombineKeyHash for
+/// every row i in [begin, end): a row hash a column at a time, with the
+/// type and null tests taken once per call instead of once per cell.
+void FoldCellHashes(const ColumnVec& col, size_t begin, size_t end,
+                    uint64_t* hashes);
+
 /// `tuple` has the schema's arity and every non-null cell is of its
 /// column's declared type: what a typed image (and so a Table) can hold.
 bool TupleFitsSchema(const Schema& schema, const Tuple& tuple);
@@ -168,9 +173,8 @@ struct ColumnMinMax {
 };
 
 /// A column-major signed multiset: schema, one ColumnVec per column, and a
-/// parallel signed multiplicity vector.  Prefix sums over |mult| and mult
-/// (built by Finish()) give every RowBatch its running abs/signed
-/// cardinality in O(1).
+/// parallel signed multiplicity vector, with its abs/signed totals (set by
+/// Finish()).
 class ColumnTable {
  public:
   ColumnTable() = default;
@@ -183,10 +187,15 @@ class ColumnTable {
       const Schema& schema,
       const std::vector<std::pair<Tuple, int64_t>>& rows);
 
-  /// A copy whose arrays reserve room for `spare_rows` later AppendRow
-  /// calls.  Shares the string dictionaries (AppendRow copies a shared one
-  /// before interning); the prefix sums are left for Finish().
-  std::shared_ptr<ColumnTable> CopyWithSpare(size_t spare_rows) const;
+  /// The row capacity an editable image of `rows` rows reserves, so the
+  /// appends that follow a copy or a fault-in do not reallocate: an eighth
+  /// spare plus 16.
+  static size_t EditCapacity(size_t rows) { return rows + rows / 8 + 16; }
+
+  /// A copy whose arrays reserve EditCapacity(num_rows()) rows.  Shares
+  /// the string dictionaries (AppendRow copies a shared one before
+  /// interning); the totals are left for Finish().
+  std::shared_ptr<ColumnTable> CopyForEdit() const;
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return mult_.size(); }
@@ -202,15 +211,15 @@ class ColumnTable {
   bool Accepts(const Tuple& tuple) const;
 
   /// Appends one row-major row; requires Accepts(tuple).  A shared string
-  /// dictionary is copied before its first new string.  Prefix sums are
-  /// stale until Finish().
+  /// dictionary is copied before its first new string.  Totals are stale
+  /// until Finish().
   void AppendRow(const Tuple& tuple, int64_t m);
 
-  /// Sets row `i`'s multiplicity.  Prefix sums are stale until Finish().
+  /// Sets row `i`'s multiplicity.  Totals are stale until Finish().
   void SetMult(size_t i, int64_t m) { mult_[i] = m; }
 
   /// Removes row `i` by moving the last row into its place (Table::Add's
-  /// swap-with-last delete).  Prefix sums are stale until Finish().
+  /// swap-with-last delete).  Totals are stale until Finish().
   void RemoveRow(size_t i);
 
   /// Rebuilds every string dictionary holding more than 2 x num_rows() + 64
@@ -221,18 +230,19 @@ class ColumnTable {
   /// amortized O(1) per edit; other dictionaries are left as they are.
   void CompactDicts();
 
-  /// Recomputes the abs/signed prefix sums after any bulk mutation of
-  /// mult_.  Every constructor of a finished table must call this once.
+  /// Recomputes the abs/signed totals after any mutation of mult_.
+  /// Every constructor of a finished table must call this once.
   void Finish();
 
-  /// Sum of |mult| over rows [begin, end) — O(1) after Finish().
-  int64_t AbsCardBetween(size_t begin, size_t end) const {
-    return abs_prefix_[end] - abs_prefix_[begin];
-  }
-  /// Sum of mult over rows [begin, end) — O(1) after Finish().
-  int64_t SignedCardBetween(size_t begin, size_t end) const {
-    return signed_prefix_[end] - signed_prefix_[begin];
-  }
+  /// Sum of |mult| over all rows, as of the last Finish().
+  int64_t abs_total() const { return abs_total_; }
+  /// Sum of mult over all rows, as of the last Finish().
+  int64_t signed_total() const { return signed_total_; }
+
+  /// Sum of |mult| over rows [begin, end), summed on the call.
+  int64_t AbsCardBetween(size_t begin, size_t end) const;
+  /// Sum of mult over rows [begin, end), summed on the call.
+  int64_t SignedCardBetween(size_t begin, size_t end) const;
 
   /// Materializes row `i` (exact cell types).
   Tuple TupleAt(size_t i) const;
@@ -262,15 +272,12 @@ class ColumnTable {
   /// Min/max of column `c` over non-null cells.
   ColumnMinMax Stats(size_t c) const;
 
-  size_t ApproxBytes() const;
-
  private:
   Schema schema_;
   std::vector<ColumnVec> columns_;
   std::vector<int64_t> mult_;
-  /// abs_prefix_[i] = sum of |mult_[0..i)|; size num_rows()+1.
-  std::vector<int64_t> abs_prefix_;
-  std::vector<int64_t> signed_prefix_;
+  int64_t abs_total_ = 0;
+  int64_t signed_total_ = 0;
 };
 
 }  // namespace wuw

@@ -280,7 +280,7 @@ PageFile::~PageFile() {
   if (remove_on_close_) env_->RemoveFile(path_);
 }
 
-std::string PageFile::WritePage(int64_t page_id, const std::string& payload) {
+std::string PageFile::WritePage(int64_t page_id, std::string_view payload) {
   WUW_FAULT_POINT("paged.io.write");
   WUW_CHECK(page_id >= 0 && page_id < num_pages_, "page id out of range");
   WUW_CHECK(payload.size() <= payload_capacity(), "page payload too large");
@@ -432,6 +432,28 @@ bool GetSchema(ByteReader* r, Schema* out) {
   return true;
 }
 
+/// Appends the first `n` words of `words` little-endian: GetWords's
+/// counterpart, a bulk copy on a little-endian host.
+template <typename T>
+void PutWords(std::string* out, const std::vector<T>& words, size_t n) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    out->append(reinterpret_cast<const char*>(words.data()), n * sizeof(T));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      if constexpr (sizeof(T) == 4) {
+        uint32_t word;
+        std::memcpy(&word, &words[i], sizeof(T));
+        PutU32(out, word);
+      } else {
+        uint64_t word;
+        std::memcpy(&word, &words[i], sizeof(T));
+        PutU64(out, word);
+      }
+    }
+  }
+}
+
 void PutColumn(std::string* out, const ColumnVec& col, size_t n) {
   PutU8(out, col.nulls.empty() ? 0 : 1);
   if (!col.nulls.empty()) {
@@ -444,18 +466,14 @@ void PutColumn(std::string* out, const ColumnVec& col, size_t n) {
       for (size_t code = 0; code < dict_size; ++code) {
         PutString(out, col.dict->At(static_cast<uint32_t>(code)));
       }
-      for (size_t i = 0; i < n; ++i) PutU32(out, col.codes[i]);
+      PutWords(out, col.codes, n);
       break;
     }
     case TypeId::kDouble:
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t bits;
-        std::memcpy(&bits, &col.dbls[i], sizeof(bits));
-        PutU64(out, bits);
-      }
+      PutWords(out, col.dbls, n);
       break;
     default:
-      for (size_t i = 0; i < n; ++i) PutI64(out, col.ints[i]);
+      PutWords(out, col.ints, n);
       break;
   }
 }
@@ -554,6 +572,9 @@ bool GetColumn(ByteReader* r, size_t n, size_t capacity, ColumnVec* col) {
 std::string SerializeTableImage(const Table& table, const ColumnTable& image) {
   const size_t n = image.num_rows();
   std::string out;
+  // Room for every fixed-width word, null mask and header; dictionary
+  // strings may grow it once more.
+  out.reserve(256 + n * (8 + 9 * image.num_columns()));
   PutU32(&out, kImageFormatVersion);
   PutSchema(&out, table.schema());
   PutI64(&out, table.mutation_count());
@@ -562,7 +583,7 @@ std::string SerializeTableImage(const Table& table, const ColumnTable& image) {
   for (size_t c = 0; c < image.num_columns(); ++c) {
     PutColumn(&out, image.column(c), n);
   }
-  for (int64_t m : image.mult()) PutI64(&out, m);
+  PutWords(&out, image.mult(), n);
   return out;
 }
 
@@ -589,9 +610,8 @@ std::string DecodeTableImage(const std::string& bytes, TableImage* out) {
     return "image header is truncated or corrupt";
   }
   const size_t n = static_cast<size_t>(n64);
-  // The headroom Table gives a copied image (ColumnTable::CopyWithSpare),
-  // so the installs that follow a fault-in append without reallocating.
-  const size_t capacity = n + n / 8 + 16;
+  // The installs that follow a fault-in append without reallocating.
+  const size_t capacity = ColumnTable::EditCapacity(n);
   img.columns = std::make_shared<ColumnTable>(img.schema);
   for (size_t c = 0; c < img.schema.num_columns(); ++c) {
     if (!GetColumn(&r, n, capacity, img.columns->mutable_column(c))) {
@@ -629,7 +649,7 @@ std::string SaveTableImage(const Table& table, const std::string& path,
   do {
     size_t chunk = std::min(capacity, bytes.size() - offset);
     int64_t id = file->AllocatePage();
-    error = file->WritePage(id, bytes.substr(offset, chunk));
+    error = file->WritePage(id, std::string_view(bytes).substr(offset, chunk));
     if (!error.empty()) {
       file.reset();
       env->RemoveFile(tmp);

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -226,7 +227,7 @@ class PageFile {
   /// Writes one CRC-framed page (payload must fit payload_capacity()).
   /// Returns "" on success, else an error description.  Carries the
   /// `paged.io.write` fault site.
-  std::string WritePage(int64_t page_id, const std::string& payload);
+  std::string WritePage(int64_t page_id, std::string_view payload);
 
   /// Reads + validates one page frame.  Returns "" on success, else an
   /// error description (truncation, CRC mismatch, wrong page number — the

@@ -107,11 +107,8 @@ std::vector<Table::IndexSlot>& Table::MutableSlots() {
 
 ColumnTable* Table::MutableImage() {
   std::lock_guard<std::mutex> lock(finish_mu_);
-  // A shared image is finished (see the copy constructor); the copy gets
-  // headroom for the appends that follow, as a restored image does.
-  if (image_.use_count() != 1) {
-    image_ = image_->CopyWithSpare(image_->num_rows() / 8 + 16);
-  }
+  // A shared image is finished (see the copy constructor).
+  if (image_.use_count() != 1) image_ = image_->CopyForEdit();
   unfinished_ = true;
   return image_.get();
 }
@@ -274,7 +271,7 @@ void Table::Clear() {
 
 void Table::ReleasePayload() {
   std::lock_guard<std::mutex> lock(finish_mu_);
-  image_.reset();
+  image_ = EmptyImage(schema_);
   slots_.reset();
   slots_used_ = 0;
   unfinished_ = false;
@@ -306,7 +303,13 @@ std::string Table::RestorePayload(std::shared_ptr<ColumnTable> image,
   auto slots = std::make_shared<std::vector<IndexSlot>>(
       IndexCapacityFor(n), IndexSlot{0, kIndexEmpty});
   const size_t mask = slots->size() - 1;
+  // The slots are written in hash order, a cache miss each on a large
+  // table; fetching a few rows ahead overlaps the misses.
+  constexpr size_t kPrefetchRows = 16;
   for (size_t pos = 0; pos < n; ++pos) {
+    if (pos + kPrefetchRows < n) {
+      __builtin_prefetch(&(*slots)[hashes[pos + kPrefetchRows] & mask], 1);
+    }
     size_t i = hashes[pos] & mask;
     for (; (*slots)[i].pos != kIndexEmpty; i = (i + 1) & mask) {
       const IndexSlot& slot = (*slots)[i];
@@ -338,7 +341,7 @@ bool Table::ContentsEqual(const Table& other) const {
 std::shared_ptr<const ColumnTable> Table::ColumnarSnapshot() const {
   std::lock_guard<std::mutex> lock(finish_mu_);
   if (unfinished_) {
-    // Edits left the prefix sums stale; nobody else holds the image yet,
+    // Edits left the totals stale; nobody else holds the image yet,
     // so finishing it here is invisible.
     image_->Finish();
     unfinished_ = false;

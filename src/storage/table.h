@@ -25,8 +25,8 @@
 // warehouse's detach, a catalog clone) and a scan (Rows::FromTable) share
 // them in O(1), and the next edit copies whichever is still shared, so a
 // holder keeps seeing the rows as of its copy.  Edits leave the image's
-// prefix sums stale; every sharing point finishes them first, so an image
-// anyone else holds is finished and never changes.
+// cardinality totals stale; every sharing point finishes them first, so an
+// image anyone else holds is finished and never changes.
 //
 // Every tuple Add inserts must fit the schema: the declared arity, and
 // each non-NULL cell of its column's declared type.  Anything else is a
@@ -103,8 +103,8 @@ class Table {
   bool ContentsEqual(const Table& other) const;
 
   /// The table's image, finished and shared: the holder sees the rows as
-  /// of this call.  Thread-safe for concurrent const readers.  Null only
-  /// while the pager holds the table hibernated.
+  /// of this call.  Thread-safe for concurrent const readers.  Empty while
+  /// the pager holds the table hibernated.
   std::shared_ptr<const ColumnTable> ColumnarSnapshot() const;
 
   /// Heap bytes held by the row index (the micro_engine memory line).
@@ -120,8 +120,8 @@ class Table {
   /// of a hibernated extent — image and index — while preserving schema,
   /// cardinality() (so size estimation works without a fault-in) and
   /// mutation_count() (so the publish audit and the pager's
-  /// image-staleness check stay coherent).  The table must not be read or
-  /// mutated until the pager faults it back in.
+  /// image-staleness check stay coherent).  Until the pager faults it back
+  /// in, the table reads as holding no rows and must not be mutated.
   void ReleasePayload();
 
   /// PAGED STORE ONLY: the fault-in counterpart of ReleasePayload.  Makes
@@ -177,8 +177,8 @@ class Table {
   void IndexRehash(size_t new_capacity);
 
   Schema schema_;
-  /// The live rows, dense; multiplicities are positive.  Null only while
-  /// hibernated (ReleasePayload).
+  /// The live rows, dense; multiplicities are positive.  Never null; empty
+  /// while hibernated (ReleasePayload).
   std::shared_ptr<ColumnTable> image_;
   /// Row index over image_.  Null or empty until the first insert.
   std::shared_ptr<std::vector<IndexSlot>> slots_;
@@ -187,7 +187,7 @@ class Table {
   int64_t cardinality_ = 0;
   /// See mutation_count().
   int64_t mutation_count_ = 0;
-  /// Set by edits: image_'s prefix sums need Finish() before it is shared.
+  /// Set by edits: image_'s totals need Finish() before it is shared.
   /// Guarded by finish_mu_, so concurrent readers of an immutable
   /// (published) table can all call ColumnarSnapshot().
   mutable bool unfinished_ = false;

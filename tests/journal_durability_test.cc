@@ -282,10 +282,10 @@ TEST(JournalDurabilityTest, IllTypedRowIsTornTail) {
 }
 
 // An entry whose logged delta has another schema than its view's (a
-// journal of some other warehouse) decodes, but replays as the torn tail:
-// resume replays only the steps before it, executes the rest live, and
-// still converges.
-TEST(JournalDurabilityTest, EntryWithAnotherSchemaReplaysAsTornTail) {
+// journal of some other warehouse) decodes, but resume refuses the whole
+// journal with an error before replaying anything: the warehouse and its
+// pending batch are untouched, and a live run from there converges.
+TEST(JournalDurabilityTest, EntryWithAnotherSchemaIsAResumeError) {
   Bench b = MakeJournaledRun(61);
   const int64_t step = FirstNonEmptyInst(b);
   ASSERT_GE(step, 0);
@@ -309,8 +309,14 @@ TEST(JournalDurabilityTest, EntryWithAnotherSchemaReplaysAsTornTail) {
   EXPECT_TRUE(loaded.complete());
   Warehouse restored = b.pre.Clone();
   ExecutionReport r = ResumeStrategy(loaded, &restored);
-  EXPECT_EQ(r.steps_replayed, step);
-  ASSERT_EQ(r.window_result, WindowResult::kCompleted);
+  EXPECT_NE(r.resume_error.find("journal step " + std::to_string(step)),
+            std::string::npos)
+      << r.resume_error;
+  EXPECT_EQ(r.steps_replayed, 0);
+  EXPECT_EQ(r.steps_completed, 0);
+  EXPECT_EQ(r.windows, 0);
+  EXPECT_TRUE(restored.catalog().ContentsEqual(b.pre.catalog()));
+  Executor(&restored).Execute(b.strategy);
   EXPECT_TRUE(restored.catalog().ContentsEqual(b.truth));
 }
 

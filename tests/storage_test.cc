@@ -211,6 +211,7 @@ TEST(TableTest, RestorePayloadRestoresTheReleasedTable) {
       ColumnTable::FromRows(t.schema(), dense);
   const ColumnTable* image_ptr = image.get();
   t.ReleasePayload();
+  EXPECT_EQ(t.distinct_size(), 0u);
   EXPECT_EQ(t.RestorePayload(std::move(image), cardinality, mutations), "");
   EXPECT_EQ(t.ColumnarSnapshot().get(), image_ptr);
   EXPECT_EQ(t.distinct_size(), dense.size());
@@ -279,6 +280,39 @@ TEST(TableTest, RestorePayloadRejectsCorruptImagesUntouched) {
 // The restore-time distinctness check (RestorePayload's row-index pass)
 // agrees with Tuple::operator== on every pair: NULL equals NULL but not a
 // zero payload, -0.0 equals 0.0, NaN equals nothing, strings by content.
+// RowHashes (the fault-in's bulk pass, typed per column) equals RowHash
+// and TupleRowHash row by row over every cell kind: NULLs in each type,
+// -0.0, NaN, integers and doubles of equal value, strings, a NULL column.
+TEST(TableTest, BulkRowHashesEqualPerRowHashes) {
+  Schema s({{"i", TypeId::kInt64},
+            {"d", TypeId::kDouble},
+            {"s", TypeId::kString},
+            {"t", TypeId::kDate},
+            {"n", TypeId::kNull}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RowVec rows;
+  for (int64_t k = 0; k < 40; ++k) {
+    rows.emplace_back(
+        Tuple({k % 5 == 0 ? Value::Null() : Value::Int64(k - 20),
+               k % 7 == 0   ? Value::Null()
+               : k % 7 == 1 ? Value::Double(-0.0)
+               : k % 7 == 2 ? Value::Double(nan)
+                            : Value::Double(static_cast<double>(k) / 4),
+               k % 3 == 0 ? Value::Null()
+                          : Value::String("s" + std::to_string(k % 4)),
+               k % 6 == 0 ? Value::Null() : Value::Date(k), Value::Null()}),
+        1 + k % 2);
+  }
+  const std::shared_ptr<ColumnTable> image = ColumnTable::FromRows(s, rows);
+  const std::vector<uint64_t> hashes = image->RowHashes();
+  ASSERT_EQ(hashes.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(hashes[i], image->RowHash(i)) << rows[i].first.ToString();
+    EXPECT_EQ(hashes[i], ColumnTable::TupleRowHash(rows[i].first))
+        << rows[i].first.ToString();
+  }
+}
+
 TEST(TableTest, HasEqualRowsMatchesTupleEquality) {
   Schema s({{"i", TypeId::kInt64},
             {"d", TypeId::kDouble},
