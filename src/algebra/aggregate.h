@@ -40,11 +40,12 @@ struct AggSpec {
 /// all zero.  Over all-positive input this is ordinary GROUP BY; over a
 /// signed delta it is the *summary delta* of Mumick-Quass-Mumick 1997.
 ///
-/// Runs the vectorized kernel (algebra/vectorized.h): groups emit in
+/// The vectorized kernel (algebra/vectorized.h): groups emit in
 /// first-occurrence order and accumulate in input order, so double SUMs
 /// are bit-identical across strategies.  With operator spills armed
-/// (WUW_MEM_MB) an oversized input grace-partitions through a spill with
-/// the same byte-identical output.  The scan is sequential: `pool` and
+/// (WUW_MEM_MB) an oversized input is partitioned by key hash and spilled
+/// as column images, and the same kernel runs on each partition read
+/// back, with byte-identical output.  The scan is sequential: `pool` and
 /// `cancel` keep the signature uniform with HashJoin.
 Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by,
                      const std::vector<AggSpec>& aggs, OperatorStats* stats,

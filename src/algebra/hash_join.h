@@ -36,7 +36,9 @@ struct JoinKeys {
 /// `cancel` token is checked at morsel boundaries.  With operator spills
 /// armed (WUW_MEM_MB) an oversized build side is never hashed: the kernel
 /// hashes the probe side instead when it fits (vec::HashedSide::kLeft),
-/// else both sides grace-spill — with the same byte-identical output.
+/// else both sides partition by key hash and spill as column images, and
+/// the same kernel joins one partition at a time (algebra/spill_util.h) —
+/// with the same byte-identical output.
 Rows HashJoin(const Rows& left, const Rows& right, const JoinKeys& keys,
               OperatorStats* stats, ThreadPool* pool = nullptr,
               const CancelToken* cancel = nullptr,

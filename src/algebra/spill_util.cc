@@ -5,11 +5,12 @@
 #include <atomic>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
-#include "storage/column_table.h"
 #include "storage/page.h"
 
 namespace wuw {
@@ -35,28 +36,36 @@ std::string SpillFilePath(const paged::PagedOptions& options) {
 }  // namespace
 
 bool RowsExceedBytes(const Rows& rows, int64_t limit) {
+  std::shared_ptr<const ColumnTable> image = rows.Columnar();
   int64_t bytes = 0;
-  if (!rows.rows_materialized()) {
-    // Columnar-only batch: the same per-row model read off the columns,
-    // so no rows get built.
-    std::shared_ptr<const ColumnTable> ct = rows.Columnar();
-    for (size_t i = 0; i < ct->num_rows(); ++i) {
-      bytes += paged::ApproxRowBytes(*ct, i);
-      if (bytes > limit) return true;
-    }
-    return false;
-  }
-  for (const auto& [tuple, count] : rows.rows()) {
-    (void)count;
-    bytes += paged::ApproxRowBytes(tuple);
+  for (size_t i = 0; i < image->num_rows(); ++i) {
+    bytes += paged::ApproxRowBytes(*image, i);
     if (bytes > limit) return true;
   }
   return false;
 }
 
+std::vector<std::vector<uint32_t>> PartitionRows(
+    const ColumnTable& image, const std::vector<size_t>& key_idx,
+    size_t partitions) {
+  size_t bits = 0;
+  while ((size_t{1} << bits) < partitions) ++bits;
+  const size_t n = image.num_rows();
+  std::vector<uint64_t> hashes(n, kKeyHashSeed);
+  for (size_t c : key_idx) {
+    FoldCellHashes(image.column(c), 0, n, hashes.data());
+  }
+  std::vector<std::vector<uint32_t>> out(partitions);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t p = bits == 0 ? 0 : hashes[i] >> (64 - bits);
+    out[p].push_back(static_cast<uint32_t>(i));
+  }
+  return out;
+}
+
 PartitionedSpill::PartitionedSpill(const paged::PagedOptions& options,
                                    size_t partitions)
-    : parts_(partitions) {
+    : pages_(partitions) {
   std::string error;
   file_ = paged::PageFile::Create(SpillFilePath(options), options.page_bytes,
                                   &error);
@@ -68,68 +77,52 @@ PartitionedSpill::PartitionedSpill(const paged::PagedOptions& options,
       file_.get(), static_cast<size_t>(paged::ResolvedPoolBytes(options)));
 }
 
-void PartitionedSpill::FlushChunk(Part* part, size_t bytes) {
-  std::string* payload = nullptr;
-  int64_t id = pool_->NewPage(&payload);
-  payload->assign(part->pending, 0, bytes);
-  part->pending.erase(0, bytes);
-  part->pages.push_back(id);
-  pool_->Unpin(id, /*dirty=*/true);
-}
-
-void PartitionedSpill::Append(size_t partition, uint32_t idx, size_t hash,
-                              int64_t count, const Tuple& tuple) {
-  WUW_CHECK(!finished_, "append to a finished spill");
-  WUW_CHECK(partition < parts_.size(), "spill partition out of range");
-  Part& part = parts_[partition];
-  paged::PutU32(&part.pending, idx);
-  paged::PutU64(&part.pending, static_cast<uint64_t>(hash));
-  paged::PutI64(&part.pending, count);
-  paged::PutTuple(&part.pending, tuple);
-  ++part.records;
+void PartitionedSpill::Write(size_t partition, const ColumnTable& image,
+                             const std::vector<uint32_t>& ids) {
+  WUW_CHECK(partition < pages_.size(), "spill partition out of range");
+  WUW_CHECK(pages_[partition].empty(), "spill partition written twice");
+  ColumnTable part(image.schema());
+  part.AppendRows(image, ids);
+  std::string bytes;
+  paged::PutSchema(&bytes, part.schema());
+  paged::PutU64(&bytes, part.num_rows());
+  paged::PutColumns(&bytes, part);
   const size_t cap = file_->payload_capacity();
-  while (part.pending.size() >= cap) FlushChunk(&part, cap);
-}
-
-void PartitionedSpill::Finish() {
-  WUW_CHECK(!finished_, "spill finished twice");
-  finished_ = true;
-  int64_t spilled = 0;
-  for (Part& part : parts_) {
-    if (!part.pending.empty()) FlushChunk(&part, part.pending.size());
-    if (part.records > 0) ++spilled;
+  for (size_t offset = 0; offset < bytes.size(); offset += cap) {
+    std::string* payload = nullptr;
+    const int64_t id = pool_->NewPage(&payload);
+    payload->assign(std::string_view(bytes).substr(offset, cap));
+    pages_[partition].push_back(id);
+    pool_->Unpin(id, /*dirty=*/true);
   }
-  paged::internal::g_spilled_partitions.fetch_add(spilled,
-                                                  std::memory_order_relaxed);
-  WUW_METRIC_ADD("paged.spilled_partitions", obs::MetricClass::kEngine,
-                 spilled);
+  if (!ids.empty()) {
+    paged::internal::g_spilled_partitions.fetch_add(
+        1, std::memory_order_relaxed);
+    WUW_METRIC_ADD("paged.spilled_partitions", obs::MetricClass::kEngine, 1);
+  }
 }
 
-std::vector<SpillRecord> PartitionedSpill::ReadPartition(size_t partition) {
-  WUW_CHECK(finished_, "read of an unfinished spill");
-  WUW_CHECK(partition < parts_.size(), "spill partition out of range");
-  const Part& part = parts_[partition];
-  std::string stream;
-  for (int64_t id : part.pages) {
+Rows PartitionedSpill::Read(size_t partition) {
+  WUW_CHECK(partition < pages_.size(), "spill partition out of range");
+  std::string bytes;
+  for (int64_t id : pages_[partition]) {
     std::string* payload = pool_->Pin(id);
-    stream.append(*payload);
+    bytes.append(*payload);
     pool_->Unpin(id, /*dirty=*/false);
   }
-  std::vector<SpillRecord> out;
-  out.reserve(static_cast<size_t>(part.records));
-  paged::ByteReader r(stream);
-  for (int64_t i = 0; i < part.records; ++i) {
-    SpillRecord rec;
-    rec.idx = r.U32();
-    rec.hash = static_cast<size_t>(r.U64());
-    rec.count = r.I64();
-    bool ok = paged::GetTuple(&r, &rec.tuple);
-    // Pages round-tripped their CRCs, so a short or malformed stream here
-    // is an internal contract violation, not an I/O failure.
-    WUW_CHECK(r.ok && ok, "corrupt spill record stream");
-    out.push_back(std::move(rec));
-  }
-  return out;
+  paged::ByteReader r(bytes);
+  Schema schema;
+  const bool has_schema = paged::GetSchema(&r, &schema);
+  const size_t n = static_cast<size_t>(r.U64());
+  std::shared_ptr<ColumnTable> image;
+  // Pages round-tripped their CRCs, so a short or malformed partition here
+  // is an internal contract violation, not an I/O failure.
+  WUW_CHECK(has_schema && r.ok &&
+                paged::GetColumns(&r, schema, n, n, &image).empty() &&
+                r.remaining() == 0,
+            "corrupt spilled partition");
+  image->Finish();
+  return Rows::FromColumnar(std::move(image));
 }
 
 }  // namespace spill

@@ -1,90 +1,70 @@
-// Shared plumbing of the grace-partition spill paths (WUW_MEM_MB): the
-// hash join and aggregation kernels partition their inputs by the TOP
-// hash bits into page-backed spill streams, then process one partition at
-// a time — bounding operator memory to roughly one partition plus the
-// buffer pool's budget while reproducing the resident kernels' rows, row
-// order, and OperatorStats bit for bit.
+// Shared plumbing of the grace-partition spill routes (WUW_MEM_MB): the
+// hash join (algebra/hash_join.cc) and the aggregate
+// (algebra/vectorized.cc) partition an oversized input by the TOP bits of
+// its key hash, spill each partition as a column image through the page
+// codec (storage/page.h), then read the partitions back one at a time and
+// run the same vectorized kernel on each.  Equal keys share a hash, hence
+// a partition, and a partition keeps its rows in input order, so merging
+// the partitions' outputs by global row index reproduces the resident
+// kernel's rows, row order and OperatorStats bit for bit.
 //
-// Record streams carry (global row index, key hash, multiplicity, tuple):
-// the global index lets per-partition results merge back into the exact
-// sequential order (equal keys share a hash, hence a partition, so index
-// sets across partitions are disjoint), and the stored hash avoids
-// re-hashing on the read side.  Each operator owns a private temp page
-// file + BufferPool, so spill traffic is single-threaded and the
-// `paged.spill_faults` / `paged.spill_writebacks` /
-// `paged.spilled_partitions` counters are deterministic at a fixed budget
-// regardless of WUW_THREADS.
+// Each operator owns a private temp page file + BufferPool, so spill
+// traffic is single-threaded and the `paged.spill_faults` /
+// `paged.spill_writebacks` / `paged.spilled_partitions` counters are
+// deterministic at a fixed budget regardless of WUW_THREADS.
 #ifndef WUW_ALGEBRA_SPILL_UTIL_H_
 #define WUW_ALGEBRA_SPILL_UTIL_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "algebra/rows.h"
 #include "storage/buffer_pool.h"
+#include "storage/column_table.h"
 #include "storage/paged_store.h"
 
 namespace wuw {
 namespace spill {
 
-/// True iff the analytic serialized bytes of a row set (storage/page.h
-/// size model) exceed `limit` — the deterministic test the kernels' spill
-/// gates apply against ResolvedSpillBytes.  Stops walking the rows as soon
-/// as the limit is crossed.
+/// True iff the analytic serialized bytes of a batch (storage/page.h size
+/// model) exceed `limit` — the deterministic test the kernels' spill gates
+/// apply against ResolvedSpillBytes.  Stops as soon as the limit is
+/// crossed.
 bool RowsExceedBytes(const Rows& rows, int64_t limit);
 
-/// One spilled row.
-struct SpillRecord {
-  uint32_t idx;    ///< global input-row index
-  size_t hash;     ///< full key hash
-  int64_t count;   ///< multiplicity
-  Tuple tuple;
-};
+/// The rows of `image` in each of `partitions` partitions, ascending: a
+/// row's partition is the top bits of the kernels' key hash over columns
+/// `key_idx`, so rows with equal keys share one.
+std::vector<std::vector<uint32_t>> PartitionRows(
+    const ColumnTable& image, const std::vector<size_t>& key_idx,
+    size_t partitions);
 
-/// Append-only partitioned spill of SpillRecords through a byte-budgeted
+/// A set of partitions spilled as column images through a byte-budgeted
 /// BufferPool over a private temp page file (removed on destruction).
-/// Usage: Append per input row, Finish once, then ReadPartition each
-/// partition.  I/O failures throw std::runtime_error; the paged.io.*
-/// fault sites fire inside the page reads/writes.
+/// I/O failures throw std::runtime_error; the paged.io.* fault sites fire
+/// inside the page reads/writes.
 class PartitionedSpill {
  public:
   PartitionedSpill(const paged::PagedOptions& options, size_t partitions);
-  ~PartitionedSpill() = default;
 
   PartitionedSpill(const PartitionedSpill&) = delete;
   PartitionedSpill& operator=(const PartitionedSpill&) = delete;
 
-  void Append(size_t partition, uint32_t idx, size_t hash, int64_t count,
-              const Tuple& tuple);
+  /// Spills rows `ids` of `image`, in that order, as partition
+  /// `partition`; counts it in `paged.spilled_partitions` when it has
+  /// rows.  Each partition is written once.
+  void Write(size_t partition, const ColumnTable& image,
+             const std::vector<uint32_t>& ids);
 
-  /// Flushes partial pages and counts the non-empty partitions into
-  /// `paged.spilled_partitions`.
-  void Finish();
-
-  /// Records of `partition` in append (= global input) order.
-  std::vector<SpillRecord> ReadPartition(size_t partition);
-
-  size_t partitions() const { return parts_.size(); }
-  int64_t records(size_t partition) const {
-    return parts_[partition].records;
-  }
+  /// Partition `partition`'s rows, read back.
+  Rows Read(size_t partition);
 
  private:
-  struct Part {
-    std::vector<int64_t> pages;
-    std::string pending;
-    int64_t records = 0;
-  };
-
-  /// Moves exactly `bytes` from `part.pending` into a fresh pool page.
-  void FlushChunk(Part* part, size_t bytes);
-
   std::unique_ptr<paged::PageFile> file_;
   std::unique_ptr<paged::BufferPool> pool_;
-  std::vector<Part> parts_;
-  bool finished_ = false;
+  /// Each partition's pages, in order.
+  std::vector<std::vector<int64_t>> pages_;
 };
 
 }  // namespace spill

@@ -8,14 +8,18 @@
 #include <numeric>
 #include <utility>
 
+#include "algebra/aggregate.h"
+#include "algebra/filter.h"
+#include "algebra/project.h"
 #include "algebra/row_batch.h"
+#include "algebra/spill_util.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 #include "storage/column_table.h"
+#include "storage/paged_store.h"
 
 namespace wuw {
-namespace vec {
 
 namespace {
 
@@ -86,14 +90,17 @@ KeyEq MakeKeyEq(const ColumnTable& a, const std::vector<size_t>& aidx,
       if (col.a->dict == col.b->dict) {
         col.kind = KeyColEq::kStrSameDict;
       } else {
+        // A column with no dictionary has no non-NULL cell.
         col.kind = KeyColEq::kStrCrossDict;
-        const StringDict& bd = *col.b->dict;
-        const StringDict& ad = *col.a->dict;
-        col.trans.resize(bd.size());
-        for (uint32_t code = 0; code < bd.size(); ++code) {
-          col.trans[code] = ad.Find(bd.At(code));
+        const StringDict* bd = col.b->dict.get();
+        const StringDict* ad = col.a->dict.get();
+        const uint32_t bsize = bd != nullptr ? bd->size() : 0;
+        col.trans.resize(bsize);
+        for (uint32_t code = 0; code < bsize; ++code) {
+          col.trans[code] =
+              ad != nullptr ? ad->Find(bd->At(code)) : kNullStringCode;
         }
-        eq.setup_value_hashes += static_cast<int64_t>(bd.size());
+        eq.setup_value_hashes += static_cast<int64_t>(bsize);
       }
     } else if (ta == TypeId::kNull || tb == TypeId::kNull) {
       // Every cell of the kNull side is null; the null/null branch of Eq
@@ -248,25 +255,6 @@ struct VecVal {
                                    : static_cast<double>(ints[k]);
   }
 };
-
-/// Materializes visible cell k as the Value BoundExpr::Eval would return.
-Value ValueFromVec(const VecVal& v, size_t k) {
-  if (v.is_const) return v.cval;
-  if (v.IsNullAt(k)) return Value::Null();
-  switch (v.type) {
-    case TypeId::kInt64:
-      return Value::Int64(v.ints[k]);
-    case TypeId::kDate:
-      return Value::Date(v.ints[k]);
-    case TypeId::kDouble:
-      return Value::Double(v.dbls[k]);
-    case TypeId::kString:
-      return Value::String(v.dict->At(v.codes[k]));
-    case TypeId::kNull:
-      return Value::Null();
-  }
-  return Value::Null();
-}
 
 bool ToBoolValue(const Value& v) {
   if (v.is_null()) return false;
@@ -740,15 +728,6 @@ std::shared_ptr<const ColumnTable> GatherJoinTable(
   return out;
 }
 
-/// The columnar image every kernel input must have.
-std::shared_ptr<const ColumnTable> MustColumnar(const Rows& input) {
-  std::shared_ptr<const ColumnTable> ct = input.Columnar();
-  WUW_CHECK(ct != nullptr,
-            "operator input is untyped: a cell violates its declared column "
-            "type");
-  return ct;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -853,7 +832,7 @@ bool CmpStrings(CompareOp op, const std::string& a, const std::string& b) {
 }
 
 /// One top-level conjunct of a filter predicate, resolved once per
-/// TryFilter call.  A `column op constant` conjunct (either orientation)
+/// Filter call.  A `column op constant` conjunct (either orientation)
 /// becomes a typed loop over the column array; anything else is
 /// evaluated by EvalNodeVec over the rows that survive so far.
 struct Conjunct {
@@ -986,12 +965,17 @@ std::vector<size_t> AllColumns(const Schema& schema) {
 
 }  // namespace
 
-Rows TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
-               OperatorStats* stats, const std::vector<size_t>* columns) {
-  std::shared_ptr<const ColumnTable> ct = MustColumnar(input);
+Rows Filter(const Rows& input, const ScalarExpr::Ptr& predicate,
+            OperatorStats* stats, ThreadPool* /*pool*/,
+            const CancelToken* /*cancel*/,
+            const std::vector<size_t>* columns) {
+  if (predicate == nullptr && columns == nullptr) return input;
+  std::shared_ptr<const ColumnTable> ct = input.Columnar();
+  const ScalarExpr::Ptr pred =
+      predicate != nullptr ? predicate : ScalarExpr::True();
   VecCounters cnt;
   std::vector<const ScalarExpr*> parts;
-  SplitConjuncts(*predicate, &parts);
+  SplitConjuncts(*pred, &parts);
   // AND has no side effects, so the typed conjuncts run first and the
   // general ones see only what the typed ones keep.
   std::vector<Conjunct> conjuncts;
@@ -1045,9 +1029,22 @@ Rows TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
 // ---------------------------------------------------------------------------
 // Project.
 
-Rows TryProject(const Rows& input, const std::vector<ProjectItem>& items,
-                OperatorStats* stats) {
-  std::shared_ptr<const ColumnTable> ct = MustColumnar(input);
+namespace {
+
+/// Records whether the cell just appended to `dst` (its `cells`-th) is
+/// NULL: the mask starts at the first NULL, zero-filled for the cells
+/// before it, and grows with every cell after.
+void PushNullFlag(ColumnVec* dst, size_t cells, bool null) {
+  if (null && dst->nulls.empty()) dst->nulls.resize(cells - 1, 0);
+  if (!dst->nulls.empty() || null) dst->nulls.push_back(null ? 1 : 0);
+}
+
+}  // namespace
+
+Rows Project(const Rows& input, const std::vector<ProjectItem>& items,
+             OperatorStats* stats, ThreadPool* /*pool*/,
+             const CancelToken* /*cancel*/) {
+  std::shared_ptr<const ColumnTable> ct = input.Columnar();
   std::vector<std::unique_ptr<VecExpr>> exprs;
   std::vector<Column> out_cols;
   exprs.reserve(items.size());
@@ -1072,11 +1069,7 @@ Rows TryProject(const Rows& input, const std::vector<ProjectItem>& items,
     }
   }
 
-  const size_t n = ct->num_rows();
   const std::vector<int64_t>& mult = ct->mult();
-  Rows out(out_schema);
-  RowVec& out_rows = out.mutable_rows();
-  out_rows.reserve(n);
   int64_t scanned = 0;
 
   ForEachBatch(*ct, [&](const RowBatch& b) {
@@ -1088,13 +1081,7 @@ Rows TryProject(const Rows& input, const std::vector<ProjectItem>& items,
     for (size_t a = 0; a < exprs.size(); ++a) {
       EvalNodeVec(*exprs[a], *ct, b, &cnt, &vals[a]);
     }
-    for (size_t k = 0; k < m; ++k) {
-      std::vector<Value> values;
-      values.reserve(exprs.size());
-      for (const VecVal& v : vals) values.push_back(ValueFromVec(v, k));
-      out_rows.emplace_back(Tuple(std::move(values)), mult[b.row(k)]);
-    }
-    // Payload columns: append this batch's slices.
+    // Output columns: append this batch's slices.
     for (size_t a = 0; a < exprs.size(); ++a) {
       ColumnVec* dst = payload->mutable_column(a);
       const VecVal& v = vals[a];
@@ -1103,36 +1090,17 @@ Rows TryProject(const Rows& input, const std::vector<ProjectItem>& items,
         case TypeId::kDate:
         case TypeId::kNull: {
           for (size_t k = 0; k < m; ++k) {
-            bool null = v.IsNullAt(k);
-            dst->ints.push_back(null || exprs[a]->type == TypeId::kNull
-                                    ? 0
-                                    : v.IntAt(k));
-            if (null && dst->nulls.empty() &&
-                exprs[a]->type != TypeId::kNull) {
-              dst->nulls.resize(dst->ints.size() - 1, 0);
-            }
-            if (!dst->nulls.empty() || exprs[a]->type == TypeId::kNull) {
-              if (dst->nulls.size() < dst->ints.size()) {
-                dst->nulls.resize(dst->ints.size(), 0);
-              }
-              dst->nulls[dst->ints.size() - 1] = null ? 1 : 0;
-            }
+            const bool null = v.IsNullAt(k);
+            dst->ints.push_back(null ? 0 : v.IntAt(k));
+            PushNullFlag(dst, dst->ints.size(), null);
           }
           break;
         }
         case TypeId::kDouble: {
           for (size_t k = 0; k < m; ++k) {
-            bool null = v.IsNullAt(k);
+            const bool null = v.IsNullAt(k);
             dst->dbls.push_back(null ? 0.0 : v.ImageAt(k));
-            if (null && dst->nulls.empty()) {
-              dst->nulls.resize(dst->dbls.size() - 1, 0);
-            }
-            if (!dst->nulls.empty()) {
-              if (dst->nulls.size() < dst->dbls.size()) {
-                dst->nulls.resize(dst->dbls.size(), 0);
-              }
-              dst->nulls[dst->dbls.size() - 1] = null ? 1 : 0;
-            }
+            PushNullFlag(dst, dst->dbls.size(), null);
           }
           break;
         }
@@ -1162,8 +1130,7 @@ Rows TryProject(const Rows& input, const std::vector<ProjectItem>& items,
   }
   *payload->mutable_mult() = mult;  // one output row per input row
   payload->Finish();
-  out.SetCachedCardinalities(ct->signed_total(), ct->abs_total());
-  out.AttachColumnar(std::move(payload));
+  Rows out = Rows::FromColumnar(std::move(payload));
   if (stats != nullptr) {
     stats->rows_scanned += scanned;
     stats->rows_produced += scanned;
@@ -1308,13 +1275,16 @@ void ProbeSideJoin(const ColumnTable& lct, const ColumnTable& rct,
 
 }  // namespace
 
+namespace vec {
+
 Rows TryHashJoin(const Rows& left, const Rows& right,
                  const std::vector<size_t>& left_idx,
                  const std::vector<size_t>& right_idx, OperatorStats* stats,
                  ThreadPool* pool, const CancelToken* cancel,
-                 HashedSide hashed, const std::vector<size_t>* columns) {
-  std::shared_ptr<const ColumnTable> lct = MustColumnar(left);
-  std::shared_ptr<const ColumnTable> rct = MustColumnar(right);
+                 HashedSide hashed, const std::vector<size_t>* columns,
+                 std::vector<uint32_t>* probe_rows) {
+  std::shared_ptr<const ColumnTable> lct = left.Columnar();
+  std::shared_ptr<const ColumnTable> rct = right.Columnar();
 
   VecCounters cnt;
   KeyEq eq = MakeKeyEq(*lct, left_idx, *rct, right_idx);
@@ -1483,50 +1453,72 @@ Rows TryHashJoin(const Rows& left, const Rows& right,
   Rows out = Rows::FromColumnar(
       GatherJoinTable(concat.Project(out_columns), out_columns, *lct,
                       out_lids, *rct, out_rids, std::move(out_mult), &cnt));
+  if (probe_rows != nullptr) *probe_rows = std::move(out_lids);
   cnt.Flush();
   return out;
 }
 
+}  // namespace vec
+
 // ---------------------------------------------------------------------------
 // Aggregate.
 
-Rows TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
-                  const std::vector<AggSpec>& aggs, OperatorStats* stats) {
-  std::shared_ptr<const ColumnTable> ct = MustColumnar(input);
+namespace {
 
+/// An aggregation compiled against its input schema: group key positions,
+/// SUM arguments and the output schema.
+struct AggPlan {
   std::vector<size_t> key_idx;
+  std::vector<std::unique_ptr<VecExpr>> args;
+  std::vector<bool> sum_is_int;
+  Schema out_schema;
+};
+
+AggPlan CompileAggregate(const Schema& schema,
+                         const std::vector<std::string>& group_by,
+                         const std::vector<AggSpec>& aggs) {
+  AggPlan plan;
   std::vector<Column> out_cols;
   for (const std::string& name : group_by) {
-    key_idx.push_back(input.schema.MustIndexOf(name));
-    out_cols.push_back(input.schema.column(key_idx.back()));
+    plan.key_idx.push_back(schema.MustIndexOf(name));
+    out_cols.push_back(schema.column(plan.key_idx.back()));
   }
-
-  std::vector<std::unique_ptr<VecExpr>> args(aggs.size());
-  std::vector<bool> sum_is_int;
+  plan.args.resize(aggs.size());
   for (size_t a = 0; a < aggs.size(); ++a) {
     if (aggs[a].fn == AggFn::kSum) {
       WUW_CHECK(aggs[a].arg != nullptr, "SUM requires an argument expression");
-      args[a] = CompileNode(*aggs[a].arg, input.schema);
-      WUW_CHECK(args[a]->type != TypeId::kString,
+      plan.args[a] = CompileNode(*aggs[a].arg, schema);
+      WUW_CHECK(plan.args[a]->type != TypeId::kString,
                 "SUM over a string argument (ValidateDefinition rejects it)");
-      bool is_int = args[a]->type == TypeId::kInt64;
-      sum_is_int.push_back(is_int);
+      bool is_int = plan.args[a]->type == TypeId::kInt64;
+      plan.sum_is_int.push_back(is_int);
       out_cols.push_back(
           Column{aggs[a].name, is_int ? TypeId::kInt64 : TypeId::kDouble});
     } else {
-      sum_is_int.push_back(true);
+      plan.sum_is_int.push_back(true);
       out_cols.push_back(Column{aggs[a].name, TypeId::kInt64});
     }
   }
   out_cols.push_back(Column{kGroupCountColumn, TypeId::kInt64});
+  plan.out_schema = Schema(std::move(out_cols));
+  return plan;
+}
 
+/// The aggregate kernel over one image: groups emit in first-occurrence
+/// order, their key cells gathered from each group's first row.  Fills
+/// `first_rows` (when non-null) with the first row of every emitted group.
+Rows AggregateImage(const ColumnTable& ct, const AggPlan& plan,
+                    const std::vector<AggSpec>& aggs, OperatorStats* stats,
+                    std::vector<uint32_t>* first_rows) {
+  const std::vector<size_t>& key_idx = plan.key_idx;
+  const std::vector<bool>& sum_is_int = plan.sum_is_int;
   VecCounters cnt;
-  const size_t n = ct->num_rows();
-  const std::vector<int64_t>& mult = ct->mult();
+  const size_t n = ct.num_rows();
+  const std::vector<int64_t>& mult = ct.mult();
   const int64_t arity = static_cast<int64_t>(key_idx.size());
   std::vector<const ColumnVec*> kcols;
-  for (size_t i : key_idx) kcols.push_back(&ct->column(i));
-  KeyEq eq = MakeKeyEq(*ct, key_idx, *ct, key_idx);
+  for (size_t i : key_idx) kcols.push_back(&ct.column(i));
+  KeyEq eq = MakeKeyEq(ct, key_idx, ct, key_idx);
   cnt.value_hashes += eq.setup_value_hashes;
 
   // Evaluate every SUM argument over the whole input, batch-at-a-time,
@@ -1534,13 +1526,13 @@ Rows TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
   std::vector<std::vector<int64_t>> arg_ints(aggs.size());
   std::vector<std::vector<double>> arg_dbls(aggs.size());
   std::vector<std::vector<uint8_t>> arg_nulls(aggs.size());
-  ForEachBatch(*ct, [&](const RowBatch& b) {
+  ForEachBatch(ct, [&](const RowBatch& b) {
     ++cnt.batches;
     cnt.rows += static_cast<int64_t>(b.size());
     for (size_t a = 0; a < aggs.size(); ++a) {
       if (aggs[a].fn != AggFn::kSum) continue;
       VecVal v;
-      EvalNodeVec(*args[a], *ct, b, &cnt, &v);
+      EvalNodeVec(*plan.args[a], ct, b, &cnt, &v);
       const size_t m = b.size();
       std::vector<uint8_t>& nu = arg_nulls[a];
       if (sum_is_int[a]) {
@@ -1622,35 +1614,97 @@ Rows TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
   }
   cnt.key_mixes += static_cast<int64_t>(n) * arity;
 
-  Rows out((Schema(std::move(out_cols))));
-  RowVec& out_rows = out.mutable_rows();
-  out_rows.reserve(first_row.size());
-  int64_t produced = 0;
+  // The emitted groups' key cells, gathered from their first rows.
+  std::vector<uint32_t> emitted;
   for (size_t g = 0; g < first_row.size(); ++g) {
     bool all_zero = gcount[g] == 0;
-    if (all_zero) {
-      for (size_t a = 0; a < aggs.size() && all_zero; ++a) {
-        if (sum_is_int[a] ? gi[a][g] != 0 : gd[a][g] != 0.0) all_zero = false;
+    for (size_t a = 0; a < aggs.size() && all_zero; ++a) {
+      if (sum_is_int[a] ? gi[a][g] != 0 : gd[a][g] != 0.0) all_zero = false;
+    }
+    if (!all_zero) emitted.push_back(static_cast<uint32_t>(g));
+  }
+  std::vector<uint32_t> ids(emitted.size());
+  for (size_t k = 0; k < emitted.size(); ++k) ids[k] = first_row[emitted[k]];
+  auto out = std::make_shared<ColumnTable>(plan.out_schema);
+  for (size_t c = 0; c < key_idx.size(); ++c) {
+    GatherColumnInto(ct.column(key_idx[c]), ids, out->mutable_column(c));
+  }
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    ColumnVec* col = out->mutable_column(key_idx.size() + a);
+    for (uint32_t g : emitted) {
+      if (sum_is_int[a]) {
+        col->ints.push_back(gi[a][g]);
+      } else {
+        col->dbls.push_back(gd[a][g]);
       }
     }
-    if (all_zero) continue;
-    Tuple row = input.rows()[first_row[g]].first.Project(key_idx);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.Append(sum_is_int[a] ? Value::Int64(gi[a][g])
-                               : Value::Double(gd[a][g]));
-    }
-    row.Append(Value::Int64(gcount[g]));
-    out_rows.emplace_back(std::move(row), 1);
-    produced += 1;
   }
-  out.SetCachedCardinalities(produced, produced);
+  ColumnVec* counts = out->mutable_column(key_idx.size() + aggs.size());
+  for (uint32_t g : emitted) counts->ints.push_back(gcount[g]);
+  out->mutable_mult()->assign(emitted.size(), 1);
+  out->Finish();
+  const int64_t produced = static_cast<int64_t>(emitted.size());
   if (stats != nullptr) {
     stats->rows_scanned += scanned;
     stats->rows_produced += produced;
   }
   cnt.Flush();
-  return out;
+  if (first_rows != nullptr) *first_rows = std::move(ids);
+  return Rows::FromColumnar(std::move(out));
 }
 
-}  // namespace vec
+/// WUW_MEM_MB grace aggregation, for an input over the spill threshold:
+/// the rows partition by the TOP bits of their key hash and spill as
+/// column images (algebra/spill_util.h), then each partition runs the
+/// kernel on its rows read back, so operator memory holds one partition's
+/// group table.  A group's rows share one partition and keep their input
+/// order there (bit-identical double SUMs); ordering the partitions'
+/// groups by their global first row reproduces the resident kernel's
+/// first-occurrence order, and the partitions' stats sum to its stats.
+Rows GraceAggregate(const ColumnTable& ct, const AggPlan& plan,
+                    const std::vector<AggSpec>& aggs, OperatorStats* stats,
+                    const paged::PagedOptions& options) {
+  const std::vector<std::vector<uint32_t>> parts =
+      spill::PartitionRows(ct, plan.key_idx, options.partitions);
+  spill::PartitionedSpill spilled(options, parts.size());
+  for (size_t p = 0; p < parts.size(); ++p) spilled.Write(p, ct, parts[p]);
+
+  // The partitions' groups, concatenated, and each one's global first row.
+  Rows groups(plan.out_schema);
+  std::vector<uint32_t> first_of;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    std::vector<uint32_t> first_rows;
+    Rows out = AggregateImage(*spilled.Read(p).Columnar(), plan, aggs, stats,
+                              &first_rows);
+    for (uint32_t i : first_rows) first_of.push_back(parts[p][i]);
+    groups.Append(out);
+  }
+  std::vector<uint32_t> order(first_of.size());
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return first_of[a] < first_of[b];
+  });
+  auto merged = std::make_shared<ColumnTable>(plan.out_schema);
+  merged->AppendRows(*groups.Columnar(), order);
+  return Rows::FromColumnar(std::move(merged));
+}
+
+}  // namespace
+
+Rows AggregateSigned(const Rows& input, const std::vector<std::string>& group_by,
+                     const std::vector<AggSpec>& aggs, OperatorStats* stats,
+                     ThreadPool* /*pool*/, const CancelToken* /*cancel*/) {
+  const AggPlan plan = CompileAggregate(input.schema, group_by, aggs);
+  std::shared_ptr<const ColumnTable> ct = input.Columnar();
+  // WUW_MEM_MB: an oversized input takes the grace-partition spill route so
+  // a paged run bounds its operator memory wherever the input is big.
+  // Disarmed: one relaxed atomic load.
+  const paged::PagedOptions* spill_opts = paged::OperatorSpill();
+  if (spill_opts != nullptr &&
+      spill::RowsExceedBytes(input, paged::ResolvedSpillBytes(*spill_opts))) {
+    return GraceAggregate(*ct, plan, aggs, stats, *spill_opts);
+  }
+  return AggregateImage(*ct, plan, aggs, stats, nullptr);
+}
+
 }  // namespace wuw

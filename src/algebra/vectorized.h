@@ -1,22 +1,20 @@
 // Vectorized (batch-at-a-time) kernels over the columnar core: the one
-// in-memory implementation of Filter / Project / HashJoin /
-// AggregateSigned.  The operator entry points call them directly (the
-// join and the aggregate first route inputs over the WUW_MEM_MB spill
-// threshold to their grace routes; the join's probe-side route is
-// TryHashJoin's HashedSide::kLeft mode).
+// implementation of Filter, Project, HashJoin and AggregateSigned, in
+// memory and spilled.  Filter, Project and AggregateSigned are defined in
+// vectorized.cc; HashJoin (algebra/hash_join.cc) routes through
+// vec::TryHashJoin, whose HashedSide::kLeft mode is its probe-side route.
+// Under WUW_MEM_MB the join's and the aggregate's grace routes run these
+// same kernels on partitions spilled as column images
+// (algebra/spill_util.h).
 //
-// Every input must convert to ColumnTable form (Rows::Columnar()); a batch
-// whose cells violate their declared column types is an invariant
-// violation and aborts.  Expressions are typed by the binder's rules
+// Every input and output is a column image (Rows, algebra/rows.h); no
+// kernel builds a tuple.  Filter and TryHashJoin keep only the columns
+// the caller asks for.  Expressions are typed by the binder's rules
 // (expr/evaluator.h), which ValidateDefinition applies to user input
 // before anything runs, so ill-typed arithmetic or a SUM over strings
-// reaches a kernel only through a bug, and aborts there too.  TryFilter
-// and TryHashJoin return columnar-only batches (Rows::FromColumnar) that
-// keep only the columns the caller asks for: no output tuple is built
-// unless a consumer calls rows().  TryProject and TryAggregate build their
-// rows eagerly.
+// reaches a kernel only through a bug, and aborts there.
 //
-// TryFilter narrows a selection vector one top-level conjunct at a time,
+// Filter narrows a selection vector one top-level conjunct at a time,
 // with branch-free compaction.  A `column op constant` conjunct (either
 // orientation) runs as one typed loop off the column array, with the op
 // resolved and a string constant turned into a per-code pass table once
@@ -27,15 +25,16 @@
 // passes them), a NULL operand compares false, and string-vs-numeric
 // compares by type rank.
 //
-// Output order, which the join and aggregate grace routes reproduce:
-// filter and project keep input order (project emits one row per input
-// row; filter drops zero multiplicities, as the join drops zero
-// products); the join emits probe (left) rows ascending and, per probe
-// row, its build matches in descending build index; the aggregate emits
-// groups in first-occurrence order.  OperatorStats: rows_scanned sums |multiplicity| over every
-// input row; rows_produced sums |multiplicity| over passing rows (filter,
-// project), |probe x build| over key-equal pairs (join), or counts emitted
-// groups (aggregate); the join adds one hash_probes per probe row and one
+// Output order, which the grace routes reproduce: filter and project keep
+// input order (project emits one row per input row; filter drops zero
+// multiplicities, as the join drops zero products); the join emits probe
+// (left) rows ascending and, per probe row, its build matches in
+// descending build index; the aggregate emits groups in first-occurrence
+// order, their key cells taken from each group's first row.
+// OperatorStats: rows_scanned sums |multiplicity| over every input row;
+// rows_produced sums |multiplicity| over passing rows (filter, project),
+// |probe x build| over key-equal pairs (join), or counts emitted groups
+// (aggregate); the join adds one hash_probes per probe row and one
 // hash_build_rows per build row.  None of this depends on the pool: the
 // join's radix-partitioned parallel build and morsel probe reproduce the
 // sequential layout exactly, so rows, order and stats are identical at
@@ -52,14 +51,11 @@
 #define WUW_ALGEBRA_VECTORIZED_H_
 
 #include <cstddef>
-#include <string>
+#include <cstdint>
 #include <vector>
 
-#include "algebra/aggregate.h"
 #include "algebra/operator_stats.h"
-#include "algebra/project.h"
 #include "algebra/rows.h"
-#include "expr/scalar_expr.h"
 
 namespace wuw {
 
@@ -67,17 +63,6 @@ class CancelToken;
 class ThreadPool;
 
 namespace vec {
-
-/// Vectorized selection.  `predicate` must be non-null.  The output keeps
-/// the input columns at positions `columns` (ascending; null keeps them
-/// all).
-Rows TryFilter(const Rows& input, const ScalarExpr::Ptr& predicate,
-               OperatorStats* stats,
-               const std::vector<size_t>* columns = nullptr);
-
-/// Vectorized generalized projection.
-Rows TryProject(const Rows& input, const std::vector<ProjectItem>& items,
-                OperatorStats* stats);
 
 /// The side a hash join builds its table over.
 enum class HashedSide {
@@ -95,17 +80,15 @@ enum class HashedSide {
 /// it.  `left_idx` / `right_idx` are resolved key column positions.  Rows,
 /// order, stats and kEngine counters are the same for either `hashed`.
 /// The output keeps the columns of left ++ right at positions `columns`
-/// (ascending; null keeps them all).
+/// (ascending; null keeps them all).  `probe_rows`, when non-null,
+/// receives the left row of every output row.
 Rows TryHashJoin(const Rows& left, const Rows& right,
                  const std::vector<size_t>& left_idx,
                  const std::vector<size_t>& right_idx, OperatorStats* stats,
                  ThreadPool* pool, const CancelToken* cancel,
                  HashedSide hashed = HashedSide::kRight,
-                 const std::vector<size_t>* columns = nullptr);
-
-/// Vectorized signed aggregation with flat accumulators.
-Rows TryAggregate(const Rows& input, const std::vector<std::string>& group_by,
-                  const std::vector<AggSpec>& aggs, OperatorStats* stats);
+                 const std::vector<size_t>* columns = nullptr,
+                 std::vector<uint32_t>* probe_rows = nullptr);
 
 }  // namespace vec
 }  // namespace wuw

@@ -23,7 +23,10 @@ void DeltaRelation::Add(const Tuple& tuple, int64_t count) {
 }
 
 void DeltaRelation::AddRows(const Rows& rows) {
-  for (const auto& [tuple, count] : rows.rows()) Add(tuple, count);
+  std::shared_ptr<const ColumnTable> image = rows.Columnar();
+  for (size_t i = 0; i < image->num_rows(); ++i) {
+    Add(image->TupleAt(i), image->mult()[i]);
+  }
 }
 
 void DeltaRelation::Merge(const DeltaRelation& other) {
@@ -34,7 +37,6 @@ Rows DeltaRelation::ToRows() const {
   std::lock_guard<std::mutex> lock(memo_.mu);
   if (!memo_.rows.has_value()) {
     Rows& out = memo_.rows.emplace(schema_);
-    out.mutable_rows().reserve(entries_.size());
     for (const auto& [tuple, count] : entries_) out.Add(tuple, count);
   }
   return *memo_.rows;

@@ -12,8 +12,10 @@ namespace wuw {
 DeltaRelation FinalizeSpjDelta(const Schema& output_schema, const Rows& raw,
                                OperatorStats* stats) {
   DeltaRelation delta(output_schema);
-  for (const auto& [tuple, count] : raw.rows()) {
-    delta.Add(tuple, count);
+  std::shared_ptr<const ColumnTable> image = raw.Columnar();
+  for (size_t i = 0; i < image->num_rows(); ++i) {
+    const int64_t count = image->mult()[i];
+    delta.Add(image->TupleAt(i), count);
     if (stats != nullptr) stats->rows_scanned += std::llabs(count);
   }
   return delta;
@@ -42,15 +44,16 @@ DeltaRelation FinalizeAggregateDelta(const ViewDefinition& def,
   // strategy comparisons.)
   std::vector<size_t> key_idx;
   for (size_t i = 0; i < num_keys; ++i) key_idx.push_back(i);
-  const RowVec& changes = summary.rows();
+  std::shared_ptr<const ColumnTable> changes = summary.Columnar();
+  const size_t num_changes = changes->num_rows();
   std::vector<Tuple> keys;
-  keys.reserve(changes.size());
+  keys.reserve(num_changes);
   std::unordered_multimap<uint64_t, size_t> by_hash;
-  for (size_t s = 0; s < changes.size(); ++s) {
-    keys.push_back(changes[s].first.Project(key_idx));
+  for (size_t s = 0; s < num_changes; ++s) {
+    keys.push_back(changes->TupleAt(s).Project(key_idx));
     by_hash.emplace(ColumnTable::TupleRowHash(keys.back()), s);
   }
-  std::vector<Tuple> old_rows(changes.size());  // empty: no current row
+  std::vector<Tuple> old_rows(num_changes);  // empty: no current row
   std::shared_ptr<const ColumnTable> image = current.ColumnarSnapshot();
   for (size_t i = 0; i < image->num_rows(); ++i) {
     WUW_CHECK(image->mult()[i] == 1,
@@ -66,9 +69,9 @@ DeltaRelation FinalizeAggregateDelta(const ViewDefinition& def,
     stats->rows_scanned += static_cast<int64_t>(image->num_rows());
   }
 
-  for (size_t s = 0; s < changes.size(); ++s) {
-    const auto& [srow, smult] = changes[s];
-    WUW_CHECK(smult == 1, "summary rows are +1 weighted");
+  for (size_t s = 0; s < num_changes; ++s) {
+    const Tuple srow = changes->TupleAt(s);
+    WUW_CHECK(changes->mult()[s] == 1, "summary rows are +1 weighted");
     const Tuple& key = keys[s];
     const Tuple* old_row = old_rows[s].size() > 0 ? &old_rows[s] : nullptr;
 

@@ -11,6 +11,7 @@
 #include "fault/fault_injection.h"
 #include "obs/metrics.h"
 #include "storage/column_table.h"
+#include "storage/page.h"
 
 namespace wuw {
 
@@ -97,10 +98,22 @@ void StrategyJournal::Clear() {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization.  Little-endian fixed-width primitives; strings and
-// vectors are length-prefixed; every frame carries its own CRC32.
+// Serialization: the page codec's primitives (storage/page.h); strings and
+// vectors are length-prefixed, and every frame carries its own CRC32.
 
 namespace {
+
+using paged::ByteReader;
+using paged::GetSchema;
+using paged::GetTuple;
+using paged::PutI64;
+using paged::PutSchema;
+using paged::PutString;
+using paged::PutTuple;
+using paged::PutU32;
+using paged::PutU64;
+using paged::PutU8;
+using paged::PutValue;
 
 constexpr char kMagic[8] = {'W', 'U', 'W', 'J', 'R', 'N', 'L', '1'};
 constexpr uint32_t kFormatVersion = 1;
@@ -108,74 +121,17 @@ constexpr uint32_t kFormatVersion = 1;
 constexpr uint8_t kEntryRecord = 0;
 constexpr uint8_t kCompleteRecord = 1;
 
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-void PutValue(std::string* out, const Value& v) {
-  PutU8(out, static_cast<uint8_t>(v.type()));
-  switch (v.type()) {
-    case TypeId::kNull:
-      break;
-    case TypeId::kInt64:
-      PutI64(out, v.AsInt64());
-      break;
-    case TypeId::kDate:
-      PutI64(out, v.AsDate());
-      break;
-    case TypeId::kDouble: {
-      uint64_t bits;
-      double d = v.AsDouble();
-      std::memcpy(&bits, &d, sizeof(bits));
-      PutU64(out, bits);
-      break;
-    }
-    case TypeId::kString:
-      PutString(out, v.AsString());
-      break;
-  }
-}
-
-void PutTuple(std::string* out, const Tuple& t) {
-  PutU32(out, static_cast<uint32_t>(t.size()));
-  for (const Value& v : t.values()) PutValue(out, v);
-}
-
-void PutSchema(std::string* out, const Schema& s) {
-  PutU32(out, static_cast<uint32_t>(s.num_columns()));
-  for (const Column& c : s.columns()) {
-    PutString(out, c.name);
-    PutU8(out, static_cast<uint8_t>(c.type));
-  }
-}
-
+/// Row by row, each as PutTuple writes it and then its multiplicity.
 void PutRows(std::string* out, const Rows& rows) {
   PutSchema(out, rows.schema);
   PutU64(out, rows.size());
-  for (const auto& [tuple, count] : rows.rows()) {
-    PutTuple(out, tuple);
-    PutI64(out, count);
+  std::shared_ptr<const ColumnTable> image = rows.Columnar();
+  for (size_t i = 0; i < image->num_rows(); ++i) {
+    PutU32(out, static_cast<uint32_t>(image->num_columns()));
+    for (size_t c = 0; c < image->num_columns(); ++c) {
+      PutValue(out, image->column(c).ValueAt(i));
+    }
+    PutI64(out, image->mult()[i]);
   }
 }
 
@@ -215,116 +171,6 @@ void PutFrame(std::string* out, const std::string& payload) {
   PutU32(out, Crc32(payload.data(), payload.size()));
 }
 
-/// Bounds-checked little-endian reader; any overrun or type mismatch
-/// latches `ok = false` and every later read returns a zero value.
-struct ByteReader {
-  const uint8_t* data;
-  size_t size;
-  size_t pos = 0;
-  bool ok = true;
-
-  explicit ByteReader(const std::string& bytes)
-      : data(reinterpret_cast<const uint8_t*>(bytes.data())),
-        size(bytes.size()) {}
-  ByteReader(const uint8_t* d, size_t n) : data(d), size(n) {}
-
-  size_t remaining() const { return ok ? size - pos : 0; }
-
-  bool Need(size_t n) {
-    if (!ok || size - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-
-  uint8_t U8() {
-    if (!Need(1)) return 0;
-    return data[pos++];
-  }
-
-  uint32_t U32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data[pos++]) << (8 * i);
-    return v;
-  }
-
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data[pos++]) << (8 * i);
-    return v;
-  }
-
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-
-  std::string Str() {
-    uint32_t len = U32();
-    if (!Need(len)) return std::string();
-    std::string s(reinterpret_cast<const char*>(data + pos), len);
-    pos += len;
-    return s;
-  }
-};
-
-bool GetValue(ByteReader* r, Value* out) {
-  uint8_t tag = r->U8();
-  switch (static_cast<TypeId>(tag)) {
-    case TypeId::kNull:
-      *out = Value::Null();
-      break;
-    case TypeId::kInt64:
-      *out = Value::Int64(r->I64());
-      break;
-    case TypeId::kDate:
-      *out = Value::Date(r->I64());
-      break;
-    case TypeId::kDouble: {
-      uint64_t bits = r->U64();
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
-      *out = Value::Double(d);
-      break;
-    }
-    case TypeId::kString:
-      *out = Value::String(r->Str());
-      break;
-    default:
-      r->ok = false;
-  }
-  return r->ok;
-}
-
-bool GetTuple(ByteReader* r, Tuple* out) {
-  uint32_t n = r->U32();
-  if (!r->Need(n)) return false;  // every value is at least one byte
-  std::vector<Value> values(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!GetValue(r, &values[i])) return false;
-  }
-  *out = Tuple(std::move(values));
-  return true;
-}
-
-bool GetSchema(ByteReader* r, Schema* out) {
-  uint32_t n = r->U32();
-  if (!r->Need(n)) return false;
-  std::vector<Column> columns(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    columns[i].name = r->Str();
-    uint8_t tag = r->U8();
-    if (tag > static_cast<uint8_t>(TypeId::kDate)) {
-      r->ok = false;
-      return false;
-    }
-    columns[i].type = static_cast<TypeId>(tag);
-  }
-  if (!r->ok) return false;
-  *out = Schema(std::move(columns));
-  return true;
-}
-
 // GetRows and GetDelta reject a row that does not fit its decoded schema
 // (arity, or a non-NULL cell of another type): a CRC-valid record this
 // version never wrote, which must not reach Table::Add on replay.
@@ -333,16 +179,17 @@ bool GetRows(ByteReader* r, Rows* out) {
   if (!GetSchema(r, &schema)) return false;
   uint64_t n = r->U64();
   if (!r->Need(n)) return false;  // every row is at least one byte
-  *out = Rows(std::move(schema));
-  RowVec& rows = out->mutable_rows();
-  rows.reserve(n);
+  // Appended to the image directly: a zero multiplicity stays a row, as
+  // it was written.
+  auto image = std::make_shared<ColumnTable>(std::move(schema));
   for (uint64_t i = 0; i < n; ++i) {
     Tuple t;
-    if (!GetTuple(r, &t) || !TupleFitsSchema(out->schema, t)) return false;
-    int64_t count = r->I64();
-    rows.emplace_back(std::move(t), count);
+    if (!GetTuple(r, &t) || !image->Accepts(t)) return false;
+    image->AppendRow(t, r->I64());
   }
-  return r->ok;
+  if (!r->ok) return false;
+  *out = Rows::FromColumnar(std::move(image));
+  return true;
 }
 
 bool GetDelta(ByteReader* r, DeltaRelation* out) {

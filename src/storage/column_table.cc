@@ -161,6 +161,44 @@ std::vector<T> ReservedCopy(const std::vector<T>& from, size_t capacity) {
   return out;
 }
 
+/// `col`'s dictionary, made writable: created when absent, copied while
+/// anyone else holds it.  Every dict is allocated mutable.
+StringDict* WritableDict(ColumnVec* col) {
+  if (col->dict == nullptr) {
+    col->dict = std::make_shared<StringDict>();
+  } else if (col->dict.use_count() != 1) {
+    col->dict = std::make_shared<StringDict>(*col->dict);
+  }
+  return const_cast<StringDict*>(col->dict.get());
+}
+
+/// CompactDicts for one column: a dictionary holding more than
+/// 2 x rows + 64 strings is replaced by one holding the strings the codes
+/// use, in first-occurrence order, and the codes are rewritten.
+void CompactDict(ColumnVec* col) {
+  const size_t bound = 2 * col->codes.size() + 64;
+  if (col->dict == nullptr || col->dict->size() <= bound) return;
+  std::vector<uint32_t> remap(col->dict->size(), kNullStringCode);
+  auto fresh = std::make_shared<StringDict>();
+  for (uint32_t& code : col->codes) {
+    if (code == kNullStringCode) continue;
+    uint32_t& to = remap[code];
+    if (to == kNullStringCode) to = fresh->Intern(col->dict->At(code));
+    code = to;
+  }
+  WUW_METRIC_ADD("engine.vec.value_hashes", obs::MetricClass::kEngine,
+                 static_cast<int64_t>(fresh->size()));
+  col->dict = std::move(fresh);
+}
+
+template <typename T>
+void AppendGathered(const std::vector<T>& from,
+                    const std::vector<uint32_t>& ids, std::vector<T>* to) {
+  const size_t base = to->size();
+  to->resize(base + ids.size());
+  for (size_t k = 0; k < ids.size(); ++k) (*to)[base + k] = from[ids[k]];
+}
+
 }  // namespace
 
 std::shared_ptr<ColumnTable> ColumnTable::CopyForEdit() const {
@@ -179,6 +217,8 @@ std::shared_ptr<ColumnTable> ColumnTable::CopyForEdit() const {
     to.nulls = ReservedCopy(from.nulls, capacity);
   }
   out->mult_ = ReservedCopy(mult_, capacity);
+  out->abs_total_ = abs_total_;
+  out->signed_total_ = signed_total_;
   return out;
 }
 
@@ -204,13 +244,8 @@ void ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
         if (!null && code == kNullStringCode) {
           // Outputs gathered from this table share its dict and must never
           // see it grow, so a shared dict is copied before the first new
-          // string.  Every dict is allocated mutable.
-          if (col.dict == nullptr) {
-            col.dict = std::make_shared<StringDict>();
-          } else if (col.dict.use_count() != 1) {
-            col.dict = std::make_shared<StringDict>(*col.dict);
-          }
-          code = const_cast<StringDict*>(col.dict.get())->Intern(v.AsString());
+          // string.
+          code = WritableDict(&col)->Intern(v.AsString());
           WUW_METRIC_ADD("engine.vec.value_hashes", obs::MetricClass::kEngine,
                          1);
         }
@@ -226,6 +261,72 @@ void ColumnTable::AppendRow(const Tuple& tuple, int64_t m) {
     }
   }
   mult_.push_back(m);
+  abs_total_ += std::llabs(m);
+  signed_total_ += m;
+}
+
+void ColumnTable::AppendRows(const ColumnTable& src,
+                             const std::vector<uint32_t>& ids) {
+  WUW_CHECK(src.num_columns() == num_columns(),
+            "AppendRows: the source has another arity");
+  WUW_CHECK(num_rows() + ids.size() < kNullStringCode,
+            "AppendRows: too many rows for a column image");
+  const size_t base = num_rows();
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    ColumnVec& to = columns_[c];
+    const ColumnVec& from = src.columns_[c];
+    WUW_CHECK(to.type == from.type,
+              "AppendRows: a source column has another type");
+    switch (to.type) {
+      case TypeId::kString: {
+        if (to.dict == from.dict) {
+          AppendGathered(from.codes, ids, &to.codes);
+          break;
+        }
+        // A large dictionary this column shares (a table's, say) is
+        // compacted to the strings its rows use before a new string is
+        // interned, rather than copied whole.
+        CompactDict(&to);
+        // from-code -> to-code, filled on first use (kNullStringCode =
+        // not seen yet; NULL cells never consult it).
+        std::vector<uint32_t> remap(from.dict != nullptr ? from.dict->size()
+                                                         : 0,
+                                    kNullStringCode);
+        to.codes.reserve(base + ids.size());
+        for (uint32_t id : ids) {
+          const uint32_t code = from.codes[id];
+          if (code != kNullStringCode && remap[code] == kNullStringCode) {
+            const std::string& str = from.dict->At(code);
+            const uint32_t known =
+                to.dict != nullptr ? to.dict->Find(str) : kNullStringCode;
+            remap[code] =
+                known != kNullStringCode ? known : WritableDict(&to)->Intern(str);
+          }
+          to.codes.push_back(code == kNullStringCode ? code : remap[code]);
+        }
+        break;
+      }
+      case TypeId::kDouble:
+        AppendGathered(from.dbls, ids, &to.dbls);
+        break;
+      default:
+        AppendGathered(from.ints, ids, &to.ints);
+        break;
+    }
+    if (to.type == TypeId::kString) continue;
+    if (!from.nulls.empty()) {
+      if (to.nulls.empty()) to.nulls.resize(base, 0);
+      AppendGathered(from.nulls, ids, &to.nulls);
+    } else if (!to.nulls.empty()) {
+      to.nulls.resize(base + ids.size(), 0);
+    }
+  }
+  mult_.reserve(base + ids.size());
+  for (uint32_t id : ids) {
+    mult_.push_back(src.mult_[id]);
+    abs_total_ += std::llabs(src.mult_[id]);
+    signed_total_ += src.mult_[id];
+  }
 }
 
 void ColumnTable::RemoveRow(size_t i) {
@@ -255,21 +356,7 @@ void ColumnTable::RemoveRow(size_t i) {
 }
 
 void ColumnTable::CompactDicts() {
-  const size_t bound = 2 * num_rows() + 64;
-  for (ColumnVec& col : columns_) {
-    if (col.dict == nullptr || col.dict->size() <= bound) continue;
-    std::vector<uint32_t> remap(col.dict->size(), kNullStringCode);
-    auto fresh = std::make_shared<StringDict>();
-    for (uint32_t& code : col.codes) {
-      if (code == kNullStringCode) continue;
-      uint32_t& to = remap[code];
-      if (to == kNullStringCode) to = fresh->Intern(col.dict->At(code));
-      code = to;
-    }
-    WUW_METRIC_ADD("engine.vec.value_hashes", obs::MetricClass::kEngine,
-                   static_cast<int64_t>(fresh->size()));
-    col.dict = std::move(fresh);
-  }
+  for (ColumnVec& col : columns_) CompactDict(&col);
 }
 
 void ColumnTable::Finish() {

@@ -7,13 +7,12 @@
 // produce this layout batch-at-a-time (algebra/row_batch.h), touching raw
 // arrays in tight typed loops instead of per-row Value variant dispatch.
 //
-// Row-major surfaces remain the operators' API: Rows is the operator-edge
-// type and Table the install/merge API.  Conversions are exact — every
-// cell round-trips with its original TypeId, so SortedRows /
-// ContentsEqual / golden output comparisons cannot tell the
-// representations apart.  Rows whose cells violate their declared column
-// type refuse to convert (FromRows returns null); nothing the engine
-// builds does that, and the kernels reject such a batch.
+// Every operator edge is a ColumnTable (Rows, algebra/rows.h, is one plus
+// its schema).  Tuples enter through AppendRow and FromRows and leave
+// through TupleAt, and every cell round-trips with its original TypeId,
+// so SortedRows / ContentsEqual / golden output comparisons cannot tell
+// the forms apart.  A tuple whose cells violate their declared column
+// types does not fit (Accepts is false, FromRows returns null).
 //
 // A ColumnTable is also every Table's storage (storage/table.h): the table
 // is its image plus a row index over it (RowHash, TupleRowHash,
@@ -145,9 +144,8 @@ inline uint64_t CellHashAt(const ColumnVec& c, size_t i) {
   return Mix64(bits);
 }
 
-/// Folds a cell hash into a row's key hash: the combining scheme of
-/// KeyHash (algebra/key_util.h), so the hash distributes comparably; the
-/// seed and sequence are irrelevant to correctness.
+/// Folds a cell hash into a row's key hash (the boost hash_combine
+/// scheme); the seed and sequence are irrelevant to correctness.
 inline uint64_t CombineKeyHash(uint64_t h, uint64_t cell) {
   return h ^ (cell + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
 }
@@ -192,9 +190,9 @@ class ColumnTable {
   /// spare plus 16.
   static size_t EditCapacity(size_t rows) { return rows + rows / 8 + 16; }
 
-  /// A copy whose arrays reserve EditCapacity(num_rows()) rows.  Shares
-  /// the string dictionaries (AppendRow copies a shared one before
-  /// interning); the totals are left for Finish().
+  /// A copy whose arrays reserve EditCapacity(num_rows()) rows, with the
+  /// same totals.  Shares the string dictionaries (AppendRow copies a
+  /// shared one before interning).
   std::shared_ptr<ColumnTable> CopyForEdit() const;
 
   const Schema& schema() const { return schema_; }
@@ -211,9 +209,16 @@ class ColumnTable {
   bool Accepts(const Tuple& tuple) const;
 
   /// Appends one row-major row; requires Accepts(tuple).  A shared string
-  /// dictionary is copied before its first new string.  Totals are stale
-  /// until Finish().
+  /// dictionary is copied before its first new string.  Keeps the totals.
   void AppendRow(const Tuple& tuple, int64_t m);
+
+  /// Appends rows `ids` of `src`, whose columns have this table's types,
+  /// in that order.  String codes are re-coded into this table's
+  /// dictionaries unless both columns share one: a dictionary over
+  /// CompactDicts' bound is compacted first, and a string new to it is
+  /// interned on first use, after a shared one is copied.  Keeps the
+  /// totals.
+  void AppendRows(const ColumnTable& src, const std::vector<uint32_t>& ids);
 
   /// Sets row `i`'s multiplicity.  Totals are stale until Finish().
   void SetMult(size_t i, int64_t m) { mult_[i] = m; }
@@ -230,13 +235,15 @@ class ColumnTable {
   /// amortized O(1) per edit; other dictionaries are left as they are.
   void CompactDicts();
 
-  /// Recomputes the abs/signed totals after any mutation of mult_.
-  /// Every constructor of a finished table must call this once.
+  /// Recomputes the abs/signed totals after SetMult, RemoveRow or a
+  /// direct write to mult_.  Every constructor of a finished table that
+  /// does not build it by appends must call this once.
   void Finish();
 
-  /// Sum of |mult| over all rows, as of the last Finish().
+  /// Sum of |mult| over all rows (as of the last Finish() after an edit
+  /// other than an append).
   int64_t abs_total() const { return abs_total_; }
-  /// Sum of mult over all rows, as of the last Finish().
+  /// Sum of mult over all rows (likewise).
   int64_t signed_total() const { return signed_total_; }
 
   /// Sum of |mult| over rows [begin, end), summed on the call.

@@ -14,7 +14,7 @@ namespace wuw {
 namespace paged {
 
 // ---------------------------------------------------------------------------
-// Byte codec (journal dialect, exec/journal.cc).
+// Byte codec.
 
 void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -106,6 +106,35 @@ bool GetTuple(ByteReader* r, Tuple* out) {
     if (!GetValue(r, &values[i])) return false;
   }
   *out = Tuple(std::move(values));
+  return true;
+}
+
+void PutSchema(std::string* out, const Schema& s) {
+  PutU32(out, static_cast<uint32_t>(s.num_columns()));
+  for (const Column& c : s.columns()) {
+    PutString(out, c.name);
+    PutU8(out, static_cast<uint8_t>(c.type));
+  }
+}
+
+bool GetSchema(ByteReader* r, Schema* out) {
+  uint32_t n = r->U32();
+  if (!r->Need(n)) return false;
+  std::vector<Column> columns(n);
+  std::set<std::string> names;
+  for (uint32_t i = 0; i < n; ++i) {
+    columns[i].name = r->Str();
+    uint8_t tag = r->U8();
+    // Schema aborts on a repeated name, so the decoder rejects it first.
+    if (tag > static_cast<uint8_t>(TypeId::kDate) ||
+        !names.insert(columns[i].name).second) {
+      r->ok = false;
+      return false;
+    }
+    columns[i].type = static_cast<TypeId>(tag);
+  }
+  if (!r->ok) return false;
+  *out = Schema(std::move(columns));
   return true;
 }
 
@@ -403,35 +432,6 @@ std::string PageFile::Sync() { return file_->Sync(); }
 namespace {
 constexpr uint32_t kImageFormatVersion = 2;
 
-void PutSchema(std::string* out, const Schema& s) {
-  PutU32(out, static_cast<uint32_t>(s.num_columns()));
-  for (const Column& c : s.columns()) {
-    PutString(out, c.name);
-    PutU8(out, static_cast<uint8_t>(c.type));
-  }
-}
-
-bool GetSchema(ByteReader* r, Schema* out) {
-  uint32_t n = r->U32();
-  if (!r->Need(n)) return false;
-  std::vector<Column> columns(n);
-  std::set<std::string> names;
-  for (uint32_t i = 0; i < n; ++i) {
-    columns[i].name = r->Str();
-    uint8_t tag = r->U8();
-    // Schema aborts on a repeated name, so the decoder rejects it first.
-    if (tag > static_cast<uint8_t>(TypeId::kDate) ||
-        !names.insert(columns[i].name).second) {
-      r->ok = false;
-      return false;
-    }
-    columns[i].type = static_cast<TypeId>(tag);
-  }
-  if (!r->ok) return false;
-  *out = Schema(std::move(columns));
-  return true;
-}
-
 /// Appends the first `n` words of `words` little-endian: GetWords's
 /// counterpart, a bulk copy on a little-endian host.
 template <typename T>
@@ -488,7 +488,9 @@ bool GetWords(ByteReader* r, size_t n, size_t capacity, std::vector<T>* out) {
   out->reserve(capacity);
   out->resize(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out->data(), r->data + r->pos, n * sizeof(T));
+    // An empty vector may have no buffer, and memcpy's pointers must not
+    // be null even for zero bytes.
+    if (n != 0) std::memcpy(out->data(), r->data + r->pos, n * sizeof(T));
     r->pos += n * sizeof(T);
   } else {
     for (size_t i = 0; i < n; ++i) {
@@ -570,20 +572,16 @@ bool GetColumn(ByteReader* r, size_t n, size_t capacity, ColumnVec* col) {
 }
 
 std::string SerializeTableImage(const Table& table, const ColumnTable& image) {
-  const size_t n = image.num_rows();
   std::string out;
   // Room for every fixed-width word, null mask and header; dictionary
   // strings may grow it once more.
-  out.reserve(256 + n * (8 + 9 * image.num_columns()));
+  out.reserve(256 + image.num_rows() * (8 + 9 * image.num_columns()));
   PutU32(&out, kImageFormatVersion);
   PutSchema(&out, table.schema());
   PutI64(&out, table.mutation_count());
   PutI64(&out, table.cardinality());
-  PutU64(&out, n);
-  for (size_t c = 0; c < image.num_columns(); ++c) {
-    PutColumn(&out, image.column(c), n);
-  }
-  PutWords(&out, image.mult(), n);
+  PutU64(&out, image.num_rows());
+  PutColumns(&out, image);
   return out;
 }
 
@@ -611,17 +609,9 @@ std::string DecodeTableImage(const std::string& bytes, TableImage* out) {
   }
   const size_t n = static_cast<size_t>(n64);
   // The installs that follow a fault-in append without reallocating.
-  const size_t capacity = ColumnTable::EditCapacity(n);
-  img.columns = std::make_shared<ColumnTable>(img.schema);
-  for (size_t c = 0; c < img.schema.num_columns(); ++c) {
-    if (!GetColumn(&r, n, capacity, img.columns->mutable_column(c))) {
-      return "column " + std::to_string(c) + " is truncated or corrupt";
-    }
-  }
-  if (!r.Need(n * 8)) return "multiplicities are truncated";
-  std::vector<int64_t>& mult = *img.columns->mutable_mult();
-  mult.reserve(capacity);
-  for (size_t i = 0; i < n; ++i) mult.push_back(r.I64());
+  std::string error = GetColumns(&r, img.schema, n,
+                                 ColumnTable::EditCapacity(n), &img.columns);
+  if (!error.empty()) return error;
   if (r.remaining() != 0) {
     return std::to_string(r.remaining()) + " trailing bytes after the image";
   }
@@ -630,6 +620,30 @@ std::string DecodeTableImage(const std::string& bytes, TableImage* out) {
 }
 
 }  // namespace
+
+void PutColumns(std::string* out, const ColumnTable& image) {
+  const size_t n = image.num_rows();
+  for (size_t c = 0; c < image.num_columns(); ++c) {
+    PutColumn(out, image.column(c), n);
+  }
+  PutWords(out, image.mult(), n);
+}
+
+std::string GetColumns(ByteReader* r, const Schema& schema, size_t n,
+                       size_t capacity, std::shared_ptr<ColumnTable>* out) {
+  auto image = std::make_shared<ColumnTable>(schema);
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    if (!GetColumn(r, n, capacity, image->mutable_column(c))) {
+      return "column " + std::to_string(c) + " is truncated or corrupt";
+    }
+  }
+  if (!r->Need(n * 8)) return "multiplicities are truncated";
+  std::vector<int64_t>& mult = *image->mutable_mult();
+  mult.reserve(capacity);
+  for (size_t i = 0; i < n; ++i) mult.push_back(r->I64());
+  *out = std::move(image);
+  return "";
+}
 
 std::string SaveTableImage(const Table& table, const std::string& path,
                            size_t page_bytes) {

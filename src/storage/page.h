@@ -42,8 +42,8 @@ namespace paged {
 
 // ---------------------------------------------------------------------------
 // Byte codec.  Little-endian fixed-width primitives, length-prefixed
-// strings — the journal's wire idiom (exec/journal.cc), exported here so
-// page images and the kernels' spill records share one dialect.
+// strings: the one wire idiom of the journal (exec/journal.cc), page
+// images and the kernels' spilled partitions.
 
 void PutU8(std::string* out, uint8_t v);
 void PutU32(std::string* out, uint32_t v);
@@ -52,6 +52,8 @@ void PutI64(std::string* out, int64_t v);
 void PutString(std::string* out, const std::string& s);
 void PutValue(std::string* out, const Value& v);
 void PutTuple(std::string* out, const Tuple& t);
+/// u32 column count, then per column its name and u8 type tag.
+void PutSchema(std::string* out, const Schema& s);
 
 /// Bounds-checked little-endian reader; any overrun or type mismatch
 /// latches `ok = false` and every later read returns a zero value.
@@ -112,6 +114,20 @@ struct ByteReader {
 
 bool GetValue(ByteReader* r, Value* out);
 bool GetTuple(ByteReader* r, Tuple* out);
+/// Rejects an unknown type tag and a repeated column name (which Schema
+/// would abort on): decoded bytes are input from outside the program.
+bool GetSchema(ByteReader* r, Schema* out);
+
+/// A column image's cells and multiplicities (`image`'s columns, then its
+/// multiplicities; the layout below).  The reader knows the schema and the
+/// row count from what precedes it.
+void PutColumns(std::string* out, const ColumnTable& image);
+/// Decodes PutColumns' bytes for `n` rows of `schema` into a fresh image
+/// with room for `capacity` rows; its totals are left for Finish().
+/// Returns "" on success, else what is damaged.  Accepts only the shapes
+/// FromRows and AppendRow produce; never aborts.
+std::string GetColumns(ByteReader* r, const Schema& schema, size_t n,
+                       size_t capacity, std::shared_ptr<ColumnTable>* out);
 
 // ---------------------------------------------------------------------------
 // Analytic size model.  Serialized-byte estimates computed from the wire

@@ -163,8 +163,7 @@ CompEvalResult EvalComp(const ViewDefinition& def,
   std::vector<TermResult> term_results(masks.size());
 
   auto eval_term = [&](size_t slot) {
-    // Copy out of the shared handle: tuples are COW, so this only bumps
-    // refcounts, and the merge below may then move tuples freely.
+    // Copy out of the shared handle: this shares the image in O(1).
     term_results[slot].raw = *exec.Execute(roots[slot],
                                            &term_results[slot].stats);
   };
@@ -193,9 +192,7 @@ CompEvalResult EvalComp(const ViewDefinition& def,
   if (stats != nullptr) *stats += prepare_stats;
   for (size_t slot = 0; slot < masks.size(); ++slot) {
     TermResult& term = term_results[slot];
-    for (auto& [tuple, count] : term.raw.mutable_rows()) {
-      result.raw_delta.Add(std::move(tuple), count);
-    }
+    result.raw_delta.Append(term.raw);
     result.linear_operand_work += term_work[slot];
     if (stats != nullptr) *stats += term.stats;
     ++result.num_terms;

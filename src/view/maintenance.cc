@@ -16,12 +16,7 @@ void DeltaAccumulator::Accumulate(Rows raw) {
   std::lock_guard<std::mutex> lock(mutex_);
   WUW_CHECK(!finalized_,
             "Comp after delta finalization: the strategy violates C4/C8");
-  // mutable_rows() unshares raw's block first, so moving tuples out of it
-  // can never disturb another holder.
-  RowVec& moved = raw.mutable_rows();
-  RowVec& into = raw_.mutable_rows();
-  into.insert(into.end(), std::make_move_iterator(moved.begin()),
-              std::make_move_iterator(moved.end()));
+  raw_.Append(raw);
 }
 
 const DeltaRelation& DeltaAccumulator::Finalize(const Table& current,

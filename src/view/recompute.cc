@@ -31,12 +31,13 @@ Table RecomputeView(const ViewDefinition& def, const TableSource& source,
     return source(name).schema();
   };
   Table out(def.OutputSchema(resolver));
-  if (def.is_aggregate()) {
-    Rows aggregated =
-        AggregateSigned(raw, def.GroupKeyNames(), RawAggSpecs(def), stats);
-    for (const auto& [tuple, count] : aggregated.rows()) out.Add(tuple, count);
-  } else {
-    for (const auto& [tuple, count] : raw.rows()) out.Add(tuple, count);
+  const Rows rows =
+      def.is_aggregate()
+          ? AggregateSigned(raw, def.GroupKeyNames(), RawAggSpecs(def), stats)
+          : raw;
+  std::shared_ptr<const ColumnTable> image = rows.Columnar();
+  for (size_t i = 0; i < image->num_rows(); ++i) {
+    out.Add(image->TupleAt(i), image->mult()[i]);
   }
   return out;
 }

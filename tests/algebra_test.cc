@@ -5,6 +5,7 @@
 #include "algebra/hash_join.h"
 #include "algebra/project.h"
 #include "algebra/rows.h"
+#include "test_util.h"
 
 namespace wuw {
 namespace {
@@ -34,7 +35,7 @@ TEST(RowsTest, FromTablePreservesMultiplicity) {
   t.Add(Tuple({Value::Int64(1), Value::Int64(10)}), 3);
   Rows r = Rows::FromTable(t);
   EXPECT_EQ(r.SignedCardinality(), 3);
-  EXPECT_EQ(r.rows().size(), 1u);
+  EXPECT_EQ(r.size(), 1u);
 }
 
 TEST(FilterTest, KeepsMatchingSignedRows) {
@@ -44,7 +45,7 @@ TEST(FilterTest, KeepsMatchingSignedRows) {
                     ScalarExpr::Compare(CompareOp::kGe, ScalarExpr::Column("v"),
                                         ScalarExpr::Literal(Value::Int64(20))),
                     &stats);
-  EXPECT_EQ(out.rows().size(), 2u);
+  EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(out.SignedCardinality(), -1);
   EXPECT_EQ(stats.rows_scanned, 4);  // |mult| summed
   EXPECT_EQ(stats.rows_produced, 3);
@@ -53,7 +54,7 @@ TEST(FilterTest, KeepsMatchingSignedRows) {
 TEST(FilterTest, NullPredicatePassesThrough) {
   Rows in = MakeRows(KV(), {{{1, 10}, 1}});
   Rows out = Filter(in, nullptr, nullptr);
-  EXPECT_EQ(out.rows().size(), 1u);
+  EXPECT_EQ(out.size(), 1u);
 }
 
 TEST(ProjectTest, ComputesExpressions) {
@@ -67,14 +68,14 @@ TEST(ProjectTest, ComputesExpressions) {
       &stats);
   EXPECT_EQ(out.schema.num_columns(), 1u);
   EXPECT_EQ(out.schema.column(0).name, "sum");
-  EXPECT_EQ(out.rows()[0].first.value(0).AsInt64(), 11);
-  EXPECT_EQ(out.rows()[0].second, 2);
+  EXPECT_EQ(testutil::RowsOf(out)[0].first.value(0).AsInt64(), 11);
+  EXPECT_EQ(testutil::RowsOf(out)[0].second, 2);
 }
 
 TEST(ProjectTest, DoesNotCollapseDuplicates) {
   Rows in = MakeRows(KV(), {{{1, 10}, 1}, {{2, 10}, 1}});
   Rows out = Project(in, {{ScalarExpr::Column("v"), "v"}}, nullptr);
-  EXPECT_EQ(out.rows().size(), 2u);  // multiset projection keeps both
+  EXPECT_EQ(out.size(), 2u);  // multiset projection keeps both
 }
 
 TEST(HashJoinTest, BasicEquiJoin) {
@@ -83,7 +84,7 @@ TEST(HashJoinTest, BasicEquiJoin) {
                         {{{2, 200}, 1}, {{3, 300}, 1}, {{4, 400}, 1}});
   OperatorStats stats;
   Rows out = HashJoin(left, right, JoinKeys{{"k"}, {"k2"}}, &stats);
-  EXPECT_EQ(out.rows().size(), 2u);
+  EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(out.schema.num_columns(), 4u);
   EXPECT_EQ(stats.hash_build_rows, 3);
   EXPECT_EQ(stats.hash_probes, 3);
@@ -95,8 +96,8 @@ TEST(HashJoinTest, MultiplicitiesMultiply) {
       MakeRows(Schema({{"k2", TypeId::kInt64}}), {});
   right.Add(Tuple({Value::Int64(1)}), 3);
   Rows out = HashJoin(left, right, JoinKeys{{"k"}, {"k2"}}, nullptr);
-  ASSERT_EQ(out.rows().size(), 1u);
-  EXPECT_EQ(out.rows()[0].second, -6);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(testutil::RowsOf(out)[0].second, -6);
 }
 
 TEST(HashJoinTest, MultiColumnKeys) {
@@ -105,14 +106,14 @@ TEST(HashJoinTest, MultiColumnKeys) {
   Rows left = MakeRows(ab, {{{1, 2}, 1}, {{1, 3}, 1}});
   Rows right = MakeRows(cd, {{{1, 2}, 1}});
   Rows out = HashJoin(left, right, JoinKeys{{"a", "b"}, {"c", "d"}}, nullptr);
-  EXPECT_EQ(out.rows().size(), 1u);
+  EXPECT_EQ(out.size(), 1u);
 }
 
 TEST(HashJoinTest, EmptyKeysIsCrossProduct) {
   Rows left = MakeRows(KV(), {{{1, 10}, 1}, {{2, 20}, 1}});
   Rows right = MakeRows(Schema({{"z", TypeId::kInt64}}), {{{7}, 1}, {{8}, 1}});
   Rows out = HashJoin(left, right, JoinKeys{}, nullptr);
-  EXPECT_EQ(out.rows().size(), 4u);
+  EXPECT_EQ(out.size(), 4u);
 }
 
 TEST(AggregateTest, SumAndCountOverPositiveRows) {
@@ -123,9 +124,9 @@ TEST(AggregateTest, SumAndCountOverPositiveRows) {
       {AggFn::kCount, nullptr, "c"},
   };
   Rows out = AggregateSigned(in, {"g"}, aggs, nullptr);
-  EXPECT_EQ(out.rows().size(), 2u);
+  EXPECT_EQ(out.size(), 2u);
   // Locate group 1.
-  for (const auto& [row, mult] : out.rows()) {
+  for (const auto& [row, mult] : testutil::RowsOf(out)) {
     EXPECT_EQ(mult, 1);
     if (row.value(0).AsInt64() == 1) {
       EXPECT_EQ(row.value(1).AsInt64(), 10 + 40);  // sum weights by mult
@@ -144,9 +145,9 @@ TEST(AggregateTest, SignedInputProducesSummaryDelta) {
                      {{{1, 10}, -1}, {{1, 30}, 1}});
   std::vector<AggSpec> aggs = {{AggFn::kSum, ScalarExpr::Column("v"), "s"}};
   Rows out = AggregateSigned(in, {"g"}, aggs, nullptr);
-  ASSERT_EQ(out.rows().size(), 1u);
-  EXPECT_EQ(out.rows()[0].first.value(1).AsInt64(), 20);  // Δsum
-  EXPECT_EQ(out.rows()[0].first.value(2).AsInt64(), 0);   // Δcount
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(testutil::RowsOf(out)[0].first.value(1).AsInt64(), 20);  // Δsum
+  EXPECT_EQ(testutil::RowsOf(out)[0].first.value(2).AsInt64(), 0);   // Δcount
 }
 
 TEST(AggregateTest, ExactCancellationDropsGroup) {
@@ -154,8 +155,8 @@ TEST(AggregateTest, ExactCancellationDropsGroup) {
                      {{{1, 10}, -1}, {{1, 10}, 1}, {{2, 1}, 1}});
   std::vector<AggSpec> aggs = {{AggFn::kSum, ScalarExpr::Column("v"), "s"}};
   Rows out = AggregateSigned(in, {"g"}, aggs, nullptr);
-  ASSERT_EQ(out.rows().size(), 1u);
-  EXPECT_EQ(out.rows()[0].first.value(0).AsInt64(), 2);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(testutil::RowsOf(out)[0].first.value(0).AsInt64(), 2);
 }
 
 TEST(AggregateTest, ZeroCountNonZeroSumKept) {
@@ -164,9 +165,9 @@ TEST(AggregateTest, ZeroCountNonZeroSumKept) {
                      {{{1, 10}, -1}, {{1, 12}, 1}});
   std::vector<AggSpec> aggs = {{AggFn::kSum, ScalarExpr::Column("v"), "s"}};
   Rows out = AggregateSigned(in, {"g"}, aggs, nullptr);
-  ASSERT_EQ(out.rows().size(), 1u);
-  EXPECT_EQ(out.rows()[0].first.value(1).AsInt64(), 2);
-  EXPECT_EQ(out.rows()[0].first.value(2).AsInt64(), 0);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(testutil::RowsOf(out)[0].first.value(1).AsInt64(), 2);
+  EXPECT_EQ(testutil::RowsOf(out)[0].first.value(2).AsInt64(), 0);
 }
 
 TEST(AggregateTest, MultipleGroupKeys) {
@@ -176,7 +177,7 @@ TEST(AggregateTest, MultipleGroupKeys) {
                      {{{1, 1, 5}, 1}, {{1, 2, 7}, 1}, {{1, 1, 2}, 1}});
   std::vector<AggSpec> aggs = {{AggFn::kSum, ScalarExpr::Column("v"), "s"}};
   Rows out = AggregateSigned(in, {"g", "h"}, aggs, nullptr);
-  EXPECT_EQ(out.rows().size(), 2u);
+  EXPECT_EQ(out.size(), 2u);
 }
 
 }  // namespace

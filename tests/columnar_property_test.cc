@@ -69,7 +69,6 @@ Rows RandomMixedRows(const std::string& p, size_t n, int64_t key_range,
                    {p + "_d", TypeId::kDouble},
                    {p + "_s", TypeId::kString},
                    {p + "_t", TypeId::kDate}}));
-  out.mutable_rows().reserve(n);
   for (size_t i = 0; i < n; ++i) {
     int64_t k = rng->Range(1, key_range);
     int64_t mult = rng->Range(1, 3) * (rng->Below(4) == 0 ? -1 : 1);
@@ -96,11 +95,13 @@ Rows RandomMixedRows(const std::string& p, size_t n, int64_t key_range,
 /// order-blind and Value equality type-blind; the kernels promise more).
 void ExpectRowsIdentical(const Rows& expect, const Rows& got) {
   ASSERT_EQ(expect.schema.ToString(), got.schema.ToString());
-  ASSERT_EQ(expect.rows().size(), got.rows().size());
-  for (size_t i = 0; i < expect.rows().size(); ++i) {
-    ASSERT_EQ(expect.rows()[i].second, got.rows()[i].second) << "row " << i;
-    const Tuple& a = expect.rows()[i].first;
-    const Tuple& b = got.rows()[i].first;
+  const RowVec want = testutil::RowsOf(expect);
+  const RowVec have = testutil::RowsOf(got);
+  ASSERT_EQ(want.size(), have.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].second, have[i].second) << "row " << i;
+    const Tuple& a = want[i].first;
+    const Tuple& b = have[i].first;
     ASSERT_EQ(a.size(), b.size()) << "row " << i;
     for (size_t c = 0; c < a.size(); ++c) {
       const Value& x = a.value(c);
@@ -122,24 +123,25 @@ TEST_P(RoundTripTest, FromRowsRoundTripsCellsCardsAndStats) {
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
   Rows rows = RandomMixedRows("t", 3000, 500, &rng);
+  const RowVec raw = testutil::RowsOf(rows);
 
-  auto ct = ColumnTable::FromRows(rows.schema, rows.rows());
+  auto ct = ColumnTable::FromRows(rows.schema, raw);
   ASSERT_NE(ct, nullptr);
-  ASSERT_EQ(ct->num_rows(), rows.rows().size());
+  ASSERT_EQ(ct->num_rows(), rows.size());
   int64_t signed_sum = 0, abs_sum = 0;
-  for (size_t i = 0; i < rows.rows().size(); ++i) {
+  for (size_t i = 0; i < rows.size(); ++i) {
     // Exact cell round-trip: same value AND same TypeId (operator== treats
     // Int64(3) == Double(3.0); tuples compare cell-wise the same way, so
     // check types explicitly).
     Tuple back = ct->TupleAt(i);
-    ASSERT_TRUE(back == rows.rows()[i].first) << "row " << i;
+    ASSERT_TRUE(back == raw[i].first) << "row " << i;
     for (size_t c = 0; c < rows.schema.num_columns(); ++c) {
-      ASSERT_EQ(back.value(c).type(), rows.rows()[i].first.value(c).type())
+      ASSERT_EQ(back.value(c).type(), raw[i].first.value(c).type())
           << "row " << i << " col " << c;
     }
-    ASSERT_EQ(ct->mult()[i], rows.rows()[i].second) << "row " << i;
-    signed_sum += rows.rows()[i].second;
-    abs_sum += std::llabs(rows.rows()[i].second);
+    ASSERT_EQ(ct->mult()[i], raw[i].second) << "row " << i;
+    signed_sum += raw[i].second;
+    abs_sum += std::llabs(raw[i].second);
   }
   EXPECT_EQ(ct->SignedCardBetween(0, ct->num_rows()), signed_sum);
   EXPECT_EQ(ct->AbsCardBetween(0, ct->num_rows()), abs_sum);
@@ -160,7 +162,7 @@ TEST_P(RoundTripTest, FromRowsRoundTripsCellsCardsAndStats) {
   for (size_t c = 0; c < rows.schema.num_columns(); ++c) {
     bool has = false;
     Value lo, hi;
-    for (const auto& [tuple, m] : rows.rows()) {
+    for (const auto& [tuple, m] : raw) {
       const Value& v = tuple.value(c);
       if (v.is_null()) continue;
       if (!has || v < lo) lo = v;
@@ -175,11 +177,12 @@ TEST_P(RoundTripTest, FromRowsRoundTripsCellsCardsAndStats) {
     }
   }
 
-  // The Rows-level cache returns an equivalent table and memoizes it.
+  // The batch's own image (built by Rows::Add) is shared, not rebuilt,
+  // and carries the same totals.
   auto cached = rows.Columnar();
   ASSERT_NE(cached, nullptr);
   EXPECT_EQ(cached.get(), rows.Columnar().get());
-  EXPECT_EQ(cached->num_rows(), rows.rows().size());
+  EXPECT_EQ(cached->num_rows(), rows.size());
   EXPECT_EQ(rows.SignedCardinality(), signed_sum);
   EXPECT_EQ(rows.AbsCardinality(), abs_sum);
 }
@@ -189,7 +192,8 @@ TEST_P(RoundTripTest, DictionaryCodesAreDenseAndConsistent) {
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
   Rows rows = RandomMixedRows("t", 2000, 400, &rng);
-  auto ct = ColumnTable::FromRows(rows.schema, rows.rows());
+  const RowVec raw = testutil::RowsOf(rows);
+  auto ct = ColumnTable::FromRows(rows.schema, raw);
   ASSERT_NE(ct, nullptr);
 
   const size_t sc = rows.schema.num_columns() - 2;  // the _s column
@@ -199,8 +203,8 @@ TEST_P(RoundTripTest, DictionaryCodesAreDenseAndConsistent) {
   // Equal strings <-> equal codes; every code decodes to its source string;
   // Find inverts Intern; codes are dense in first-occurrence order.
   std::vector<std::string> first_seen;
-  for (size_t i = 0; i < rows.rows().size(); ++i) {
-    const Value& v = rows.rows()[i].first.value(sc);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Value& v = raw[i].first.value(sc);
     uint32_t code = col.codes[i];
     if (v.is_null()) {
       ASSERT_EQ(code, kNullStringCode) << "row " << i;
@@ -278,7 +282,7 @@ TEST_P(RoundTripTest, BatchesCoverRowsAndCarryRunningCards) {
   for (size_t n : sizes) {
     SCOPED_TRACE("rows=" + std::to_string(n));
     Rows rows = RandomMixedRows("t", n, 300, &rng);
-    auto ct = ColumnTable::FromRows(rows.schema, rows.rows());
+    auto ct = ColumnTable::FromRows(rows.schema, testutil::RowsOf(rows));
     ASSERT_NE(ct, nullptr);
     size_t next = 0;
     size_t batches = 0;
@@ -319,28 +323,30 @@ TEST_P(RoundTripTest, BatchesCoverRowsAndCarryRunningCards) {
   }
 }
 
-TEST_P(RoundTripTest, TypeViolatingRowsAbortTheKernels) {
-  const uint64_t seed = GetParam() + testutil::PropertySeed(0);
-  SCOPED_TRACE(testutil::SeedTrace(seed));
-  tpcd::Rng rng(seed);
-  // A double smuggled into an INT column cannot round-trip through typed
-  // arrays; nothing the engine builds does this, so the kernels treat such
-  // an untyped batch as an invariant violation.
+// A double smuggled into an INT column cannot live in a typed image, so
+// the batch refuses it at construction: Rows::Add aborts on a tuple that
+// does not fit, as Table::Add does, and no kernel ever sees an untyped
+// batch.
+TEST(RowsDeathTest, AddOfATupleThatDoesNotFitAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Rows rows(Schema({{"k", TypeId::kInt64}, {"v", TypeId::kInt64}}));
   for (int i = 0; i < 100; ++i) {
-    rows.Add(Tuple({Value::Int64(i), Value::Int64(rng.Range(0, 9))}), 1);
+    rows.Add(Tuple({Value::Int64(i), Value::Int64(i % 9)}), 1);
   }
-  size_t bad = rng.Below(rows.rows().size());
-  rows.mutable_rows()[bad].first = Tuple({Value::Int64(7), Value::Double(3.5)});
-  EXPECT_EQ(ColumnTable::FromRows(rows.schema, rows.rows()), nullptr);
-  EXPECT_EQ(rows.Columnar(), nullptr);
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ScalarExpr::Ptr pred =
-      ScalarExpr::Compare(CompareOp::kLt, ScalarExpr::Column("k"),
-                          ScalarExpr::Literal(Value::Int64(50)));
-  EXPECT_DEATH(Filter(rows, pred, nullptr), "operator input is untyped");
-  EXPECT_DEATH(Project(rows, {{ScalarExpr::Column("v"), "v"}}, nullptr),
-               "operator input is untyped");
+  const Tuple wrong_type({Value::Int64(7), Value::Double(3.5)});
+  const Tuple wrong_arity({Value::Int64(7)});
+  EXPECT_EQ(ColumnTable::FromRows(rows.schema, {{wrong_type, 1}}), nullptr);
+  EXPECT_DEATH(rows.Add(wrong_type, 1), "does not fit");
+  EXPECT_DEATH(rows.Add(wrong_arity, -2), "does not fit");
+  // A copy shares the image; its failed Add leaves the original alone.
+  Rows copy = rows;
+  EXPECT_DEATH(copy.Add(wrong_type, 1), "does not fit");
+  // Zero multiplicities are no rows, and NULL fits any column.
+  rows.Add(wrong_type, 0);
+  rows.Add(Tuple({Value::Null(), Value::Null()}), 2);
+  EXPECT_EQ(rows.size(), 101u);
+  EXPECT_EQ(rows.SignedCardinality(), 102);
+  EXPECT_EQ(copy.size(), 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundTripTest,
@@ -423,11 +429,11 @@ TEST_P(KernelDifferentialTest, FilterMatchesReference) {
 /// semantics: INT64_MIN/MAX, NaN, +-0.0, infinities, the empty string, and
 /// zero multiplicities next to signed ones.
 Rows EdgeRows(size_t n, tpcd::Rng* rng) {
-  Rows out(Schema({{"e_k", TypeId::kInt64},
-                   {"e_i", TypeId::kInt64},
-                   {"e_d", TypeId::kDouble},
-                   {"e_s", TypeId::kString},
-                   {"e_t", TypeId::kDate}}));
+  const Schema schema({{"e_k", TypeId::kInt64},
+                       {"e_i", TypeId::kInt64},
+                       {"e_d", TypeId::kDouble},
+                       {"e_s", TypeId::kString},
+                       {"e_t", TypeId::kDate}});
   const int64_t ints[] = {std::numeric_limits<int64_t>::min(),
                           std::numeric_limits<int64_t>::max(), 0, -1, 7};
   const double dbls[] = {std::numeric_limits<double>::quiet_NaN(),
@@ -439,7 +445,7 @@ Rows EdgeRows(size_t n, tpcd::Rng* rng) {
                          -2.5,
                          9223372036854775807.0};
   const char* strs[] = {"", "s1", "s3", "s7", "zz"};
-  out.mutable_rows().reserve(n);
+  RowVec rows;
   for (size_t i = 0; i < n; ++i) {
     Value v = rng->Below(5) == 0
                   ? Value::Null()
@@ -452,12 +458,12 @@ Rows EdgeRows(size_t n, tpcd::Rng* rng) {
                                    : Value::String(strs[rng->Below(5)]);
     Value t = Value::Date(1995, 1 + static_cast<int>(rng->Below(12)), 1);
     int64_t mult = rng->Range(-2, 2);  // 0 included: no row, no stats
-    out.mutable_rows().emplace_back(
+    rows.emplace_back(
         Tuple({Value::Int64(rng->Range(1, 50)), std::move(v), std::move(d),
                std::move(str), std::move(t)}),
         mult);
   }
-  return out;
+  return testutil::MakeRows(schema, rows);
 }
 
 /// A random conjunct over EdgeRows' schema.
@@ -551,7 +557,7 @@ TEST_P(KernelDifferentialTest, RandomConjunctionsMatchReference) {
           [&](OperatorStats* stats) {
             Rows all = reference::Filter(input, pred, stats);
             Rows out(all.schema.Project(kept));
-            for (const auto& [tuple, count] : all.rows()) {
+            for (const auto& [tuple, count] : testutil::RowsOf(all)) {
               out.Add(tuple.Project(kept), count);
             }
             return out;

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "core/min_work.h"
 #include "exec/executor.h"
 #include "exec/recovery.h"
@@ -270,6 +271,74 @@ TEST(JournalDurabilityTest, IllTypedRowIsTornTail) {
     cells[0] = Value::String("not an int");
     entry->installed.Add(Tuple(std::move(cells)), 1);
   });
+
+  StrategyJournal loaded;
+  std::string error;
+  bool torn = false;
+  ASSERT_TRUE(DeserializeJournal(forged, &loaded, &error, &torn)) << error;
+  EXPECT_TRUE(torn);
+  EXPECT_FALSE(loaded.complete());
+  EXPECT_EQ(loaded.size(), step);
+  ExpectResumeConverges(b, loaded);
+}
+
+/// Replaces the one length-prefixed string `from` inside a record frame
+/// of the serialized journal `bytes` with `to` (same length) and re-seals
+/// that frame's CRC, so the record stays CRC-valid.
+void RewriteStringInFrame(std::string* bytes, const std::string& from,
+                          const std::string& to) {
+  ASSERT_EQ(from.size(), to.size());
+  auto u32_at = [&](size_t pos) {
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(static_cast<uint8_t>((*bytes)[pos + i]))
+           << (8 * i);
+    }
+    return v;
+  };
+  std::string needle(4, '\0');
+  for (int i = 0; i < 4; ++i) {
+    needle[i] = static_cast<char>((from.size() >> (8 * i)) & 0xff);
+  }
+  needle += from;
+  for (size_t pos = 8; pos + 4 <= bytes->size();) {  // past the magic
+    const size_t len = u32_at(pos);
+    const size_t payload = pos + 4;
+    const size_t hit = bytes->find(needle, payload);
+    if (hit != std::string::npos && hit + needle.size() <= payload + len) {
+      bytes->replace(hit + 4, to.size(), to);
+      const uint32_t crc = Crc32(bytes->data() + payload, len);
+      for (int i = 0; i < 4; ++i) {
+        (*bytes)[payload + len + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
+      }
+      return;
+    }
+    pos = payload + len + 4;
+  }
+  FAIL() << "no frame holds the string " << from;
+}
+
+// A CRC-valid entry whose installed delta names one column twice must
+// never reach Schema, which aborts on a repeated name: decoding rejects
+// the schema, the entry reads as the torn tail, and resume re-executes it.
+TEST(JournalDurabilityTest, RepeatedColumnNameIsTornTail) {
+  Bench b = MakeJournaledRun(67);
+  const int64_t step = FirstNonEmptyInst(b);
+  ASSERT_GE(step, 0);
+  std::string first, placeholder;
+  std::string forged = ForgeEntry(b, step, [&](JournalEntry* entry) {
+    std::vector<Column> columns = entry->installed.schema().columns();
+    ASSERT_GE(columns.size(), 2u);
+    first = columns[0].name;
+    placeholder.assign(first.size(), '#');
+    columns[1].name = placeholder;
+    DeltaRelation renamed{Schema(std::move(columns))};
+    entry->installed.ForEach(
+        [&](const Tuple& t, int64_t c) { renamed.Add(t, c); });
+    entry->installed = std::move(renamed);
+  });
+  // Column 1 takes column 0's name only in the bytes.
+  RewriteStringInFrame(&forged, placeholder, first);
 
   StrategyJournal loaded;
   std::string error;

@@ -87,8 +87,8 @@ TEST(OperatorStatsAuditTest, WarmCacheCompAccruesZeroOperatorWork) {
   // never depends on where the rows came from.
   EXPECT_EQ(warm_result.num_terms, cold_result.num_terms);
   EXPECT_EQ(warm_result.linear_operand_work, cold_result.linear_operand_work);
-  EXPECT_EQ(warm_result.raw_delta.rows().size(),
-            cold_result.raw_delta.rows().size());
+  EXPECT_EQ(warm_result.raw_delta.size(),
+            cold_result.raw_delta.size());
   EXPECT_EQ(warm_result.raw_delta.SignedCardinality(),
             cold_result.raw_delta.SignedCardinality());
   EXPECT_EQ(warm_result.raw_delta.AbsCardinality(),

@@ -10,9 +10,10 @@
 //     (rows scanned/produced, hash probes, ...: paging moves bytes, never
 //     rows);
 //   * the kWork metric snapshot equals the resident reference's
-//     (`paged.*` and the kernels' value-op counters are kEngine — the
-//     grace routes charge `engine.row.*` where the resident kernel charges
-//     `engine.vec.*`, so they differ by design);
+//     (`paged.*` and the kernels' `engine.vec.*` counters are kEngine —
+//     the grace routes run the kernels once per spilled partition and
+//     intern each read-back partition's strings, so they differ by
+//     design);
 //   * `paged.faults` / `paged.evictions` (extent paging only) at a fixed
 //     budget are identical across every pool size and subplan-cache
 //     setting (eviction happens only at coordinator touch points — the

@@ -64,7 +64,6 @@ Rows RandomRows(const std::string& p, size_t n, int64_t key_range,
                    {p + "_v", TypeId::kInt64},
                    {p + "_g", TypeId::kInt64},
                    {p + "_d", TypeId::kDouble}}));
-  out.mutable_rows().reserve(n);
   for (size_t i = 0; i < n; ++i) {
     int64_t k = rng->Range(1, key_range);
     int64_t mult = rng->Range(1, 3) * (rng->Below(4) == 0 ? -1 : 1);
@@ -81,10 +80,12 @@ Rows RandomRows(const std::string& p, size_t n, int64_t key_range,
 /// with the same multiplicities.  (Table::ContentsEqual is order-blind;
 /// the morsel kernels promise more than that.)
 void ExpectRowsIdentical(const Rows& expect, const Rows& got) {
-  ASSERT_EQ(expect.rows().size(), got.rows().size());
-  for (size_t i = 0; i < expect.rows().size(); ++i) {
-    ASSERT_EQ(expect.rows()[i].second, got.rows()[i].second) << "row " << i;
-    ASSERT_TRUE(expect.rows()[i].first == got.rows()[i].first) << "row " << i;
+  const RowVec want = testutil::RowsOf(expect);
+  const RowVec have = testutil::RowsOf(got);
+  ASSERT_EQ(want.size(), have.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].second, have[i].second) << "row " << i;
+    ASSERT_TRUE(want[i].first == have[i].first) << "row " << i;
   }
 }
 

@@ -34,7 +34,9 @@ Rows MakeRowsBatch(const std::string& name, int64_t rows, uint64_t seed) {
 
 Table ToTable(const Rows& rows) {
   Table out(rows.schema);
-  for (const auto& [tuple, count] : rows.rows()) out.Add(tuple, count);
+  for (const auto& [tuple, count] : testutil::RowsOf(rows)) {
+    out.Add(tuple, count);
+  }
   return out;
 }
 
@@ -457,10 +459,12 @@ void ExpectNoUnreadColumns(const PlanDag& dag, PlanNodeId id,
 
 void ExpectRawIdentical(const Rows& expect, const Rows& got) {
   ASSERT_EQ(expect.schema, got.schema);
-  ASSERT_EQ(expect.rows().size(), got.rows().size());
-  for (size_t i = 0; i < expect.rows().size(); ++i) {
-    EXPECT_TRUE(expect.rows()[i].first == got.rows()[i].first) << "row " << i;
-    EXPECT_EQ(expect.rows()[i].second, got.rows()[i].second) << "row " << i;
+  const RowVec want = testutil::RowsOf(expect);
+  const RowVec have = testutil::RowsOf(got);
+  ASSERT_EQ(want.size(), have.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(want[i].first == have[i].first) << "row " << i;
+    EXPECT_EQ(want[i].second, have[i].second) << "row " << i;
   }
 }
 

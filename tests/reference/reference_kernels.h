@@ -4,8 +4,8 @@
 //
 // Deliberately plain and independent of the engine's kernels: one
 // BoundExpr::Eval per tuple, and joins and group-bys that meet equal keys
-// in a std::map over the row image (Rows::rows()) — no columnar code, no
-// hashing, no PlanDag.  (A nested-loop join or linear-scan group-by is
+// in a std::map over the input's tuples (testutil::RowsOf) — no kernel
+// code, no hashing, no PlanDag.  (A nested-loop join or linear-scan group-by is
 // simpler still, but quadratic: too slow for the 6k-24k-row inputs under
 // the sanitizer builds.)  They emit rows in the order the kernels document
 // (input order; join: probe rows ascending, then build rows descending;
@@ -27,6 +27,7 @@
 #include "algebra/project.h"
 #include "algebra/rows.h"
 #include "expr/evaluator.h"
+#include "../test_util.h"
 
 namespace wuw::reference {
 
@@ -36,7 +37,7 @@ inline Rows Filter(const Rows& input, const ScalarExpr::Ptr& predicate,
                    OperatorStats* stats) {
   const BoundExpr bound = BoundExpr::Bind(predicate, input.schema);
   Rows out(input.schema);
-  for (const auto& [tuple, count] : input.rows()) {
+  for (const auto& [tuple, count] : testutil::RowsOf(input)) {
     stats->rows_scanned += std::llabs(count);
     if (!bound.EvalBool(tuple)) continue;
     stats->rows_produced += std::llabs(count);
@@ -54,15 +55,15 @@ inline Rows Project(const Rows& input, const std::vector<ProjectItem>& items,
     bound.push_back(BoundExpr::Bind(item.expr, input.schema));
     columns.push_back(Column{item.name, bound.back().result_type()});
   }
-  Rows out((Schema(std::move(columns))));
-  for (const auto& [tuple, count] : input.rows()) {
+  RowVec out;
+  for (const auto& [tuple, count] : testutil::RowsOf(input)) {
     stats->rows_scanned += std::llabs(count);
     stats->rows_produced += std::llabs(count);
     std::vector<Value> values;
     for (const BoundExpr& b : bound) values.push_back(b.Eval(tuple));
-    out.mutable_rows().emplace_back(Tuple(std::move(values)), count);
+    out.emplace_back(Tuple(std::move(values)), count);
   }
-  return out;
+  return testutil::MakeRows(Schema(std::move(columns)), out);
 }
 
 /// Equi-join, left ++ right: for each left (probe) row in ascending order,
@@ -78,7 +79,7 @@ inline Rows Join(const Rows& left, const Rows& right, const JoinKeys& keys,
     ridx.push_back(right.schema.MustIndexOf(c));
   }
   // Tuple order agrees with Value equality, so equal keys meet in the map.
-  const RowVec& build = right.rows();
+  const RowVec build = testutil::RowsOf(right);
   std::map<Tuple, std::vector<size_t>> build_rows;
   for (size_t j = 0; j < build.size(); ++j) {
     stats->rows_scanned += std::llabs(build[j].second);
@@ -86,7 +87,7 @@ inline Rows Join(const Rows& left, const Rows& right, const JoinKeys& keys,
     build_rows[build[j].first.Project(ridx)].push_back(j);
   }
   Rows out(Schema::Concat(left.schema, right.schema));
-  for (const auto& [ltuple, lcount] : left.rows()) {
+  for (const auto& [ltuple, lcount] : testutil::RowsOf(left)) {
     stats->rows_scanned += std::llabs(lcount);
     stats->hash_probes += 1;
     auto it = build_rows.find(ltuple.Project(lidx));
@@ -133,7 +134,7 @@ inline Rows Aggregate(const Rows& input, const std::vector<std::string>& group_b
   };
   std::map<Tuple, size_t> index;
   std::vector<Group> groups;
-  for (const auto& [tuple, mult] : input.rows()) {
+  for (const auto& [tuple, mult] : testutil::RowsOf(input)) {
     stats->rows_scanned += std::llabs(mult);
     Tuple key = tuple.Project(key_idx);
     auto [it, fresh] = index.emplace(key, groups.size());

@@ -1,25 +1,22 @@
-// The Rows IR (algebra/rows.h): a shared copy-on-write row block beside a
-// lazily built columnar mirror, and batches whose rows are built on demand.
+// The Rows IR (algebra/rows.h): a schema plus one shared column image.
 //
-//  * Columnar-only Filter and HashJoin outputs build rows byte-identical,
-//    in the same order, to the reference kernels' (tests/reference/) —
-//    NULLs, doubles, strings, negative and zero multiplicities, and empty
-//    sides included — and stay columnar-only (rows_materialized() false)
-//    until rows() is called.
-//  * Copies and moves of an unbuilt batch build the same rows; concurrent
-//    first rows() calls on one batch share a single build.
+//  * Filter and HashJoin outputs read back byte-identical, in the same
+//    order, to the reference kernels' (tests/reference/) — NULLs,
+//    doubles, strings, negative and zero multiplicities, and empty sides
+//    included — with the same cardinalities.
 //  * A table scan (Rows::FromTable) and a Table copy share the table's
 //    image, and a later mutation of the table leaves both unchanged.
-//  * Copies of an Add()-built batch convert to columns once between them.
-//  * The size-only consumers (ApproxRowsBytes, RowsExceedBytes) give the
-//    same answers from the columns as from the rows, without building rows.
+//  * Add and Append copy an image while anyone else holds it, so copies
+//    never see each other's appends; Append shares an image into an empty
+//    batch and re-codes strings across dictionaries.
+//  * The size-only consumers (ApproxRowsBytes, RowsExceedBytes) agree with
+//    the same per-row model summed over the tuples.
 //
 // Honors WUW_SEED.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,7 +26,6 @@
 #include "algebra/rows.h"
 #include "algebra/spill_util.h"
 #include "algebra/vectorized.h"
-#include "obs/metrics.h"
 #include "plan/subplan_cache.h"
 #include "reference/reference_kernels.h"
 #include "storage/column_table.h"
@@ -42,11 +38,9 @@ namespace {
 
 /// `n` rows over (<p>k INT nullable, <p>d DOUBLE nullable, <p>s STRING
 /// nullable): keys repeat, and multiplicities span [-2, 2], zero included
-/// (Rows::Add would drop those, so they are appended directly).
+/// (Rows::Add would drop those, so the batch is built from its rows).
 Rows MixedRows(const std::string& p, size_t n, tpcd::Rng* rng) {
-  Rows out(Schema({{p + "k", TypeId::kInt64},
-                   {p + "d", TypeId::kDouble},
-                   {p + "s", TypeId::kString}}));
+  RowVec rows;
   for (size_t i = 0; i < n; ++i) {
     Value k = rng->Below(6) == 0 ? Value::Null()
                                  : Value::Int64(rng->Range(0, 7));
@@ -57,9 +51,12 @@ Rows MixedRows(const std::string& p, size_t n, tpcd::Rng* rng) {
     Value s = rng->Below(5) == 0
                   ? Value::Null()
                   : Value::String("s" + std::to_string(rng->Range(0, 9)));
-    out.mutable_rows().emplace_back(Tuple({k, d, s}), rng->Range(-2, 2));
+    rows.emplace_back(Tuple({k, d, s}), rng->Range(-2, 2));
   }
-  return out;
+  return testutil::MakeRows(Schema({{p + "k", TypeId::kInt64},
+                                    {p + "d", TypeId::kDouble},
+                                    {p + "s", TypeId::kString}}),
+                            rows);
 }
 
 /// Byte-identical: same tuples, cell types and multiplicities, same order.
@@ -90,19 +87,14 @@ ScalarExpr::Ptr Predicate() {
 const JoinKeys kKeys{{"lk", "ls"}, {"rk", "rs"}};
 const std::vector<size_t> kKeyIdx{0, 2};
 
-/// The vectorized kernels are called directly: the operator entry points
-/// route oversized joins to the spill paths first when WUW_MEM_MB is armed.
-Rows VecFilter(const Rows& input, const ScalarExpr::Ptr& pred,
-               OperatorStats* stats) {
-  return vec::TryFilter(input, pred, stats);
-}
-
+/// The join kernel is called directly: the operator entry point routes
+/// oversized joins to the spill paths first when WUW_MEM_MB is armed.
 Rows VecJoin(const Rows& left, const Rows& right, OperatorStats* stats) {
   return vec::TryHashJoin(left, right, kKeyIdx, kKeyIdx, stats, nullptr,
                           nullptr);
 }
 
-/// Columnar-only filter / join outputs and the reference kernels' outputs.
+/// Kernel outputs and the reference kernels' outputs.
 struct KernelOutputs {
   Rows vec;
   Rows ref;
@@ -112,7 +104,7 @@ struct KernelOutputs {
 
 KernelOutputs RunFilter(const Rows& input) {
   KernelOutputs out;
-  out.vec = VecFilter(input, Predicate(), &out.vec_stats);
+  out.vec = Filter(input, Predicate(), &out.vec_stats);
   out.ref = reference::Filter(input, Predicate(), &out.ref_stats);
   return out;
 }
@@ -124,9 +116,17 @@ KernelOutputs RunJoin(const Rows& left, const Rows& right) {
   return out;
 }
 
+void ExpectSameBatch(const KernelOutputs& o) {
+  EXPECT_EQ(o.vec.size(), o.ref.size());
+  EXPECT_EQ(o.vec.SignedCardinality(), o.ref.SignedCardinality());
+  EXPECT_EQ(o.vec.AbsCardinality(), o.ref.AbsCardinality());
+  ExpectSameRows(testutil::RowsOf(o.ref), testutil::RowsOf(o.vec));
+  EXPECT_EQ(o.vec_stats, o.ref_stats);
+}
+
 class RowsTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(RowsTest, ColumnarOnlyOutputsBuildTheReferenceRows) {
+TEST_P(RowsTest, KernelOutputsReadBackTheReferenceRows) {
   const uint64_t seed = GetParam() + testutil::PropertySeed(0);
   SCOPED_TRACE(testutil::SeedTrace(seed));
   tpcd::Rng rng(seed);
@@ -136,115 +136,27 @@ TEST_P(RowsTest, ColumnarOnlyOutputsBuildTheReferenceRows) {
                    std::to_string(rn));
       Rows left = MixedRows("l", ln, &rng);
       Rows right = MixedRows("r", rn, &rng);
+      ExpectSameBatch(RunFilter(left));
+      const KernelOutputs j = RunJoin(left, right);
+      ExpectSameBatch(j);
 
-      KernelOutputs f = RunFilter(left);
-      EXPECT_FALSE(f.vec.rows_materialized());
-      EXPECT_EQ(f.vec.size(), f.ref.size());
-      EXPECT_EQ(f.vec.SignedCardinality(), f.ref.SignedCardinality());
-      EXPECT_EQ(f.vec.AbsCardinality(), f.ref.AbsCardinality());
-      EXPECT_FALSE(f.vec.rows_materialized());
-      ExpectSameRows(f.ref.rows(), f.vec.rows());
-      EXPECT_TRUE(f.vec.rows_materialized());
-      EXPECT_EQ(f.vec_stats, f.ref_stats);
-
-      KernelOutputs j = RunJoin(left, right);
-      EXPECT_FALSE(j.vec.rows_materialized());
-      EXPECT_EQ(j.vec.size(), j.ref.size());
-      EXPECT_EQ(j.vec.SignedCardinality(), j.ref.SignedCardinality());
-      EXPECT_EQ(j.vec.AbsCardinality(), j.ref.AbsCardinality());
-      EXPECT_FALSE(j.vec.rows_materialized());
-      ExpectSameRows(j.ref.rows(), j.vec.rows());
-      EXPECT_TRUE(j.vec.rows_materialized());
-      EXPECT_EQ(j.vec_stats, j.ref_stats);
-
-      // A filter's rows rebuild from its columns whether or not its
-      // input's rows were ever built, and building them never builds the
-      // input's.
-      KernelOutputs jf = RunJoin(left, right);
-      Rows unbuilt_in = jf.vec;
-      Rows built_in = jf.ref;
+      // A filter over a kernel output and over the same rows built tuple
+      // by tuple agree with the reference.
       ScalarExpr::Ptr pred = ScalarExpr::Compare(
           CompareOp::kGe, ScalarExpr::Column("rd"),
           ScalarExpr::Literal(Value::Double(-5.0)));
-      Rows a = VecFilter(unbuilt_in, pred, nullptr);
-      Rows b = VecFilter(built_in, pred, nullptr);
-      EXPECT_FALSE(unbuilt_in.rows_materialized());
+      Rows a = Filter(j.vec, pred, nullptr);
+      Rows b = Filter(j.ref, pred, nullptr);
       OperatorStats expect_stats;
-      Rows expect = reference::Filter(built_in, pred, &expect_stats);
-      ExpectSameRows(expect.rows(), a.rows());
-      ExpectSameRows(expect.rows(), b.rows());
-      EXPECT_FALSE(unbuilt_in.rows_materialized());
+      const RowVec expect =
+          testutil::RowsOf(reference::Filter(j.ref, pred, &expect_stats));
+      ExpectSameRows(expect, testutil::RowsOf(a));
+      ExpectSameRows(expect, testutil::RowsOf(b));
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RowsTest, ::testing::Values(1, 2, 3));
-
-/// A columnar-only join output over fixed inputs.
-Rows UnbuiltJoin(uint64_t seed) {
-  tpcd::Rng rng(seed);
-  Rows left = MixedRows("l", 200, &rng);
-  Rows right = MixedRows("r", 150, &rng);
-  Rows out = VecJoin(left, right, nullptr);
-  EXPECT_FALSE(out.rows_materialized());
-  return out;
-}
-
-RowVec ReferenceJoin(uint64_t seed) {
-  tpcd::Rng rng(seed);
-  Rows left = MixedRows("l", 200, &rng);
-  Rows right = MixedRows("r", 150, &rng);
-  OperatorStats stats;
-  return reference::Join(left, right, kKeys, &stats).rows();
-}
-
-TEST(RowsLazyTest, CopiesAndMovesOfAnUnbuiltBatch) {
-  const RowVec expect = ReferenceJoin(11);
-  ASSERT_FALSE(expect.empty());
-
-  Rows original = UnbuiltJoin(11);
-  Rows copy = original;
-  EXPECT_FALSE(copy.rows_materialized());
-  EXPECT_EQ(copy.size(), expect.size());
-  ExpectSameRows(expect, copy.rows());
-  // Copies share the deferred build.
-  EXPECT_TRUE(original.rows_materialized());
-  EXPECT_EQ(&original.rows(), &copy.rows());
-
-  Rows source = UnbuiltJoin(11);
-  Rows moved = std::move(source);
-  EXPECT_FALSE(moved.rows_materialized());
-  EXPECT_EQ(moved.size(), expect.size());
-  Rows assigned;
-  assigned = std::move(moved);
-  EXPECT_FALSE(assigned.rows_materialized());
-  ExpectSameRows(expect, assigned.rows());
-
-  // Writing through one copy detaches it; the other keeps its rows.
-  Rows writer = UnbuiltJoin(11);
-  Rows reader = writer;
-  writer.mutable_rows().clear();
-  EXPECT_TRUE(writer.rows().empty());
-  ExpectSameRows(expect, reader.rows());
-  EXPECT_NE(writer.Columnar(), nullptr);
-  EXPECT_EQ(writer.Columnar()->num_rows(), 0u);
-  EXPECT_EQ(reader.Columnar()->num_rows(), expect.size());
-}
-
-TEST(RowsLazyTest, ConcurrentFirstCallsShareOneBuild) {
-  const RowVec expect = ReferenceJoin(12);
-  for (int round = 0; round < 20; ++round) {
-    const Rows shared = UnbuiltJoin(12);
-    std::vector<const RowVec*> seen(8, nullptr);
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < seen.size(); ++t) {
-      threads.emplace_back([&, t] { seen[t] = &shared.rows(); });
-    }
-    for (std::thread& th : threads) th.join();
-    for (const RowVec* r : seen) ASSERT_EQ(r, seen[0]);
-    ExpectSameRows(expect, *seen[0]);
-  }
-}
 
 TEST(RowsSharingTest, TableMutationLeavesScansAndCopiesUnchanged) {
   Table table(Schema({{"k", TypeId::kInt64}, {"s", TypeId::kString}}));
@@ -266,7 +178,7 @@ TEST(RowsSharingTest, TableMutationLeavesScansAndCopiesUnchanged) {
   EXPECT_NE(scan.Columnar(), table.ColumnarSnapshot());
   EXPECT_EQ(scan.Columnar(), copy.ColumnarSnapshot());
 
-  ExpectSameRows(before, scan.rows());
+  ExpectSameRows(before, testutil::RowsOf(scan));
   EXPECT_EQ(scan.SignedCardinality(), card);
   ExpectSameRows(before, copy.dense_rows());
   EXPECT_EQ(copy.cardinality(), card);
@@ -278,47 +190,81 @@ TEST(RowsSharingTest, TableMutationLeavesScansAndCopiesUnchanged) {
   Rows scan2 = Rows::FromTable(copy);
   copy.Clear();
   EXPECT_TRUE(copy.empty());
-  ExpectSameRows(before, scan2.rows());
-  ExpectSameRows(before, scan.rows());
+  ExpectSameRows(before, testutil::RowsOf(scan2));
+  ExpectSameRows(before, testutil::RowsOf(scan));
+
+  // Appending to a scan copies the image first; the table never sees it.
+  const std::shared_ptr<const ColumnTable> image = scan2.Columnar();
+  scan2.Add(Tuple({Value::Int64(7), Value::String("appended")}), -3);
+  EXPECT_NE(scan2.Columnar(), image);
+  EXPECT_EQ(scan2.size(), before.size() + 1);
+  EXPECT_EQ(scan2.SignedCardinality(), card - 3);
+  EXPECT_EQ(scan2.AbsCardinality(), card + 3);
+  ExpectSameRows(before, testutil::RowsOf(scan));
 }
 
-// Copies of a batch built through Add() (its columnar flag is stale)
-// share one fresh slot: whichever copy asks first converts, once for all.
-TEST(RowsSharingTest, CopiesOfAnAddBuiltBatchConvertOnce) {
+// Copies share one image; an Add or Append through either copies it
+// first, so the other never sees the new rows.
+TEST(RowsSharingTest, AddAndAppendCopyASharedImage) {
   tpcd::Rng rng(31);
   const Rows mixed = MixedRows("m", 100, &rng);
   Rows built(mixed.schema);
-  for (const auto& [tuple, count] : mixed.rows()) built.Add(tuple, count);
-  obs::ArmMetrics();
-  obs::Counter* conversions =
-      obs::GetCounter("engine.vec.conversions", obs::MetricClass::kEngine);
-  const int64_t before = conversions->value();
-  Rows a = built;
-  Rows b;
-  b = built;
-  std::shared_ptr<const ColumnTable> ca = a.Columnar();
-  ASSERT_NE(ca, nullptr);
-  EXPECT_EQ(b.Columnar(), ca);
-  EXPECT_EQ(built.Columnar(), ca);
-  EXPECT_EQ(conversions->value() - before, 1);
-  obs::DisarmMetrics();
+  RowVec expect;
+  for (const auto& [tuple, count] : testutil::RowsOf(mixed)) {
+    built.Add(tuple, count);
+    if (count != 0) expect.emplace_back(tuple, count);
+  }
+  ExpectSameRows(expect, testutil::RowsOf(built));
+
+  Rows copy = built;
+  EXPECT_EQ(copy.Columnar(), built.Columnar());
+  copy.Add(Tuple({Value::Int64(1), Value::Null(), Value::String("fresh")}), 4);
+  EXPECT_NE(copy.Columnar(), built.Columnar());
+  ExpectSameRows(expect, testutil::RowsOf(built));
+  EXPECT_EQ(copy.size(), built.size() + 1);
+
+  // Append into an empty batch of the same schema shares the image when
+  // every row is kept; a zero multiplicity is dropped, as Add drops it.
+  Rows shared(mixed.schema);
+  shared.Append(built);
+  EXPECT_EQ(shared.Columnar(), built.Columnar());
+  Rows filtered(mixed.schema);
+  filtered.Append(mixed);
+  EXPECT_NE(filtered.Columnar(), mixed.Columnar());
+  ExpectSameRows(expect, testutil::RowsOf(filtered));
+
+  // Appending one batch to another re-codes the second's strings into the
+  // first's dictionary, and leaves both sources unchanged.
+  tpcd::Rng rng2(32);
+  const Rows other = MixedRows("m", 80, &rng2);
+  Rows both = built;
+  both.Append(other);
+  RowVec want = expect;
+  for (const auto& [tuple, count] : testutil::RowsOf(other)) {
+    if (count != 0) want.emplace_back(tuple, count);
+  }
+  ExpectSameRows(want, testutil::RowsOf(both));
+  ExpectSameRows(expect, testutil::RowsOf(built));
+  EXPECT_EQ(both.SignedCardinality(),
+            built.SignedCardinality() + other.SignedCardinality());
+  EXPECT_EQ(both.AbsCardinality(),
+            built.AbsCardinality() + other.AbsCardinality());
 }
 
-TEST(RowsEstimatorTest, ColumnarAndBuiltFormsAgreeWithoutBuilding) {
+TEST(RowsEstimatorTest, SizeConsumersAgreeWithTheTupleModel) {
   for (uint64_t seed : {21u, 22u, 23u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    Rows built = UnbuiltJoin(seed);
-    built.rows();
-    ASSERT_TRUE(built.rows_materialized());
-
-    Rows lazy = UnbuiltJoin(seed);
-    EXPECT_EQ(ApproxRowsBytes(lazy), ApproxRowsBytes(built));
-    EXPECT_FALSE(lazy.rows_materialized());
+    tpcd::Rng rng(seed);
+    const Rows left = MixedRows("l", 200, &rng);
+    const Rows right = MixedRows("r", 150, &rng);
+    const Rows joined = VecJoin(left, right, nullptr);
+    const RowVec rows = testutil::RowsOf(joined);
+    ASSERT_FALSE(rows.empty());
 
     // Every early-exit point: just below and at each row's running total.
     std::vector<int64_t> limits = {-1, 0};
     int64_t running = 0;
-    for (const auto& [tuple, count] : built.rows()) {
+    for (const auto& [tuple, count] : rows) {
       (void)count;
       running += paged::ApproxRowBytes(tuple);
       limits.push_back(running - 1);
@@ -326,11 +272,12 @@ TEST(RowsEstimatorTest, ColumnarAndBuiltFormsAgreeWithoutBuilding) {
     }
     limits.push_back(running + 1);
     for (int64_t limit : limits) {
-      ASSERT_EQ(spill::RowsExceedBytes(lazy, limit),
-                spill::RowsExceedBytes(built, limit))
+      ASSERT_EQ(spill::RowsExceedBytes(joined, limit), limit < running)
           << "limit " << limit;
     }
-    EXPECT_FALSE(lazy.rows_materialized());
+    EXPECT_EQ(paged::ApproxImageBytes(*joined.Columnar()), running);
+    EXPECT_EQ(ApproxRowsBytes(joined),
+              ApproxRowsBytes(testutil::MakeRows(joined.schema, rows)));
   }
 }
 

@@ -426,13 +426,11 @@ TEST(TableTest, AnalyticBytesAgreeInTupleAndColumnForms) {
     Rows as_rows(s);
     for (const auto& [tuple, count] : dense) as_rows.Add(tuple, count);
     const Rows as_columns = Rows::FromTable(restored);
-    ASSERT_FALSE(as_columns.rows_materialized());
     for (int64_t limit : {tuple_sum - 1, tuple_sum, tuple_sum + 1}) {
       if (limit < 1) continue;
       EXPECT_EQ(spill::RowsExceedBytes(as_rows, limit), limit < tuple_sum);
       EXPECT_EQ(spill::RowsExceedBytes(as_columns, limit), limit < tuple_sum);
     }
-    EXPECT_FALSE(as_columns.rows_materialized());
   }
 }
 
@@ -442,7 +440,7 @@ TEST(TableTest, AnalyticBytesAgreeInTupleAndColumnForms) {
 TEST(TableTest, FaultedInScansBuildNoTuplesOrIndex) {
   const Table t = Restored(MixedTable(300));
   // Keep the join on its resident route even under an env-armed
-  // WUW_MEM_MB (the grace route reads rows).
+  // WUW_MEM_MB, so it reads the scan's image in place.
   paged::PagedOptions resident;
   resident.budget_bytes = int64_t{1} << 40;
   resident.spill_bytes = int64_t{1} << 40;
@@ -460,7 +458,6 @@ TEST(TableTest, FaultedInScansBuildNoTuplesOrIndex) {
   const Rows joined = HashJoin(probe, scan, JoinKeys{{"k"}, {"x"}}, &stats);
   EXPECT_EQ(filtered.size(), 160u);
   EXPECT_EQ(joined.size(), 1u);
-  EXPECT_FALSE(scan.rows_materialized());
   EXPECT_EQ(scan.Columnar(), t.ColumnarSnapshot());
   EXPECT_EQ(t.IndexBytes(), index_bytes);
 }
@@ -677,7 +674,6 @@ TEST(TableImageTest, PublishedCopyKeepsItsImageThroughWriterAdds) {
     obs::ServeScope serve;
     const Rows scan = Rows::FromTable(published);
     EXPECT_EQ(scan.Columnar(), image);
-    EXPECT_FALSE(scan.rows_materialized());
   }
   const std::shared_ptr<const ColumnTable> edited = writer.ColumnarSnapshot();
   EXPECT_NE(edited, image);

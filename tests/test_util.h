@@ -14,9 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "algebra/rows.h"
 #include "exec/warehouse.h"
 #include "graph/vdag.h"
 #include "reference/reference_views.h"
+#include "storage/column_table.h"
 #include "tpcd/change_generator.h"
 #include "tpcd/tpcd_generator.h"
 #include "view/view_definition.h"
@@ -39,6 +41,26 @@ inline uint64_t PropertySeed(uint64_t default_seed) {
 inline std::string SeedTrace(uint64_t seed) {
   return "repro: WUW_SEED=" + std::to_string(seed) +
          " (effective generator seed " + std::to_string(seed) + ")";
+}
+
+/// The rows of a batch by value, in order: each row's tuple
+/// (ColumnTable::TupleAt) and multiplicity.
+inline RowVec RowsOf(const Rows& rows) {
+  std::shared_ptr<const ColumnTable> image = rows.Columnar();
+  RowVec out;
+  out.reserve(image->num_rows());
+  for (size_t i = 0; i < image->num_rows(); ++i) {
+    out.emplace_back(image->TupleAt(i), image->mult()[i]);
+  }
+  return out;
+}
+
+/// The batch holding exactly `rows`, in order, zero multiplicities
+/// included (Rows::Add drops those).  Every row must fit `schema`.
+inline Rows MakeRows(const Schema& schema, const RowVec& rows) {
+  std::shared_ptr<ColumnTable> image = ColumnTable::FromRows(schema, rows);
+  if (image == nullptr) std::abort();  // a row that does not fit
+  return Rows::FromColumnar(std::move(image));
 }
 
 /// Builds a random VDAG over `num_bases` base views and `num_derived`
