@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <utility>
@@ -530,11 +531,16 @@ void EvalNodeVec(const VecExpr& n, const ColumnTable& ct, const RowBatch& b,
           out->dbls.resize(m);
           for (size_t k = 0; k < m; ++k) out->dbls[k] = c.dbls[b.row(k)];
           break;
-        case TypeId::kString:
+        case TypeId::kString: {
           out->codes.resize(m);
           for (size_t k = 0; k < m; ++k) out->codes[k] = c.codes[b.row(k)];
-          out->dict = c.dict;
+          // A column that never held a non-NULL string may have no
+          // dictionary; its values still index one.
+          static const std::shared_ptr<const StringDict> kNoStrings =
+              std::make_shared<const StringDict>();
+          out->dict = c.dict != nullptr ? c.dict : kNoStrings;
           break;
+        }
         case TypeId::kNull:
           break;
       }
@@ -963,6 +969,39 @@ std::vector<size_t> AllColumns(const Schema& schema) {
   return all;
 }
 
+/// `predicate`'s top-level conjuncts resolved against `ct` (none for a
+/// null predicate).  AND has no side effects, so the typed conjuncts come
+/// first and the general ones see only what the typed ones keep.
+std::vector<Conjunct> ResolveConjuncts(const ScalarExpr::Ptr& predicate,
+                                       const ColumnTable& ct,
+                                       VecCounters* cnt) {
+  std::vector<Conjunct> conjuncts;
+  if (predicate == nullptr) return conjuncts;
+  std::vector<const ScalarExpr*> parts;
+  SplitConjuncts(*predicate, &parts);
+  conjuncts.reserve(parts.size());
+  for (const ScalarExpr* part : parts) {
+    conjuncts.push_back(ResolveConjunct(*part, ct, cnt));
+  }
+  std::stable_partition(conjuncts.begin(), conjuncts.end(),
+                        [](const Conjunct& c) {
+                          return c.kind != Conjunct::kGeneral;
+                        });
+  return conjuncts;
+}
+
+/// Narrows sel[0, m) of `b`'s rows by every conjunct; returns the number
+/// kept.
+size_t SelectConjuncts(const std::vector<Conjunct>& conjuncts,
+                       const ColumnTable& ct, const RowBatch& b,
+                       uint32_t* sel, size_t m, VecCounters* cnt) {
+  for (const Conjunct& c : conjuncts) {
+    if (m == 0) break;
+    m = c.Select(ct, b, sel, m, cnt);
+  }
+  return m;
+}
+
 }  // namespace
 
 Rows Filter(const Rows& input, const ScalarExpr::Ptr& predicate,
@@ -971,22 +1010,9 @@ Rows Filter(const Rows& input, const ScalarExpr::Ptr& predicate,
             const std::vector<size_t>* columns) {
   if (predicate == nullptr && columns == nullptr) return input;
   std::shared_ptr<const ColumnTable> ct = input.Columnar();
-  const ScalarExpr::Ptr pred =
-      predicate != nullptr ? predicate : ScalarExpr::True();
   VecCounters cnt;
-  std::vector<const ScalarExpr*> parts;
-  SplitConjuncts(*pred, &parts);
-  // AND has no side effects, so the typed conjuncts run first and the
-  // general ones see only what the typed ones keep.
-  std::vector<Conjunct> conjuncts;
-  conjuncts.reserve(parts.size());
-  for (const ScalarExpr* part : parts) {
-    conjuncts.push_back(ResolveConjunct(*part, *ct, &cnt));
-  }
-  std::stable_partition(conjuncts.begin(), conjuncts.end(),
-                        [](const Conjunct& c) {
-                          return c.kind != Conjunct::kGeneral;
-                        });
+  const std::vector<Conjunct> conjuncts =
+      ResolveConjuncts(predicate, *ct, &cnt);
 
   const std::vector<int64_t>& mult = ct->mult();
   std::vector<uint32_t> ids(ct->num_rows());
@@ -1000,10 +1026,7 @@ Rows Filter(const Rows& input, const ScalarExpr::Ptr& predicate,
     uint32_t* sel = ids.data() + kept;
     size_t m = b.size();
     std::iota(sel, sel + m, static_cast<uint32_t>(b.begin));
-    for (const Conjunct& c : conjuncts) {
-      if (m == 0) break;
-      m = c.Select(*ct, b, sel, m, &cnt);
-    }
+    m = SelectConjuncts(conjuncts, *ct, b, sel, m, &cnt);
     // A zero multiplicity is no row; it adds nothing to rows_produced.
     m = Compact(sel, m, [&](uint32_t i) {
       produced += std::llabs(mult[i]);
@@ -1121,8 +1144,8 @@ Rows Project(const Rows& input, const std::vector<ProjectItem>& items,
   });
 
   for (size_t a = 0; a < exprs.size(); ++a) {
-    // A string column that saw no batches (empty input) still needs a
-    // dictionary — FromRows always attaches one.
+    // A string column that saw no batches (empty input) still gets a
+    // dictionary, so every projected string column has one.
     ColumnVec* dst = payload->mutable_column(a);
     if (dst->type == TypeId::kString && dst->dict == nullptr) {
       dst->dict = std::make_shared<StringDict>();
@@ -1456,6 +1479,156 @@ Rows TryHashJoin(const Rows& left, const Rows& right,
   if (probe_rows != nullptr) *probe_rows = std::move(out_lids);
   cnt.Flush();
   return out;
+}
+
+Rows IndexJoin(const Rows& probe, const std::vector<size_t>& probe_idx,
+               const IndexedExtent& extent, bool extent_left,
+               const std::vector<size_t>* columns, OperatorStats* stats,
+               IndexJoinCounts* counts) {
+  const ColumnTable& ect = *extent.image;
+  const KeyIndex& index = *extent.index;
+  WUW_CHECK(index.size() == ect.num_rows() &&
+                index.columns().size() == probe_idx.size(),
+            "IndexJoin: the index does not describe the image's keys");
+  std::shared_ptr<const ColumnTable> pct = probe.Columnar();
+  VecCounters cnt;
+  // Extent cells on the `a` side, so a cross-dictionary string key
+  // translates the probe's (small) dictionary, not the extent's.
+  KeyEq eq = MakeKeyEq(ect, index.columns(), *pct, probe_idx);
+  cnt.value_hashes += eq.setup_value_hashes;
+  std::vector<const ColumnVec*> pcols;
+  for (size_t i : probe_idx) pcols.push_back(&pct->column(i));
+  const std::vector<int64_t>& pmult = pct->mult();
+  const std::vector<int64_t>& emult = ect.mult();
+  const size_t pn = pct->num_rows();
+
+  // 1. Candidates: per probe row, ascending, the key-equal extent rows.
+  // A zero multiplicity joins to no row, so it probes nothing.
+  std::vector<uint32_t> cand_probe, cand_pos;
+  int64_t scanned = 0;
+  uint64_t hashes[kBatchRows];
+  ForEachBatch(*pct, [&](const RowBatch& b) {
+    ++cnt.batches;
+    scanned += b.abs_card;
+    BatchKeyHashes(pcols, b, hashes);
+    for (size_t i = b.begin; i < b.end; ++i) {
+      if (pmult[i] == 0) continue;
+      for (int32_t j = index.First(hashes[i - b.begin]); j >= 0;
+           j = index.Next(j)) {
+        ++cnt.key_cmps;
+        if (!eq.Eq(static_cast<size_t>(j), i)) continue;
+        cand_probe.push_back(static_cast<uint32_t>(i));
+        cand_pos.push_back(static_cast<uint32_t>(j));
+      }
+    }
+  });
+  cnt.rows += static_cast<int64_t>(pn + cand_pos.size());
+  cnt.key_mixes += static_cast<int64_t>(pn * probe_idx.size());
+  const size_t found = cand_pos.size();
+  for (uint32_t j : cand_pos) scanned += std::llabs(emult[j]);
+
+  // 2. The operand's filter over the candidates only, with Filter's
+  // conjunct loops.  They keep the selection's order, and a row passes
+  // or fails wherever it occurs, so the survivors are a subsequence of
+  // the candidates that one merge walk maps back onto them.
+  const std::vector<Conjunct> conjuncts =
+      ResolveConjuncts(extent.filter, ect, &cnt);
+  if (!conjuncts.empty()) {
+    RowBatch whole;  // the general conjuncts' base view of the image
+    whole.source = &ect;
+    whole.end = ect.num_rows();
+    std::vector<uint32_t> sel(found);
+    size_t kept = 0;
+    for (size_t begin = 0; begin < found; begin += kBatchRows) {
+      const size_t m = std::min(kBatchRows, found - begin);
+      std::copy(cand_pos.begin() + begin, cand_pos.begin() + begin + m,
+                sel.begin() + kept);
+      kept += SelectConjuncts(conjuncts, ect, whole, sel.data() + kept, m,
+                              &cnt);
+    }
+    size_t out = 0, next = 0;
+    for (size_t k = 0; k < found && next < kept; ++k) {
+      if (cand_pos[k] != sel[next]) continue;
+      cand_probe[out] = cand_probe[k];
+      cand_pos[out] = cand_pos[k];
+      ++out;
+      ++next;
+    }
+    cand_probe.resize(out);
+    cand_pos.resize(out);
+  }
+  const size_t kept = cand_pos.size();
+
+  // 3. The hash join's order: left rows ascending, each left row's
+  // matches in descending right index.  The filter keeps extent order, so
+  // extent positions order like the filtered operand's rows.
+  std::vector<uint32_t> lids, rids;
+  if (!extent_left) {
+    for (size_t s = 0, e = 0; s < kept; s = e) {
+      while (e < kept && cand_probe[e] == cand_probe[s]) ++e;
+      std::sort(cand_pos.begin() + s, cand_pos.begin() + e,
+                std::greater<uint32_t>());
+    }
+    lids = std::move(cand_probe);
+    rids = std::move(cand_pos);
+  } else {
+    std::vector<uint32_t> order(kept);
+    std::iota(order.begin(), order.end(), uint32_t{0});
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      if (cand_pos[a] != cand_pos[b]) return cand_pos[a] < cand_pos[b];
+      return cand_probe[a] > cand_probe[b];
+    });
+    lids.resize(kept);
+    rids.resize(kept);
+    for (size_t k = 0; k < kept; ++k) {
+      lids[k] = cand_pos[order[k]];
+      rids[k] = cand_probe[order[k]];
+    }
+  }
+  const std::vector<uint32_t>& eids = extent_left ? lids : rids;
+  const std::vector<uint32_t>& pids = extent_left ? rids : lids;
+  std::vector<int64_t> out_mult(kept);
+  int64_t kept_card = 0, produced = 0;
+  for (size_t k = 0; k < kept; ++k) {
+    kept_card += std::llabs(emult[eids[k]]);
+    out_mult[k] = emult[eids[k]] * pmult[pids[k]];
+    produced += std::llabs(out_mult[k]);
+  }
+
+  // 4. Gather: operand columns off the image through the kept columns.
+  const Schema operand = ect.schema().Project(extent.columns);
+  const Schema concat = extent_left ? Schema::Concat(operand, probe.schema)
+                                    : Schema::Concat(probe.schema, operand);
+  const std::vector<size_t> out_columns =
+      columns != nullptr ? *columns : AllColumns(concat);
+  auto table = std::make_shared<ColumnTable>(concat.Project(out_columns));
+  const size_t ln = extent_left ? operand.num_columns()
+                                : probe.schema.num_columns();
+  for (size_t c = 0; c < out_columns.size(); ++c) {
+    const bool left = out_columns[c] < ln;
+    const size_t q = left ? out_columns[c] : out_columns[c] - ln;
+    if (left == extent_left) {
+      GatherColumnInto(ect.column(extent.columns[q]), eids,
+                       table->mutable_column(c));
+    } else {
+      GatherColumnInto(pct->column(q), pids, table->mutable_column(c));
+    }
+  }
+  cnt.cells_gathered += static_cast<int64_t>(out_columns.size() * kept);
+  *table->mutable_mult() = std::move(out_mult);
+  table->Finish();
+
+  if (stats != nullptr) {
+    stats->rows_scanned += scanned;
+    stats->rows_produced += kept_card + produced;
+    stats->hash_probes += static_cast<int64_t>(pn);
+  }
+  if (counts != nullptr) {
+    counts->candidates += static_cast<int64_t>(found);
+    counts->kept += static_cast<int64_t>(kept);
+  }
+  cnt.Flush();
+  return Rows::FromColumnar(std::move(table));
 }
 
 }  // namespace vec

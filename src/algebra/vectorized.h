@@ -52,10 +52,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "algebra/operator_stats.h"
 #include "algebra/rows.h"
+#include "expr/scalar_expr.h"
+#include "storage/table.h"
 
 namespace wuw {
 
@@ -89,6 +92,44 @@ Rows TryHashJoin(const Rows& left, const Rows& right,
                  HashedSide hashed = HashedSide::kRight,
                  const std::vector<size_t>* columns = nullptr,
                  std::vector<uint32_t>* probe_rows = nullptr);
+
+/// A join operand read through a persistent join-key index instead of
+/// scanned: a table's image, its KeyIndex on the join's key columns
+/// (storage/table.h; the index must describe this image), and the
+/// operand's source filter.
+struct IndexedExtent {
+  std::shared_ptr<const ColumnTable> image;
+  std::shared_ptr<const KeyIndex> index;
+  /// The operand's filter; null passes every row.
+  ScalarExpr::Ptr filter;
+  /// The image columns the operand emits, ascending: its schema is
+  /// image->schema().Project(columns).
+  std::vector<size_t> columns;
+};
+
+/// What an IndexJoin read, for EXPLAIN and the plan counters.
+struct IndexJoinCounts {
+  /// Key-equal (probe row, extent row) pairs the probes found.
+  int64_t candidates = 0;
+  /// Candidates that passed the operand's filter.
+  int64_t kept = 0;
+};
+
+/// The join of `probe` with the indexed operand, keyed on probe's columns
+/// `probe_idx` against the index's columns pairwise: the rows, order,
+/// multiplicities and kept `columns` of TryHashJoin(probe, operand), or of
+/// TryHashJoin(operand, probe) when `extent_left`, where operand is
+/// Filter(image, filter, columns).  It hashes each probe row's key, walks
+/// the index bucket, runs the filter's conjunct loops over the key-equal
+/// rows only, and gathers only the kept columns, so its cost follows the
+/// probe side and its matches, not the extent.  Stats: the probe side and
+/// every candidate count as scanned, the surviving candidates and the
+/// matches' |products| as produced, one hash probe per probe row, and no
+/// build rows.  Sequential.
+Rows IndexJoin(const Rows& probe, const std::vector<size_t>& probe_idx,
+               const IndexedExtent& extent, bool extent_left,
+               const std::vector<size_t>* columns, OperatorStats* stats,
+               IndexJoinCounts* counts = nullptr);
 
 }  // namespace vec
 }  // namespace wuw

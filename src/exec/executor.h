@@ -48,6 +48,10 @@ struct ExecutorOptions {
   /// already validated.
   bool validate = true;
   /// Footnote 5 extension: skip maintenance terms whose deltas are empty.
+  /// Only the accounting changes (no term, no linear work charged for
+  /// it): an empty-delta term costs no execution time either way, since
+  /// the executor evaluates a join's delta side first and never evaluates
+  /// the other side of an empty one (plan/plan_executor.h).
   bool skip_empty_delta_terms = false;
   /// Footnote 5 at strategy level: before running, drop the expressions
   /// that only touch views with provably empty deltas (see

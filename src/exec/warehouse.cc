@@ -89,6 +89,9 @@ Warehouse::Warehouse(Vdag vdag) : vdag_(std::move(vdag)) {
                     def, RawSchema(*def, resolver), vdag_.OutputSchema(name)));
     }
   }
+  for (const std::string& name : vdag_.view_names()) {
+    if (vdag_.IsDerivedView(name)) DeclareJoinIndexes(*vdag_.definition(name));
+  }
   // WUW_READERS arms snapshot reads on every warehouse in the process —
   // the env-knob twin of EnableSnapshotReads(), same discipline as
   // WUW_WINDOW_BUDGET / WUW_METRICS.
@@ -331,14 +334,40 @@ void Warehouse::AuxCommit() {
       fresh.ForEach([&](const Tuple& t, int64_t c) { table->Add(t, c); });
       join_rows_[p.aux_view] = jr;
       NoteExtentChanged(p.aux_view);
+      DeclareJoinIndexes(*p.def);
       WUW_METRIC_ADD("aux.promotions", obs::MetricClass::kWork, 1);
     }
+    DeclareJoinIndexes(*vdag_.definition(p.parent), p.prefix_len,
+                       p.aux_view);
     aux_->Bind(p);
   }
 
   // 3. Stamp every binding against the post-commit state — the freshness
   // baseline next window's substitutions validate against.
   aux_->Restamp(version_of, catalog_);
+}
+
+void Warehouse::DeclareJoinIndexes(const ViewDefinition& def,
+                                   size_t prefix_len,
+                                   const std::string& prefix_view) {
+  const size_t n = def.num_sources();
+  std::vector<const Schema*> schemas;
+  schemas.reserve(n);
+  for (const std::string& src : def.sources()) {
+    schemas.push_back(&vdag_.OutputSchema(src));
+  }
+  const std::vector<JoinKeys> keys = JoinStepKeys(def, schemas, prefix_len);
+  const size_t first = std::max<size_t>(prefix_len, 1);
+  if (first >= n) return;
+  auto declare = [&](const std::string& view,
+                     const std::vector<std::string>& columns) {
+    if (!columns.empty()) catalog_.DeclareKeyIndex(view, columns);
+  };
+  declare(prefix_len == 0 ? def.sources()[0] : prefix_view,
+          keys[first].left_columns);
+  for (size_t i = first; i < n; ++i) {
+    declare(def.sources()[i], keys[i].right_columns);
+  }
 }
 
 void Warehouse::SetBaseDelta(const std::string& name, DeltaRelation delta) {

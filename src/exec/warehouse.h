@@ -220,6 +220,15 @@ class Warehouse {
   /// to the same state.
   void AuxCommit();
 
+  /// Declares the KeyIndexes def's Comp terms probe (vec::IndexJoin), from
+  /// the join keys lowering uses (JoinStepKeys): each join step's right
+  /// keys on that step's source, and the first step's left keys on its
+  /// left operand — source 0, or with an aux prefix of `prefix_len`
+  /// sources (plan/aux_view.h) the aux extent `prefix_view`.  Declaring
+  /// changes no extent's rows, so a published extent takes it in place.
+  void DeclareJoinIndexes(const ViewDefinition& def, size_t prefix_len = 0,
+                          const std::string& prefix_view = "");
+
   Vdag vdag_;
   Catalog catalog_;
   std::unordered_map<std::string, DeltaRelation> base_deltas_;

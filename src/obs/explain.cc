@@ -20,12 +20,19 @@ std::string FormatEstRows(double est) {
 }
 
 std::string FormatMeasuredRows(const PlanNodeObservation& node) {
-  if (node.measured_rows < 0) return "rows=-";
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "rows=%lld",
-                static_cast<long long>(node.measured_rows));
-  std::string out = buf;
-  if (node.from_cache) out += " (cached)";
+  std::string out = "rows=-";
+  if (node.measured_rows >= 0) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "rows=%lld",
+                  static_cast<long long>(node.measured_rows));
+    out = buf;
+  }
+  switch (node.provenance) {
+    case Provenance::kComputed: break;
+    case Provenance::kCached: out += " (cached)"; break;
+    case Provenance::kIndex: out += " (index)"; break;
+    case Provenance::kSkipped: out += " (skipped)"; break;
+  }
   return out;
 }
 

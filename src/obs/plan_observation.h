@@ -23,6 +23,20 @@
 namespace wuw {
 namespace obs {
 
+/// Where a plan node's rows came from in one evaluation.
+enum class Provenance : uint8_t {
+  /// The operator ran (or, with no measured rows, the node never ran).
+  kComputed,
+  /// Served by the cross-expression SubplanCache.
+  kCached,
+  /// An extent operand a join answered by probing a join-key index with
+  /// its delta side (vec::IndexJoin): only the rows the probes found were
+  /// read.
+  kIndex,
+  /// Not evaluated: the join above it had an empty delta operand.
+  kSkipped,
+};
+
 /// One plan node's estimate-vs-measurement record.
 struct PlanNodeObservation {
   /// Node id within its DAG (ids are a topological order).
@@ -40,11 +54,11 @@ struct PlanNodeObservation {
   /// was not annotated (no cache attached and estimates not requested).
   double est_rows = -1;
   /// Rows actually produced, or -1 if the node never ran this evaluation
-  /// (skipped term, or short-circuited by a subplan-cache hit).
+  /// (skipped term or operand, or short-circuited by a subplan-cache hit).
+  /// An index-answered extent operand counts the rows its probes found
+  /// (a ScanTable) or kept (a Filter).
   int64_t measured_rows = -1;
-  /// True when the result came from the cross-expression SubplanCache
-  /// rather than being computed.
-  bool from_cache = false;
+  Provenance provenance = Provenance::kComputed;
 };
 
 /// All observations for one evaluated Comp expression.

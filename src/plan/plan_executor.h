@@ -9,9 +9,18 @@
 //     under a different DAG entirely.  Leaf scans never touch the cache.
 //
 // Both layers are attached iff a SubplanCache is supplied.  With a null
-// cache the executor degenerates to eager per-term re-evaluation with
-// operator-for-operator identical OperatorStats to the pre-plan pipeline,
-// which is what the paper-fidelity experiment tables run.
+// cache the executor re-evaluates each term eagerly, which is what the
+// paper-fidelity experiment tables run.
+//
+// A join whose subtree reads a delta evaluates its delta side first.  If
+// that side is empty the join is empty and the other side never runs
+// (plan.empty_operand_skips).  If the other side is an extent operand (a
+// table scan, or a filter over one) whose table has a KeyIndex on exactly
+// this join's key columns (storage/table.h), and the delta side has at
+// most a quarter of the extent's rows, vec::IndexJoin probes the index
+// with the delta side instead of scanning and hashing the extent
+// (plan.index_joins).  Both routes return the rows, in the order, that
+// the hash join would.
 //
 // Thread-safety: after PrepareShared returns, Execute only reads the memo,
 // so concurrent term workers may call Execute on disjoint roots with their
@@ -23,9 +32,11 @@
 #define WUW_PLAN_PLAN_EXECUTOR_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algebra/operator_stats.h"
+#include "obs/plan_observation.h"
 #include "plan/plan_node.h"
 #include "plan/subplan_cache.h"
 
@@ -33,14 +44,19 @@ namespace wuw {
 
 class CancelToken;
 class ThreadPool;
+namespace vec {
+struct IndexedExtent;
+}  // namespace vec
 
 /// Per-node execution record for EXPLAIN (obs/explain.h): rows the node
-/// actually produced and whether they came from the cross-DAG cache.
+/// actually produced and where they came from.
 struct PlanNodeRuntime {
   /// Rows produced, or -1 if the node never ran (short-circuited by a
-  /// memo/cache hit above it, or its term was skipped).
+  /// memo/cache hit above it, skipped for an empty operand, or its term
+  /// was skipped).  An index-answered operand counts what the probes read
+  /// (obs::PlanNodeObservation::measured_rows).
   int64_t rows = -1;
-  bool from_cache = false;
+  obs::Provenance provenance = obs::Provenance::kComputed;
 };
 
 class PlanExecutor {
@@ -75,6 +91,20 @@ class PlanExecutor {
  private:
   std::shared_ptr<const Rows> Eval(PlanNodeId id, OperatorStats* stats,
                                    bool memoize_shared);
+  /// An interior node: its children, then its kernel.
+  Rows EvalOperator(const PlanNode& n, OperatorStats* stats,
+                    bool memoize_shared);
+  /// A join with a delta side: that side first, then the empty-operand
+  /// skip, the index route, or the other side and the hash join.
+  Rows EvalDeltaFirstJoin(const PlanNode& n, OperatorStats* stats,
+                          bool memoize_shared);
+  /// True, with `extent` filled, when node `id` is an extent operand
+  /// with a KeyIndex on its columns `keys` and at least 4 x `probe_rows`
+  /// rows.
+  bool IndexedOperand(PlanNodeId id, const std::vector<std::string>& keys,
+                      size_t probe_rows, vec::IndexedExtent* extent) const;
+  /// Records `root`'s subtree as not evaluated.
+  void MarkSkipped(PlanNodeId root);
 
   const PlanDag& dag_;
   SubplanCache* cache_;

@@ -156,9 +156,11 @@ PlanNodeId PlanDag::Intern(PlanNode node) {
     return it->second;
   }
   PlanNodeId id = static_cast<PlanNodeId>(nodes_.size());
+  node.reads_delta = node.kind == PlanNodeKind::kScanDelta;
   for (PlanNodeId child : node.children) {
     WUW_CHECK(child >= 0 && child < id, "plan children must precede parents");
     nodes_[child].num_uses += 1;
+    node.reads_delta = node.reads_delta || nodes_[child].reads_delta;
   }
   by_fingerprint_.emplace(node.fingerprint, id);
   nodes_.push_back(std::move(node));

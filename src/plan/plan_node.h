@@ -63,6 +63,9 @@ struct PlanNode {
   /// Number of parent edges across the whole DAG; ≥ 2 means the subplan is
   /// shared by several terms (the memoization payoff).
   int num_uses = 0;
+  /// True iff the subtree reads a kScanDelta leaf: a join evaluates such
+  /// a child first (plan/plan_executor.h).
+  bool reads_delta = false;
 
   // Leaf payloads (exactly one non-null for scan kinds).
   const Table* table = nullptr;

@@ -74,6 +74,19 @@ int64_t Catalog::Cardinality(const std::string& name) const {
   return it->second->cardinality();
 }
 
+void Catalog::DeclareKeyIndex(const std::string& name,
+                              const std::vector<std::string>& columns) {
+  auto it = tables_.find(name);
+  WUW_CHECK(it != tables_.end(), ("no such table: " + name).c_str());
+  Table& table = *it->second;
+  std::vector<size_t> positions;
+  positions.reserve(columns.size());
+  for (const std::string& column : columns) {
+    positions.push_back(table.schema().MustIndexOf(column));
+  }
+  table.DeclareKeyIndex(positions);
+}
+
 std::shared_ptr<const Table> Catalog::SharedTable(
     const std::string& name) const {
   auto it = tables_.find(name);

@@ -64,6 +64,13 @@ class Catalog {
   /// written.  Aborts if the name is absent.
   void ReplaceTable(const std::string& name, std::shared_ptr<Table> table);
 
+  /// Declares a KeyIndex on `name`'s extent over the named columns, in
+  /// key order (Table::DeclareKeyIndex), WITHOUT the pager hook: a
+  /// hibernated extent builds it when it faults back in.  Aborts if the
+  /// name or a column is absent.
+  void DeclareKeyIndex(const std::string& name,
+                       const std::vector<std::string>& columns);
+
   /// Copy of all tables; each shares its source's storage copy-on-write,
   /// so an edit on either side never shows on the other.
   Catalog Clone() const;

@@ -60,81 +60,6 @@ ColumnTable::ColumnTable(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
-std::shared_ptr<ColumnTable> ColumnTable::FromRows(
-    const Schema& schema,
-    const std::vector<std::pair<Tuple, int64_t>>& rows) {
-  if (rows.size() >= kNullStringCode) return nullptr;
-  auto out = std::make_shared<ColumnTable>(schema);
-  const size_t ncols = schema.num_columns();
-  const size_t n = rows.size();
-  std::vector<std::shared_ptr<StringDict>> dicts(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    ColumnVec& col = out->columns_[c];
-    switch (col.type) {
-      case TypeId::kString:
-        dicts[c] = std::make_shared<StringDict>();
-        col.codes.reserve(n);
-        break;
-      case TypeId::kDouble:
-        col.dbls.reserve(n);
-        break;
-      default:
-        col.ints.reserve(n);
-        break;
-    }
-  }
-  out->mult_.reserve(n);
-
-  for (const auto& [tuple, m] : rows) {
-    if (tuple.size() != ncols) return nullptr;
-    for (size_t c = 0; c < ncols; ++c) {
-      ColumnVec& col = out->columns_[c];
-      const Value& v = tuple.value(c);
-      const bool null = v.is_null();
-      // A non-null cell must carry exactly the declared type: anything else
-      // (legal in the untyped row engine) cannot round-trip through the
-      // typed array, so the whole batch stays row-major.
-      if (!null && v.type() != col.type) return nullptr;
-      switch (col.type) {
-        case TypeId::kInt64:
-        case TypeId::kDate:
-        case TypeId::kNull:
-          col.ints.push_back(null ? 0
-                                  : (col.type == TypeId::kDate ? v.AsDate()
-                                                               : v.AsInt64()));
-          break;
-        case TypeId::kDouble:
-          col.dbls.push_back(null ? 0.0 : v.AsDouble());
-          break;
-        case TypeId::kString:
-          col.codes.push_back(null ? kNullStringCode
-                                   : dicts[c]->Intern(v.AsString()));
-          break;
-      }
-      if (null && col.type != TypeId::kString) {
-        if (col.nulls.empty()) col.nulls.resize(n, 0);
-        col.nulls[out->mult_.size()] = 1;
-      }
-    }
-    out->mult_.push_back(m);
-  }
-  int64_t interned = 0;
-  for (size_t c = 0; c < ncols; ++c) {
-    if (out->columns_[c].type == TypeId::kString) {
-      interned += static_cast<int64_t>(dicts[c]->size());
-      out->columns_[c].dict = std::move(dicts[c]);
-    }
-  }
-  out->Finish();
-  // One row->column conversion; interning is the only Value-level hashing
-  // the vectorized engine ever pays for strings (once per distinct string,
-  // amortized across every kernel that reuses the cached table).
-  WUW_METRIC_ADD("engine.vec.conversions", obs::MetricClass::kEngine, 1);
-  WUW_METRIC_ADD("engine.vec.value_hashes", obs::MetricClass::kEngine,
-                 interned);
-  return out;
-}
-
 bool TupleFitsSchema(const Schema& schema, const Tuple& tuple) {
   if (tuple.size() != schema.num_columns()) return false;
   for (size_t c = 0; c < tuple.size(); ++c) {

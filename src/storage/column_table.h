@@ -8,11 +8,11 @@
 // arrays in tight typed loops instead of per-row Value variant dispatch.
 //
 // Every operator edge is a ColumnTable (Rows, algebra/rows.h, is one plus
-// its schema).  Tuples enter through AppendRow and FromRows and leave
-// through TupleAt, and every cell round-trips with its original TypeId,
-// so SortedRows / ContentsEqual / golden output comparisons cannot tell
-// the forms apart.  A tuple whose cells violate their declared column
-// types does not fit (Accepts is false, FromRows returns null).
+// its schema).  Tuples enter through AppendRow and leave through TupleAt,
+// and every cell round-trips with its original TypeId, so SortedRows /
+// ContentsEqual / golden output comparisons cannot tell the forms apart.
+// A tuple whose cells violate their declared column types does not fit
+// (Accepts is false).
 //
 // A ColumnTable is also every Table's storage (storage/table.h): the table
 // is its image plus a row index over it (RowHash, TupleRowHash,
@@ -178,13 +178,6 @@ class ColumnTable {
   ColumnTable() = default;
   explicit ColumnTable(Schema schema);
 
-  /// Exact columnar image of (schema, rows); null if any cell's type
-  /// disagrees with its declared column (the typed arrays cannot represent
-  /// such rows losslessly).
-  static std::shared_ptr<ColumnTable> FromRows(
-      const Schema& schema,
-      const std::vector<std::pair<Tuple, int64_t>>& rows);
-
   /// The row capacity an editable image of `rows` rows reserves, so the
   /// appends that follow a copy or a fault-in do not reallocate: an eighth
   /// spare plus 16.
@@ -205,7 +198,8 @@ class ColumnTable {
 
   /// True when the table can hold `tuple`: the schema's arity, every
   /// non-null cell of its column's declared type, and fewer than
-  /// kNullStringCode rows after it (the cases FromRows returns null for).
+  /// kNullStringCode rows after it: a typed array cannot hold anything
+  /// else losslessly.
   bool Accepts(const Tuple& tuple) const;
 
   /// Appends one row-major row; requires Accepts(tuple).  A shared string
@@ -230,7 +224,7 @@ class ColumnTable {
   /// Rebuilds every string dictionary holding more than 2 x num_rows() + 64
   /// strings (deletes left it mostly dead entries) from the strings its
   /// codes still use, in first-occurrence row order — the dictionary
-  /// FromRows would build from the same rows — and rewrites the codes.  A
+  /// appending the same rows afresh would build — and rewrites the codes.  A
   /// shared dictionary is replaced, never changed.  The bound makes this
   /// amortized O(1) per edit; other dictionaries are left as they are.
   void CompactDicts();

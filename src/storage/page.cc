@@ -507,8 +507,8 @@ bool GetWords(ByteReader* r, size_t n, size_t capacity, std::vector<T>* out) {
 }
 
 /// Decodes one column of `n` rows into `col` (type preset), reserving
-/// `capacity` cells.  Accepts only the shapes ColumnTable::FromRows and
-/// AppendRow produce: no null mask on a string column (NULL is a code
+/// `capacity` cells.  Accepts only the shapes ColumnTable's appends and
+/// the kernels produce: no null mask on a string column (NULL is a code
 /// there), a mask of all ones on a non-empty kNull column, and a zero
 /// payload under every NULL of a numeric column.  Returns false on any
 /// other shape, an overrun, a null-mask byte other than 0/1, a duplicate
@@ -554,8 +554,8 @@ bool GetColumn(ByteReader* r, size_t n, size_t capacity, ColumnVec* col) {
       if (!GetWords(r, n, capacity, &col->ints)) return false;
       break;
   }
-  // A NULL cell carries an all-zero payload (FromRows and AppendRow write
-  // 0 / 0.0 there; -0.0 is not all-zero).
+  // A NULL cell carries an all-zero payload (AppendRow and the kernels
+  // write 0 / 0.0 there; -0.0 is not all-zero).
   if (!col->nulls.empty()) {
     for (size_t i = 0; i < n; ++i) {
       if (col->nulls[i] == 0) continue;

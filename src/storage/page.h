@@ -125,7 +125,7 @@ void PutColumns(std::string* out, const ColumnTable& image);
 /// Decodes PutColumns' bytes for `n` rows of `schema` into a fresh image
 /// with room for `capacity` rows; its totals are left for Finish().
 /// Returns "" on success, else what is damaged.  Accepts only the shapes
-/// FromRows and AppendRow produce; never aborts.
+/// ColumnTable's appends and the kernels produce; never aborts.
 std::string GetColumns(ByteReader* r, const Schema& schema, size_t n,
                        size_t capacity, std::shared_ptr<ColumnTable>* out);
 

@@ -28,6 +28,91 @@ std::shared_ptr<ColumnTable> EmptyImage(const Schema& schema) {
 
 }  // namespace
 
+KeyIndex::KeyIndex(std::vector<size_t> columns)
+    : columns_(std::move(columns)) {}
+
+size_t KeyIndex::Bytes() const {
+  return (heads_.capacity() + next_.capacity() + prev_.capacity()) *
+         sizeof(int32_t);
+}
+
+uint64_t KeyIndex::KeyHash(const ColumnTable& image, size_t pos) const {
+  uint64_t h = kKeyHashSeed;
+  for (size_t c : columns_) {
+    h = CombineKeyHash(h, CellHashAt(image.column(c), pos));
+  }
+  return h;
+}
+
+void KeyIndex::Build(const ColumnTable& image) {
+  const size_t n = image.num_rows();
+  size_t nbuckets = 16;
+  while (nbuckets < n) nbuckets <<= 1;
+  const uint64_t mask = nbuckets - 1;
+  heads_.assign(nbuckets, -1);
+  next_.resize(n);
+  prev_.resize(n);
+  // Key hashes a column and a chunk at a time, so a fault-in's rebuild
+  // holds no per-row hash array beside the row index's.
+  constexpr size_t kChunk = 1024;
+  uint64_t hashes[kChunk];
+  for (size_t begin = 0; begin < n; begin += kChunk) {
+    const size_t end = std::min(n, begin + kChunk);
+    std::fill(hashes, hashes + (end - begin), kKeyHashSeed);
+    for (size_t c : columns_) {
+      FoldCellHashes(image.column(c), begin, end, hashes);
+    }
+    for (size_t pos = begin; pos < end; ++pos) {
+      int32_t& head = heads_[hashes[pos - begin] & mask];
+      next_[pos] = head;
+      prev_[pos] = -1;
+      if (head >= 0) prev_[head] = static_cast<int32_t>(pos);
+      head = static_cast<int32_t>(pos);
+    }
+  }
+}
+
+void KeyIndex::Append(const ColumnTable& image) {
+  const size_t pos = next_.size();
+  if (pos + 1 > heads_.size()) {
+    Build(image);  // doubles the buckets; amortized O(1) per append
+    return;
+  }
+  int32_t& head = heads_[KeyHash(image, pos) & (heads_.size() - 1)];
+  next_.push_back(head);
+  prev_.push_back(-1);
+  if (head >= 0) prev_[head] = static_cast<int32_t>(pos);
+  head = static_cast<int32_t>(pos);
+}
+
+void KeyIndex::Remove(const ColumnTable& image, size_t pos) {
+  const uint64_t mask = heads_.size() - 1;
+  // Unlink pos.
+  const int32_t p = prev_[pos], q = next_[pos];
+  if (p < 0) {
+    heads_[KeyHash(image, pos) & mask] = q;
+  } else {
+    next_[p] = q;
+  }
+  if (q >= 0) prev_[q] = p;
+  // Relink the last row at pos, where the image is about to move it.
+  const size_t last = next_.size() - 1;
+  if (pos != last) {
+    const int32_t lp = prev_[last], lq = next_[last];
+    const int32_t to = static_cast<int32_t>(pos);
+    prev_[pos] = lp;
+    next_[pos] = lq;
+    if (lp < 0) {
+      heads_[KeyHash(image, last) & mask] = to;
+    } else {
+      next_[lp] = to;
+    }
+    if (lq >= 0) prev_[lq] = to;
+  }
+  next_.pop_back();
+  prev_.pop_back();
+}
+
 Table::Table() : image_(EmptyImage(schema_)) {}
 
 Table::Table(Schema schema)
@@ -44,6 +129,7 @@ Table::Table(const Table& other)
       image_(std::const_pointer_cast<ColumnTable>(other.ColumnarSnapshot())),
       slots_(other.slots_),
       slots_used_(other.slots_used_),
+      key_indexes_(other.key_indexes_),
       cardinality_(other.cardinality_),
       mutation_count_(other.mutation_count_) {}
 
@@ -52,10 +138,12 @@ Table::Table(Table&& other) noexcept
       image_(std::move(other.image_)),
       slots_(std::move(other.slots_)),
       slots_used_(other.slots_used_),
+      key_indexes_(std::move(other.key_indexes_)),
       cardinality_(other.cardinality_),
       mutation_count_(other.mutation_count_),
       unfinished_(other.unfinished_) {
   other.image_ = EmptyImage(other.schema_);
+  other.key_indexes_.clear();
   other.slots_used_ = 0;
   other.cardinality_ = 0;
   other.mutation_count_ = 0;
@@ -73,11 +161,13 @@ Table& Table::operator=(Table&& other) noexcept {
   image_ = std::move(other.image_);
   slots_ = std::move(other.slots_);
   slots_used_ = other.slots_used_;
+  key_indexes_ = std::move(other.key_indexes_);
   cardinality_ = other.cardinality_;
   mutation_count_ = other.mutation_count_;
   unfinished_ = other.unfinished_;
   other.image_ = EmptyImage(other.schema_);
   other.slots_.reset();
+  other.key_indexes_.clear();
   other.slots_used_ = 0;
   other.cardinality_ = 0;
   other.mutation_count_ = 0;
@@ -103,6 +193,12 @@ std::vector<Table::IndexSlot>& Table::MutableSlots() {
     slots_ = std::make_shared<std::vector<IndexSlot>>(*slots_);
   }
   return *slots_;
+}
+
+KeyIndex* Table::MutableKeyIndex(size_t k) {
+  std::shared_ptr<KeyIndex>& index = key_indexes_[k];
+  if (index.use_count() != 1) index = std::make_shared<KeyIndex>(*index);
+  return index.get();
 }
 
 ColumnTable* Table::MutableImage() {
@@ -200,6 +296,9 @@ int64_t Table::Add(const Tuple& tuple, int64_t count) {
     ColumnTable* image = MutableImage();
     IndexInsert(hash, static_cast<uint32_t>(image->num_rows()));
     image->AppendRow(tuple, count);
+    for (size_t k = 0; k < key_indexes_.size(); ++k) {
+      MutableKeyIndex(k)->Append(*image);
+    }
     image->CompactDicts();
     cardinality_ += count;
     return count;
@@ -223,6 +322,9 @@ int64_t Table::Add(const Tuple& tuple, int64_t count) {
   if (pos != last) {
     IndexRepoint(image->RowHash(last), static_cast<uint32_t>(last),
                  static_cast<uint32_t>(pos));
+  }
+  for (size_t k = 0; k < key_indexes_.size(); ++k) {
+    MutableKeyIndex(k)->Remove(*image, pos);
   }
   image->RemoveRow(pos);
   image->CompactDicts();
@@ -259,10 +361,17 @@ std::vector<std::pair<Tuple, int64_t>> Table::SortedRows() const {
   return out;
 }
 
+void Table::ClearKeyIndexes() {
+  for (std::shared_ptr<KeyIndex>& index : key_indexes_) {
+    index = std::make_shared<KeyIndex>(index->columns());
+  }
+}
+
 void Table::Clear() {
   std::lock_guard<std::mutex> lock(finish_mu_);
   image_ = EmptyImage(schema_);
   slots_.reset();
+  ClearKeyIndexes();
   slots_used_ = 0;
   cardinality_ = 0;
   unfinished_ = false;
@@ -273,6 +382,7 @@ void Table::ReleasePayload() {
   std::lock_guard<std::mutex> lock(finish_mu_);
   image_ = EmptyImage(schema_);
   slots_.reset();
+  ClearKeyIndexes();
   slots_used_ = 0;
   unfinished_ = false;
 }
@@ -298,31 +408,39 @@ std::string Table::RestorePayload(std::shared_ptr<ColumnTable> image,
     }
   }
   if (total != cardinality) return "cardinality mismatch";
-  // One hash pass fills the row index and finds repeated rows.
-  const std::vector<uint64_t> hashes = image->RowHashes();
   auto slots = std::make_shared<std::vector<IndexSlot>>(
       IndexCapacityFor(n), IndexSlot{0, kIndexEmpty});
-  const size_t mask = slots->size() - 1;
-  // The slots are written in hash order, a cache miss each on a large
-  // table; fetching a few rows ahead overlaps the misses.
-  constexpr size_t kPrefetchRows = 16;
-  for (size_t pos = 0; pos < n; ++pos) {
-    if (pos + kPrefetchRows < n) {
-      __builtin_prefetch(&(*slots)[hashes[pos + kPrefetchRows] & mask], 1);
-    }
-    size_t i = hashes[pos] & mask;
-    for (; (*slots)[i].pos != kIndexEmpty; i = (i + 1) & mask) {
-      const IndexSlot& slot = (*slots)[i];
-      if (slot.hash == hashes[pos] && image->RowsEqual(slot.pos, pos)) {
-        return "repeated row";
+  {
+    // One hash pass fills the row index and finds repeated rows.
+    const std::vector<uint64_t> hashes = image->RowHashes();
+    const size_t mask = slots->size() - 1;
+    // The slots are written in hash order, a cache miss each on a large
+    // table; fetching a few rows ahead overlaps the misses.
+    constexpr size_t kPrefetchRows = 16;
+    for (size_t pos = 0; pos < n; ++pos) {
+      if (pos + kPrefetchRows < n) {
+        __builtin_prefetch(&(*slots)[hashes[pos + kPrefetchRows] & mask], 1);
       }
+      size_t i = hashes[pos] & mask;
+      for (; (*slots)[i].pos != kIndexEmpty; i = (i + 1) & mask) {
+        const IndexSlot& slot = (*slots)[i];
+        if (slot.hash == hashes[pos] && image->RowsEqual(slot.pos, pos)) {
+          return "repeated row";
+        }
+      }
+      (*slots)[i] = IndexSlot{hashes[pos], static_cast<uint32_t>(pos)};
     }
-    (*slots)[i] = IndexSlot{hashes[pos], static_cast<uint32_t>(pos)};
+  }
+  std::vector<std::shared_ptr<KeyIndex>> key_indexes;
+  for (const std::shared_ptr<KeyIndex>& declared : key_indexes_) {
+    key_indexes.push_back(std::make_shared<KeyIndex>(declared->columns()));
+    key_indexes.back()->Build(*image);
   }
   image->Finish();
   std::lock_guard<std::mutex> lock(finish_mu_);
   image_ = std::move(image);
   slots_ = std::move(slots);
+  key_indexes_ = std::move(key_indexes);
   slots_used_ = n;
   cardinality_ = total;
   mutation_count_ = mutation_count;
@@ -350,7 +468,33 @@ std::shared_ptr<const ColumnTable> Table::ColumnarSnapshot() const {
 }
 
 size_t Table::IndexBytes() const {
-  return slots_ != nullptr ? slots_->capacity() * sizeof(IndexSlot) : 0;
+  size_t bytes = slots_ != nullptr ? slots_->capacity() * sizeof(IndexSlot) : 0;
+  for (const std::shared_ptr<KeyIndex>& index : key_indexes_) {
+    bytes += index->Bytes();
+  }
+  return bytes;
+}
+
+void Table::DeclareKeyIndex(const std::vector<size_t>& columns) {
+  if (FindKeyIndex(columns) != nullptr) return;
+  for (size_t c : columns) {
+    WUW_CHECK(c < schema_.num_columns(), "key index column out of range");
+  }
+  auto index = std::make_shared<KeyIndex>(columns);
+  index->Build(*image_);
+  key_indexes_.push_back(std::move(index));
+}
+
+std::shared_ptr<const KeyIndex> Table::FindKeyIndex(
+    const std::vector<size_t>& columns) const {
+  for (const std::shared_ptr<KeyIndex>& index : key_indexes_) {
+    if (index->columns() == columns) return index;
+  }
+  return nullptr;
+}
+
+std::vector<std::shared_ptr<const KeyIndex>> Table::KeyIndexes() const {
+  return {key_indexes_.begin(), key_indexes_.end()};
 }
 
 std::string Table::ToString(size_t max_rows) const {

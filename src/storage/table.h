@@ -28,6 +28,13 @@
 // cardinality totals stale; every sharing point finishes them first, so an
 // image anyone else holds is finished and never changes.
 //
+// A table may also carry KeyIndexes: hash indexes on join-key columns
+// that a Comp term probes with its delta instead of scanning the extent
+// (algebra/vectorized.h, vec::IndexJoin).  Add edits them with the row
+// index (link an appended row; unlink a deleted one and relink the row
+// that moves into its place), and they are shared and copied like the
+// row index.
+//
 // Every tuple Add inserts must fit the schema: the declared arity, and
 // each non-NULL cell of its column's declared type.  Anything else is a
 // caller bug and aborts (WUW_CHECK); every ingest route is typed (CSV
@@ -50,6 +57,56 @@
 namespace wuw {
 
 class ColumnTable;
+
+/// A persistent hash index over a table's rows on a list of key columns
+/// (a join's key columns, declared by the warehouse): int32 bucket heads
+/// plus a doubly linked int32 chain through the row positions, keyed by
+/// the join kernels' key hash (CellHashAt folded by CombineKeyHash from
+/// kKeyHashSeed, storage/column_table.h), so a probe hashes its key
+/// exactly as the hash join does.  Table::Add keeps it in step with the
+/// image's edits; a chain's order says nothing about row positions.
+/// Buckets double when the rows outgrow them (load factor at most 1);
+/// deletes never shrink them, a rebuild sizes them to the rows.
+class KeyIndex {
+ public:
+  explicit KeyIndex(std::vector<size_t> columns);
+
+  /// The indexed column positions, in key order.
+  const std::vector<size_t>& columns() const { return columns_; }
+  /// Indexed rows (the image's row count).
+  size_t size() const { return next_.size(); }
+  size_t buckets() const { return heads_.size(); }
+
+  /// The first row position in `hash`'s bucket, or -1; Next walks on.
+  /// Bucket mates of another key hash appear too, so a probe compares
+  /// keys.
+  int32_t First(uint64_t hash) const {
+    return heads_.empty() ? -1 : heads_[hash & (heads_.size() - 1)];
+  }
+  int32_t Next(int32_t pos) const { return next_[pos]; }
+  /// The row before `pos` in its chain; -1 for a bucket's first row.
+  int32_t Prev(int32_t pos) const { return prev_[pos]; }
+
+  /// Heap bytes held (capacities).
+  size_t Bytes() const;
+
+  /// Indexes every row of `image` afresh.
+  void Build(const ColumnTable& image);
+  /// Links the image's last row, just appended.
+  void Append(const ColumnTable& image);
+  /// The swap-with-last delete, called before the image removes row
+  /// `pos`: unlinks it and, unless it is the last row, moves the last
+  /// row's links to `pos`.
+  void Remove(const ColumnTable& image, size_t pos);
+
+ private:
+  uint64_t KeyHash(const ColumnTable& image, size_t pos) const;
+
+  std::vector<size_t> columns_;
+  std::vector<int32_t> heads_;
+  std::vector<int32_t> next_;
+  std::vector<int32_t> prev_;
+};
 
 /// A multiset relation instance.
 class Table {
@@ -107,8 +164,23 @@ class Table {
   /// the pager holds the table hibernated.
   std::shared_ptr<const ColumnTable> ColumnarSnapshot() const;
 
-  /// Heap bytes held by the row index (the micro_engine memory line).
+  /// Heap bytes held by the row index and the key indexes (the
+  /// micro_engine memory line).
   size_t IndexBytes() const;
+
+  /// Declares a KeyIndex on `columns` (positions, in key order) and
+  /// builds it over the current rows; a no-op if one exists.  Copies of
+  /// the table share its indexes copy-on-write, as they share the image.
+  void DeclareKeyIndex(const std::vector<size_t>& columns);
+  /// The index on exactly `columns`, in that order, or null.  The index
+  /// describes the image ColumnarSnapshot returns until the next edit.
+  std::shared_ptr<const KeyIndex> FindKeyIndex(
+      const std::vector<size_t>& columns) const;
+  /// Every declared index, in declaration order.
+  std::vector<std::shared_ptr<const KeyIndex>> KeyIndexes() const;
+  /// Drops every index and its declaration (a copy that is never probed,
+  /// such as a change generator's source mirror, need not maintain them).
+  void DropKeyIndexes() { key_indexes_.clear(); }
 
   /// Monotone count of mutating calls (Add with a non-zero effect window,
   /// Clear).  Copies inherit the count, so a copy-on-write detach preserves
@@ -117,7 +189,8 @@ class Table {
   int64_t mutation_count() const { return mutation_count_; }
 
   /// PAGED STORE ONLY (storage/paged_store.h): drops the in-memory payload
-  /// of a hibernated extent — image and index — while preserving schema,
+  /// of a hibernated extent — image, row index and key indexes (their
+  /// declarations stay) — while preserving schema,
   /// cardinality() (so size estimation works without a fault-in) and
   /// mutation_count() (so the publish audit and the pager's
   /// image-staleness check stay coherent).  Until the pager faults it back
@@ -127,7 +200,8 @@ class Table {
   /// PAGED STORE ONLY: the fault-in counterpart of ReleasePayload.  Makes
   /// `image` (the hibernated columnar image, dense order; finished here
   /// once its multiplicities pass the checks below) the table's image,
-  /// owned by this table alone, builds the row index over it, and
+  /// owned by this table alone, builds the row index and every declared
+  /// key index over it, and
   /// restores the exact pre-hibernation `mutation_count` — contents are
   /// bit-identical to the hibernated state, so continuity of the count is
   /// the truthful accounting.  Returns "" on success; on a schema other
@@ -166,6 +240,10 @@ class Table {
 
   /// The writable index: allocated on first use, copied while shared.
   std::vector<IndexSlot>& MutableSlots();
+  /// Key index k, ready for an edit: copied first while shared.
+  KeyIndex* MutableKeyIndex(size_t k);
+  /// Replaces every key index with an empty one on the same columns.
+  void ClearKeyIndexes();
 
   /// Places (hash, pos) in the first free slot, growing first if needed.
   void IndexInsert(size_t hash, uint32_t pos);
@@ -184,6 +262,8 @@ class Table {
   std::shared_ptr<std::vector<IndexSlot>> slots_;
   /// Live + tombstoned slots (the probe-length load factor).
   size_t slots_used_ = 0;
+  /// Declared join-key indexes over image_, shared like slots_.
+  std::vector<std::shared_ptr<KeyIndex>> key_indexes_;
   int64_t cardinality_ = 0;
   /// See mutation_count().
   int64_t mutation_count_ = 0;

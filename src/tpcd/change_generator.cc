@@ -101,7 +101,11 @@ SourceChangeStream::SourceChangeStream(const Warehouse& warehouse,
   int64_t max_cardinality = 0;
   for (const std::string& base : warehouse.vdag().BaseViews()) {
     const Table* table = warehouse.catalog().MustGetTable(base);
-    *source_.CreateTable(base, table->schema()) = *table;
+    Table* mirror = source_.CreateTable(base, table->schema());
+    *mirror = *table;
+    // The mirror is never probed; sharing the warehouse's join-key indexes
+    // would make its first edit copy them and every edit maintain them.
+    mirror->DropKeyIndexes();
     bases_.push_back(base);
     max_cardinality = std::max(max_cardinality, table->cardinality());
   }

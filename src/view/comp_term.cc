@@ -221,7 +221,7 @@ CompEvalResult EvalComp(const ViewDefinition& def,
                                    : n.est_output_rows)
                     : -1;
       record.measured_rows = runtime[id].rows;
-      record.from_cache = runtime[id].from_cache;
+      record.provenance = runtime[id].provenance;
       observation.nodes.push_back(std::move(record));
     }
     observation.term_roots.assign(roots.begin(), roots.end());

@@ -110,26 +110,7 @@ PlanNodeId LowerPipeline(const ViewDefinition& def,
     }
   }
 
-  auto owner_of = [&](const std::string& col) {
-    for (size_t s = 0; s < schemas.size(); ++s) {
-      if (schemas[s]->HasColumn(col)) return static_cast<int>(s);
-    }
-    WUW_CHECK(false, ("join references unknown column: " + col).c_str());
-    return -1;
-  };
-
-  // Join step i's keys: every edge with one end in source i and the other
-  // in an earlier source.  Edges inside the prefix are its own.
-  std::vector<JoinKeys> keys(n);
-  for (const JoinCondition& jc : def.joins()) {
-    int a = owner_of(jc.left_column);
-    int b = owner_of(jc.right_column);
-    WUW_CHECK(a != b, "join condition must span two distinct sources");
-    if (std::max(a, b) < static_cast<int>(prefix_len)) continue;
-    JoinKeys& k = keys[std::max(a, b)];
-    k.left_columns.push_back(a < b ? jc.left_column : jc.right_column);
-    k.right_columns.push_back(a < b ? jc.right_column : jc.left_column);
-  }
+  const std::vector<JoinKeys> keys = JoinStepKeys(def, schemas, prefix_len);
 
   // need[i]: the columns the pipeline carries after step i (its join and
   // step filter); join_need[i]: what step i's join emits, which its step
@@ -190,6 +171,32 @@ ColumnNames RootNeed(const ViewDefinition& def,
 }
 
 }  // namespace
+
+std::vector<JoinKeys> JoinStepKeys(const ViewDefinition& def,
+                                   const std::vector<const Schema*>& schemas,
+                                   size_t prefix_len) {
+  auto owner_of = [&](const std::string& col) {
+    for (size_t s = 0; s < schemas.size(); ++s) {
+      if (schemas[s]->HasColumn(col)) return static_cast<int>(s);
+    }
+    WUW_CHECK(false, ("join references unknown column: " + col).c_str());
+    return -1;
+  };
+
+  // Join step i's keys: every edge with one end in source i and the other
+  // in an earlier source.  Edges inside the prefix are its own.
+  std::vector<JoinKeys> keys(def.num_sources());
+  for (const JoinCondition& jc : def.joins()) {
+    int a = owner_of(jc.left_column);
+    int b = owner_of(jc.right_column);
+    WUW_CHECK(a != b, "join condition must span two distinct sources");
+    if (std::max(a, b) < static_cast<int>(prefix_len)) continue;
+    JoinKeys& k = keys[std::max(a, b)];
+    k.left_columns.push_back(a < b ? jc.left_column : jc.right_column);
+    k.right_columns.push_back(a < b ? jc.right_column : jc.left_column);
+  }
+  return keys;
+}
 
 PlanNodeId BuildJoinPlan(const ViewDefinition& def,
                          const std::vector<PlanNodeId>& inputs,

@@ -37,6 +37,17 @@ enum class PipelineWidth {
   kRaw,
 };
 
+/// The keys of each join step of def's left-deep pipeline over per-source
+/// `schemas` (all of def's sources, in definition order): entry i holds
+/// every join edge between source i and an earlier source, the earlier
+/// end in left_columns.  Entries below max(prefix_len, 1) are empty: with
+/// a prefix (BuildJoinPlanFromPrefix) the edges inside it are its own.
+/// What lowering joins on, and so what the warehouse indexes
+/// (storage/table.h, KeyIndex).
+std::vector<JoinKeys> JoinStepKeys(const ViewDefinition& def,
+                                   const std::vector<const Schema*>& schemas,
+                                   size_t prefix_len);
+
 /// Lowers def's join graph and filters over `inputs` — one subplan id per
 /// definition source, in definition order — into `dag`, returning the root
 /// of the joined pipeline.  Its rows, row order and multiplicities are

@@ -125,7 +125,7 @@ TEST_P(RoundTripTest, FromRowsRoundTripsCellsCardsAndStats) {
   Rows rows = RandomMixedRows("t", 3000, 500, &rng);
   const RowVec raw = testutil::RowsOf(rows);
 
-  auto ct = ColumnTable::FromRows(rows.schema, raw);
+  auto ct = testutil::ImageFromRows(rows.schema, raw);
   ASSERT_NE(ct, nullptr);
   ASSERT_EQ(ct->num_rows(), rows.size());
   int64_t signed_sum = 0, abs_sum = 0;
@@ -193,7 +193,7 @@ TEST_P(RoundTripTest, DictionaryCodesAreDenseAndConsistent) {
   tpcd::Rng rng(seed);
   Rows rows = RandomMixedRows("t", 2000, 400, &rng);
   const RowVec raw = testutil::RowsOf(rows);
-  auto ct = ColumnTable::FromRows(rows.schema, raw);
+  auto ct = testutil::ImageFromRows(rows.schema, raw);
   ASSERT_NE(ct, nullptr);
 
   const size_t sc = rows.schema.num_columns() - 2;  // the _s column
@@ -282,7 +282,7 @@ TEST_P(RoundTripTest, BatchesCoverRowsAndCarryRunningCards) {
   for (size_t n : sizes) {
     SCOPED_TRACE("rows=" + std::to_string(n));
     Rows rows = RandomMixedRows("t", n, 300, &rng);
-    auto ct = ColumnTable::FromRows(rows.schema, testutil::RowsOf(rows));
+    auto ct = testutil::ImageFromRows(rows.schema, testutil::RowsOf(rows));
     ASSERT_NE(ct, nullptr);
     size_t next = 0;
     size_t batches = 0;
@@ -335,7 +335,7 @@ TEST(RowsDeathTest, AddOfATupleThatDoesNotFitAborts) {
   }
   const Tuple wrong_type({Value::Int64(7), Value::Double(3.5)});
   const Tuple wrong_arity({Value::Int64(7)});
-  EXPECT_EQ(ColumnTable::FromRows(rows.schema, {{wrong_type, 1}}), nullptr);
+  EXPECT_EQ(testutil::ImageFromRows(rows.schema, {{wrong_type, 1}}), nullptr);
   EXPECT_DEATH(rows.Add(wrong_type, 1), "does not fit");
   EXPECT_DEATH(rows.Add(wrong_arity, -2), "does not fit");
   // A copy shares the image; its failed Add leaves the original alone.
@@ -671,6 +671,34 @@ TEST_P(KernelDifferentialTest, AggregateMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelDifferentialTest,
                          ::testing::Values(7, 77, 777));
+
+// A batch built by appends whose string column holds only NULLs has no
+// dictionary.  The general conjunct path (here under an OR) and a string
+// used as a boolean must read it as holding no strings, not crash.
+TEST(KernelEdgeTest, GeneralConjunctsOverAnAllNullStringColumn) {
+  Rows input(Schema({{"k", TypeId::kInt64}, {"s", TypeId::kString}}));
+  for (int64_t k = 0; k < 5; ++k) {
+    input.Add(Tuple({Value::Int64(k), Value::Null()}), 1);
+  }
+  ASSERT_EQ(input.Columnar()->column(1).dict, nullptr);
+  const std::vector<ScalarExpr::Ptr> predicates = {
+      ScalarExpr::Logical(LogicalOp::kOr, ScalarExpr::ColEqString("s", "a"),
+                          ScalarExpr::Compare(
+                              CompareOp::kGt, ScalarExpr::Column("k"),
+                              ScalarExpr::Literal(Value::Int64(2)))),
+      ScalarExpr::Logical(LogicalOp::kOr, ScalarExpr::Column("s"),
+                          ScalarExpr::Compare(
+                              CompareOp::kEq, ScalarExpr::Column("k"),
+                              ScalarExpr::Literal(Value::Int64(0))))};
+  for (const ScalarExpr::Ptr& pred : predicates) {
+    SCOPED_TRACE(ExprToSql(pred));
+    OperatorStats ref_stats, stats;
+    const Rows want = reference::Filter(input, pred, &ref_stats);
+    const Rows got = Filter(input, pred, &stats);
+    EXPECT_EQ(testutil::RowsOf(got), testutil::RowsOf(want));
+    EXPECT_FALSE(got.empty());
+  }
+}
 
 }  // namespace
 }  // namespace wuw

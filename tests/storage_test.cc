@@ -20,6 +20,7 @@
 #include "storage/table.h"
 #include "storage/tuple.h"
 #include "storage/value.h"
+#include "test_util.h"
 
 namespace wuw {
 namespace {
@@ -173,7 +174,7 @@ TEST(TableTest, SortedRowsDeterministic) {
 Table Restored(const Table& t) {
   Table out = t;
   std::shared_ptr<ColumnTable> image =
-      ColumnTable::FromRows(t.schema(), t.dense_rows());
+      testutil::ImageFromRows(t.schema(), t.dense_rows());
   out.ReleasePayload();
   EXPECT_EQ(out.RestorePayload(std::move(image), t.cardinality(),
                                t.mutation_count()),
@@ -208,7 +209,7 @@ TEST(TableTest, RestorePayloadRestoresTheReleasedTable) {
   for (const auto& [tuple, count] : dense) incremental.Add(tuple, count);
 
   std::shared_ptr<ColumnTable> image =
-      ColumnTable::FromRows(t.schema(), dense);
+      testutil::ImageFromRows(t.schema(), dense);
   const ColumnTable* image_ptr = image.get();
   t.ReleasePayload();
   EXPECT_EQ(t.distinct_size(), 0u);
@@ -230,7 +231,7 @@ TEST(TableTest, RestorePayloadRestoresTheReleasedTable) {
 
   Table empty(t.schema());
   empty.ReleasePayload();
-  EXPECT_EQ(empty.RestorePayload(ColumnTable::FromRows(t.schema(), {}), 0, 4),
+  EXPECT_EQ(empty.RestorePayload(testutil::ImageFromRows(t.schema(), {}), 0, 4),
             "");
   EXPECT_EQ(empty.distinct_size(), 0u);
   EXPECT_TRUE(empty.dense_rows().empty());
@@ -261,7 +262,7 @@ TEST(TableTest, RestorePayloadRejectsCorruptImagesUntouched) {
 
   EXPECT_NE(t.RestorePayload(nullptr, 0, 99), "");
   EXPECT_NE(t.RestorePayload(
-                ColumnTable::FromRows(Schema({{"z", TypeId::kInt64}}), {}), 0,
+                testutil::ImageFromRows(Schema({{"z", TypeId::kInt64}}), {}), 0,
                 99),
             "");
   std::shared_ptr<ColumnTable> repeated = image({1, 2, 1});
@@ -303,7 +304,7 @@ TEST(TableTest, BulkRowHashesEqualPerRowHashes) {
                k % 6 == 0 ? Value::Null() : Value::Date(k), Value::Null()}),
         1 + k % 2);
   }
-  const std::shared_ptr<ColumnTable> image = ColumnTable::FromRows(s, rows);
+  const std::shared_ptr<ColumnTable> image = testutil::ImageFromRows(s, rows);
   const std::vector<uint64_t> hashes = image->RowHashes();
   ASSERT_EQ(hashes.size(), rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -348,7 +349,7 @@ TEST(TableTest, HasEqualRowsMatchesTupleEquality) {
       }
       rows.emplace_back(cells[a], 1);
       if (a != b) rows.emplace_back(cells[b], 1);
-      std::shared_ptr<ColumnTable> image = ColumnTable::FromRows(s, rows);
+      std::shared_ptr<ColumnTable> image = testutil::ImageFromRows(s, rows);
       ASSERT_NE(image, nullptr);
       Table t(s);
       const std::string error =
@@ -378,7 +379,7 @@ TEST(TableTest, HasEqualRowsMatchesTupleEquality) {
     }
   }
   Table empty(s);
-  EXPECT_EQ(empty.RestorePayload(ColumnTable::FromRows(s, {}), 0, 0), "");
+  EXPECT_EQ(empty.RestorePayload(testutil::ImageFromRows(s, {}), 0, 0), "");
 }
 
 // The analytic byte model prices a row the same in tuple and column form
@@ -408,7 +409,8 @@ TEST(TableTest, AnalyticBytesAgreeInTupleAndColumnForms) {
   for (const Table* table : {&t, &empty}) {
     SCOPED_TRACE(table->empty() ? "empty" : "mixed");
     const RowVec dense = table->dense_rows();
-    std::shared_ptr<const ColumnTable> image = ColumnTable::FromRows(s, dense);
+    std::shared_ptr<const ColumnTable> image =
+        testutil::ImageFromRows(s, dense);
     ASSERT_NE(image, nullptr);
     int64_t tuple_sum = 0, column_sum = 0;
     for (size_t i = 0; i < dense.size(); ++i) {
@@ -523,7 +525,7 @@ TEST(TableTest, ImageBytesAreThePerRowSum) {
   for (const Table* table : cases) {
     std::shared_ptr<const ColumnTable> image =
         table != nullptr ? table->ColumnarSnapshot()
-                         : ColumnTable::FromRows(s, {});
+                         : testutil::ImageFromRows(s, {});
     ASSERT_NE(image, nullptr);
     int64_t per_row = 0;
     for (size_t i = 0; i < image->num_rows(); ++i) {

@@ -9,6 +9,7 @@
 // representations and edits while a scan or a copy holds the image.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -171,7 +172,8 @@ int64_t Conversions() {
 /// and signed cardinality of every prefix.
 void ExpectImageMatchesRows(const Schema& schema, const RowVec& rows,
                             const ColumnTable& image) {
-  std::shared_ptr<const ColumnTable> want = ColumnTable::FromRows(schema, rows);
+  std::shared_ptr<const ColumnTable> want =
+      testutil::ImageFromRows(schema, rows);
   ASSERT_NE(want, nullptr);
   ASSERT_EQ(image.num_rows(), rows.size());
   ASSERT_EQ(image.num_columns(), want->num_columns());
@@ -193,6 +195,77 @@ void ExpectImageMatchesRows(const Schema& schema, const RowVec& rows,
     ASSERT_EQ(image.SignedCardBetween(0, end), want->SignedCardBetween(0, end))
         << "prefix " << end;
   }
+}
+
+/// The join kernels' key hash of image row `pos` over `columns`.
+uint64_t KeyHashOf(const ColumnTable& image, const std::vector<size_t>& columns,
+                   size_t pos) {
+  uint64_t h = kKeyHashSeed;
+  for (size_t c : columns) {
+    h = CombineKeyHash(h, CellHashAt(image.column(c), pos));
+  }
+  return h;
+}
+
+/// The rows `index`'s chain for `hash` holds with that very key hash,
+/// sorted.  A chain longer than the image (a cycle) stops the walk.
+std::vector<int32_t> HashMates(const KeyIndex& index, const ColumnTable& image,
+                               uint64_t hash) {
+  std::vector<int32_t> out;
+  size_t steps = 0;
+  for (int32_t j = index.First(hash); j >= 0 && steps++ <= image.num_rows();
+       j = index.Next(j)) {
+    if (KeyHashOf(image, index.columns(), j) == hash) out.push_back(j);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Every declared KeyIndex of `table` describes its image: each bucket's
+/// chain starts with no predecessor, links both ways, and holds only rows
+/// of that bucket; every row sits in exactly one chain; and each row's
+/// key hash finds the same rows as in an index rebuilt from the image.
+void ExpectKeyIndexesMatchImage(const Table& table) {
+  const std::shared_ptr<const ColumnTable> image = table.ColumnarSnapshot();
+  const size_t n = image->num_rows();
+  for (const std::shared_ptr<const KeyIndex>& index : table.KeyIndexes()) {
+    ASSERT_EQ(index->size(), n);
+    std::vector<int> linked(n, 0);
+    for (uint64_t b = 0; b < index->buckets(); ++b) {
+      int32_t j = index->First(b);
+      if (j >= 0) ASSERT_EQ(index->Prev(j), -1) << "bucket " << b;
+      for (; j >= 0; j = index->Next(j)) {
+        ASSERT_LT(static_cast<size_t>(j), n);
+        ASSERT_EQ(linked[j], 0) << "row " << j << " linked twice";
+        ASSERT_EQ(KeyHashOf(*image, index->columns(), j) &
+                      (index->buckets() - 1),
+                  b)
+            << "row " << j;
+        ++linked[j];
+        const int32_t next = index->Next(j);
+        if (next >= 0) ASSERT_EQ(index->Prev(next), j) << "row " << next;
+      }
+    }
+    for (size_t pos = 0; pos < n; ++pos) {
+      ASSERT_EQ(linked[pos], 1) << "row " << pos;
+    }
+    KeyIndex rebuilt(index->columns());
+    rebuilt.Build(*image);
+    for (size_t pos = 0; pos < n; ++pos) {
+      const uint64_t h = KeyHashOf(*image, index->columns(), pos);
+      ASSERT_EQ(HashMates(*index, *image, h), HashMates(rebuilt, *image, h))
+          << "row " << pos;
+    }
+  }
+}
+
+/// Key indexes over ImageSchema: one int, one string, a double and a
+/// date together, and a string before an int.
+void DeclareImageIndexes(Table* table) {
+  table->DeclareKeyIndex({0});
+  table->DeclareKeyIndex({3});
+  table->DeclareKeyIndex({1, 2});
+  table->DeclareKeyIndex({3, 0});
 }
 
 class TableImageFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -224,7 +297,8 @@ void AddBoth(Table* table, reference::Table* ref, const Tuple& tuple,
 // bumps up and down, deletes at every position (the last row included),
 // over-deletes, clamped deletes of absent tuples, and Clear; one step in
 // 25 also hibernates the table and faults it back in.  After every step
-// the image equals FromRows of the reference's rows, and nothing — no
+// the image equals one appended afresh from the reference's rows, every
+// declared key index equals one rebuilt from the image, and nothing — no
 // edit, Clear or fault-in — converted rows to build it.
 TEST_P(TableImageFuzzTest, MaintainedImageEqualsRebuild) {
   const uint64_t seed = GetParam() + testutil::PropertySeed(0);
@@ -232,6 +306,7 @@ TEST_P(TableImageFuzzTest, MaintainedImageEqualsRebuild) {
   tpcd::Rng rng(seed);
   obs::ArmMetrics();
   Table table(ImageSchema());
+  DeclareImageIndexes(&table);
   reference::Table ref;
   const std::string path = ::testing::TempDir() + "wuw_image_fuzz_" +
                            std::to_string(GetParam()) + ".pages";
@@ -296,6 +371,8 @@ TEST_P(TableImageFuzzTest, MaintainedImageEqualsRebuild) {
     ASSERT_NO_FATAL_FAILURE(
         ExpectImageMatchesRows(table.schema(), ref.rows(), *image))
         << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(ExpectKeyIndexesMatchImage(table))
+        << "step " << step;
     ASSERT_EQ(table.cardinality(), ref.cardinality()) << "step " << step;
     ASSERT_EQ(table.mutation_count(), ref.mutation_count()) << "step " << step;
   }
@@ -307,6 +384,67 @@ TEST_P(TableImageFuzzTest, MaintainedImageEqualsRebuild) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TableImageFuzzTest,
                          ::testing::Values(1, 2, 3, 17, 99, 12345));
+
+/// One random edit of the kinds the image fuzz makes: an insert or bump,
+/// a delete of a random or the last row, or an over-delete.
+void RandomEdit(tpcd::Rng* rng, Table* table, reference::Table* ref) {
+  const RowVec rows = ref->rows();
+  if (rows.empty() || rng->Below(3) == 0) {
+    AddBoth(table, ref, ImageTuple(rng), rng->Range(1, 3));
+    return;
+  }
+  const size_t pos =
+      rng->Below(4) == 0 ? rows.size() - 1 : rng->Below(rows.size());
+  AddBoth(table, ref, rows[pos].first, -rows[pos].second - rng->Range(0, 2));
+}
+
+// A Table copy shares its key indexes: edits on either side copy them
+// first, so both keep indexes that describe their own images, and a
+// hibernate / fault-in round trip rebuilds them.
+TEST(TableKeyIndexTest, CopiesEditedOnEitherSideKeepTheirIndexes) {
+  const uint64_t seed = testutil::PropertySeed(41);
+  SCOPED_TRACE(testutil::SeedTrace(seed));
+  tpcd::Rng rng(seed);
+  Table original(ImageSchema());
+  reference::Table original_ref;
+  for (int i = 0; i < 300; ++i) {
+    AddBoth(&original, &original_ref, ImageTuple(&rng), rng.Range(1, 3));
+  }
+  DeclareImageIndexes(&original);  // built over existing rows
+  ASSERT_NO_FATAL_FAILURE(ExpectKeyIndexesMatchImage(original));
+
+  for (int side = 0; side < 2; ++side) {
+    Table copy = original;
+    reference::Table copy_ref = original_ref;
+    const std::shared_ptr<const KeyIndex> shared = original.KeyIndexes()[0];
+    EXPECT_EQ(copy.KeyIndexes()[0], shared);
+    Table* edited = side == 0 ? &copy : &original;
+    reference::Table* edited_ref = side == 0 ? &copy_ref : &original_ref;
+    for (int step = 0; step < 400; ++step) {
+      RandomEdit(&rng, edited, edited_ref);
+      ASSERT_FALSE(HasFatalFailure()) << "side " << side << " step " << step;
+      ASSERT_NO_FATAL_FAILURE(ExpectKeyIndexesMatchImage(copy))
+          << "side " << side << " step " << step;
+      ASSERT_NO_FATAL_FAILURE(ExpectKeyIndexesMatchImage(original))
+          << "side " << side << " step " << step;
+    }
+    const Table& untouched = side == 0 ? original : copy;
+    EXPECT_EQ(untouched.KeyIndexes()[0], shared);
+    EXPECT_NE(edited->KeyIndexes()[0], shared);
+  }
+
+  const std::string path =
+      ::testing::TempDir() + "wuw_key_index_round_trip.pages";
+  ASSERT_NO_FATAL_FAILURE(HibernateAndFaultIn(&original, path));
+  ASSERT_EQ(original.KeyIndexes().size(), 4u);
+  ASSERT_NO_FATAL_FAILURE(ExpectKeyIndexesMatchImage(original));
+  for (int step = 0; step < 200; ++step) {
+    RandomEdit(&rng, &original, &original_ref);
+    ASSERT_NO_FATAL_FAILURE(ExpectKeyIndexesMatchImage(original))
+        << "step " << step;
+  }
+  std::remove(path.c_str());
+}
 
 // ---------------------------------------------------------------------------
 // Installs into a faulted-in table (storage/table.h) find rows through the
@@ -399,7 +537,7 @@ TEST_P(RestoredTableFuzzTest, ImageInstallsMatchReferenceTable) {
   }
   Table restored(RestoredSchema());
   std::shared_ptr<ColumnTable> image =
-      ColumnTable::FromRows(restored.schema(), twin.rows());
+      testutil::ImageFromRows(restored.schema(), twin.rows());
   restored.ReleasePayload();
   ASSERT_EQ(restored.RestorePayload(std::move(image), twin.cardinality(),
                                     twin.mutation_count()),

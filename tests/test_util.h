@@ -55,10 +55,24 @@ inline RowVec RowsOf(const Rows& rows) {
   return out;
 }
 
+/// The finished column image of (schema, rows), in order, zero
+/// multiplicities included, appended row by row (ColumnTable::AppendRow);
+/// null if a row does not fit `schema` (ColumnTable::Accepts).
+inline std::shared_ptr<ColumnTable> ImageFromRows(const Schema& schema,
+                                                  const RowVec& rows) {
+  auto image = std::make_shared<ColumnTable>(schema);
+  for (const auto& [tuple, count] : rows) {
+    if (!image->Accepts(tuple)) return nullptr;
+    image->AppendRow(tuple, count);
+  }
+  image->Finish();
+  return image;
+}
+
 /// The batch holding exactly `rows`, in order, zero multiplicities
 /// included (Rows::Add drops those).  Every row must fit `schema`.
 inline Rows MakeRows(const Schema& schema, const RowVec& rows) {
-  std::shared_ptr<ColumnTable> image = ColumnTable::FromRows(schema, rows);
+  std::shared_ptr<ColumnTable> image = ImageFromRows(schema, rows);
   if (image == nullptr) std::abort();  // a row that does not fit
   return Rows::FromColumnar(std::move(image));
 }
